@@ -5,6 +5,7 @@ from .column import (
     AtmosphericProfile,
     FluxSet,
     PhysConsts,
+    ProfileBatch,
     VerticalGrid,
     apply_correction,
     compute_cloud_optical_depth,
@@ -27,6 +28,7 @@ __all__ = [
     "MlpModel",
     "Normalization",
     "PhysConsts",
+    "ProfileBatch",
     "TrainConfig",
     "VerticalGrid",
     "apply_correction",

@@ -14,7 +14,7 @@ therefore exact, which makes it a usable end-to-end learning target.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List, NamedTuple, Sequence
 
 import numpy as np
@@ -23,6 +23,7 @@ from .column import (
     AtmosphericProfile,
     PhysConsts,
     VerticalGrid,
+    _unchecked,
     compute_cloud_optical_depth,
     truncate_profile,
 )
@@ -34,7 +35,9 @@ def augment_scalars(profiles: Sequence[AtmosphericProfile], k: int, seed: int,
     """Originals followed by k copies with re-assigned alpha and mu0.
 
     Replacements are drawn independently, with replacement, from the
-    original value sets; every other field is shared verbatim.
+    original value sets; every other field is shared verbatim. A copy
+    therefore satisfies the rules its original was validated against,
+    and is not validated again.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
@@ -50,7 +53,8 @@ def augment_scalars(profiles: Sequence[AtmosphericProfile], k: int, seed: int,
         new_mu0s = rng.choice(mu0s, size=len(profiles), replace=True)
         for p, a, m in zip(profiles, new_alphas, new_mu0s):
             pid = None if p.pid is None else f"{p.pid}_c{copy_idx}"
-            out.append(replace(p, alpha=float(a), mu0=float(m), pid=pid))
+            out.append(_unchecked(AtmosphericProfile,
+                                  **dict(vars(p), alpha=float(a), mu0=float(m), pid=pid)))
     return out
 
 

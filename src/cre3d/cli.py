@@ -29,32 +29,32 @@ def _split_indices(n: int, seed: int):
     return order[:n_train], order[n_train:n_train + n_val], order[n_train + n_val:]
 
 
+def _fluxes_for(path, ids, what: str = "record"):
+    """The flux records of `path` for `ids`, in that order; every id needs one."""
+    from . import io
+
+    by_id = dict(io.read_fluxes(path))
+    for pid in ids:
+        if pid not in by_id:
+            raise io.DatasetError(path, None, f"no {what} for profile id {pid!r}")
+    return [by_id[pid] for pid in ids]
+
+
 def _load_matched(profiles_path: str, truth_path: str):
-    """Profiles plus id-matched truth flux effects, on one shared grid."""
+    """Profiles (a ProfileBatch) plus id-matched truth flux effects."""
     from . import io
 
     profiles = io.read_profiles(profiles_path)
-    if not profiles:
-        raise io.DatasetError(profiles_path, None, "no profiles")
-    grid = profiles[0].grid
-    for i, p in enumerate(profiles[1:], start=2):
-        if not grid.same_as(p.grid):
-            raise io.DatasetError(profiles_path, i, "profiles must share one grid")
-    truth = dict(io.read_fluxes(truth_path))
-    fluxes = []
-    for i, p in enumerate(profiles, start=1):
-        if p.pid not in truth:
-            raise io.DatasetError(truth_path, None, f"no truth record for profile id {p.pid!r}")
-        fluxes.append(truth[p.pid])
-    return profiles, fluxes, grid
+    return profiles, _fluxes_for(truth_path, profiles.ids, "truth record")
 
 
-def _build_xy(profiles, fluxes, grid, component, consts,
+def _build_xy(profiles, fluxes, component, consts,
               include_humidity=False, include_thickness=False):
     import numpy as np
 
     from . import features
 
+    grid = profiles.grid
     schema = features.schema_for_grid(component, grid, consts.p_trunc,
                                       include_humidity, include_thickness)
     x = features.build_input_matrix(profiles, schema, consts)
@@ -116,8 +116,8 @@ def cmd_train(args) -> int:
     from . import column, features, io, net
 
     consts = column.PhysConsts()
-    profiles, fluxes, grid = _load_matched(args.profiles, args.truth)
-    schema, x, y = _build_xy(profiles, fluxes, grid, args.component, consts)
+    profiles, fluxes = _load_matched(args.profiles, args.truth)
+    schema, x, y = _build_xy(profiles, fluxes, args.component, consts)
     idx_train, idx_val, idx_test = _split_indices(len(profiles), args.seed)
     norm_in = features.fit_normalization(x[idx_train])
     norm_out = features.fit_normalization(y[idx_train])
@@ -139,9 +139,9 @@ def cmd_train(args) -> int:
                    "batch_size": cfg.batch_size, "beta1": cfg.beta1,
                    "beta2": cfg.beta2, "eps": cfg.eps},
         "split": {"seed": args.seed, "fractions": [0.6, 0.2, 0.2],
-                  "train_ids": [profiles[i].pid for i in idx_train],
-                  "val_ids": [profiles[i].pid for i in idx_val],
-                  "test_ids": [profiles[i].pid for i in idx_test]},
+                  "train_ids": [profiles.ids[i] for i in idx_train],
+                  "val_ids": [profiles.ids[i] for i in idx_val],
+                  "test_ids": [profiles.ids[i] for i in idx_test]},
     })
     io.save_model(args.out, model, consts)
     print(f"trained {args.component} model: epochs={model.meta['epochs_run']}, "
@@ -153,14 +153,14 @@ def cmd_grid_search(args) -> int:
     from . import column, features, io, net
 
     consts = column.PhysConsts()
-    profiles, fluxes, grid = _load_matched(args.profiles, args.truth)
+    profiles, fluxes = _load_matched(args.profiles, args.truth)
     idx_train, idx_val, _ = _split_indices(len(profiles), args.seed)
     datasets = {}
     for variant in args.variants:
         if variant not in INPUT_VARIANTS:
             raise ValueError(f"unknown input variant {variant}; choose from 6, 7, 8")
         with_q, with_dz = INPUT_VARIANTS[variant]
-        _, x, y = _build_xy(profiles, fluxes, grid, args.component, consts,
+        _, x, y = _build_xy(profiles, fluxes, args.component, consts,
                             include_humidity=with_q, include_thickness=with_dz)
         norm_in = features.fit_normalization(x[idx_train])
         norm_out = features.fit_normalization(y[idx_train])
@@ -194,19 +194,6 @@ def cmd_grid_search(args) -> int:
     return 0
 
 
-def _read_profiles_one_grid(path):
-    from . import io
-
-    profiles = io.read_profiles(path)
-    if not profiles:
-        raise io.DatasetError(path, None, "no profiles")
-    grid = profiles[0].grid
-    for i, p in enumerate(profiles[1:], start=2):
-        if not grid.same_as(p.grid):
-            raise io.DatasetError(path, i, "profiles must share one grid")
-    return profiles, grid
-
-
 def cmd_predict(args) -> int:
     from . import column, io, net
 
@@ -214,18 +201,10 @@ def cmd_predict(args) -> int:
     model_sw, consts_sw = io.load_model(args.model_sw)
     if consts_sw != consts:
         raise ValueError("LW and SW model files disagree on physical constants")
-    profiles, grid = _read_profiles_one_grid(args.profiles)
+    profiles = io.read_profiles(args.profiles)
     effects = net.predict_flux_effects(model_lw, model_sw, profiles, consts)
-
-    def records(component):
-        e = effects[component]
-        for i, p in enumerate(profiles):
-            direct = e["direct_down"][i] if "direct_down" in e else None
-            yield p.pid, column.FluxSet(up=e["up"][i], down=e["down"][i],
-                                        heat=e["heat"][i], direct_down=direct)
-
-    io.write_fluxes(args.out_lw, records("lw"))
-    io.write_fluxes(args.out_sw, records("sw"))
+    for component, path in (("lw", args.out_lw), ("sw", args.out_sw)):
+        io.write_fluxes(path, zip(profiles.ids, column.FluxSet.rows(**effects[component])))
     print(f"wrote {len(profiles)} effect records to {args.out_lw} and {args.out_sw}")
     return 0
 
@@ -233,17 +212,12 @@ def cmd_predict(args) -> int:
 def cmd_correct(args) -> int:
     from . import column, io
 
-    profiles, grid = _read_profiles_one_grid(args.profiles)
+    profiles = io.read_profiles(args.profiles)
     consts = column.PhysConsts()
-    baseline = dict(io.read_fluxes(args.baseline))
-    effects = dict(io.read_fluxes(args.effects))
-    out = []
-    for p in profiles:
-        if p.pid not in baseline:
-            raise io.DatasetError(args.baseline, None, f"no record for profile id {p.pid!r}")
-        if p.pid not in effects:
-            raise io.DatasetError(args.effects, None, f"no record for profile id {p.pid!r}")
-        out.append((p.pid, column.apply_correction(baseline[p.pid], effects[p.pid], grid, consts)))
+    baseline = _fluxes_for(args.baseline, profiles.ids)
+    effects = _fluxes_for(args.effects, profiles.ids)
+    out = [(pid, column.apply_correction(b, e, profiles.grid, consts))
+           for pid, b, e in zip(profiles.ids, baseline, effects)]
     io.write_fluxes(args.out, out)
     print(f"wrote {len(out)} corrected records to {args.out}")
     return 0
@@ -256,12 +230,8 @@ def cmd_eval(args) -> int:
     from .column import SECONDS_PER_DAY
 
     truth = io.read_fluxes(args.truth)
-    pred = dict(io.read_fluxes(args.pred))
-    pairs = []
-    for pid, f in truth:
-        if pid not in pred:
-            raise io.DatasetError(args.pred, None, f"no prediction for id {pid!r}")
-        pairs.append((f, pred[pid]))
+    pred = _fluxes_for(args.pred, [pid for pid, _ in truth], "prediction")
+    pairs = [(f, g) for (_, f), g in zip(truth, pred)]
     if not pairs:
         raise io.DatasetError(args.truth, None, "no records")
 
@@ -305,22 +275,20 @@ def cmd_bench(args) -> int:
 
     model_lw, consts = io.load_model(args.model_lw)
     model_sw, _ = io.load_model(args.model_sw)
-    profiles, grid = _read_profiles_one_grid(args.profiles)
+    profiles = io.read_profiles(args.profiles)
 
     import numpy as np
 
     x_lw = features.build_input_matrix(profiles, model_lw.schema, consts)
     x_sw = features.build_input_matrix(profiles, model_sw.schema, consts)
-    alphas = np.array([p.alpha for p in profiles])
-    mu0 = np.array([p.mu0 for p in profiles])
-    runner = net.make_staged_runner(model_lw, model_sw, grid, consts)
+    runner = net.make_staged_runner(model_lw, model_sw, profiles.grid, consts)
 
     def replicate(batch, k):
         xl, xs, a, m = batch
         return ((np.concatenate([xl] * k), np.concatenate([xs] * k),
                  np.concatenate([a] * k), np.concatenate([m] * k)), len(xl) * k)
 
-    result = evalbench.bench(runner, (x_lw, x_sw, alphas, mu0),
+    result = evalbench.bench(runner, (x_lw, x_sw, profiles.alpha, profiles.mu0),
                              replication=args.replication, repeats=args.repeats,
                              replicate=replicate)
     report = {

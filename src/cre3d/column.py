@@ -8,8 +8,9 @@ levels (layer centres). All quantities are SI; heating rates are K s^-1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional
+from collections.abc import Sequence
+from dataclasses import dataclass
+from typing import List, Optional
 
 import numpy as np
 
@@ -42,13 +43,47 @@ class PhysConsts:
                 raise ValueError(f"PhysConsts.{name} must be finite and > 0, got {value!r}")
 
 
-def _as_float_array(x, name: str) -> np.ndarray:
+class RowError(ValueError):
+    """A rule broken by one row of a batch; `row` counts from 0."""
+
+    def __init__(self, row: int, message: str):
+        super().__init__(f"row {row}: {message}")
+        self.row = row
+        self.message = message
+
+
+def _unchecked(cls, **fields):
+    """An instance of a validated dataclass built, without running its
+    checks, from fields known to satisfy them: rows, slices or copies of
+    data that was validated once already."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
+def _as_float_array(x, name: str, ndim: int = 1) -> np.ndarray:
+    arr = np.asarray(x, dtype=float)
+    if arr.ndim != ndim:
+        raise ValueError(f"{name} must be a {ndim}-D array")
+    if not np.all(np.isfinite(arr)):
+        bad = np.argwhere(~np.isfinite(arr))[0]
+        message = f"{name} contains a non-finite value at level {int(bad[-1])}"
+        raise ValueError(message) if ndim == 1 else RowError(int(bad[0]), message)
+    return arr
+
+
+def _as_level_array(x, name: str, n_fl: int) -> np.ndarray:
+    """One profile's full-level field as a float vector of length n_fl."""
     arr = np.asarray(x, dtype=float)
     if arr.ndim != 1:
         raise ValueError(f"{name} must be a 1-D array")
-    if not np.all(np.isfinite(arr)):
-        bad = int(np.flatnonzero(~np.isfinite(arr))[0])
-        raise ValueError(f"{name} contains a non-finite value at level {bad}")
+    if arr.size != n_fl:
+        raise ValueError(f"{name} must have length n_fl={n_fl}, got {arr.size}")
+    return arr
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
     return arr
 
 
@@ -67,8 +102,7 @@ class VerticalGrid:
         if not np.all(np.diff(p) > 0):
             bad = int(np.flatnonzero(np.diff(p) <= 0)[0])
             raise ValueError(f"half-level pressures must increase strictly; violated at index {bad}")
-        p.setflags(write=False)
-        object.__setattr__(self, "p_hl", p)
+        object.__setattr__(self, "p_hl", _frozen(p))
 
     @property
     def n_hl(self) -> int:
@@ -100,11 +134,43 @@ class VerticalGrid:
         return self.n_fl_window(p_trunc) + 1
 
     def window(self, p_trunc: float = DEFAULT_P_TRUNC) -> "VerticalGrid":
-        """Grid restricted to the half levels bounding the window full levels."""
-        return VerticalGrid(self.p_hl[self.window_start(p_trunc):])
+        """Grid restricted to the half levels bounding the window full levels.
+
+        A tail of at least two half levels of a valid grid is valid."""
+        return _unchecked(VerticalGrid, p_hl=self.p_hl[self.window_start(p_trunc):])
 
     def same_as(self, other: "VerticalGrid") -> bool:
         return self.p_hl.size == other.p_hl.size and bool(np.array_equal(self.p_hl, other.p_hl))
+
+
+_LEVEL_FIELDS = ("T", "f_c", "q_l", "q_i", "r_l", "r_i")
+_SCALAR_FIELDS = ("T_s", "alpha", "mu0")
+
+
+def _check_profile_values(f: dict) -> None:
+    """Raise RowError for the first row that breaks a profile rule, naming
+    the first rule it breaks in this order. Full-level fields are (n, n_fl)
+    arrays (`q` may be absent), T_s/alpha/mu0 are (n,) arrays."""
+    at_level = "; violated at level {}"
+    rules = [(~np.isfinite(f[name]), f"{name} contains a non-finite value at level {{}}", None)
+             for name in _LEVEL_FIELDS + ("q",) if name in f]
+    rules += [((f["f_c"] < 0) | (f["f_c"] > 1), "f_c must lie in [0, 1]" + at_level, None),
+              (f["q_l"] < 0, "q_l must be >= 0" + at_level, None),
+              (f["q_i"] < 0, "q_i must be >= 0" + at_level, None),
+              (~((f["alpha"] >= 0) & (f["alpha"] <= 1)), "alpha must lie in [0.0, 1.0], got {}", f["alpha"]),
+              (~((f["mu0"] >= -1) & (f["mu0"] <= 1)), "mu0 must lie in [-1.0, 1.0], got {}", f["mu0"]),
+              (~np.isfinite(f["T_s"]), "T_s must be finite", None),
+              ((f["q_l"] > 0) & (f["r_l"] <= 0), "r_l must be > 0 where condensate is present" + at_level, None),
+              ((f["q_i"] > 0) & (f["r_i"] <= 0), "r_i must be > 0 where condensate is present" + at_level, None)]
+    bad = {1: np.zeros(f["T_s"].shape, bool), 2: np.zeros(f["T"].shape, bool)}
+    for mask, _, _ in rules:
+        bad[mask.ndim] |= mask
+    bad_rows = np.flatnonzero(bad[2].any(axis=1) | bad[1])
+    if bad_rows.size:
+        row = int(bad_rows[0])
+        mask, text, value = next(rule for rule in rules if rule[0][row].any())
+        detail = int(np.flatnonzero(mask[row])[0]) if value is None else repr(float(value[row]))
+        raise RowError(row, text.format(detail))
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,6 +179,8 @@ class AtmosphericProfile:
 
     `q` (specific humidity) is optional: it only feeds the optional
     humidity input block of the emulators and plays no role elsewhere.
+    Rows of a ProfileBatch are AtmosphericProfile views that share the
+    batch's arrays and are not validated again.
     """
 
     grid: VerticalGrid
@@ -129,33 +197,103 @@ class AtmosphericProfile:
     pid: Optional[str] = None
 
     def __post_init__(self) -> None:
-        n_fl = self.grid.n_fl
-        for name in ("T", "f_c", "q_l", "q_i", "r_l", "r_i"):
-            arr = _as_float_array(getattr(self, name), name)
-            if arr.size != n_fl:
-                raise ValueError(f"{name} must have length n_fl={n_fl}, got {arr.size}")
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        if self.q is not None:
-            arr = _as_float_array(self.q, "q")
-            if arr.size != n_fl:
-                raise ValueError(f"q must have length n_fl={n_fl}, got {arr.size}")
-            arr.setflags(write=False)
-            object.__setattr__(self, "q", arr)
-        if np.any(self.f_c < 0) or np.any(self.f_c > 1):
-            bad = int(np.flatnonzero((self.f_c < 0) | (self.f_c > 1))[0])
-            raise ValueError(f"f_c must lie in [0, 1]; violated at level {bad}")
-        for name in ("q_l", "q_i"):
-            arr = getattr(self, name)
-            if np.any(arr < 0):
-                bad = int(np.flatnonzero(arr < 0)[0])
-                raise ValueError(f"{name} must be >= 0; violated at level {bad}")
-        for scalar, lo, hi in (("alpha", 0.0, 1.0), ("mu0", -1.0, 1.0)):
-            value = getattr(self, scalar)
-            if not (math.isfinite(value) and lo <= value <= hi):
-                raise ValueError(f"{scalar} must lie in [{lo}, {hi}], got {value!r}")
-        if not math.isfinite(self.T_s):
-            raise ValueError("T_s must be finite")
+        levels = {name: _frozen(_as_level_array(getattr(self, name), name, self.grid.n_fl))
+                  for name in _LEVEL_FIELDS + (() if self.q is None else ("q",))}
+        self.__dict__.update(levels)
+        try:
+            _check_profile_values({**{name: arr[None] for name, arr in levels.items()},
+                                   **{name: np.array([getattr(self, name)], dtype=float)
+                                      for name in _SCALAR_FIELDS}})
+        except RowError as exc:
+            raise ValueError(exc.message) from None
+
+
+@dataclass(frozen=True, eq=False)
+class ProfileBatch(Sequence):
+    """Profiles on one shared grid, stored column-wise and validated once.
+
+    Full-level fields are (n, n_fl) arrays, T_s/alpha/mu0 are (n,) arrays
+    and `ids` holds one id (or None) per row. The rules are those of
+    AtmosphericProfile; a RowError names the first bad row, counted from 0.
+    Indexing and iterating give AtmosphericProfile one-row views, slicing
+    and `window` give batches; none of them is validated again.
+    """
+
+    grid: VerticalGrid
+    T: np.ndarray
+    f_c: np.ndarray
+    q_l: np.ndarray
+    q_i: np.ndarray
+    r_l: np.ndarray
+    r_i: np.ndarray
+    T_s: np.ndarray
+    alpha: np.ndarray
+    mu0: np.ndarray
+    ids: Sequence[Optional[str]]
+    q: Optional[np.ndarray] = None
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "ids", tuple(self.ids))
+        fields = {}
+        for name in _LEVEL_FIELDS + _SCALAR_FIELDS + (() if self.q is None else ("q",)):
+            shape = (len(self.ids),) if name in _SCALAR_FIELDS else (len(self.ids), self.grid.n_fl)
+            fields[name] = _frozen(np.asarray(getattr(self, name), dtype=float))
+            if fields[name].shape != shape:
+                raise ValueError(f"{name} must have shape {shape}, got {fields[name].shape}")
+        self.__dict__.update(fields)
+        _check_profile_values(fields)
+
+    @classmethod
+    def from_profiles(cls, profiles: Sequence[AtmosphericProfile]) -> "ProfileBatch":
+        """Stack validated profiles (a batch is returned as it is). They must
+        share one grid, and carry specific humidity all or none."""
+        if isinstance(profiles, ProfileBatch):
+            return profiles
+        profiles = list(profiles)
+        if not profiles:
+            raise ValueError("no profiles given")
+        first = profiles[0]
+        for i, p in enumerate(profiles):
+            if p.grid is not first.grid and not first.grid.same_as(p.grid):
+                raise ValueError(f"profiles must share one vertical grid; profile {i} differs from profile 0")
+            if (p.q is None) != (first.q is None):
+                raise ValueError(f"profiles must all carry q or none; profile {i} differs from profile 0")
+        fields = {name: _frozen(np.array([getattr(p, name) for p in profiles], dtype=float))
+                  for name in _LEVEL_FIELDS + _SCALAR_FIELDS + (() if first.q is None else ("q",))}
+        return _unchecked(cls, **{"q": None, **fields}, grid=first.grid, ids=tuple(p.pid for p in profiles))
+
+    def window(self, p_trunc: float = DEFAULT_P_TRUNC) -> "ProfileBatch":
+        """The batch restricted to the tropospheric window grid."""
+        return truncate_profile(self, p_trunc)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return _unchecked(ProfileBatch, **{name: value if name == "grid" or value is None else value[index]
+                                               for name, value in vars(self).items()})
+        i = range(len(self.ids))[index]
+        return _unchecked(AtmosphericProfile, grid=self.grid, pid=self.ids[i],
+                          q=None if self.q is None else self.q[i],
+                          **{name: getattr(self, name)[i] for name in _LEVEL_FIELDS},
+                          **{name: float(getattr(self, name)[i]) for name in _SCALAR_FIELDS})
+
+
+def _check_fluxes(up, down, heat, direct_down, ndim: int) -> dict:
+    fields = {"up": _as_float_array(up, "up", ndim),
+              "down": _as_float_array(down, "down", ndim),
+              "heat": _as_float_array(heat, "heat", ndim)}
+    n_hl = fields["up"].shape
+    if fields["down"].shape != n_hl:
+        raise ValueError("up and down must have equal length")
+    if fields["heat"].shape != n_hl[:-1] + (n_hl[-1] - 1,):
+        raise ValueError("heat must have length n_hl - 1")
+    if direct_down is not None:
+        fields["direct_down"] = _as_float_array(direct_down, "direct_down", ndim)
+        if fields["direct_down"].shape != n_hl:
+            raise ValueError("direct_down must have length n_hl")
+    return {name: _frozen(arr) for name, arr in fields.items()}
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,22 +307,16 @@ class FluxSet:
     direct_down: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
-        up = _as_float_array(self.up, "up")
-        down = _as_float_array(self.down, "down")
-        heat = _as_float_array(self.heat, "heat")
-        if down.size != up.size:
-            raise ValueError("up and down must have equal length")
-        if heat.size != up.size - 1:
-            raise ValueError("heat must have length n_hl - 1")
-        if self.direct_down is not None:
-            direct = _as_float_array(self.direct_down, "direct_down")
-            if direct.size != up.size:
-                raise ValueError("direct_down must have length n_hl")
-            direct.setflags(write=False)
-            object.__setattr__(self, "direct_down", direct)
-        for name, arr in (("up", up), ("down", down), ("heat", heat)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        self.__dict__.update(_check_fluxes(self.up, self.down, self.heat, self.direct_down, ndim=1))
+
+    @classmethod
+    def rows(cls, up, down, heat, direct_down=None) -> List["FluxSet"]:
+        """One FluxSet view per row of (n, n_hl) / (n, n_fl) matrices, all
+        checked at once; a non-finite value raises RowError."""
+        fields = _check_fluxes(up, down, heat, direct_down, ndim=2)
+        fields.setdefault("direct_down", None)
+        return [_unchecked(cls, **{name: None if arr is None else arr[i] for name, arr in fields.items()})
+                for i in range(fields["up"].shape[0])]
 
     @property
     def net(self) -> np.ndarray:
@@ -195,17 +327,17 @@ class FluxSet:
         return self.down + self.up
 
 
-def compute_cloud_optical_depth(profile: AtmosphericProfile, consts: PhysConsts) -> np.ndarray:
+def compute_cloud_optical_depth(profile, consts: PhysConsts) -> np.ndarray:
     """Cloud optical depth per layer in the geometric-optics limit.
 
     tau = (3/2) (dp/g) (q_l / (rho_l r_l) + q_i / (rho_i r_i)), exactly
-    zero where both condensate mixing ratios are zero.
+    zero where both condensate mixing ratios are zero. Takes one profile
+    (returns (n_fl,)) or a batch or sequence of profiles (returns (n, n_fl)).
+    Validated profiles have r > 0 wherever condensate is present.
     """
+    if not isinstance(profile, AtmosphericProfile):
+        profile = ProfileBatch.from_profiles(profile)
     q_l, q_i, r_l, r_i = profile.q_l, profile.q_i, profile.r_l, profile.r_i
-    for q, r, name in ((q_l, r_l, "r_l"), (q_i, r_i, "r_i")):
-        bad = np.flatnonzero((q > 0) & (r <= 0))
-        if bad.size:
-            raise ValueError(f"{name} must be > 0 where condensate is present; violated at level {int(bad[0])}")
     term_l = np.where(q_l > 0, q_l / (consts.rho_l * np.where(r_l > 0, r_l, 1.0)), 0.0)
     term_i = np.where(q_i > 0, q_i / (consts.rho_i * np.where(r_i > 0, r_i, 1.0)), 0.0)
     return 1.5 * (profile.grid.dp / consts.g) * (term_l + term_i)
@@ -305,16 +437,14 @@ def apply_correction(baseline: FluxSet, effect: FluxSet,
                                     grid, consts, direct_down=direct)
 
 
-def truncate_profile(profile: AtmosphericProfile, p_trunc: float = DEFAULT_P_TRUNC) -> AtmosphericProfile:
-    """Profile restricted to the tropospheric window grid."""
-    grid = profile.grid
-    i0 = grid.window_start(p_trunc)
-    return AtmosphericProfile(
-        grid=grid.window(p_trunc),
-        T=profile.T[i0:], f_c=profile.f_c[i0:],
-        q_l=profile.q_l[i0:], q_i=profile.q_i[i0:],
-        r_l=profile.r_l[i0:], r_i=profile.r_i[i0:],
-        T_s=profile.T_s, alpha=profile.alpha, mu0=profile.mu0,
-        q=None if profile.q is None else profile.q[i0:],
-        pid=profile.pid,
-    )
+def truncate_profile(profile, p_trunc: float = DEFAULT_P_TRUNC):
+    """Profile (or ProfileBatch) restricted to the tropospheric window grid.
+
+    Slices of validated data are valid, so they are not checked again.
+    """
+    i0 = profile.grid.window_start(p_trunc)
+    fields = dict(vars(profile), grid=profile.grid.window(p_trunc))
+    for name in _LEVEL_FIELDS + ("q",):
+        if fields[name] is not None:
+            fields[name] = fields[name][..., i0:]
+    return _unchecked(type(profile), **fields)

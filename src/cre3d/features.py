@@ -10,7 +10,7 @@ tropospheric window only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -19,7 +19,9 @@ from .column import (
     GRAVITY,
     AtmosphericProfile,
     PhysConsts,
+    ProfileBatch,
     _as_float_array,
+    _frozen,
     compute_cloud_optical_depth,
     truncate_profile,
     truncate_to_window,
@@ -101,11 +103,34 @@ def schema_for_grid(component: str, grid, p_trunc: float = 5000.0,
 
 
 def layer_thickness(grid, T) -> np.ndarray:
-    """Approximate geometric layer thickness from the hypsometric relation."""
-    T = _as_float_array(T, "T")
-    if T.size != grid.n_fl:
+    """Approximate geometric layer thickness from the hypsometric relation.
+
+    T is one profile's (n_fl,) temperatures or a batch's (n, n_fl) matrix.
+    """
+    T = np.asarray(T, dtype=float)
+    if T.ndim > 2 or T.shape[-1:] != (grid.n_fl,):
         raise ValueError(f"T must have length n_fl={grid.n_fl}")
+    if not np.all(np.isfinite(T)):
+        raise ValueError("T contains a non-finite value")
     return (DRY_AIR_GAS_CONSTANT * T / GRAVITY) * np.log(grid.p_hl[1:] / grid.p_hl[:-1])
+
+
+def _assemble(window, tau: np.ndarray, schema: FeatureSchema) -> np.ndarray:
+    """Input blocks of a window profile (one vector) or of a window batch
+    (one row per profile), concatenated along the last axis."""
+    parts = []
+    for name, _ in schema.input_blocks:
+        if name == "tau_c":
+            parts.append(tau)
+        elif name == "dz":
+            parts.append(layer_thickness(window.grid, window.T))
+        elif name in ("T_s", "alpha", "mu0"):
+            parts.append(np.asarray(getattr(window, name), dtype=float)[..., None])
+        elif name == "q" and window.q is None:
+            raise ValueError("schema requires specific humidity but the profile has none")
+        else:
+            parts.append(getattr(window, name))
+    return np.concatenate(parts, axis=-1)
 
 
 def build_input_vector(profile: AtmosphericProfile, tau_c, schema: FeatureSchema) -> np.ndarray:
@@ -116,40 +141,20 @@ def build_input_vector(profile: AtmosphericProfile, tau_c, schema: FeatureSchema
     tau = _as_float_array(tau_c, "tau_c")
     if tau.size != n:
         raise ValueError(f"tau_c must have length {n}, got {tau.size}")
-    parts = []
-    for name, size in schema.input_blocks:
-        if name == "f_c":
-            parts.append(profile.f_c)
-        elif name == "tau_c":
-            parts.append(tau)
-        elif name == "T":
-            parts.append(profile.T)
-        elif name == "q":
-            if profile.q is None:
-                raise ValueError("schema requires specific humidity but the profile has none")
-            parts.append(profile.q)
-        elif name == "dz":
-            parts.append(layer_thickness(profile.grid, profile.T))
-        elif name == "T_s":
-            parts.append(np.array([profile.T_s]))
-        elif name == "alpha":
-            parts.append(np.array([profile.alpha]))
-        elif name == "mu0":
-            parts.append(np.array([profile.mu0]))
-    vec = np.concatenate(parts)
+    vec = _assemble(profile, tau, schema)
     assert vec.size == schema.input_len
     return vec
 
 
-def build_input_matrix(profiles: Sequence[AtmosphericProfile], schema: FeatureSchema,
-                       consts: PhysConsts) -> np.ndarray:
-    """Stack input vectors for full-grid profiles, truncating to the window."""
-    rows = []
-    for profile in profiles:
-        wprof = truncate_profile(profile, consts.p_trunc)
-        tau = compute_cloud_optical_depth(wprof, consts)
-        rows.append(build_input_vector(wprof, tau, schema))
-    return np.asarray(rows)
+def build_input_matrix(profiles: Union[ProfileBatch, Sequence[AtmosphericProfile]],
+                       schema: FeatureSchema, consts: PhysConsts) -> np.ndarray:
+    """Input rows for full-grid profiles on one grid, truncated to the
+    window and assembled for the whole batch at once."""
+    window = truncate_profile(ProfileBatch.from_profiles(profiles), consts.p_trunc)
+    n = schema.n_fl_window
+    if window.grid.n_fl != n:
+        raise ValueError(f"profiles have {window.grid.n_fl} window levels, schema expects {n}")
+    return _assemble(window, compute_cloud_optical_depth(window, consts), schema)
 
 
 def build_target_vector(targets: EffectTargets, schema: FeatureSchema) -> np.ndarray:
@@ -195,10 +200,7 @@ class Normalization:
             raise ValueError("mean and scale must have equal length")
         if np.any(scale <= 0):
             raise ValueError("scale must be strictly positive")
-        mean.setflags(write=False)
-        scale.setflags(write=False)
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "scale", scale)
+        self.__dict__.update(mean=_frozen(mean), scale=_frozen(scale))
 
     def apply(self, x) -> np.ndarray:
         return (np.asarray(x, dtype=float) - self.mean) / self.scale

@@ -1,19 +1,28 @@
 """File formats: JSON-Lines profile and flux datasets, JSON model files.
 
 All numbers are written as decimal JSON floats, which round-trip IEEE
-doubles exactly. Writes go through a temp file and an atomic rename.
+doubles exactly. Writes stream into a temp file and finish with an atomic
+rename. A profile file holds profiles on one grid with unique ids.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
-import tempfile
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from .column import AtmosphericProfile, FluxSet, PhysConsts, VerticalGrid
+from .column import (
+    AtmosphericProfile,
+    FluxSet,
+    PhysConsts,
+    ProfileBatch,
+    RowError,
+    VerticalGrid,
+    _as_level_array,
+)
 from .features import FeatureSchema, Normalization
 from .net import MlpModel
 
@@ -28,12 +37,16 @@ class DatasetError(ValueError):
         super().__init__(f"{locus}: {message}")
 
 
-def atomic_write_text(path, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
+@contextlib.contextmanager
+def _atomic_open(path):
+    """Text handle on a new file beside `path`, renamed over `path` once
+    everything is written and removed if writing fails. The file gets the
+    mode open() would give it (0o666 less the umask)."""
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".tmp-{os.urandom(8).hex()}.part")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -41,22 +54,41 @@ def atomic_write_text(path, text: str) -> None:
         raise
 
 
+def atomic_write_text(path, text: str) -> None:
+    with _atomic_open(path) as fh:
+        fh.write(text)
+
+
 def write_jsonl(path, records: Iterable[dict]) -> None:
-    atomic_write_text(path, "".join(json.dumps(r) + "\n" for r in records))
+    """Write one JSON document per line, encoding each record as it is written."""
+    with _atomic_open(path) as fh:
+        fh.writelines(json.dumps(r) + "\n" for r in records)
+
+
+def _records(path, fh) -> Iterator[dict]:
+    """Decoded records of an open JSON-Lines file, blank lines skipped; a
+    decoding error names the line."""
+    for lineno, line in enumerate(fh, start=1):
+        if line.isspace():
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise DatasetError(path, lineno, f"invalid JSON ({exc})") from exc
+        yield record
 
 
 def read_jsonl(path) -> List[dict]:
-    records = []
     with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                records.append(json.loads(line))
-            except json.JSONDecodeError as exc:
-                raise DatasetError(path, lineno, f"invalid JSON ({exc})") from exc
-    return records
+        return list(_records(path, fh))
+
+
+def _check_new_id(seen: dict, pid, path, index: int) -> None:
+    """Remember a non-null id, or fail if an earlier record had it."""
+    if isinstance(pid, (list, dict)):
+        raise DatasetError(path, index, f"id must be a string, a number or null, got {pid!r}")
+    if pid is not None and seen.setdefault(pid, index) != index:
+        raise DatasetError(path, index, f"duplicate id {pid!r} (first in record {seen[pid]})")
 
 
 # ---------------------------------------------------------------------------
@@ -81,36 +113,49 @@ def profile_to_record(profile: AtmosphericProfile) -> dict:
     return record
 
 
-def profile_from_record(record: dict, path="<memory>", index: Optional[int] = None,
-                        ) -> AtmosphericProfile:
-    for key in ("p_hl",) + _PROFILE_ARRAYS + _PROFILE_SCALARS:
-        if key not in record:
-            raise DatasetError(path, index, f"missing field {key!r}")
-    try:
-        return AtmosphericProfile(
-            grid=VerticalGrid(np.asarray(record["p_hl"], dtype=float)),
-            T=np.asarray(record["T"], dtype=float),
-            f_c=np.asarray(record["f_c"], dtype=float),
-            q_l=np.asarray(record["q_l"], dtype=float),
-            q_i=np.asarray(record["q_i"], dtype=float),
-            r_l=np.asarray(record["r_l"], dtype=float),
-            r_i=np.asarray(record["r_i"], dtype=float),
-            T_s=float(record["T_s"]),
-            alpha=float(record["alpha"]),
-            mu0=float(record["mu0"]),
-            q=None if record.get("q") is None else np.asarray(record["q"], dtype=float),
-            pid=record.get("id"),
-        )
-    except (TypeError, ValueError) as exc:
-        raise DatasetError(path, index, str(exc)) from exc
-
-
 def write_profiles(path, profiles: Iterable[AtmosphericProfile]) -> None:
     write_jsonl(path, (profile_to_record(p) for p in profiles))
 
 
-def read_profiles(path) -> List[AtmosphericProfile]:
-    return [profile_from_record(r, path, i + 1) for i, r in enumerate(read_jsonl(path))]
+def read_profiles(path) -> ProfileBatch:
+    """Read a profile file into one validated ProfileBatch.
+
+    Records are decoded one at a time and only their arrays are kept.
+    Every record must have record 1's `p_hl`, give `q` if and only if
+    record 1 does, and carry an id (or null) that no earlier record has.
+    Errors name the file and record.
+    """
+    columns = {name: [] for name in _PROFILE_ARRAYS + _PROFILE_SCALARS + ("q",)}
+    ids, seen = [], {}
+    grid = first_p_hl = with_q = None
+    with open(path) as fh:
+        for index, record in enumerate(_records(path, fh), start=1):
+            try:
+                for key in ("p_hl",) + _PROFILE_ARRAYS + _PROFILE_SCALARS:
+                    if key not in record:
+                        raise ValueError(f"missing field {key!r}")
+                if grid is None:
+                    grid = VerticalGrid(np.asarray(record["p_hl"], dtype=float))
+                    first_p_hl, with_q = record["p_hl"], record.get("q") is not None
+                elif record["p_hl"] != first_p_hl:
+                    raise ValueError("p_hl differs from record 1; profiles must share one grid")
+                if (record.get("q") is not None) != with_q:
+                    raise ValueError("q must be given in every record or in none")
+                for name in _PROFILE_ARRAYS + (("q",) if with_q else ()):
+                    columns[name].append(_as_level_array(record[name], name, grid.n_fl))
+                for name in _PROFILE_SCALARS:
+                    columns[name].append(float(record[name]))
+            except (TypeError, ValueError) as exc:
+                raise DatasetError(path, index, str(exc)) from exc
+            _check_new_id(seen, record.get("id"), path, index)
+            ids.append(record.get("id"))
+    if grid is None:
+        raise DatasetError(path, None, "no profiles")
+    fields = {name: np.array(columns.pop(name)) for name in _PROFILE_ARRAYS + _PROFILE_SCALARS}
+    try:
+        return ProfileBatch(grid=grid, q=np.array(columns["q"]) if with_q else None, ids=ids, **fields)
+    except RowError as exc:
+        raise DatasetError(path, exc.row + 1, exc.message) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -131,22 +176,15 @@ def flux_to_record(pid: Optional[str], flux: FluxSet) -> dict:
 
 def flux_from_record(record: dict, path="<memory>", index: Optional[int] = None,
                      ) -> Tuple[Optional[str], FluxSet]:
-    for key in ("up", "down"):
+    for key in ("up", "down", "heat"):
         if key not in record:
             raise DatasetError(path, index, f"missing field {key!r}")
+    direct = record.get("direct_down")
     try:
-        up = np.asarray(record["up"], dtype=float)
-        down = np.asarray(record["down"], dtype=float)
-        if "heat" in record:
-            heat = np.asarray(record["heat"], dtype=float)
-        else:
-            raise DatasetError(path, index, "missing field 'heat'")
-        direct = record.get("direct_down")
-        flux = FluxSet(up=up, down=down, heat=heat,
-                       direct_down=None if direct is None else np.asarray(direct, dtype=float))
-        return record.get("id"), flux
-    except DatasetError:
-        raise
+        return record.get("id"), FluxSet(
+            up=np.asarray(record["up"], dtype=float), down=np.asarray(record["down"], dtype=float),
+            heat=np.asarray(record["heat"], dtype=float),
+            direct_down=None if direct is None else np.asarray(direct, dtype=float))
     except (TypeError, ValueError) as exc:
         raise DatasetError(path, index, str(exc)) from exc
 
@@ -156,7 +194,14 @@ def write_fluxes(path, records: Iterable[Tuple[Optional[str], FluxSet]]) -> None
 
 
 def read_fluxes(path) -> List[Tuple[Optional[str], FluxSet]]:
-    return [flux_from_record(r, path, i + 1) for i, r in enumerate(read_jsonl(path))]
+    """Flux records in file order; a non-null id may appear only once."""
+    out, seen = [], {}
+    with open(path) as fh:
+        for index, record in enumerate(_records(path, fh), start=1):
+            pid, flux = flux_from_record(record, path, index)
+            _check_new_id(seen, pid, path, index)
+            out.append((pid, flux))
+    return out
 
 
 # ---------------------------------------------------------------------------

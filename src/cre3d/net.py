@@ -12,22 +12,22 @@ import itertools
 import math
 import time
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .column import (
     AtmosphericProfile,
     PhysConsts,
+    ProfileBatch,
     VerticalGrid,
 )
 from .features import (
     FeatureSchema,
     Normalization,
     build_input_matrix,
-    split_output_vector,
 )
-from .postproc import LW, SW, EffectTargets, postprocess_batch
+from .postproc import LW, SW, postprocess_batch
 
 REFERENCE_HIDDEN_LAYERS = 3
 REFERENCE_HIDDEN_WIDTH = {LW: 217, SW: 182}
@@ -403,14 +403,6 @@ def grid_search(spec: GridSearchSpec, datasets: Dict[int, GridDataset],
 # Inference pipeline
 
 
-def _shared_grid(profiles: Sequence[AtmosphericProfile]) -> VerticalGrid:
-    grid = profiles[0].grid
-    for p in profiles[1:]:
-        if not grid.same_as(p.grid):
-            raise ValueError("profiles must share one vertical grid")
-    return grid
-
-
 def _check_model(model: MlpModel, component: str, grid: VerticalGrid, consts: PhysConsts) -> None:
     if model.schema is None or model.norm_in is None or model.norm_out is None:
         raise ValueError("model lacks schema or normalization statistics")
@@ -420,138 +412,77 @@ def _check_model(model: MlpModel, component: str, grid: VerticalGrid, consts: Ph
         raise ValueError("model schema window does not match the profile grid")
 
 
-def _predict_window(model: MlpModel, profiles: Sequence[AtmosphericProfile],
-                    consts: PhysConsts) -> np.ndarray:
-    x = build_input_matrix(profiles, model.schema, consts)
-    y = forward(model, model.norm_in.apply(x))
-    return model.norm_out.invert(y)
+STAGES = ("normalize", "inference", "denormalize", "postprocess")
 
 
-def predict_effects(model_lw: MlpModel, model_sw: MlpModel,
-                    profiles: Sequence[AtmosphericProfile],
-                    consts: PhysConsts) -> List[Tuple[EffectTargets, EffectTargets]]:
-    """Emulate per-profile LW and SW 3D-effect targets on the full grid.
-
-    Shortwave effects are forced to zero at night (mu0 <= 0); above the
-    window all effect quantities are zero.
-    """
-    if not profiles:
-        return []
-    grid = _shared_grid(profiles)
-    _check_model(model_lw, LW, grid, consts)
-    _check_model(model_sw, SW, grid, consts)
-    y_lw = _predict_window(model_lw, profiles, consts)
-    y_sw = _predict_window(model_sw, profiles, consts)
-    i0 = grid.window_start(consts.p_trunc)
-    pad_hl = np.zeros(i0)
-    pad_fl = np.zeros(i0)
-    out = []
-    for row_lw, row_sw, profile in zip(y_lw, y_sw, profiles):
-        t_lw = split_output_vector(row_lw, model_lw.schema)
-        if profile.mu0 <= 0:
-            row_sw = np.zeros_like(row_sw)
-        t_sw = split_output_vector(row_sw, model_sw.schema, alpha=profile.alpha)
-        lw_full = EffectTargets(
-            component=LW,
-            scalar=np.concatenate([pad_hl, t_lw.scalar]),
-            heat=np.concatenate([pad_fl, t_lw.heat]))
-        sw_full = EffectTargets(
-            component=SW,
-            scalar=np.concatenate([pad_hl, t_sw.scalar]),
-            heat=np.concatenate([pad_fl, t_sw.heat]),
-            direct_down=np.concatenate([pad_hl, t_sw.direct_down]),
-            alpha=profile.alpha)
-        out.append((lw_full, sw_full))
+def _window_effects(model_lw: MlpModel, model_sw: MlpModel, x_lw, x_sw, alpha, mu0,
+                    grid: VerticalGrid, consts: PhysConsts, clock: Optional[list] = None):
+    """Raw LW/SW input rows to energy-consistent window flux effects:
+    normalize, forward, denormalize, zero the shortwave at night (mu0 <= 0)
+    and postprocess. Returns a dict of (n, m) matrices per component. A
+    `clock` list receives a perf_counter reading at the end of each of STAGES."""
+    clock = [] if clock is None else clock
+    models = {LW: model_lw, SW: model_sw}
+    y = {LW: model_lw.norm_in.apply(x_lw), SW: model_sw.norm_in.apply(x_sw)}
+    clock.append(time.perf_counter())
+    y = {c: forward(models[c], y[c]) for c in models}
+    clock.append(time.perf_counter())
+    y = {c: models[c].norm_out.invert(y[c]) for c in models}
+    clock.append(time.perf_counter())
+    y[SW][mu0 <= 0] = 0.0
+    out = {}
+    for c, model in models.items():
+        s = model.schema.output_slices()
+        up, down, heat = postprocess_batch(c, y[c][:, s["scalar"]], y[c][:, s["heat"]], grid, consts,
+                                           alpha=alpha if c == SW else None)
+        out[c] = {"up": up, "down": down, "heat": heat}
+    out[SW]["direct_down"] = y[SW][:, s["direct_down"]]
+    clock.append(time.perf_counter())
     return out
 
 
 def predict_flux_effects(model_lw: MlpModel, model_sw: MlpModel,
-                         profiles: Sequence[AtmosphericProfile],
+                         profiles: Union[ProfileBatch, Sequence[AtmosphericProfile]],
                          consts: PhysConsts):
     """Full pipeline: inference, energy-consistent postprocessing and
-    extension to the full grid. Returns per-profile matrices packed as a
-    dict of (n, n_hl) / (n, n_fl) arrays per component."""
-    if not profiles:
-        raise ValueError("no profiles given")
-    grid = _shared_grid(profiles)
+    extension to the full grid, for a ProfileBatch or a sequence of
+    profiles on one grid. Shortwave effects are zero at night (mu0 <= 0);
+    above the window the down and heating effects are zero and the up
+    effect is held at its window-top value. Returns per-profile matrices
+    packed as a dict of (n, n_hl) / (n, n_fl) arrays per component."""
+    profiles = ProfileBatch.from_profiles(profiles)
+    grid = profiles.grid
     _check_model(model_lw, LW, grid, consts)
     _check_model(model_sw, SW, grid, consts)
-
-    y_lw = _predict_window(model_lw, profiles, consts)
-    y_sw = _predict_window(model_sw, profiles, consts)
-    mu0 = np.array([p.mu0 for p in profiles])
-    y_sw[mu0 <= 0] = 0.0
-    alphas = np.array([p.alpha for p in profiles])
-
-    s_lw = model_lw.schema.output_slices()
-    s_sw = model_sw.schema.output_slices()
-    up_lw, down_lw, heat_lw = postprocess_batch(
-        LW, y_lw[:, s_lw["scalar"]], y_lw[:, s_lw["heat"]], grid, consts)
-    up_sw, down_sw, heat_sw = postprocess_batch(
-        SW, y_sw[:, s_sw["scalar"]], y_sw[:, s_sw["heat"]], grid, consts, alpha=alphas)
-    direct_sw = y_sw[:, s_sw["direct_down"]]
-
-    n = len(profiles)
+    effects = _window_effects(model_lw, model_sw,
+                              build_input_matrix(profiles, model_lw.schema, consts),
+                              build_input_matrix(profiles, model_sw.schema, consts),
+                              profiles.alpha, profiles.mu0, grid, consts)
     i0 = grid.window_start(consts.p_trunc)
-
-    def extend_hl(window: np.ndarray, up_like: bool) -> np.ndarray:
-        pad = np.repeat(window[:, :1], i0, axis=1) if up_like else np.zeros((n, i0))
-        return np.hstack([pad, window])
-
-    def extend_fl(window: np.ndarray) -> np.ndarray:
-        return np.hstack([np.zeros((n, i0)), window])
-
-    return {
-        LW: {"up": extend_hl(up_lw, True), "down": extend_hl(down_lw, False),
-             "heat": extend_fl(heat_lw)},
-        SW: {"up": extend_hl(up_sw, True), "down": extend_hl(down_sw, False),
-             "direct_down": extend_hl(direct_sw, False), "heat": extend_fl(heat_sw)},
-    }
+    zeros = np.zeros((len(profiles), i0))
+    for e in effects.values():
+        for key, w in e.items():
+            e[key] = np.hstack([np.repeat(w[:, :1], i0, axis=1) if key == "up" else zeros, w])
+    return effects
 
 
 def make_staged_runner(model_lw: MlpModel, model_sw: MlpModel,
                        grid: VerticalGrid, consts: PhysConsts):
     """Benchmark runner over pre-built raw input matrices.
 
-    The returned callable takes (x_lw, x_sw, alphas, mu0) and returns
-    wall-clock seconds per stage: normalize, inference, denormalize,
-    postprocess.
+    The returned callable takes (x_lw, x_sw, alphas, mu0), runs the
+    inference pipeline and returns wall-clock seconds per stage:
+    normalize, inference, denormalize, postprocess.
     """
     _check_model(model_lw, LW, grid, consts)
     _check_model(model_sw, SW, grid, consts)
-    s_lw = model_lw.schema.output_slices()
-    s_sw = model_sw.schema.output_slices()
 
     def runner(batch):
-        x_lw, x_sw, alphas, mu0 = batch
-        stages = {}
+        clock = [time.perf_counter()]
         try:
-            t0 = time.perf_counter()
-            xn_lw = model_lw.norm_in.apply(x_lw)
-            xn_sw = model_sw.norm_in.apply(x_sw)
-            stages["normalize"] = time.perf_counter() - t0
-
-            t0 = time.perf_counter()
-            yn_lw = forward(model_lw, xn_lw)
-            yn_sw = forward(model_sw, xn_sw)
-            stages["inference"] = time.perf_counter() - t0
-
-            t0 = time.perf_counter()
-            y_lw = model_lw.norm_out.invert(yn_lw)
-            y_sw = model_sw.norm_out.invert(yn_sw)
-            stages["denormalize"] = time.perf_counter() - t0
-
-            t0 = time.perf_counter()
-            y_sw[mu0 <= 0] = 0.0
-            postprocess_batch(LW, y_lw[:, s_lw["scalar"]], y_lw[:, s_lw["heat"]],
-                              grid, consts)
-            postprocess_batch(SW, y_sw[:, s_sw["scalar"]], y_sw[:, s_sw["heat"]],
-                              grid, consts, alpha=alphas)
-            stages["postprocess"] = time.perf_counter() - t0
+            _window_effects(model_lw, model_sw, *batch, grid, consts, clock)
         except Exception as exc:
-            done = list(stages)
-            stage = ["normalize", "inference", "denormalize", "postprocess"][len(done)]
-            raise RuntimeError(f"benchmark stage '{stage}' failed: {exc}") from exc
-        return stages
+            raise RuntimeError(f"benchmark stage '{STAGES[len(clock) - 1]}' failed: {exc}") from exc
+        return {stage: end - start for stage, start, end in zip(STAGES, clock, clock[1:])}
 
     return runner

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from cre3d import cli, io
+from cre3d import cli, io, net
 from cre3d.column import FluxSet
 
 
@@ -165,6 +165,20 @@ class TestEndToEnd:
         for p in night:
             assert np.all(preds[p.pid].up == 0.0)
             assert np.all(preds[p.pid].heat == 0.0)
+
+    def test_predict_bytes_match_per_row_writer(self, pipeline):
+        profiles = list(io.read_profiles(pipeline / "profiles.jsonl"))
+        model_lw, consts = io.load_model(pipeline / "model_lw.json")
+        model_sw, _ = io.load_model(pipeline / "model_sw.json")
+        effects = net.predict_flux_effects(model_lw, model_sw, profiles, consts)
+        for comp in ("lw", "sw"):
+            e = effects[comp]
+            text = ""
+            for i, p in enumerate(profiles):
+                flux = FluxSet(up=e["up"][i], down=e["down"][i], heat=e["heat"][i],
+                               direct_down=e["direct_down"][i] if "direct_down" in e else None)
+                text += json.dumps(io.flux_to_record(p.pid, flux)) + "\n"
+            assert (pipeline / f"pred_{comp}.jsonl").read_bytes() == text.encode()
 
     def test_eval_report(self, pipeline, capsys):
         out = pipeline / "eval.json"

@@ -7,6 +7,8 @@ from cre3d.column import (
     AtmosphericProfile,
     FluxSet,
     PhysConsts,
+    ProfileBatch,
+    RowError,
     VerticalGrid,
     apply_correction,
     compute_cloud_optical_depth,
@@ -91,14 +93,15 @@ class TestCloudOpticalDepth:
         np.testing.assert_allclose(tau_scaled, tau + 2.0 * tau_l, rtol=1e-12, atol=1e-15)
 
     def test_rejects_nonpositive_radius_under_cloud(self, consts):
+        # The radius rule is a profile rule: the profile is rejected when it
+        # is built, before an optical depth can be asked of it.
         grid = VerticalGrid(np.array([80000.0, 81000.0]))
-        profile = AtmosphericProfile(
-            grid=grid, T=np.array([250.0]), f_c=np.array([1.0]),
-            q_l=np.array([1e-4]), q_i=np.array([0.0]),
-            r_l=np.array([0.0]), r_i=np.array([1e-5]),
-            T_s=290.0, alpha=0.2, mu0=0.5)
         with pytest.raises(ValueError, match="level 0"):
-            compute_cloud_optical_depth(profile, consts)
+            compute_cloud_optical_depth(AtmosphericProfile(
+                grid=grid, T=np.array([250.0]), f_c=np.array([1.0]),
+                q_l=np.array([1e-4]), q_i=np.array([0.0]),
+                r_l=np.array([0.0]), r_i=np.array([1e-5]),
+                T_s=290.0, alpha=0.2, mu0=0.5), consts)
 
     def test_non_finite_input_rejected_with_level(self, small_grid):
         with pytest.raises(ValueError, match="level 4"):
@@ -271,3 +274,91 @@ class TestFluxSet:
         assert w.grid.n_fl == small_grid.n_fl_window()
         assert w.T_s == p.T_s and w.alpha == p.alpha and w.mu0 == p.mu0
         np.testing.assert_array_equal(w.f_c, p.f_c[small_grid.window_start():])
+
+
+class TestProfileBatch:
+    FIELDS = ("T", "f_c", "q_l", "q_i", "r_l", "r_i", "q")
+
+    def test_rows_are_the_stacked_profiles(self, small_grid):
+        profiles = [make_profile(small_grid, seed=s) for s in range(4)]
+        batch = ProfileBatch.from_profiles(profiles)
+        assert len(batch) == 4
+        for orig, row in zip(profiles, batch):
+            assert isinstance(row, AtmosphericProfile)
+            assert row.grid is batch.grid
+            for name in self.FIELDS:
+                np.testing.assert_array_equal(getattr(row, name), getattr(orig, name))
+            assert (row.T_s, row.alpha, row.mu0, row.pid) == (orig.T_s, orig.alpha, orig.mu0, orig.pid)
+            assert type(row.alpha) is float
+        assert batch[-1].pid == profiles[-1].pid
+        with pytest.raises(IndexError):
+            batch[4]
+
+    def test_slices_and_windows_share_the_arrays(self, small_grid):
+        batch = ProfileBatch.from_profiles([make_profile(small_grid, seed=s) for s in range(5)])
+        part = batch[1:4]
+        assert isinstance(part, ProfileBatch) and part.ids == batch.ids[1:4]
+        assert np.shares_memory(part.T, batch.T)
+        w = batch.window()
+        i0 = small_grid.window_start()
+        assert w.grid.n_fl == small_grid.n_fl_window()
+        assert np.shares_memory(w.q, batch.q)
+        np.testing.assert_array_equal(w.f_c, batch.f_c[:, i0:])
+        np.testing.assert_array_equal(w.mu0, batch.mu0)
+        for row, wrow in zip(batch, w):
+            np.testing.assert_array_equal(truncate_profile(row).T, wrow.T)
+
+    def test_arrays_are_read_only(self, small_grid):
+        batch = ProfileBatch.from_profiles([make_profile(small_grid, seed=0)])
+        with pytest.raises(ValueError):
+            batch.T[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            batch[0].f_c[0] = 0.5
+
+    def test_validation_names_first_bad_row_and_level(self, small_grid):
+        batch = ProfileBatch.from_profiles([make_profile(small_grid, seed=s) for s in range(3)])
+        fields = {name: np.array(getattr(batch, name)) for name in self.FIELDS + ("T_s", "alpha", "mu0")}
+        fields["f_c"][2, 6] = -0.1
+        fields["q_l"][1, 3] = -1.0
+        with pytest.raises(RowError, match="row 1: q_l must be >= 0; violated at level 3") as info:
+            ProfileBatch(grid=small_grid, ids=batch.ids, **fields)
+        assert info.value.row == 1
+
+    def test_shape_checked(self, small_grid):
+        batch = ProfileBatch.from_profiles([make_profile(small_grid, seed=s) for s in range(2)])
+        fields = {name: getattr(batch, name) for name in self.FIELDS + ("T_s", "alpha", "mu0")}
+        fields["alpha"] = fields["alpha"][:1]
+        with pytest.raises(ValueError, match="alpha must have shape"):
+            ProfileBatch(grid=small_grid, ids=batch.ids, **fields)
+
+    def test_mixed_grids_rejected(self, small_grid):
+        other = VerticalGrid(small_grid.p_hl * 1.001)
+        profiles = [make_profile(small_grid, seed=0), make_profile(other, seed=1)]
+        with pytest.raises(ValueError, match="one vertical grid; profile 1"):
+            ProfileBatch.from_profiles(profiles)
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError, match="no profiles"):
+            ProfileBatch.from_profiles([])
+
+
+class TestFluxSetRows:
+    def test_rows_match_single_flux_sets(self, small_grid):
+        rng = np.random.default_rng(19)
+        m = small_grid.n_hl
+        up, down, direct = (rng.normal(size=(3, m)) for _ in range(3))
+        heat = rng.normal(size=(3, m - 1))
+        for i, row in enumerate(FluxSet.rows(up, down, heat, direct_down=direct)):
+            single = FluxSet(up=up[i], down=down[i], heat=heat[i], direct_down=direct[i])
+            for name in ("up", "down", "heat", "direct_down"):
+                np.testing.assert_array_equal(getattr(row, name), getattr(single, name))
+        assert all(row.direct_down is None for row in FluxSet.rows(up, down, heat))
+
+    def test_bad_row_named(self):
+        up = np.zeros((3, 4))
+        heat = np.zeros((3, 3))
+        heat[2, 1] = np.nan
+        with pytest.raises(RowError, match="row 2: heat contains a non-finite value at level 1"):
+            FluxSet.rows(up, up, heat)
+        with pytest.raises(ValueError, match="heat must have length"):
+            FluxSet.rows(up, up, np.zeros((3, 4)))

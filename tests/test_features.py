@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from cre3d.column import truncate_profile
+from cre3d.augment import generate_profiles
+from cre3d.column import ProfileBatch, compute_cloud_optical_depth, truncate_profile
 from cre3d.features import (
     FeatureSchema,
     Normalization,
@@ -192,3 +193,37 @@ class TestRowPermutation:
         perm = [2, 0, 3, 1]
         x_perm = build_input_matrix([profiles[i] for i in perm], schema, consts)
         np.testing.assert_array_equal(x_perm, x[perm])
+
+
+class TestBatchEquivalence:
+    """The batch path must give, bit for bit, the rows of the per-profile
+    reference: truncate, optical depth, one vector per profile."""
+
+    @staticmethod
+    def reference_matrix(profiles, schema, consts):
+        rows = []
+        for p in profiles:
+            wp = truncate_profile(p, consts.p_trunc)
+            rows.append(build_input_vector(wp, compute_cloud_optical_depth(wp, consts), schema))
+        return np.asarray(rows)
+
+    @pytest.mark.parametrize("component", ["lw", "sw"])
+    @pytest.mark.parametrize("humidity, thickness", [(False, False), (True, False), (True, True)])
+    def test_matrix_bitwise_equal_to_per_row_stack(self, ref_grid, consts, component,
+                                                   humidity, thickness):
+        profiles = generate_profiles(40, ref_grid, seed=11)
+        schema = schema_for_grid(component, ref_grid, consts.p_trunc, humidity, thickness)
+        want = self.reference_matrix(profiles, schema, consts)
+        for given in (ProfileBatch.from_profiles(profiles), profiles):
+            got = build_input_matrix(given, schema, consts)
+            assert got.shape == want.shape and got.flags.c_contiguous
+            assert got.tobytes() == want.tobytes()
+
+    def test_optical_depth_and_thickness_broadcast_over_rows(self, ref_grid, consts):
+        profiles = generate_profiles(8, ref_grid, seed=12)
+        batch = ProfileBatch.from_profiles(profiles)
+        tau = compute_cloud_optical_depth(batch, consts)
+        dz = layer_thickness(ref_grid, batch.T)
+        for i, p in enumerate(profiles):
+            assert tau[i].tobytes() == compute_cloud_optical_depth(p, consts).tobytes()
+            assert dz[i].tobytes() == layer_thickness(ref_grid, p.T).tobytes()

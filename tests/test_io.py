@@ -1,9 +1,11 @@
 import json
+import os
+import stat
 
 import numpy as np
 import pytest
 
-from cre3d.column import FluxSet, PhysConsts
+from cre3d.column import FluxSet, PhysConsts, ProfileBatch
 from cre3d.features import fit_normalization, schema_for_grid
 from cre3d.io import (
     DatasetError,
@@ -46,6 +48,27 @@ class TestJsonl:
         assert path.read_text() == "hello"
         assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
 
+    def test_failed_streaming_write_leaves_nothing(self, tmp_path):
+        def records():
+            yield {"a": 1}
+            raise RuntimeError("producer failed")
+
+        path = tmp_path / "out.jsonl"
+        with pytest.raises(RuntimeError, match="producer failed"):
+            write_jsonl(path, records())
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)])
+    def test_written_files_follow_umask(self, tmp_path, umask, mode):
+        old = os.umask(umask)
+        try:
+            atomic_write_text(tmp_path / "text.txt", "hello")
+            write_jsonl(tmp_path / "records.jsonl", [{"a": 1}])
+        finally:
+            os.umask(old)
+        for name in ("text.txt", "records.jsonl"):
+            assert stat.S_IMODE((tmp_path / name).stat().st_mode) == mode
+
 
 class TestProfiles:
     def test_round_trip_bit_faithful(self, tmp_path, small_grid):
@@ -80,6 +103,102 @@ class TestProfiles:
         with pytest.raises(DatasetError, match="record 1"):
             read_profiles(path)
 
+    def test_read_gives_one_validated_batch(self, tmp_path, small_grid):
+        profiles = [make_profile(small_grid, seed=s) for s in range(4)]
+        path = tmp_path / "profiles.jsonl"
+        write_profiles(path, profiles)
+        batch = read_profiles(path)
+        assert isinstance(batch, ProfileBatch)
+        assert batch.T.shape == (4, small_grid.n_fl)
+        assert batch.ids == tuple(p.pid for p in profiles)
+        np.testing.assert_array_equal(batch.alpha, [p.alpha for p in profiles])
+        assert not batch.T.flags.writeable
+
+    def test_written_batch_reads_back_byte_identical(self, tmp_path, small_grid):
+        path = tmp_path / "profiles.jsonl"
+        write_profiles(path, [make_profile(small_grid, seed=s) for s in range(3)])
+        again = tmp_path / "again.jsonl"
+        write_profiles(again, read_profiles(path))
+        assert again.read_bytes() == path.read_bytes()
+
+    def test_record_on_another_grid_rejected(self, tmp_path, small_grid):
+        path = self._records(tmp_path, small_grid, 4)
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        records[2]["p_hl"][-1] += 1.0
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        with pytest.raises(DatasetError, match="record 3: p_hl differs from record 1"):
+            read_profiles(path)
+
+    def test_duplicate_id_rejected(self, tmp_path, small_grid):
+        path = self._records(tmp_path, small_grid, 3)
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        records[2]["id"] = records[0]["id"]
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        with pytest.raises(DatasetError, match=r"profiles.jsonl:record 3: duplicate id 't0'"):
+            read_profiles(path)
+
+    def test_list_id_rejected(self, tmp_path, small_grid):
+        path = self._records(tmp_path, small_grid, 3)
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        records[1]["id"] = [1, 2]
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        with pytest.raises(DatasetError, match=r"record 2: id must be a string, a number or null"):
+            read_profiles(path)
+
+    def test_records_without_id_allowed(self, tmp_path, small_grid):
+        path = self._records(tmp_path, small_grid, 3)
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        for r in records[:2]:
+            r["id"] = None
+        del records[2]["id"]
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        assert read_profiles(path).ids == (None, None, None)
+
+    def test_empty_file_rejected(self, tmp_path):
+        path = tmp_path / "profiles.jsonl"
+        path.write_text("\n")
+        with pytest.raises(DatasetError, match="no profiles"):
+            read_profiles(path)
+
+    @staticmethod
+    def _records(tmp_path, grid, n):
+        path = tmp_path / "profiles.jsonl"
+        write_profiles(path, [make_profile(grid, seed=s) for s in range(n)])
+        return path
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda r: r.pop("mu0"), "missing field 'mu0'"),
+        (lambda r: r["T"].pop(), "T must have length n_fl=10, got 9"),
+        (lambda r: r["q_i"].__setitem__(3, float("nan")), "q_i contains a non-finite value at level 3"),
+        (lambda r: r["f_c"].__setitem__(5, 1.5), r"f_c must lie in \[0, 1\]; violated at level 5"),
+        (lambda r: r["q_l"].__setitem__(2, -1e-6), "q_l must be >= 0; violated at level 2"),
+        (lambda r: r.__setitem__("alpha", 1.2), r"alpha must lie in \[0.0, 1.0\], got 1.2"),
+        (lambda r: r.__setitem__("mu0", -1.5), r"mu0 must lie in \[-1.0, 1.0\], got -1.5"),
+        (lambda r: r.__setitem__("T_s", float("inf")), "T_s must be finite"),
+        (lambda r: (r["q_l"].__setitem__(4, 1e-4), r["r_l"].__setitem__(4, 0.0)),
+         "r_l must be > 0 where condensate is present; violated at level 4"),
+        (lambda r: r.pop("q"), "q must be given in every record or in none"),
+    ])
+    def test_bad_second_record_named(self, tmp_path, small_grid, edit, message):
+        path = self._records(tmp_path, small_grid, 3)
+        lines = path.read_text().splitlines()
+        record = json.loads(lines[1])
+        edit(record)
+        lines[1] = json.dumps(record)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DatasetError, match=f"record 2: {message}"):
+            read_profiles(path)
+
+    def test_first_bad_record_named_whatever_the_rule(self, tmp_path, small_grid):
+        # record 3 breaks an earlier rule than record 2; record 2 comes first
+        path = self._records(tmp_path, small_grid, 3)
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        records[1]["mu0"] = 2.0
+        records[2]["T"][0] = float("nan")
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        with pytest.raises(DatasetError, match="record 2: mu0"):
+            read_profiles(path)
+
 
 class TestFluxes:
     def test_round_trip(self, tmp_path, small_grid):
@@ -105,6 +224,13 @@ class TestFluxes:
         path = tmp_path / "flux.jsonl"
         path.write_text(json.dumps({"id": "x", "up": [0, 0], "down": [0, 0]}) + "\n")
         with pytest.raises(DatasetError, match="heat"):
+            read_fluxes(path)
+
+    def test_duplicate_id_rejected(self, tmp_path):
+        flux = FluxSet(up=np.zeros(3), down=np.zeros(3), heat=np.zeros(2))
+        path = tmp_path / "flux.jsonl"
+        write_fluxes(path, [("a", flux), ("b", flux), (None, flux), (None, flux), ("a", flux)])
+        with pytest.raises(DatasetError, match=r"flux.jsonl:record 5: duplicate id 'a' \(first in record 1\)"):
             read_fluxes(path)
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cre3d.augment import generate_profiles, toy_truth
+from cre3d.column import VerticalGrid
 from cre3d.features import (
     build_input_matrix,
     build_target_vector,
@@ -23,7 +24,7 @@ from cre3d.net import (
     init_model,
     loss_and_gradients,
     mse,
-    predict_effects,
+    predict_flux_effects,
     reference_model,
     run_seed,
     train,
@@ -349,33 +350,45 @@ class TestPredictEffects:
                          r_l=p.r_l, r_i=p.r_i, T_s=p.T_s, alpha=p.alpha,
                          mu0=-0.1, q=p.q, pid=p.pid)
                  for p in profiles]
-        for _, t_sw in predict_effects(lw, sw, night, consts):
-            assert np.all(t_sw.scalar == 0.0)
-            assert np.all(t_sw.heat == 0.0)
-            assert np.all(t_sw.direct_down == 0.0)
+        e_sw = predict_flux_effects(lw, sw, night, consts)["sw"]
+        assert np.all(e_sw["up"] + e_sw["down"] == 0.0)
+        assert np.all(e_sw["heat"] == 0.0)
+        assert np.all(e_sw["direct_down"] == 0.0)
 
     def test_effects_zero_above_window(self, small_grid, consts):
+        # Above the window the down, direct and heating effects are zero and
+        # the up effect is held at its value at the window top.
         lw, sw = self._models(small_grid, consts)
         profiles = generate_profiles(3, small_grid, seed=3)
         i0 = small_grid.window_start(consts.p_trunc)
-        for t_lw, t_sw in predict_effects(lw, sw, profiles, consts):
-            assert np.all(t_lw.scalar[:i0] == 0.0)
-            assert np.all(t_lw.heat[:i0] == 0.0)
-            assert np.all(t_sw.direct_down[:i0] == 0.0)
+        effects = predict_flux_effects(lw, sw, profiles, consts)
+        for e in effects.values():
+            assert np.all(e["down"][:, :i0] == 0.0)
+            assert np.all(e["heat"][:, :i0] == 0.0)
+            assert np.all(e["up"][:, :i0] == e["up"][:, i0:i0 + 1])
+        assert np.all(effects["sw"]["direct_down"][:, :i0] == 0.0)
 
     def test_batch_composition_independence(self, small_grid, consts):
         lw, sw = self._models(small_grid, consts)
         profiles = generate_profiles(5, small_grid, seed=4)
-        together = predict_effects(lw, sw, profiles, consts)
+        together = predict_flux_effects(lw, sw, profiles, consts)
         for i, p in enumerate(profiles):
-            alone = predict_effects(lw, sw, [p], consts)[0]
-            np.testing.assert_allclose(alone[0].scalar, together[i][0].scalar,
+            alone = predict_flux_effects(lw, sw, [p], consts)
+            np.testing.assert_allclose(alone["lw"]["up"][0] + alone["lw"]["down"][0],
+                                       together["lw"]["up"][i] + together["lw"]["down"][i],
                                        rtol=1e-12, atol=1e-14)
-            np.testing.assert_allclose(alone[1].heat, together[i][1].heat,
+            np.testing.assert_allclose(alone["sw"]["heat"][0], together["sw"]["heat"][i],
                                        rtol=1e-12, atol=1e-14)
 
     def test_component_mismatch_rejected(self, small_grid, consts):
         lw, sw = self._models(small_grid, consts)
         profiles = generate_profiles(1, small_grid, seed=5)
         with pytest.raises(ValueError, match="model"):
-            predict_effects(sw, lw, profiles, consts)
+            predict_flux_effects(sw, lw, profiles, consts)
+
+    def test_mixed_grids_rejected(self, small_grid, consts):
+        lw, sw = self._models(small_grid, consts)
+        other = VerticalGrid(small_grid.p_hl * 1.001)
+        profiles = generate_profiles(2, small_grid, seed=6) + generate_profiles(1, other, seed=7)
+        with pytest.raises(ValueError, match="one vertical grid; profile 2"):
+            predict_flux_effects(lw, sw, profiles, consts)
