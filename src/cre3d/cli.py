@@ -195,6 +195,8 @@ def cmd_grid_search(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    import numpy as np
+
     from . import column, io, net
 
     model_lw, consts = io.load_model(args.model_lw)
@@ -204,7 +206,17 @@ def cmd_predict(args) -> int:
     profiles = io.read_profiles(args.profiles)
     effects = net.predict_flux_effects(model_lw, model_sw, profiles, consts)
     for component, path in (("lw", args.out_lw), ("sw", args.out_sw)):
-        io.write_fluxes(path, zip(profiles.ids, column.FluxSet.rows(**effects[component])))
+        e = effects[component]
+        for name, m in e.items():
+            if not np.all(np.isfinite(m)):
+                row, level = np.argwhere(~np.isfinite(m))[0]
+                raise ValueError(f"predicted {component} {name} of profile {profiles.ids[row]!r} "
+                                 f"is not finite at level {level}")
+        # The pipeline fixes the shapes and the values were checked above,
+        # so the rows are written as FluxSet views without a check each.
+        rows = (column._unchecked(column.FluxSet, **{"direct_down": None, **dict(zip(e, r))})
+                for r in zip(*e.values()))
+        io.write_fluxes(path, zip(profiles.ids, rows))
     print(f"wrote {len(profiles)} effect records to {args.out_lw} and {args.out_sw}")
     return 0
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -61,14 +61,13 @@ def _unchecked(cls, **fields):
     return obj
 
 
-def _as_float_array(x, name: str, ndim: int = 1) -> np.ndarray:
+def _as_float_array(x, name: str) -> np.ndarray:
     arr = np.asarray(x, dtype=float)
-    if arr.ndim != ndim:
-        raise ValueError(f"{name} must be a {ndim}-D array")
+    if arr.ndim != 1:
+        raise ValueError(f"{name} must be a 1-D array")
     if not np.all(np.isfinite(arr)):
-        bad = np.argwhere(~np.isfinite(arr))[0]
-        message = f"{name} contains a non-finite value at level {int(bad[-1])}"
-        raise ValueError(message) if ndim == 1 else RowError(int(bad[0]), message)
+        bad = int(np.flatnonzero(~np.isfinite(arr))[0])
+        raise ValueError(f"{name} contains a non-finite value at level {bad}")
     return arr
 
 
@@ -102,7 +101,8 @@ class VerticalGrid:
         if not np.all(np.diff(p) > 0):
             bad = int(np.flatnonzero(np.diff(p) <= 0)[0])
             raise ValueError(f"half-level pressures must increase strictly; violated at index {bad}")
-        object.__setattr__(self, "p_hl", _frozen(p))
+        p.setflags(write=False)
+        object.__setattr__(self, "p_hl", p)
 
     @property
     def n_hl(self) -> int:
@@ -134,10 +134,8 @@ class VerticalGrid:
         return self.n_fl_window(p_trunc) + 1
 
     def window(self, p_trunc: float = DEFAULT_P_TRUNC) -> "VerticalGrid":
-        """Grid restricted to the half levels bounding the window full levels.
-
-        A tail of at least two half levels of a valid grid is valid."""
-        return _unchecked(VerticalGrid, p_hl=self.p_hl[self.window_start(p_trunc):])
+        """Grid restricted to the half levels bounding the window full levels."""
+        return VerticalGrid(self.p_hl[self.window_start(p_trunc):])
 
     def same_as(self, other: "VerticalGrid") -> bool:
         return self.p_hl.size == other.p_hl.size and bool(np.array_equal(self.p_hl, other.p_hl))
@@ -280,22 +278,6 @@ class ProfileBatch(Sequence):
                           **{name: float(getattr(self, name)[i]) for name in _SCALAR_FIELDS})
 
 
-def _check_fluxes(up, down, heat, direct_down, ndim: int) -> dict:
-    fields = {"up": _as_float_array(up, "up", ndim),
-              "down": _as_float_array(down, "down", ndim),
-              "heat": _as_float_array(heat, "heat", ndim)}
-    n_hl = fields["up"].shape
-    if fields["down"].shape != n_hl:
-        raise ValueError("up and down must have equal length")
-    if fields["heat"].shape != n_hl[:-1] + (n_hl[-1] - 1,):
-        raise ValueError("heat must have length n_hl - 1")
-    if direct_down is not None:
-        fields["direct_down"] = _as_float_array(direct_down, "direct_down", ndim)
-        if fields["direct_down"].shape != n_hl:
-            raise ValueError("direct_down must have length n_hl")
-    return {name: _frozen(arr) for name, arr in fields.items()}
-
-
 @dataclass(frozen=True, eq=False)
 class FluxSet:
     """Up/down (and optionally direct-down) fluxes on half levels, with
@@ -307,16 +289,22 @@ class FluxSet:
     direct_down: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
-        self.__dict__.update(_check_fluxes(self.up, self.down, self.heat, self.direct_down, ndim=1))
-
-    @classmethod
-    def rows(cls, up, down, heat, direct_down=None) -> List["FluxSet"]:
-        """One FluxSet view per row of (n, n_hl) / (n, n_fl) matrices, all
-        checked at once; a non-finite value raises RowError."""
-        fields = _check_fluxes(up, down, heat, direct_down, ndim=2)
-        fields.setdefault("direct_down", None)
-        return [_unchecked(cls, **{name: None if arr is None else arr[i] for name, arr in fields.items()})
-                for i in range(fields["up"].shape[0])]
+        up = _as_float_array(self.up, "up")
+        down = _as_float_array(self.down, "down")
+        heat = _as_float_array(self.heat, "heat")
+        if down.size != up.size:
+            raise ValueError("up and down must have equal length")
+        if heat.size != up.size - 1:
+            raise ValueError("heat must have length n_hl - 1")
+        if self.direct_down is not None:
+            direct = _as_float_array(self.direct_down, "direct_down")
+            if direct.size != up.size:
+                raise ValueError("direct_down must have length n_hl")
+            direct.setflags(write=False)
+            object.__setattr__(self, "direct_down", direct)
+        for name, arr in (("up", up), ("down", down), ("heat", heat)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def net(self) -> np.ndarray:

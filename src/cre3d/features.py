@@ -21,7 +21,6 @@ from .column import (
     PhysConsts,
     ProfileBatch,
     _as_float_array,
-    _frozen,
     compute_cloud_optical_depth,
     truncate_profile,
     truncate_to_window,
@@ -200,7 +199,10 @@ class Normalization:
             raise ValueError("mean and scale must have equal length")
         if np.any(scale <= 0):
             raise ValueError("scale must be strictly positive")
-        self.__dict__.update(mean=_frozen(mean), scale=_frozen(scale))
+        mean.setflags(write=False)
+        scale.setflags(write=False)
+        object.__setattr__(self, "mean", mean)
+        object.__setattr__(self, "scale", scale)
 
     def apply(self, x) -> np.ndarray:
         return (np.asarray(x, dtype=float) - self.mean) / self.scale

@@ -123,11 +123,21 @@ def read_profiles(path) -> ProfileBatch:
     Records are decoded one at a time and only their arrays are kept.
     Every record must have record 1's `p_hl`, give `q` if and only if
     record 1 does, and carry an id (or null) that no earlier record has.
-    Errors name the file and record.
+    Errors name the file and the first bad record: the value rules are
+    checked on the stacked batch, and on the records read so far when a
+    record fails one of the checks above.
     """
     columns = {name: [] for name in _PROFILE_ARRAYS + _PROFILE_SCALARS + ("q",)}
     ids, seen = [], {}
     grid = first_p_hl = with_q = None
+
+    def stack() -> ProfileBatch:
+        fields = {name: np.array(columns.pop(name)) for name in _PROFILE_ARRAYS + _PROFILE_SCALARS}
+        try:
+            return ProfileBatch(grid=grid, q=np.array(columns["q"]) if with_q else None, ids=ids, **fields)
+        except RowError as exc:
+            raise DatasetError(path, exc.row + 1, exc.message) from exc
+
     with open(path) as fh:
         for index, record in enumerate(_records(path, fh), start=1):
             try:
@@ -141,21 +151,22 @@ def read_profiles(path) -> ProfileBatch:
                     raise ValueError("p_hl differs from record 1; profiles must share one grid")
                 if (record.get("q") is not None) != with_q:
                     raise ValueError("q must be given in every record or in none")
-                for name in _PROFILE_ARRAYS + (("q",) if with_q else ()):
-                    columns[name].append(_as_level_array(record[name], name, grid.n_fl))
-                for name in _PROFILE_SCALARS:
-                    columns[name].append(float(record[name]))
+                row = {name: _as_level_array(record[name], name, grid.n_fl)
+                       for name in _PROFILE_ARRAYS + (("q",) if with_q else ())}
+                row.update((name, float(record[name])) for name in _PROFILE_SCALARS)
+                _check_new_id(seen, record.get("id"), path, index)
             except (TypeError, ValueError) as exc:
+                if ids:
+                    stack()  # a value rule broken by an earlier record is named first
+                if isinstance(exc, DatasetError):
+                    raise
                 raise DatasetError(path, index, str(exc)) from exc
-            _check_new_id(seen, record.get("id"), path, index)
+            for name, value in row.items():
+                columns[name].append(value)
             ids.append(record.get("id"))
     if grid is None:
         raise DatasetError(path, None, "no profiles")
-    fields = {name: np.array(columns.pop(name)) for name in _PROFILE_ARRAYS + _PROFILE_SCALARS}
-    try:
-        return ProfileBatch(grid=grid, q=np.array(columns["q"]) if with_q else None, ids=ids, **fields)
-    except RowError as exc:
-        raise DatasetError(path, exc.row + 1, exc.message) from exc
+    return stack()
 
 
 # ---------------------------------------------------------------------------

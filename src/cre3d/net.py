@@ -415,28 +415,28 @@ def _check_model(model: MlpModel, component: str, grid: VerticalGrid, consts: Ph
 STAGES = ("normalize", "inference", "denormalize", "postprocess")
 
 
-def _window_effects(model_lw: MlpModel, model_sw: MlpModel, x_lw, x_sw, alpha, mu0,
-                    grid: VerticalGrid, consts: PhysConsts, clock: Optional[list] = None):
-    """Raw LW/SW input rows to energy-consistent window flux effects:
-    normalize, forward, denormalize, zero the shortwave at night (mu0 <= 0)
-    and postprocess. Returns a dict of (n, m) matrices per component. A
+def _window_effects(model: MlpModel, x, alpha, mu0, grid: VerticalGrid, consts: PhysConsts,
+                    clock: Optional[list] = None) -> Dict[str, np.ndarray]:
+    """Raw input rows of one component to energy-consistent window flux
+    effects: normalize, forward, denormalize, zero the shortwave at night
+    (mu0 <= 0) and postprocess. Returns a dict of (n, m) matrices. A
     `clock` list receives a perf_counter reading at the end of each of STAGES."""
     clock = [] if clock is None else clock
-    models = {LW: model_lw, SW: model_sw}
-    y = {LW: model_lw.norm_in.apply(x_lw), SW: model_sw.norm_in.apply(x_sw)}
+    component = model.schema.component
+    y = model.norm_in.apply(x)
     clock.append(time.perf_counter())
-    y = {c: forward(models[c], y[c]) for c in models}
+    y = forward(model, y)
     clock.append(time.perf_counter())
-    y = {c: models[c].norm_out.invert(y[c]) for c in models}
+    y = model.norm_out.invert(y)
     clock.append(time.perf_counter())
-    y[SW][mu0 <= 0] = 0.0
-    out = {}
-    for c, model in models.items():
-        s = model.schema.output_slices()
-        up, down, heat = postprocess_batch(c, y[c][:, s["scalar"]], y[c][:, s["heat"]], grid, consts,
-                                           alpha=alpha if c == SW else None)
-        out[c] = {"up": up, "down": down, "heat": heat}
-    out[SW]["direct_down"] = y[SW][:, s["direct_down"]]
+    s = model.schema.output_slices()
+    if component == SW:
+        y[mu0 <= 0] = 0.0
+    up, down, heat = postprocess_batch(component, y[:, s["scalar"]], y[:, s["heat"]], grid, consts,
+                                       alpha=alpha if component == SW else None)
+    out = {"up": up, "down": down, "heat": heat}
+    if component == SW:
+        out["direct_down"] = y[:, s["direct_down"]]
     clock.append(time.perf_counter())
     return out
 
@@ -454,15 +454,15 @@ def predict_flux_effects(model_lw: MlpModel, model_sw: MlpModel,
     grid = profiles.grid
     _check_model(model_lw, LW, grid, consts)
     _check_model(model_sw, SW, grid, consts)
-    effects = _window_effects(model_lw, model_sw,
-                              build_input_matrix(profiles, model_lw.schema, consts),
-                              build_input_matrix(profiles, model_sw.schema, consts),
-                              profiles.alpha, profiles.mu0, grid, consts)
     i0 = grid.window_start(consts.p_trunc)
     zeros = np.zeros((len(profiles), i0))
-    for e in effects.values():
-        for key, w in e.items():
-            e[key] = np.hstack([np.repeat(w[:, :1], i0, axis=1) if key == "up" else zeros, w])
+    effects = {}
+    for model in (model_lw, model_sw):
+        x = build_input_matrix(profiles, model.schema, consts)
+        window = _window_effects(model, x, profiles.alpha, profiles.mu0, grid, consts)
+        effects[model.schema.component] = {
+            key: np.hstack([np.repeat(w[:, :1], i0, axis=1) if key == "up" else zeros, w])
+            for key, w in window.items()}
     return effects
 
 
@@ -478,11 +478,16 @@ def make_staged_runner(model_lw: MlpModel, model_sw: MlpModel,
     _check_model(model_sw, SW, grid, consts)
 
     def runner(batch):
-        clock = [time.perf_counter()]
-        try:
-            _window_effects(model_lw, model_sw, *batch, grid, consts, clock)
-        except Exception as exc:
-            raise RuntimeError(f"benchmark stage '{STAGES[len(clock) - 1]}' failed: {exc}") from exc
-        return {stage: end - start for stage, start, end in zip(STAGES, clock, clock[1:])}
+        x_lw, x_sw, alphas, mu0 = batch
+        seconds = dict.fromkeys(STAGES, 0.0)
+        for model, x in ((model_lw, x_lw), (model_sw, x_sw)):
+            clock = [time.perf_counter()]
+            try:
+                _window_effects(model, x, alphas, mu0, grid, consts, clock)
+            except Exception as exc:
+                raise RuntimeError(f"benchmark stage '{STAGES[len(clock) - 1]}' failed: {exc}") from exc
+            for stage, start, end in zip(STAGES, clock, clock[1:]):
+                seconds[stage] += end - start
+        return seconds
 
     return runner

@@ -26,7 +26,6 @@ from .column import (
     PhysConsts,
     VerticalGrid,
     _as_float_array,
-    _frozen,
     net_flux_increments,
 )
 
@@ -55,7 +54,10 @@ class EffectTargets:
         heat = _as_float_array(self.heat, "heat")
         if scalar.size != heat.size + 1:
             raise ValueError("scalar must live on half levels: len(scalar) == len(heat) + 1")
-        self.__dict__.update(scalar=_frozen(scalar), heat=_frozen(heat))
+        scalar.setflags(write=False)
+        heat.setflags(write=False)
+        object.__setattr__(self, "scalar", scalar)
+        object.__setattr__(self, "heat", heat)
         if self.component == SW:
             if self.alpha is None or not (0.0 <= self.alpha <= 1.0):
                 raise ValueError(f"shortwave targets need alpha in [0, 1], got {self.alpha!r}")
@@ -63,7 +65,8 @@ class EffectTargets:
                 direct = _as_float_array(self.direct_down, "direct_down")
                 if direct.size != scalar.size:
                     raise ValueError("direct_down must have the same length as scalar")
-                self.__dict__["direct_down"] = _frozen(direct)
+                direct.setflags(write=False)
+                object.__setattr__(self, "direct_down", direct)
 
     @property
     def n_hl(self) -> int:
@@ -77,15 +80,6 @@ def divergence_from_heating(heat, grid: VerticalGrid, consts: PhysConsts) -> Tup
     return math.fsum(delta_net.tolist()), delta_net
 
 
-def _divergence_from_scalar(component: str, scalar, alpha=None):
-    """Step ii over the last axis: the total divergence from the scalar-flux
-    endpoints, D = scalar(BOA) + scalar(TOA) in the longwave and
-    D = scalar(BOA) (1 - alpha) / (1 + alpha) + scalar(TOA) in the shortwave."""
-    if component == LW:
-        return scalar[..., -1] + scalar[..., 0]
-    return scalar[..., -1] * (1.0 - alpha) / (1.0 + alpha) + scalar[..., 0]
-
-
 def divergence_from_scalar_lw(scalar) -> float:
     """Step ii, longwave: D = scalar(BOA) + scalar(TOA).
 
@@ -93,7 +87,7 @@ def divergence_from_scalar_lw(scalar) -> float:
     s = _as_float_array(scalar, "scalar")
     if s.size == 0:
         raise ValueError("scalar profile is empty")
-    return float(_divergence_from_scalar(LW, s))
+    return float(s[-1] + s[0])
 
 
 def divergence_from_scalar_sw(scalar, alpha: float) -> float:
@@ -104,32 +98,7 @@ def divergence_from_scalar_sw(scalar, alpha: float) -> float:
         raise ValueError("scalar profile is empty")
     if not (0.0 <= alpha <= 1.0):
         raise ValueError(f"alpha must lie in [0, 1], got {alpha!r}")
-    return float(_divergence_from_scalar(SW, s, alpha))
-
-
-def _rescale_rows(heat, delta_net, scalar, d_heat, d_scalar, dp, consts: PhysConsts):
-    """Step iii for (n, m) heat and net increments, (n, m + 1) scalar fluxes
-    and (n,) divergences; returns them rescaled, with the (n,) factors."""
-    degenerate = np.abs(d_heat) < DEGENERATE_DIVERGENCE
-    c_raw = d_scalar / np.where(degenerate, 1.0, d_heat)
-    c = np.where(degenerate, 1.0, np.clip(c_raw, CAP_LO, CAP_HI))
-    heat_r = c[:, None] * heat
-    delta_r = c[:, None] * delta_net
-    scalar_r = scalar.copy()
-    # Where the cap binds, scalar fluxes are rescaled to the capped divergence;
-    # the scalar divergence has unit weight on the TOA value in both bands.
-    capped = (c != c_raw) & ~degenerate
-    target = c * d_heat
-    mult = capped & (d_scalar != 0.0)
-    scalar_r[mult] *= (target[mult] / d_scalar[mult])[:, None]
-    zero_ds = capped & (d_scalar == 0.0)
-    scalar_r[zero_ds, 0] += target[zero_ds]
-    # Near-zero d_heat: the multiplicative rescale is undefined, so the
-    # divergence gap is distributed evenly over the layers.
-    inc = (d_scalar[degenerate] - d_heat[degenerate]) / heat.shape[1]
-    delta_r[degenerate] = delta_net[degenerate] + inc[:, None]
-    heat_r[degenerate] = -(consts.g / consts.c_p) * delta_r[degenerate] / dp
-    return heat_r, delta_r, scalar_r, c
+    return float(s[-1] * (1.0 - alpha) / (1.0 + alpha) + s[0])
 
 
 def rescale(heat, delta_net, scalar, d_heat: float, d_scalar: float,
@@ -147,18 +116,29 @@ def rescale(heat, delta_net, scalar, d_heat: float, d_scalar: float,
     scalar = _as_float_array(scalar, "scalar")
     if delta_net.size != heat.size or scalar.size != heat.size + 1:
         raise ValueError("rescale inputs have inconsistent lengths")
-    heat_r, delta_r, scalar_r, c = _rescale_rows(
-        heat[None], delta_net[None], scalar[None], np.array([d_heat], dtype=float),
-        np.array([d_scalar], dtype=float), grid.dp[grid.n_fl - heat.size:], consts)
-    return heat_r[0], delta_r[0], scalar_r[0], float(c[0])
 
+    if abs(d_heat) < DEGENERATE_DIVERGENCE:
+        # Multiplicative rescale undefined; distribute the divergence gap evenly.
+        dp = grid.dp[grid.n_fl - heat.size:]
+        increment = (d_scalar - d_heat) / heat.size
+        delta_new = delta_net + increment
+        heat_new = -(consts.g / consts.c_p) * delta_new / dp
+        return heat_new, delta_new, scalar.copy(), 1.0
 
-def _split(scalar, delta_net):
-    """Step iv over the last axis."""
-    net = np.empty_like(scalar)
-    net[..., 0] = -scalar[..., 0]
-    net[..., 1:] = net[..., :1] + np.cumsum(delta_net, axis=-1)
-    return 0.5 * (scalar - net), 0.5 * (scalar + net)
+    c_raw = d_scalar / d_heat
+    c = min(max(c_raw, CAP_LO), CAP_HI)
+    heat_new = c * heat
+    delta_new = c * delta_net
+    if c == c_raw:
+        return heat_new, delta_new, scalar.copy(), c
+    target = c * d_heat
+    if d_scalar == 0.0:
+        # Scalar divergence has unit weight on the TOA value in both bands.
+        scalar_new = scalar.copy()
+        scalar_new[0] += target
+    else:
+        scalar_new = scalar * (target / d_scalar)
+    return heat_new, delta_new, scalar_new, c
 
 
 def split_fluxes(scalar, delta_net) -> Tuple[np.ndarray, np.ndarray]:
@@ -168,17 +148,26 @@ def split_fluxes(scalar, delta_net) -> Tuple[np.ndarray, np.ndarray]:
     delta_net = _as_float_array(delta_net, "delta_net")
     if scalar.size != delta_net.size + 1:
         raise ValueError("scalar must have one more entry than delta_net")
-    return _split(scalar, delta_net)
+    net = np.empty_like(scalar)
+    net[0] = -scalar[0]
+    net[1:] = net[0] + np.cumsum(delta_net)
+    up = 0.5 * (scalar - net)
+    down = 0.5 * (scalar + net)
+    return up, down
 
 
 def postprocess(targets: EffectTargets, grid: VerticalGrid, consts: PhysConsts) -> FluxSet:
-    """Run steps i-iv on one column of predicted effects (window arrays):
-    a one-row call of `postprocess_batch`."""
-    alpha = None if targets.alpha is None else np.array([targets.alpha])
-    up, down, heat = postprocess_batch(targets.component, targets.scalar[None], targets.heat[None],
-                                       grid, consts, alpha=alpha)
+    """Run steps i-iv on one column of predicted effects (window arrays)."""
+    d_heat, delta_net = divergence_from_heating(targets.heat, grid, consts)
+    if targets.component == LW:
+        d_scalar = divergence_from_scalar_lw(targets.scalar)
+    else:
+        d_scalar = divergence_from_scalar_sw(targets.scalar, targets.alpha)
+    heat_r, delta_r, scalar_r, _ = rescale(
+        targets.heat, delta_net, targets.scalar, d_heat, d_scalar, grid, consts)
+    up, down = split_fluxes(scalar_r, delta_r)
     direct = None if targets.direct_down is None else targets.direct_down.copy()
-    return FluxSet(up=up[0], down=down[0], heat=heat[0], direct_down=direct)
+    return FluxSet(up=up, down=down, heat=heat_r, direct_down=direct)
 
 
 def postprocess_batch(component: str, scalar: np.ndarray, heat: np.ndarray,
@@ -188,22 +177,56 @@ def postprocess_batch(component: str, scalar: np.ndarray, heat: np.ndarray,
 
     `scalar` is (n, n_hl_window), `heat` is (n, n_fl_window); for the
     shortwave `alpha` is (n,). Returns (up, down, heat) matrices.
+    Matches `postprocess` column-by-column.
     """
     scalar = np.asarray(scalar, dtype=float)
     heat = np.asarray(heat, dtype=float)
     if scalar.ndim != 2 or heat.ndim != 2 or scalar.shape[1] != heat.shape[1] + 1:
         raise ValueError("batch shapes inconsistent: scalar (n, m+1) and heat (n, m) expected")
-    if heat.shape[1] > grid.n_fl:
-        raise ValueError(f"heat length {heat.shape[1]} does not fit grid with n_fl={grid.n_fl}")
-    if component not in (LW, SW):
-        raise ValueError(f"component must be 'lw' or 'sw', got {component!r}")
-    if component == SW and alpha is None:
-        raise ValueError("shortwave batch needs per-column alpha")
-    dp = grid.dp[grid.n_fl - heat.shape[1]:]
+    n, m = heat.shape
+    dp = grid.dp[grid.n_fl - m:]
+
     delta_net = -(consts.c_p / consts.g) * heat * dp
-    d_scalar = _divergence_from_scalar(component, scalar,
-                                       None if alpha is None else np.asarray(alpha, dtype=float))
-    heat_r, delta_r, scalar_r, _ = _rescale_rows(heat, delta_net, scalar, delta_net.sum(axis=1),
-                                                 d_scalar, dp, consts)
-    up, down = _split(scalar_r, delta_r)
+    d_heat = delta_net.sum(axis=1)
+    if component == LW:
+        d_scalar = scalar[:, -1] + scalar[:, 0]
+    elif component == SW:
+        if alpha is None:
+            raise ValueError("shortwave batch needs per-column alpha")
+        a = np.asarray(alpha, dtype=float)
+        d_scalar = scalar[:, -1] * (1.0 - a) / (1.0 + a) + scalar[:, 0]
+    else:
+        raise ValueError(f"component must be 'lw' or 'sw', got {component!r}")
+
+    degenerate = np.abs(d_heat) < DEGENERATE_DIVERGENCE
+    safe_dh = np.where(degenerate, 1.0, d_heat)
+    c_raw = d_scalar / safe_dh
+    c = np.clip(c_raw, CAP_LO, CAP_HI)
+    c = np.where(degenerate, 1.0, c)
+
+    heat_r = c[:, None] * heat
+    delta_r = c[:, None] * delta_net
+    scalar_r = scalar.copy()
+
+    capped = (c != c_raw) & ~degenerate
+    if np.any(capped):
+        target = c * d_heat
+        zero_ds = capped & (d_scalar == 0.0)
+        mult = capped & ~zero_ds
+        if np.any(mult):
+            factor = np.ones(n)
+            factor[mult] = target[mult] / d_scalar[mult]
+            scalar_r[mult] *= factor[mult, None]
+        if np.any(zero_ds):
+            scalar_r[zero_ds, 0] += target[zero_ds]
+    if np.any(degenerate):
+        inc = (d_scalar - d_heat) / m
+        delta_r[degenerate] = delta_net[degenerate] + inc[degenerate, None]
+        heat_r[degenerate] = -(consts.g / consts.c_p) * delta_r[degenerate] / dp
+
+    net = np.empty_like(scalar_r)
+    net[:, 0] = -scalar_r[:, 0]
+    net[:, 1:] = net[:, :1] + np.cumsum(delta_r, axis=1)
+    up = 0.5 * (scalar_r - net)
+    down = 0.5 * (scalar_r + net)
     return up, down, heat_r

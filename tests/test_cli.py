@@ -180,6 +180,25 @@ class TestEndToEnd:
                 text += json.dumps(io.flux_to_record(p.pid, flux)) + "\n"
             assert (pipeline / f"pred_{comp}.jsonl").read_bytes() == text.encode()
 
+    def test_predict_rejects_non_finite_effects(self, pipeline, capsys, monkeypatch):
+        predict = net.predict_flux_effects
+
+        def with_nan(*args):
+            effects = predict(*args)
+            effects["sw"]["heat"][2, 7] = np.nan
+            return effects
+
+        monkeypatch.setattr(net, "predict_flux_effects", with_nan)
+        ids = io.read_profiles(pipeline / "profiles.jsonl").ids
+        code, _, err = run(["predict", "--profiles", pipeline / "profiles.jsonl",
+                            "--model-lw", pipeline / "model_lw.json",
+                            "--model-sw", pipeline / "model_sw.json",
+                            "--out-lw", pipeline / "nan_lw.jsonl",
+                            "--out-sw", pipeline / "nan_sw.jsonl"], capsys)
+        assert code != 0
+        assert f"predicted sw heat of profile {ids[2]!r} is not finite at level 7" in err
+        assert not (pipeline / "nan_sw.jsonl").exists()
+
     def test_eval_report(self, pipeline, capsys):
         out = pipeline / "eval.json"
         code, _, err = run(["eval", "--truth", pipeline / "truth_lw.jsonl",

@@ -340,25 +340,3 @@ class TestProfileBatch:
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="no profiles"):
             ProfileBatch.from_profiles([])
-
-
-class TestFluxSetRows:
-    def test_rows_match_single_flux_sets(self, small_grid):
-        rng = np.random.default_rng(19)
-        m = small_grid.n_hl
-        up, down, direct = (rng.normal(size=(3, m)) for _ in range(3))
-        heat = rng.normal(size=(3, m - 1))
-        for i, row in enumerate(FluxSet.rows(up, down, heat, direct_down=direct)):
-            single = FluxSet(up=up[i], down=down[i], heat=heat[i], direct_down=direct[i])
-            for name in ("up", "down", "heat", "direct_down"):
-                np.testing.assert_array_equal(getattr(row, name), getattr(single, name))
-        assert all(row.direct_down is None for row in FluxSet.rows(up, down, heat))
-
-    def test_bad_row_named(self):
-        up = np.zeros((3, 4))
-        heat = np.zeros((3, 3))
-        heat[2, 1] = np.nan
-        with pytest.raises(RowError, match="row 2: heat contains a non-finite value at level 1"):
-            FluxSet.rows(up, up, heat)
-        with pytest.raises(ValueError, match="heat must have length"):
-            FluxSet.rows(up, up, np.zeros((3, 4)))

@@ -189,12 +189,23 @@ class TestProfiles:
         with pytest.raises(DatasetError, match=f"record 2: {message}"):
             read_profiles(path)
 
-    def test_first_bad_record_named_whatever_the_rule(self, tmp_path, small_grid):
-        # record 3 breaks an earlier rule than record 2; record 2 comes first
+    @pytest.mark.parametrize("edit", [
+        lambda r: r["T"].__setitem__(0, float("nan")),
+        lambda r: r.pop("T"),
+        lambda r: r["f_c"].pop(),
+        lambda r: r["p_hl"].__setitem__(0, r["p_hl"][0] / 2),
+        lambda r: r.pop("q"),
+        lambda r: r.__setitem__("id", "p1"),
+    ], ids=["non-finite", "missing-field", "wrong-length", "other-grid", "q-missing", "duplicate-id"])
+    def test_first_bad_record_named_whatever_the_rule(self, tmp_path, small_grid, edit):
+        # record 3 breaks a value rule, a field rule, the grid, q or id rule;
+        # record 2 breaks a value rule and comes first
         path = self._records(tmp_path, small_grid, 3)
         records = [json.loads(line) for line in path.read_text().splitlines()]
+        for i, r in enumerate(records):
+            r["id"] = f"p{i}"
         records[1]["mu0"] = 2.0
-        records[2]["T"][0] = float("nan")
+        edit(records[2])
         path.write_text("".join(json.dumps(r) + "\n" for r in records))
         with pytest.raises(DatasetError, match="record 2: mu0"):
             read_profiles(path)
