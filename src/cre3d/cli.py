@@ -315,7 +315,8 @@ def cmd_bench(args) -> int:
         "hardware": {"platform": platform.platform(), "machine": platform.machine(),
                      "cpu_count": os.cpu_count()},
         "threads": {"multi_thread": args.multi_thread,
-                    "requested": os.environ.get(THREADS_ENV)},
+                    "requested": os.environ.get(THREADS_ENV),
+                    "env": {var: os.environ.get(var) for var in _BLAS_ENV}},
     }
     io.atomic_write_text(args.out, json.dumps(report, indent=2))
     print(result.format())
@@ -418,13 +419,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _pin_threads(argv) -> None:
-    # Must happen before numpy is first imported to take effect.
-    if "bench" in argv and "--multi-thread" not in argv:
-        for var in _BLAS_ENV:
-            os.environ.setdefault(var, "1")
-    elif "bench" in argv and os.environ.get(THREADS_ENV):
-        for var in _BLAS_ENV:
-            os.environ.setdefault(var, os.environ[THREADS_ENV])
+    # Must precede numpy's first import; only the subcommand (first non-option) counts.
+    if next((a for a in argv if not a.startswith("-")), None) != "bench":
+        return
+    threads = os.environ.get(THREADS_ENV) if "--multi-thread" in argv else "1"
+    for var in _BLAS_ENV if threads else ():
+        os.environ.setdefault(var, threads)
 
 
 def main(argv=None) -> int:

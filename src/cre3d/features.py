@@ -205,10 +205,12 @@ class Normalization:
         object.__setattr__(self, "scale", scale)
 
     def apply(self, x) -> np.ndarray:
-        return (np.asarray(x, dtype=float) - self.mean) / self.scale
+        out = np.subtract(x, self.mean, dtype=float)
+        return np.divide(out, self.scale, out=out)
 
     def invert(self, x) -> np.ndarray:
-        return np.asarray(x, dtype=float) * self.scale + self.mean
+        out = np.multiply(x, self.scale, dtype=float)
+        return np.add(out, self.mean, out=out)
 
 
 def fit_normalization(samples) -> Normalization:

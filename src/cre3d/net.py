@@ -31,6 +31,7 @@ from .postproc import LW, SW, postprocess_batch
 
 REFERENCE_HIDDEN_LAYERS = 3
 REFERENCE_HIDDEN_WIDTH = {LW: 217, SW: 182}
+ELU_BLOCK = 32768  # elements per ELU pass; its scratch stays in cache
 
 
 @dataclass(eq=False)
@@ -102,12 +103,29 @@ class TrainConfig:
             raise ValueError("regularization factors must be >= 0")
 
 
-def elu(x: np.ndarray) -> np.ndarray:
-    return np.where(x > 0, x, np.expm1(np.minimum(x, 0.0)))
+def elu(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """max(x, 0) + expm1(min(x, 0)): the bits of where(x > 0, x, expm1(min(x, 0))),
+    +-0.0 included, over `out` (C-contiguous; may be `x`) block by block."""
+    if out is None:
+        out = np.array(x, dtype=float, order="C")
+    elif not out.flags.c_contiguous:
+        raise ValueError("elu: out must be C-contiguous")
+    elif out is not x:
+        np.copyto(out, x)
+    flat = out.reshape(-1)
+    scratch = np.empty(min(ELU_BLOCK, flat.size))
+    for v in np.split(flat, range(ELU_BLOCK, flat.size, ELU_BLOCK)):
+        t = scratch[:v.size]
+        np.minimum(v, 0.0, out=t)
+        np.expm1(t, out=t)
+        np.maximum(v, 0.0, out=v)
+        v += t
+    return out
 
 
 def elu_grad(x: np.ndarray) -> np.ndarray:
-    return np.where(x > 0, 1.0, np.exp(np.minimum(x, 0.0)))
+    g = np.minimum(x, 0.0)  # exp(0.0) is exactly the 1.0 of x > 0
+    return np.exp(g, out=g)
 
 
 def init_model(layer_sizes: Sequence[int], seed: int,
@@ -131,15 +149,24 @@ def reference_model(schema: FeatureSchema, seed: int) -> MlpModel:
     return init_model(sizes, seed, schema=schema)
 
 
-def _forward_cached(model: MlpModel, x: np.ndarray):
-    pre = []
-    h = x
-    last = len(model.weights) - 1
+def _forward(model: MlpModel, x: np.ndarray, keep: bool = False):
+    """Dense layers, each writing into a buffer of this call: equal-width hidden
+    layers alternate between two. With `keep` (training) no buffer is reused,
+    and each hidden layer's ELU slope and each layer's input are returned too."""
+    h, spare, slopes, inputs = x, None, [], [x]
     for k, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = h @ w.T + b
-        pre.append(z)
-        h = z if k == last else elu(z)
-    return h, pre
+        shape = (h.shape[0], w.shape[0])
+        z = spare if spare is not None and spare.shape == shape else np.empty(shape)
+        np.matmul(h, w.T, out=z)
+        z += b
+        if k == len(model.weights) - 1:
+            return (z, slopes, inputs) if keep else z
+        if keep:
+            slopes.append(elu_grad(z))
+        elif k > 0:
+            spare = h  # free now, and ours: only layer 0 reads the caller's x
+        h = elu(z, out=z)
+        inputs.append(h)
 
 
 def forward(model: MlpModel, batch) -> np.ndarray:
@@ -151,8 +178,7 @@ def forward(model: MlpModel, batch) -> np.ndarray:
         raise ValueError(f"batch width {x.shape[1]} != model input width {model.input_len}")
     if not np.all(np.isfinite(x)):
         raise ValueError("batch contains non-finite values")
-    out, _ = _forward_cached(model, x)
-    return out
+    return _forward(model, x)
 
 
 def mse(prediction: np.ndarray, target: np.ndarray) -> float:
@@ -169,7 +195,7 @@ def loss_and_gradients(model: MlpModel, batch_x, batch_y, l1: float, l2: float):
     if y.shape != (x.shape[0], model.output_len):
         raise ValueError("target shape does not match (batch, output_len)")
 
-    pred, pre = _forward_cached(model, x)
+    pred, slopes, inputs = _forward(model, x, keep=True)
     err = pred - y
     loss = float(np.mean(err ** 2))
     for w in model.weights:
@@ -179,12 +205,11 @@ def loss_and_gradients(model: MlpModel, batch_x, batch_y, l1: float, l2: float):
     grad_w: List[np.ndarray] = [None] * n_layers
     grad_b: List[np.ndarray] = [None] * n_layers
     g = 2.0 * err / err.size
-    activations = [x] + [elu(pre[k]) for k in range(n_layers - 1)]
     for k in range(n_layers - 1, -1, -1):
-        grad_w[k] = g.T @ activations[k]
+        grad_w[k] = g.T @ inputs[k]
         grad_b[k] = g.sum(axis=0)
         if k > 0:
-            g = (g @ model.weights[k]) * elu_grad(pre[k - 1])
+            g = (g @ model.weights[k]) * slopes[k - 1]
     for k, w in enumerate(model.weights):
         grad_w[k] += l1 * np.sign(w) + 2.0 * l2 * w
     return loss, (grad_w, grad_b)

@@ -186,7 +186,8 @@ def postprocess_batch(component: str, scalar: np.ndarray, heat: np.ndarray,
     n, m = heat.shape
     dp = grid.dp[grid.n_fl - m:]
 
-    delta_net = -(consts.c_p / consts.g) * heat * dp
+    delta_net = np.multiply(heat, -(consts.c_p / consts.g))
+    delta_net *= dp
     d_heat = delta_net.sum(axis=1)
     if component == LW:
         d_scalar = scalar[:, -1] + scalar[:, 0]
@@ -205,7 +206,7 @@ def postprocess_batch(component: str, scalar: np.ndarray, heat: np.ndarray,
     c = np.where(degenerate, 1.0, c)
 
     heat_r = c[:, None] * heat
-    delta_r = c[:, None] * delta_net
+    delta_net *= c[:, None]  # rescaled in place; c is 1 on degenerate rows
     scalar_r = scalar.copy()
 
     capped = (c != c_raw) & ~degenerate
@@ -221,12 +222,14 @@ def postprocess_batch(component: str, scalar: np.ndarray, heat: np.ndarray,
             scalar_r[zero_ds, 0] += target[zero_ds]
     if np.any(degenerate):
         inc = (d_scalar - d_heat) / m
-        delta_r[degenerate] = delta_net[degenerate] + inc[degenerate, None]
-        heat_r[degenerate] = -(consts.g / consts.c_p) * delta_r[degenerate] / dp
+        delta_net[degenerate] += inc[degenerate, None]
+        heat_r[degenerate] = -(consts.g / consts.c_p) * delta_net[degenerate] / dp
 
     net = np.empty_like(scalar_r)
     net[:, 0] = -scalar_r[:, 0]
-    net[:, 1:] = net[:, :1] + np.cumsum(delta_r, axis=1)
+    np.cumsum(delta_net, axis=1, out=net[:, 1:])
+    net[:, 1:] += net[:, :1]
     up = 0.5 * (scalar_r - net)
-    down = 0.5 * (scalar_r + net)
-    return up, down, heat_r
+    net += scalar_r  # net's storage becomes down
+    net *= 0.5
+    return up, net, heat_r

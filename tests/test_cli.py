@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -114,6 +115,17 @@ class TestErrorReporting:
         assert err.startswith("error: FileNotFoundError:")
 
 
+@pytest.fixture
+def blas_env(monkeypatch):
+    """The BLAS thread variables unset, and restored after the test: `bench`
+    run in this process sets them. setenv first, so that the undo also
+    removes a variable that was unset before."""
+    for var in cli._BLAS_ENV + (cli.THREADS_ENV,):
+        monkeypatch.setenv(var, "")
+        monkeypatch.delenv(var)
+    return monkeypatch
+
+
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
     """One small synth -> train (both components) -> predict run, shared
@@ -223,7 +235,7 @@ class TestEndToEnd:
         assert len(levels["up"]["error"]["mean"]) == n_hl
         assert len(levels["up"]["signal"]["q90"]) == 2
 
-    def test_bench_report(self, pipeline, capsys):
+    def test_bench_report(self, pipeline, blas_env, capsys):
         out = pipeline / "bench.json"
         code, stdout, err = run(["bench", "--profiles", pipeline / "profiles.jsonl",
                                  "--model-lw", pipeline / "model_lw.json",
@@ -270,3 +282,24 @@ class TestGridSearchCommand:
         assert 0 <= report["selected"] < 2
         assert all(len(r["val_maes"]) == 2 for r in report["rows"])
         assert "selected config" in stdout
+
+
+class TestThreadPinning:
+    def test_only_the_bench_subcommand_pins(self, blas_env):
+        cli._pin_threads(["predict", "--profiles", "bench", "--out-lw", "bench"])
+        assert not any(var in os.environ for var in cli._BLAS_ENV)
+        cli._pin_threads(["bench", "--profiles", "p.jsonl"])
+        assert all(os.environ[var] == "1" for var in cli._BLAS_ENV)
+
+    def test_bench_report_records_the_effective_env(self, pipeline, blas_env, capsys):
+        blas_env.setenv("OPENBLAS_NUM_THREADS", "4")
+        out = pipeline / "bench_env.json"
+        code, _, err = run(["bench", "--profiles", pipeline / "profiles.jsonl",
+                            "--model-lw", pipeline / "model_lw.json",
+                            "--model-sw", pipeline / "model_sw.json",
+                            "--replication", 1, "--repeats", 3, "--out", out], capsys)
+        assert code == 0, err
+        threads = json.loads(out.read_text())["threads"]
+        assert threads["multi_thread"] is False
+        assert threads["env"] == {var: "4" if var == "OPENBLAS_NUM_THREADS" else "1"
+                                  for var in cli._BLAS_ENV}

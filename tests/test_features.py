@@ -184,6 +184,28 @@ class TestNormalization:
         with pytest.raises(ValueError, match="positive"):
             Normalization(mean=np.zeros(2), scale=np.array([1.0, 0.0]))
 
+    def test_bits_match_expressions(self):
+        rng = np.random.default_rng(12)
+        norm = Normalization(mean=rng.normal(size=7), scale=rng.uniform(1e-8, 9.0, size=7))
+        x = rng.normal(scale=50.0, size=(40, 7))
+        for got, expected in ((norm.apply(x), (x - norm.mean) / norm.scale),
+                              (norm.invert(x), x * norm.scale + norm.mean),
+                              (norm.apply(x.astype(np.float32)),
+                               (x.astype(np.float32).astype(float) - norm.mean) / norm.scale),
+                              (norm.invert(x.tolist()), x * norm.scale + norm.mean)):
+            assert got.dtype == np.float64
+            assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+    def test_inputs_not_mutated(self):
+        rng = np.random.default_rng(13)
+        norm = fit_normalization(rng.normal(size=(10, 7)))
+        x = rng.normal(size=(15, 14))[:, ::2]  # a strided view, as callers slice
+        before = x.copy()
+        x.setflags(write=False)
+        for out in (norm.apply(x), norm.invert(x)):
+            assert not np.shares_memory(out, x)
+        assert np.array_equal(x.view(np.int64), before.view(np.int64))
+
 
 class TestRowPermutation:
     def test_permuting_profiles_permutes_rows(self, small_grid, consts):

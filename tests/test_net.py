@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cre3d.augment import generate_profiles, toy_truth
-from cre3d.column import VerticalGrid
+from cre3d.column import ProfileBatch, VerticalGrid
 from cre3d.features import (
     build_input_matrix,
     build_target_vector,
@@ -12,13 +12,16 @@ from cre3d.features import (
     schema_for_grid,
 )
 from cre3d.net import (
+    ELU_BLOCK,
     AdamState,
     GridDataset,
     GridSearchSpec,
     MlpModel,
     TrainConfig,
     adam_step,
+    _window_effects,
     elu,
+    elu_grad,
     forward,
     grid_search,
     init_model,
@@ -33,6 +36,71 @@ from cre3d.net import (
 
 def identity_model(n):
     return MlpModel(weights=[np.eye(n)], biases=[np.zeros(n)])
+
+
+def bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.int64)
+
+
+def where_elu(x):
+    return np.where(x > 0, x, np.expm1(np.minimum(x, 0.0)))
+
+
+def where_elu_grad(x):
+    return np.where(x > 0, 1.0, np.exp(np.minimum(x, 0.0)))
+
+
+def textbook_layers(model, x):
+    """h @ w.T + b and where-ELU, layer by layer: (output, pre-activations,
+    layer inputs)."""
+    pre, inputs = [], [x]
+    h = x
+    for k, (w, b) in enumerate(zip(model.weights, model.biases)):
+        z = h @ w.T + b
+        if k == len(model.weights) - 1:
+            return z, pre, inputs
+        pre.append(z)
+        h = where_elu(z)
+        inputs.append(h)
+
+
+def textbook_gradients(model, x, y, l1, l2):
+    out, pre, inputs = textbook_layers(model, x)
+    err = out - y
+    loss = float(np.mean(err ** 2))
+    for w in model.weights:
+        loss += l1 * float(np.abs(w).sum()) + l2 * float((w ** 2).sum())
+    n = len(model.weights)
+    gw, gb = [None] * n, [None] * n
+    g = 2.0 * err / err.size
+    for k in range(n - 1, -1, -1):
+        gw[k] = g.T @ inputs[k]
+        gb[k] = g.sum(axis=0)
+        if k > 0:
+            g = (g @ model.weights[k]) * where_elu_grad(pre[k - 1])
+    for k, w in enumerate(model.weights):
+        gw[k] = gw[k] + (l1 * np.sign(w) + 2.0 * l2 * w)
+    return loss, gw, gb
+
+
+# Layer sizes: one linear layer, equal hidden widths (the buffers alternate),
+# and the unequal widths a grid search over multipliers produces.
+KERNEL_SHAPES = [[40, 10], [40, 30, 30, 30, 45], [40, 20, 80, 40, 10], [8, 8, 8, 8]]
+
+
+def kernel_model(sizes, seed):
+    model = init_model(sizes, seed=seed)
+    rng = np.random.default_rng(seed)
+    for b in model.biases:
+        b[:] = rng.normal(scale=0.5, size=b.size)
+        b[::7] = -0.0
+    return model
+
+
+def kernel_batch(rows, width, seed):
+    x = np.random.default_rng(seed + 1).normal(size=(rows, width))
+    x[0] = 0.0
+    return x
 
 
 class TestForward:
@@ -76,6 +144,99 @@ class TestForward:
     def test_one_dim_input_rejected(self):
         with pytest.raises(ValueError, match="2-D"):
             forward(identity_model(2), np.zeros(2))
+
+
+class TestInPlaceKernelBits:
+    """The in-place kernel gives the bits of the textbook expressions."""
+
+    SPECIALS = [0.0, -0.0, 5e-324, -5e-324, -800.0, 800.0, 1e-300, -1e-300, -1e-17]
+
+    def test_elu_special_and_random_values(self):
+        rng = np.random.default_rng(0)
+        x = np.concatenate([self.SPECIALS, 10.0 * rng.normal(size=1000)])
+        assert np.array_equal(bits(elu(x)), bits(where_elu(x)))
+        big = rng.normal(size=(400, 217))  # several blocks, the last one partial
+        big.reshape(-1)[:len(self.SPECIALS)] = self.SPECIALS
+        assert big.size > 2 * ELU_BLOCK and big.size % ELU_BLOCK
+        assert np.array_equal(bits(elu(big)), bits(where_elu(big)))
+
+    def test_elu_out_forms_agree(self):
+        x = np.random.default_rng(1).normal(size=(70, 500))
+        expected = where_elu(x)
+        into = np.empty_like(x)
+        assert elu(x, out=into) is into
+        inplace = x.copy()
+        assert elu(inplace, out=inplace) is inplace
+        for got in (into, inplace, elu(x.T).T, elu(x.tolist())):
+            assert np.array_equal(bits(got), bits(expected))
+        with pytest.raises(ValueError, match="C-contiguous"):
+            elu(x, out=np.empty_like(x).T)
+
+    def test_elu_grad(self):
+        rng = np.random.default_rng(2)
+        x = np.concatenate([self.SPECIALS, 10.0 * rng.normal(size=1000)])
+        assert np.array_equal(bits(elu_grad(x)), bits(where_elu_grad(x)))
+
+    @pytest.mark.parametrize("sizes", KERNEL_SHAPES)
+    @pytest.mark.parametrize("rows", [1, 32, 2000])
+    def test_forward(self, sizes, rows):
+        model = kernel_model(sizes, seed=rows)
+        x = kernel_batch(rows, sizes[0], seed=rows)
+        expected, _, _ = textbook_layers(model, x)
+        assert np.array_equal(bits(forward(model, x)), bits(expected))
+
+    @pytest.mark.parametrize("sizes", KERNEL_SHAPES)
+    @pytest.mark.parametrize("rows", [1, 32, 300])
+    def test_loss_and_gradients(self, sizes, rows):
+        model = kernel_model(sizes, seed=rows + 5)
+        x = kernel_batch(rows, sizes[0], seed=rows)
+        y = np.random.default_rng(rows).normal(size=(rows, sizes[-1]))
+        loss, (gw, gb) = loss_and_gradients(model, x, y, l1=1e-5, l2=1e-4)
+        ref_loss, ref_gw, ref_gb = textbook_gradients(model, x, y, l1=1e-5, l2=1e-4)
+        assert bits(loss) == bits(ref_loss)
+        for got, ref in zip(gw + gb, ref_gw + ref_gb):
+            assert np.array_equal(bits(got), bits(ref))
+
+
+class TestInputsNotMutated:
+    @pytest.mark.parametrize("sizes", KERNEL_SHAPES)
+    def test_forward(self, sizes):
+        model = kernel_model(sizes, seed=3)
+        x = kernel_batch(50, sizes[0], seed=3)
+        before = x.copy()
+        x.setflags(write=False)
+        out = forward(model, x)
+        assert np.array_equal(bits(x), bits(before))
+        assert not np.shares_memory(out, x)
+        params = [p.copy() for p in model.weights + model.biases]
+        loss_and_gradients(model, x, np.zeros_like(out), l1=1e-5, l2=1e-5)
+        assert np.array_equal(bits(x), bits(before))
+        for p, q in zip(model.weights + model.biases, params):
+            assert np.array_equal(bits(p), bits(q))
+
+    def test_elu_without_out(self):
+        x = np.random.default_rng(4).normal(size=(20, 30))
+        before = x.copy()
+        x.setflags(write=False)
+        elu(x)
+        elu_grad(x)
+        assert np.array_equal(bits(x), bits(before))
+
+    @pytest.mark.parametrize("component", ["lw", "sw"])
+    def test_window_effects(self, small_grid, consts, component):
+        lw, sw = TestPredictEffects._models(small_grid, consts)
+        model = lw if component == "lw" else sw
+        profiles = ProfileBatch.from_profiles(generate_profiles(12, small_grid, seed=8))
+        x = build_input_matrix(profiles, model.schema, consts)
+        mu0 = profiles.mu0.copy()
+        mu0[::3] = -0.2
+        arrays = (x, profiles.alpha.copy(), mu0)
+        before = [a.copy() for a in arrays]
+        for a in arrays:
+            a.setflags(write=False)
+        _window_effects(model, *arrays, small_grid, consts)
+        for a, b in zip(arrays, before):
+            assert np.array_equal(bits(a), bits(b))
 
 
 class TestInit:

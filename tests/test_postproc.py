@@ -5,6 +5,9 @@ import pytest
 
 from cre3d.column import PhysConsts, VerticalGrid, compute_heating_rates
 from cre3d.postproc import (
+    CAP_HI,
+    CAP_LO,
+    DEGENERATE_DIVERGENCE,
     EffectTargets,
     divergence_from_heating,
     divergence_from_scalar_lw,
@@ -265,7 +268,86 @@ class TestPostprocess:
         np.testing.assert_allclose(f2.down, lam * f1.down, rtol=1e-11, atol=1e-12)
 
 
+def chained_postprocess_batch(component, scalar, heat, grid, consts, alpha=None):
+    """Steps i-iv over a batch, one fresh array per expression: the bits
+    the in-place `postprocess_batch` must reproduce."""
+    n, m = heat.shape
+    dp = grid.dp[grid.n_fl - m:]
+    delta_net = -(consts.c_p / consts.g) * heat * dp
+    d_heat = delta_net.sum(axis=1)
+    if component == "lw":
+        d_scalar = scalar[:, -1] + scalar[:, 0]
+    else:
+        d_scalar = scalar[:, -1] * (1.0 - alpha) / (1.0 + alpha) + scalar[:, 0]
+    degenerate = np.abs(d_heat) < DEGENERATE_DIVERGENCE
+    c_raw = d_scalar / np.where(degenerate, 1.0, d_heat)
+    c = np.where(degenerate, 1.0, np.clip(c_raw, CAP_LO, CAP_HI))
+    heat_r = c[:, None] * heat
+    delta_r = c[:, None] * delta_net
+    scalar_r = scalar.copy()
+    capped = (c != c_raw) & ~degenerate
+    target = c * d_heat
+    zero_ds = capped & (d_scalar == 0.0)
+    mult = capped & ~zero_ds
+    scalar_r[mult] *= (target[mult] / d_scalar[mult])[:, None]
+    scalar_r[zero_ds, 0] += target[zero_ds]
+    inc = (d_scalar - d_heat) / m
+    delta_r[degenerate] = delta_net[degenerate] + inc[degenerate, None]
+    heat_r[degenerate] = -(consts.g / consts.c_p) * delta_r[degenerate] / dp
+    net = np.empty_like(scalar_r)
+    net[:, 0] = -scalar_r[:, 0]
+    net[:, 1:] = net[:, :1] + np.cumsum(delta_r, axis=1)
+    return 0.5 * (scalar_r - net), 0.5 * (scalar_r + net), heat_r
+
+
+def mixed_columns(wgrid, consts, component, n=40):
+    """Window (scalar, heat, alpha) rows: consistent, capped high and low,
+    capped with zero scalar divergence, and degenerate."""
+    alphas = np.array([(i % 7) / 7.0 for i in range(n)])
+    rows = [consistent_truth(wgrid, consts, 200 + i, component=component,
+                             alpha=alphas[i])[0] for i in range(n)]
+    scalar = np.array([t.scalar for t in rows])
+    heat = np.array([t.heat for t in rows])
+    scalar[0::5] *= 5.0
+    scalar[1::5] *= 0.1
+    scalar[2::5, [0, -1]] = 0.0
+    heat[3::5] = 0.0
+    heat[4::10] *= 1e-14
+    return scalar, heat, alphas
+
+
 class TestPostprocessBatch:
+    @pytest.mark.parametrize("component", ["lw", "sw"])
+    def test_bits_match_expression_chain(self, wgrid, consts, component):
+        scalar, heat, alphas = mixed_columns(wgrid, consts, component)
+        alpha = alphas if component == "sw" else None
+        got = postprocess_batch(component, scalar, heat, wgrid, consts, alpha=alpha)
+        expected = chained_postprocess_batch(component, scalar, heat, wgrid, consts,
+                                             alpha=alpha)
+        for g, e in zip(got, expected):
+            assert np.array_equal(g.view(np.int64), e.view(np.int64))
+        # degenerate rows and both caps are exercised
+        d_heat = (-(consts.c_p / consts.g) * heat * wgrid.dp).sum(axis=1)
+        live = np.abs(d_heat) >= DEGENERATE_DIVERGENCE
+        c = expected[2][live, 0] / heat[live, 0]
+        assert not live.all() and np.any(heat[~live] != 0.0)
+        assert np.isclose(c, CAP_HI).any() and np.isclose(c, CAP_LO).any()
+
+    @pytest.mark.parametrize("component", ["lw", "sw"])
+    def test_inputs_not_mutated(self, wgrid, consts, component):
+        # The rows arrive as column slices of one network output matrix.
+        scalar, heat, alphas = mixed_columns(wgrid, consts, component)
+        m = heat.shape[1]
+        y = np.hstack([scalar, heat])
+        before, alphas_before = y.copy(), alphas.copy()
+        y.setflags(write=False)
+        alphas.setflags(write=False)
+        out = postprocess_batch(component, y[:, :m + 1], y[:, m + 1:], wgrid, consts,
+                                alpha=alphas if component == "sw" else None)
+        assert np.array_equal(y.view(np.int64), before.view(np.int64))
+        assert np.array_equal(alphas, alphas_before)
+        assert not any(np.shares_memory(a, y) for a in out)
+
     @pytest.mark.parametrize("component", ["lw", "sw"])
     def test_matches_scalar_path(self, wgrid, consts, component):
         targets = []
