@@ -1,45 +1,31 @@
 """Emulation of 3D cloud radiative effects with small neural networks and
-energy-consistent flux reconstruction."""
+energy-consistent flux reconstruction.
 
-from .column import (
-    AtmosphericProfile,
-    FluxSet,
-    PhysConsts,
-    ProfileBatch,
-    VerticalGrid,
-    apply_correction,
-    compute_cloud_optical_depth,
-    compute_heating_rates,
-    extend_to_full,
-    truncate_to_window,
-)
-from .features import FeatureSchema, Normalization, fit_normalization, schema_for_grid
-from .net import GridSearchSpec, MlpModel, TrainConfig, forward, grid_search, train
-from .postproc import EffectTargets, postprocess
+The names below are imported from their modules on first use (PEP 562),
+so `import cre3d.cli` does not load numpy: `cre3d bench` must set the
+BLAS thread variables before numpy starts.
+"""
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AtmosphericProfile",
-    "EffectTargets",
-    "FeatureSchema",
-    "FluxSet",
-    "GridSearchSpec",
-    "MlpModel",
-    "Normalization",
-    "PhysConsts",
-    "ProfileBatch",
-    "TrainConfig",
-    "VerticalGrid",
-    "apply_correction",
-    "compute_cloud_optical_depth",
-    "compute_heating_rates",
-    "extend_to_full",
-    "fit_normalization",
-    "forward",
-    "grid_search",
-    "postprocess",
-    "schema_for_grid",
-    "train",
-    "truncate_to_window",
-]
+_EXPORTS = {
+    "column": ("AtmosphericProfile", "FluxSet", "PhysConsts", "ProfileBatch",
+               "VerticalGrid", "apply_correction", "compute_cloud_optical_depth",
+               "compute_heating_rates", "extend_to_full", "truncate_to_window"),
+    "features": ("FeatureSchema", "Normalization", "fit_normalization", "schema_for_grid"),
+    "net": ("GridSearchSpec", "MlpModel", "TrainConfig", "forward", "grid_search", "train"),
+    "postproc": ("EffectTargets", "postprocess"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_MODULE_OF[name]}", __name__), name)
+    globals()[name] = value
+    return value

@@ -25,6 +25,7 @@ from .column import (
     VerticalGrid,
     _unchecked,
     compute_cloud_optical_depth,
+    compute_heating_rates,
     truncate_profile,
 )
 from .postproc import LW, SW, EffectTargets
@@ -111,8 +112,7 @@ def toy_truth(profile: AtmosphericProfile, consts: PhysConsts,
         direct_sw = np.zeros(n + 1)
 
     def targets(component, up, down, direct=None):
-        net = down - up
-        heat = -(consts.g / consts.c_p) * np.diff(net) / wgrid.dp
+        heat = compute_heating_rates(down - up, wgrid, consts)
         return EffectTargets(component=component, scalar=up + down, heat=heat,
                              direct_down=direct,
                              alpha=profile.alpha if component == SW else None)

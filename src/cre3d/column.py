@@ -343,18 +343,6 @@ def compute_heating_rates(net_flux, grid: VerticalGrid, consts: PhysConsts) -> n
     return -(consts.g / consts.c_p) * np.diff(f) / grid.dp
 
 
-def net_flux_increments(heat, grid: VerticalGrid, consts: PhysConsts) -> np.ndarray:
-    """Invert compute_heating_rates: per-layer net-flux change dF_i = -(c_p/g) H_i dp_i.
-
-    Accepts a window heat array (trailing layers of the grid) or a full one.
-    """
-    h = _as_float_array(heat, "heat")
-    if h.size > grid.n_fl or h.size == 0:
-        raise ValueError(f"heat length {h.size} does not fit grid with n_fl={grid.n_fl}")
-    dp = grid.dp[grid.n_fl - h.size:]
-    return -(consts.c_p / consts.g) * h * dp
-
-
 def truncate_to_window(x, grid: VerticalGrid, p_trunc: float = DEFAULT_P_TRUNC) -> np.ndarray:
     """Restrict a full- or half-level array to the tropospheric window.
 

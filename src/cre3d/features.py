@@ -22,6 +22,7 @@ from .column import (
     ProfileBatch,
     _as_float_array,
     compute_cloud_optical_depth,
+    compute_heating_rates,
     truncate_profile,
     truncate_to_window,
 )
@@ -170,21 +171,6 @@ def build_target_vector(targets: EffectTargets, schema: FeatureSchema) -> np.nda
     return np.concatenate(parts)
 
 
-def split_output_vector(vector, schema: FeatureSchema, alpha: Optional[float] = None) -> EffectTargets:
-    vec = _as_float_array(vector, "vector")
-    if vec.size != schema.output_len:
-        raise ValueError(f"output vector must have length {schema.output_len}, got {vec.size}")
-    slices = schema.output_slices()
-    direct = vec[slices["direct_down"]] if schema.component == SW else None
-    return EffectTargets(
-        component=schema.component,
-        scalar=vec[slices["scalar"]],
-        heat=vec[slices["heat"]],
-        direct_down=direct,
-        alpha=alpha if schema.component == SW else None,
-    )
-
-
 @dataclass(frozen=True, eq=False)
 class Normalization:
     """Per-feature z-score statistics (population std, floored)."""
@@ -231,8 +217,7 @@ def targets_from_flux_effects(component: str, up, down, grid, consts: PhysConsts
     down = _as_float_array(down, "down")
     if up.size != grid.n_hl or down.size != grid.n_hl:
         raise ValueError(f"flux effects must have length n_hl={grid.n_hl}")
-    net = down - up
-    heat_full = -(consts.g / consts.c_p) * np.diff(net) / grid.dp
+    heat_full = compute_heating_rates(down - up, grid, consts)
     scalar_w = truncate_to_window(up + down, grid, p_trunc)
     heat_w = truncate_to_window(heat_full, grid, p_trunc)
     direct_w = None

@@ -11,23 +11,19 @@ downwelling flux effects:
   iii. rescale heating rates so both divergences agree, capping the
        factor to [0.5, 2] and rescaling the scalar fluxes if capped,
   iv.  integrate the net flux down from TOA and split into up/down.
+
+`postprocess_batch` is the one implementation, over (n, m) batches;
+`postprocess` is a one-row view of it for a single `EffectTargets`.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
-from .column import (
-    FluxSet,
-    PhysConsts,
-    VerticalGrid,
-    _as_float_array,
-    net_flux_increments,
-)
+from .column import FluxSet, PhysConsts, VerticalGrid, _as_float_array
 
 LW = "lw"
 SW = "sw"
@@ -73,101 +69,14 @@ class EffectTargets:
         return self.scalar.size
 
 
-def divergence_from_heating(heat, grid: VerticalGrid, consts: PhysConsts) -> Tuple[float, np.ndarray]:
-    """Step i: total atmospheric divergence and per-layer net-flux increments
-    implied by a heating-rate profile (window or full)."""
-    delta_net = net_flux_increments(heat, grid, consts)
-    return math.fsum(delta_net.tolist()), delta_net
-
-
-def divergence_from_scalar_lw(scalar) -> float:
-    """Step ii, longwave: D = scalar(BOA) + scalar(TOA).
-
-    Assumes zero 3D effect on downwelling at TOA and on surface emission."""
-    s = _as_float_array(scalar, "scalar")
-    if s.size == 0:
-        raise ValueError("scalar profile is empty")
-    return float(s[-1] + s[0])
-
-
-def divergence_from_scalar_sw(scalar, alpha: float) -> float:
-    """Step ii, shortwave: D = scalar(BOA) (1 - alpha) / (1 + alpha) + scalar(TOA),
-    using S_up(BOA) = alpha * S_down(BOA)."""
-    s = _as_float_array(scalar, "scalar")
-    if s.size == 0:
-        raise ValueError("scalar profile is empty")
-    if not (0.0 <= alpha <= 1.0):
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha!r}")
-    return float(s[-1] * (1.0 - alpha) / (1.0 + alpha) + s[0])
-
-
-def rescale(heat, delta_net, scalar, d_heat: float, d_scalar: float,
-            grid: VerticalGrid, consts: PhysConsts):
-    """Step iii: reconcile the two divergence estimates.
-
-    Multiplies heating rates (and net increments) by c = clamp(d_scalar /
-    d_heat, 0.5, 2); if clamping changed c, scalar fluxes are rescaled so
-    both divergences equal c * d_heat. Near-zero d_heat switches to a
-    uniform additive increment so the function stays total and degree-1
-    homogeneous.
-    """
-    heat = _as_float_array(heat, "heat")
-    delta_net = _as_float_array(delta_net, "delta_net")
-    scalar = _as_float_array(scalar, "scalar")
-    if delta_net.size != heat.size or scalar.size != heat.size + 1:
-        raise ValueError("rescale inputs have inconsistent lengths")
-
-    if abs(d_heat) < DEGENERATE_DIVERGENCE:
-        # Multiplicative rescale undefined; distribute the divergence gap evenly.
-        dp = grid.dp[grid.n_fl - heat.size:]
-        increment = (d_scalar - d_heat) / heat.size
-        delta_new = delta_net + increment
-        heat_new = -(consts.g / consts.c_p) * delta_new / dp
-        return heat_new, delta_new, scalar.copy(), 1.0
-
-    c_raw = d_scalar / d_heat
-    c = min(max(c_raw, CAP_LO), CAP_HI)
-    heat_new = c * heat
-    delta_new = c * delta_net
-    if c == c_raw:
-        return heat_new, delta_new, scalar.copy(), c
-    target = c * d_heat
-    if d_scalar == 0.0:
-        # Scalar divergence has unit weight on the TOA value in both bands.
-        scalar_new = scalar.copy()
-        scalar_new[0] += target
-    else:
-        scalar_new = scalar * (target / d_scalar)
-    return heat_new, delta_new, scalar_new, c
-
-
-def split_fluxes(scalar, delta_net) -> Tuple[np.ndarray, np.ndarray]:
-    """Step iv: integrate the net flux down from TOA (start value
-    -scalar[TOA]) and split into up = (scalar - net)/2, down = (scalar + net)/2."""
-    scalar = _as_float_array(scalar, "scalar")
-    delta_net = _as_float_array(delta_net, "delta_net")
-    if scalar.size != delta_net.size + 1:
-        raise ValueError("scalar must have one more entry than delta_net")
-    net = np.empty_like(scalar)
-    net[0] = -scalar[0]
-    net[1:] = net[0] + np.cumsum(delta_net)
-    up = 0.5 * (scalar - net)
-    down = 0.5 * (scalar + net)
-    return up, down
-
-
 def postprocess(targets: EffectTargets, grid: VerticalGrid, consts: PhysConsts) -> FluxSet:
-    """Run steps i-iv on one column of predicted effects (window arrays)."""
-    d_heat, delta_net = divergence_from_heating(targets.heat, grid, consts)
-    if targets.component == LW:
-        d_scalar = divergence_from_scalar_lw(targets.scalar)
-    else:
-        d_scalar = divergence_from_scalar_sw(targets.scalar, targets.alpha)
-    heat_r, delta_r, scalar_r, _ = rescale(
-        targets.heat, delta_net, targets.scalar, d_heat, d_scalar, grid, consts)
-    up, down = split_fluxes(scalar_r, delta_r)
+    """Run steps i-iv on one column of predicted effects (window arrays):
+    a one-row view of `postprocess_batch`."""
+    alpha = None if targets.component == LW else np.array([targets.alpha])
+    up, down, heat = postprocess_batch(targets.component, targets.scalar[None],
+                                       targets.heat[None], grid, consts, alpha=alpha)
     direct = None if targets.direct_down is None else targets.direct_down.copy()
-    return FluxSet(up=up, down=down, heat=heat_r, direct_down=direct)
+    return FluxSet(up=up[0], down=down[0], heat=heat[0], direct_down=direct)
 
 
 def postprocess_batch(component: str, scalar: np.ndarray, heat: np.ndarray,
@@ -176,25 +85,30 @@ def postprocess_batch(component: str, scalar: np.ndarray, heat: np.ndarray,
     """Vectorized steps i-iv over a batch of columns.
 
     `scalar` is (n, n_hl_window), `heat` is (n, n_fl_window); for the
-    shortwave `alpha` is (n,). Returns (up, down, heat) matrices.
-    Matches `postprocess` column-by-column.
+    shortwave `alpha` is (n,). The window is the trailing m layers of
+    `grid`. Returns (up, down, heat) matrices; each row depends on its
+    own column only.
     """
     scalar = np.asarray(scalar, dtype=float)
     heat = np.asarray(heat, dtype=float)
-    if scalar.ndim != 2 or heat.ndim != 2 or scalar.shape[1] != heat.shape[1] + 1:
+    if scalar.ndim != 2 or heat.ndim != 2 or scalar.shape != (heat.shape[0], heat.shape[1] + 1):
         raise ValueError("batch shapes inconsistent: scalar (n, m+1) and heat (n, m) expected")
     n, m = heat.shape
+    if not 0 < m <= grid.n_fl:
+        raise ValueError(f"window of {m} layers does not fit grid with n_fl={grid.n_fl}")
     dp = grid.dp[grid.n_fl - m:]
 
     delta_net = np.multiply(heat, -(consts.c_p / consts.g))
     delta_net *= dp
     d_heat = delta_net.sum(axis=1)
+    # D_s from the scalar endpoints: no 3D effect on downwelling at TOA, nor on
+    # LW surface emission; SW surface upwelling is alpha times downwelling.
     if component == LW:
         d_scalar = scalar[:, -1] + scalar[:, 0]
     elif component == SW:
-        if alpha is None:
-            raise ValueError("shortwave batch needs per-column alpha")
-        a = np.asarray(alpha, dtype=float)
+        a = None if alpha is None else np.asarray(alpha, dtype=float)
+        if a is None or a.shape != (n,) or not np.all((a >= 0.0) & (a <= 1.0)):
+            raise ValueError(f"shortwave batch needs per-column alpha, shape ({n},) in [0, 1]")
         d_scalar = scalar[:, -1] * (1.0 - a) / (1.0 + a) + scalar[:, 0]
     else:
         raise ValueError(f"component must be 'lw' or 'sw', got {component!r}")
@@ -218,9 +132,9 @@ def postprocess_batch(component: str, scalar: np.ndarray, heat: np.ndarray,
             factor = np.ones(n)
             factor[mult] = target[mult] / d_scalar[mult]
             scalar_r[mult] *= factor[mult, None]
-        if np.any(zero_ds):
+        if np.any(zero_ds):  # D_s has unit weight on the TOA value in both bands
             scalar_r[zero_ds, 0] += target[zero_ds]
-    if np.any(degenerate):
+    if np.any(degenerate):  # c is ill-posed: spread the divergence gap evenly
         inc = (d_scalar - d_heat) / m
         delta_net[degenerate] += inc[degenerate, None]
         heat_r[degenerate] = -(consts.g / consts.c_p) * delta_net[degenerate] / dp

@@ -30,13 +30,7 @@ from cre3d.net import (
     reference_model,
     train,
 )
-from cre3d.postproc import (
-    EffectTargets,
-    divergence_from_heating,
-    divergence_from_scalar_lw,
-    postprocess,
-    rescale,
-)
+from cre3d.postproc import EffectTargets, postprocess, postprocess_batch
 
 CONSTS = PhysConsts()
 GRID = make_reference_grid()
@@ -139,16 +133,23 @@ def test_criterion_2_round_trip_exactness():
 
 def test_criterion_3_divergence_capping():
     targets, _, _ = random_consistent_effects(7, "lw")
-    d_h, delta = divergence_from_heating(targets.heat, WGRID, CONSTS)
+    heat = targets.heat
+    d_h = float((-(CONSTS.c_p / CONSTS.g) * heat * WGRID.dp).sum())
+    cases = ((4.0, 2.0), (0.25, 0.5), (1.3, 1.3))
+    s = targets.scalar
+    scalar = np.array([s * (ratio * d_h / (s[-1] + s[0])) for ratio, _ in cases])
+    up, down, heat_r = postprocess_batch("lw", scalar, np.tile(heat, (len(cases), 1)),
+                                         WGRID, CONSTS)
+    k = int(np.argmax(np.abs(heat)))
     checks = []
-    for ratio, expected_c in ((4.0, 2.0), (0.25, 0.5), (1.3, 1.3)):
-        scalar = targets.scalar * (ratio * d_h / divergence_from_scalar_lw(targets.scalar))
-        d_s = divergence_from_scalar_lw(scalar)
-        heat2, delta2, scalar2, c = rescale(targets.heat, delta, scalar, d_h, d_s,
-                                            WGRID, CONSTS)
-        agree = math.isclose(divergence_from_scalar_lw(scalar2),
-                             math.fsum(delta2.tolist()), rel_tol=1e-10)
-        untouched = ratio == 1.3 and np.array_equal(scalar2, scalar)
+    for i, (ratio, expected_c) in enumerate(cases):
+        c = heat_r[i, k] / heat[k]
+        scalar2 = up[i] + down[i]
+        d_heat2 = math.fsum((-(CONSTS.c_p / CONSTS.g) * heat_r[i] * WGRID.dp).tolist())
+        agree = math.isclose(scalar2[-1] + scalar2[0], d_heat2, rel_tol=1e-10)
+        # up(TOA) is the rescaled scalar(TOA) bit for bit; the sum rounds
+        untouched = (ratio == 1.3 and up[i, 0] == scalar[i, 0]
+                     and np.allclose(scalar2, scalar[i], rtol=1e-13, atol=1e-13))
         checks.append(math.isclose(c, expected_c, rel_tol=1e-12) and agree
                       and (untouched or ratio != 1.3))
     ok = all(checks)

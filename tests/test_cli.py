@@ -1,9 +1,12 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import cre3d
 from cre3d import cli, io, net
 from cre3d.column import FluxSet
 
@@ -285,6 +288,24 @@ class TestGridSearchCommand:
 
 
 class TestThreadPinning:
+    def test_importing_the_cli_leaves_numpy_unloaded(self):
+        # OpenBLAS reads its thread variables when numpy loads, so `bench`
+        # can pin them only if importing the CLI has not loaded numpy yet.
+        code = ("import sys, cre3d.cli\n"
+                "assert 'numpy' not in sys.modules, 'import cre3d.cli loaded numpy'\n"
+                "import cre3d\n"
+                "missing = [n for n in cre3d.__all__ if getattr(cre3d, n, None) is None]\n"
+                "assert not missing, missing\n"
+                "names = {}\n"
+                "exec('from cre3d import *', names)\n"
+                "assert set(cre3d.__all__) <= set(names)\n"
+                "assert cre3d.postprocess.__module__ == 'cre3d.postproc'\n")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cre3d.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+
     def test_only_the_bench_subcommand_pins(self, blas_env):
         cli._pin_threads(["predict", "--profiles", "bench", "--out-lw", "bench"])
         assert not any(var in os.environ for var in cli._BLAS_ENV)

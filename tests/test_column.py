@@ -15,10 +15,10 @@ from cre3d.column import (
     compute_heating_rates,
     extend_to_full,
     flux_set_from_components,
-    net_flux_increments,
     truncate_profile,
     truncate_to_window,
 )
+from cre3d.postproc import postprocess_batch
 
 from conftest import make_profile
 
@@ -135,7 +135,12 @@ class TestHeatingRates:
         rng = np.random.default_rng(5)
         net = rng.uniform(-500.0, 500.0, small_grid.n_hl)
         heat = compute_heating_rates(net, small_grid, consts)
-        delta = net_flux_increments(heat, small_grid, consts)
+        # Postprocessing inverts it: down(TOA) = 0 and up(BOA) = 0 give the
+        # scalar [-net(TOA), 0, ..., net(BOA)], whose divergence matches, so c = 1.
+        scalar = np.zeros(small_grid.n_hl)
+        scalar[0], scalar[-1] = -net[0], net[-1]
+        up, down, _ = postprocess_batch("lw", scalar[None], heat[None], small_grid, consts)
+        delta = np.diff(down[0] - up[0])
         np.testing.assert_allclose(delta, np.diff(net), rtol=1e-12)
 
     def test_telescoping(self, small_grid, consts):

@@ -12,7 +12,6 @@ from cre3d.features import (
     fit_normalization,
     layer_thickness,
     schema_for_grid,
-    split_output_vector,
     targets_from_flux_effects,
 )
 from cre3d.postproc import EffectTargets
@@ -121,14 +120,16 @@ class TestTargetVectors:
 
     @pytest.mark.parametrize("component", ["lw", "sw"])
     def test_split_build_round_trip(self, small_grid, component):
+        # Outputs are read back by slicing at schema.output_slices().
         schema = schema_for_grid(component, small_grid)
         t = self._targets(schema, 6)
         vec = build_target_vector(t, schema)
-        back = split_output_vector(vec, schema, alpha=t.alpha)
-        np.testing.assert_array_equal(back.scalar, t.scalar)
-        np.testing.assert_array_equal(back.heat, t.heat)
+        slices = schema.output_slices()
+        assert vec.size == schema.output_len
+        np.testing.assert_array_equal(vec[slices["scalar"]], t.scalar)
+        np.testing.assert_array_equal(vec[slices["heat"]], t.heat)
         if component == "sw":
-            np.testing.assert_array_equal(back.direct_down, t.direct_down)
+            np.testing.assert_array_equal(vec[slices["direct_down"]], t.direct_down)
 
     def test_reference_lengths(self, ref_grid):
         lw = schema_for_grid("lw", ref_grid)
@@ -138,8 +139,9 @@ class TestTargetVectors:
 
     def test_length_mismatch_rejected(self, small_grid):
         schema = schema_for_grid("lw", small_grid)
+        wider = FeatureSchema("lw", schema.n_fl_window + 1, schema.n_hl_window + 1)
         with pytest.raises(ValueError, match="length"):
-            split_output_vector(np.zeros(schema.output_len + 1), schema)
+            build_target_vector(self._targets(wider, 7), schema)
 
     def test_targets_from_flux_effects(self, small_grid, consts):
         rng = np.random.default_rng(9)
