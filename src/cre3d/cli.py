@@ -29,15 +29,20 @@ def _split_indices(n: int, seed: int):
     return order[:n_train], order[n_train:n_train + n_val], order[n_train + n_val:]
 
 
-def _fluxes_for(path, ids, what: str = "record"):
-    """The flux records of `path` for `ids`, in that order; every id needs one."""
-    from . import io
+def _fluxes_for(path, ids, ids_path, what: str = "record"):
+    """One FluxSet of the rows of flux file `path` for `ids` (read from
+    `ids_path`), in that order; every id must be non-null and have a record."""
+    from . import column, io
 
-    by_id = dict(io.read_fluxes(path))
-    for pid in ids:
-        if pid not in by_id:
+    file_ids, flux = io.read_fluxes(path)
+    row_of = {pid: row for row, pid in enumerate(file_ids)}
+    for index, pid in enumerate(ids, start=1):
+        if pid is None:
+            raise io.DatasetError(ids_path, index, f"id is null, so no {what} in {path} can be matched to it")
+        if pid not in row_of:
             raise io.DatasetError(path, None, f"no {what} for profile id {pid!r}")
-    return [by_id[pid] for pid in ids]
+    rows = [row_of[pid] for pid in ids]
+    return column.FluxSet(**{name: arr if arr is None else arr[rows] for name, arr in vars(flux).items()})
 
 
 def _load_matched(profiles_path: str, truth_path: str):
@@ -45,26 +50,20 @@ def _load_matched(profiles_path: str, truth_path: str):
     from . import io
 
     profiles = io.read_profiles(profiles_path)
-    return profiles, _fluxes_for(truth_path, profiles.ids, "truth record")
+    return profiles, _fluxes_for(truth_path, profiles.ids, profiles_path, "truth record")
 
 
 def _build_xy(profiles, fluxes, component, consts,
               include_humidity=False, include_thickness=False):
-    import numpy as np
-
     from . import features
 
-    grid = profiles.grid
-    schema = features.schema_for_grid(component, grid, consts.p_trunc,
+    schema = features.schema_for_grid(component, profiles.grid, consts.p_trunc,
                                       include_humidity, include_thickness)
     x = features.build_input_matrix(profiles, schema, consts)
-    rows = []
-    for p, f in zip(profiles, fluxes):
-        targets = features.targets_from_flux_effects(
-            component, f.up, f.down, grid, consts,
-            alpha=p.alpha, direct_down=f.direct_down, p_trunc=consts.p_trunc)
-        rows.append(features.build_target_vector(targets, schema))
-    return schema, x, np.asarray(rows)
+    targets = features.targets_from_flux_effects(
+        component, fluxes.up, fluxes.down, profiles.grid, consts,
+        alpha=profiles.alpha, direct_down=fluxes.direct_down, p_trunc=consts.p_trunc)
+    return schema, x, features.build_target_vector(targets, schema)
 
 
 def cmd_synth(args) -> int:
@@ -78,18 +77,16 @@ def cmd_synth(args) -> int:
     consts = column.PhysConsts()
     params = augment.ToyTruthParams(amp_lw=args.amp_lw, amp_sw=args.amp_sw, decay=args.decay)
     profiles = augment.generate_profiles(args.profiles, grid, args.seed)
-    lw_records, sw_records = [], []
-    for p in profiles:
-        truth = augment.toy_truth(p, consts, params)
-        lw_full = column.extend_to_full(truth.up_lw, truth.down_lw, None,
-                                        truth.lw.heat, grid, consts.p_trunc)
-        sw_full = column.extend_to_full(truth.up_sw, truth.down_sw, truth.direct_sw,
-                                        truth.sw.heat, grid, consts.p_trunc)
-        lw_records.append((p.pid, lw_full))
-        sw_records.append((p.pid, sw_full))
+    truth = [augment.toy_truth(p, consts, params) for p in profiles]
+    lw = column.extend_to_full([t.up_lw for t in truth], [t.down_lw for t in truth], None,
+                               [t.lw.heat for t in truth], grid, consts.p_trunc)
+    sw = column.extend_to_full([t.up_sw for t in truth], [t.down_sw for t in truth],
+                               [t.direct_sw for t in truth], [t.sw.heat for t in truth],
+                               grid, consts.p_trunc)
+    ids = [p.pid for p in profiles]
     io.write_profiles(args.out_profiles, profiles)
-    io.write_fluxes(args.out_truth_lw, lw_records)
-    io.write_fluxes(args.out_truth_sw, sw_records)
+    io.write_fluxes(args.out_truth_lw, ids, lw)
+    io.write_fluxes(args.out_truth_sw, ids, sw)
     print(f"wrote {len(profiles)} profiles to {args.out_profiles}")
     return 0
 
@@ -212,11 +209,7 @@ def cmd_predict(args) -> int:
                 row, level = np.argwhere(~np.isfinite(m))[0]
                 raise ValueError(f"predicted {component} {name} of profile {profiles.ids[row]!r} "
                                  f"is not finite at level {level}")
-        # The pipeline fixes the shapes and the values were checked above,
-        # so the rows are written as FluxSet views without a check each.
-        rows = (column._unchecked(column.FluxSet, **{"direct_down": None, **dict(zip(e, r))})
-                for r in zip(*e.values()))
-        io.write_fluxes(path, zip(profiles.ids, rows))
+        io.write_fluxes(path, profiles.ids, column.FluxSet(**e))
     print(f"wrote {len(profiles)} effect records to {args.out_lw} and {args.out_sw}")
     return 0
 
@@ -226,54 +219,35 @@ def cmd_correct(args) -> int:
 
     profiles = io.read_profiles(args.profiles)
     consts = column.PhysConsts()
-    baseline = _fluxes_for(args.baseline, profiles.ids)
-    effects = _fluxes_for(args.effects, profiles.ids)
-    out = [(pid, column.apply_correction(b, e, profiles.grid, consts))
-           for pid, b, e in zip(profiles.ids, baseline, effects)]
-    io.write_fluxes(args.out, out)
-    print(f"wrote {len(out)} corrected records to {args.out}")
+    baseline = _fluxes_for(args.baseline, profiles.ids, args.profiles)
+    effects = _fluxes_for(args.effects, profiles.ids, args.profiles)
+    io.write_fluxes(args.out, profiles.ids,
+                    column.apply_correction(baseline, effects, profiles.grid, consts))
+    print(f"wrote {len(profiles)} corrected records to {args.out}")
     return 0
 
 
 def cmd_eval(args) -> int:
-    import numpy as np
-
     from . import evalbench, io
     from .column import SECONDS_PER_DAY
 
-    truth = io.read_fluxes(args.truth)
-    pred = _fluxes_for(args.pred, [pid for pid, _ in truth], "prediction")
-    pairs = [(f, g) for (_, f), g in zip(truth, pred)]
-    if not pairs:
-        raise io.DatasetError(args.truth, None, "no records")
-
-    def stack(attr):
-        t = np.array([getattr(f, attr) for f, _ in pairs])
-        p = np.array([getattr(g, attr) for _, g in pairs])
-        return t, p
-
+    ids, truth = io.read_fluxes(args.truth)
+    pred = _fluxes_for(args.pred, ids, args.truth, "prediction")
     report = {"note": "bulk statistics pool all levels of the full extended profiles",
-              "n_profiles": len(pairs), "fluxes": {}, "heating": {}}
-    for name in ("up", "down"):
-        t, p = stack(name)
-        report["fluxes"][name] = evalbench.bulk_stats(t, p)
-    if all(f.direct_down is not None and g.direct_down is not None for f, g in pairs):
-        t, p = stack("direct_down")
-        report["fluxes"]["direct_down"] = evalbench.bulk_stats(t, p)
-    t, p = stack("up")
-    report["fluxes"]["up_toa"] = evalbench.bulk_stats(t[:, 0], p[:, 0])
-    t, p = stack("down")
-    report["fluxes"]["down_boa"] = evalbench.bulk_stats(t[:, -1], p[:, -1])
-    t, p = stack("heat")
+              "n_profiles": len(ids), "fluxes": {}, "heating": {}}
+    for name in ("up", "down", "direct_down"):
+        if getattr(truth, name) is not None and getattr(pred, name) is not None:
+            report["fluxes"][name] = evalbench.bulk_stats(getattr(truth, name), getattr(pred, name))
+    report["fluxes"]["up_toa"] = evalbench.bulk_stats(truth.up[:, 0], pred.up[:, 0])
+    report["fluxes"]["down_boa"] = evalbench.bulk_stats(truth.down[:, -1], pred.down[:, -1])
     report["heating"]["heat_K_per_day"] = evalbench.bulk_stats(
-        t * SECONDS_PER_DAY, p * SECONDS_PER_DAY)
+        truth.heat * SECONDS_PER_DAY, pred.heat * SECONDS_PER_DAY)
 
     io.atomic_write_text(args.out, json.dumps(report, indent=2))
     if args.per_level:
         per_level = {}
         for name in ("up", "down", "heat"):
-            t, p = stack(name)
-            stats = evalbench.per_level_stats(t, p)
+            stats = evalbench.per_level_stats(getattr(truth, name), getattr(pred, name))
             per_level[name] = {
                 series: {key: value.tolist() for key, value in block.items()}
                 for series, block in stats.items()}

@@ -71,6 +71,32 @@ def _as_float_array(x, name: str) -> np.ndarray:
     return arr
 
 
+def _level_rows(half: dict, full: dict) -> dict:
+    """Float arrays for the half-level fields `half` (None values left out)
+    and the full-level fields `full`: one column's vectors or n columns'
+    (n, levels) rows. Every half-level field has the first one's shape,
+    every full-level field one level less, and all values are finite; a
+    RowError names the first row with a non-finite value."""
+    arrays = {name: np.asarray(value, dtype=float)
+              for name, value in {**half, **full}.items() if value is not None}
+    ref = next(iter(half))
+    shape = arrays[ref].shape
+    if len(shape) not in (1, 2):
+        raise ValueError(f"{ref} must be a 1-D array or (n, levels) rows")
+    for name, arr in arrays.items():
+        want = shape if name in half else shape[:-1] + (shape[-1] - 1,)
+        if arr.shape != want:
+            raise ValueError(f"{name} must have shape {want}, got {arr.shape}: half levels "
+                             f"share {ref}'s length and rows, full levels have one less")
+    bad = [(tuple(np.argwhere(~np.isfinite(arr))[0].tolist()), name)
+           for name, arr in arrays.items() if not np.all(np.isfinite(arr))]
+    if bad:
+        (*row, level), name = min(bad)
+        message = f"{name} contains a non-finite value at level {level}"
+        raise RowError(row[0], message) if row else ValueError(message)
+    return arrays
+
+
 def _as_level_array(x, name: str, n_fl: int) -> np.ndarray:
     """One profile's full-level field as a float vector of length n_fl."""
     arr = np.asarray(x, dtype=float)
@@ -281,7 +307,8 @@ class ProfileBatch(Sequence):
 @dataclass(frozen=True, eq=False)
 class FluxSet:
     """Up/down (and optionally direct-down) fluxes on half levels, with
-    the heating-rate profile they imply on full levels."""
+    the heating-rate profile they imply on full levels: one column's
+    vectors or (n, levels) rows, checked by the same rules."""
 
     up: np.ndarray
     down: np.ndarray
@@ -289,22 +316,9 @@ class FluxSet:
     direct_down: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
-        up = _as_float_array(self.up, "up")
-        down = _as_float_array(self.down, "down")
-        heat = _as_float_array(self.heat, "heat")
-        if down.size != up.size:
-            raise ValueError("up and down must have equal length")
-        if heat.size != up.size - 1:
-            raise ValueError("heat must have length n_hl - 1")
-        if self.direct_down is not None:
-            direct = _as_float_array(self.direct_down, "direct_down")
-            if direct.size != up.size:
-                raise ValueError("direct_down must have length n_hl")
-            direct.setflags(write=False)
-            object.__setattr__(self, "direct_down", direct)
-        for name, arr in (("up", up), ("down", down), ("heat", heat)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        fields = _level_rows({"up": self.up, "down": self.down, "direct_down": self.direct_down},
+                             {"heat": self.heat})
+        self.__dict__.update((name, _frozen(arr)) for name, arr in fields.items())
 
     @property
     def net(self) -> np.ndarray:
@@ -332,77 +346,74 @@ def compute_cloud_optical_depth(profile, consts: PhysConsts) -> np.ndarray:
 
 
 def compute_heating_rates(net_flux, grid: VerticalGrid, consts: PhysConsts) -> np.ndarray:
-    """Heating rate per layer from a net-flux (down minus up) profile.
+    """Heating rate per layer from a net-flux (down minus up) profile, or
+    from (n, n_hl) rows of them.
 
     H_i = -(g/c_p) * dF_i / dp_i with d taken base-minus-top, so a layer
     that absorbs (net flux decreasing downwards) warms.
     """
-    f = _as_float_array(net_flux, "net_flux")
-    if f.size != grid.n_hl:
-        raise ValueError(f"net_flux must have length n_hl={grid.n_hl}, got {f.size}")
-    return -(consts.g / consts.c_p) * np.diff(f) / grid.dp
+    f = _level_rows({"net_flux": net_flux}, {})["net_flux"]
+    if f.shape[-1] != grid.n_hl:
+        raise ValueError(f"net_flux must have length n_hl={grid.n_hl}, got {f.shape[-1]}")
+    return -(consts.g / consts.c_p) * np.diff(f, axis=-1) / grid.dp
 
 
 def truncate_to_window(x, grid: VerticalGrid, p_trunc: float = DEFAULT_P_TRUNC) -> np.ndarray:
-    """Restrict a full- or half-level array to the tropospheric window.
+    """Restrict a full- or half-level array (or rows of them) to the
+    tropospheric window.
 
     Full levels with p_fl >= p_trunc are kept, together with the half
     levels bounding them; the window is contiguous and ends at the surface.
     """
-    arr = _as_float_array(x, "x")
+    arr = _level_rows({"x": x}, {})["x"]
     i0 = grid.window_start(p_trunc)
-    if arr.size == grid.n_fl or arr.size == grid.n_hl:
-        return arr[i0:].copy()
-    raise ValueError(f"array length {arr.size} matches neither n_fl={grid.n_fl} nor n_hl={grid.n_hl}")
+    if arr.shape[-1] in (grid.n_fl, grid.n_hl):
+        return arr[..., i0:].copy()
+    raise ValueError(f"array length {arr.shape[-1]} matches neither n_fl={grid.n_fl} nor n_hl={grid.n_hl}")
+
+
+def _extend(window: dict, i0: int) -> dict:
+    """Window flux fields (vectors or rows) with `i0` levels added on top:
+    zero there, except `up`, held at its window-top value."""
+    full = {name: np.zeros(w.shape[:-1] + (i0 + w.shape[-1],)) for name, w in window.items()}
+    for name, w in window.items():
+        full[name][..., i0:] = w
+    full["up"][..., :i0] = window["up"][..., :1]
+    return full
 
 
 def extend_to_full(up_trunc, down_trunc, direct_trunc, heat_trunc,
                    grid: VerticalGrid, p_trunc: float = DEFAULT_P_TRUNC) -> FluxSet:
-    """Recover full-grid flux profiles from window ones.
+    """Recover full-grid flux profiles from window ones (one column's
+    vectors or (n, levels) rows).
 
     Downwelling (total and direct) and heating are zero above the window;
     upwelling is held constant at its topmost in-window value.
     """
     i0 = grid.window_start(p_trunc)
-    n_hl_w = grid.n_hl - i0
-    n_fl_w = grid.n_fl - i0
-    up_t = _as_float_array(up_trunc, "up_trunc")
-    down_t = _as_float_array(down_trunc, "down_trunc")
-    heat_t = _as_float_array(heat_trunc, "heat_trunc")
-    if up_t.size != n_hl_w or down_t.size != n_hl_w:
-        raise ValueError(f"window flux arrays must have length {n_hl_w}")
-    if heat_t.size != n_fl_w:
-        raise ValueError(f"window heat array must have length {n_fl_w}")
-    up = np.concatenate([np.full(i0, up_t[0]), up_t])
-    down = np.concatenate([np.zeros(i0), down_t])
-    heat = np.concatenate([np.zeros(i0), heat_t])
-    direct = None
-    if direct_trunc is not None:
-        direct_t = _as_float_array(direct_trunc, "direct_trunc")
-        if direct_t.size != n_hl_w:
-            raise ValueError(f"window direct array must have length {n_hl_w}")
-        direct = np.concatenate([np.zeros(i0), direct_t])
-    return FluxSet(up=up, down=down, heat=heat, direct_down=direct)
+    window = _level_rows({"up": up_trunc, "down": down_trunc, "direct_down": direct_trunc},
+                         {"heat": heat_trunc})
+    if window["up"].shape[-1] != grid.n_hl - i0:
+        raise ValueError(f"window flux arrays must have length {grid.n_hl - i0}")
+    return FluxSet(**_extend(window, i0))
 
 
 def flux_set_from_components(up, down, grid: VerticalGrid, consts: PhysConsts,
                              direct_down=None) -> FluxSet:
-    """Build a FluxSet whose heating rates are derived from up/down."""
-    up = _as_float_array(up, "up")
-    down = _as_float_array(down, "down")
-    if up.size != grid.n_hl or down.size != grid.n_hl:
+    """Build a FluxSet (one column or rows) whose heating rates are derived from up/down."""
+    fields = _level_rows({"up": up, "down": down, "direct_down": direct_down}, {})
+    if fields["up"].shape[-1] != grid.n_hl:
         raise ValueError(f"flux arrays must have length n_hl={grid.n_hl}")
-    heat = compute_heating_rates(down - up, grid, consts)
-    return FluxSet(up=up, down=down, heat=heat, direct_down=direct_down)
+    return FluxSet(heat=compute_heating_rates(fields["down"] - fields["up"], grid, consts), **fields)
 
 
 def apply_correction(baseline: FluxSet, effect: FluxSet,
                      grid: VerticalGrid, consts: PhysConsts) -> FluxSet:
-    """Add an effect FluxSet to a baseline one; heating rates are recomputed
-    from the corrected net flux."""
-    if baseline.up.size != effect.up.size:
-        raise ValueError("baseline and effect are on different grids")
-    if baseline.up.size != grid.n_hl:
+    """Add an effect FluxSet to a baseline one of the same shape (one column
+    or rows); heating rates are recomputed from the corrected net flux."""
+    if baseline.up.shape != effect.up.shape:
+        raise ValueError(f"baseline and effect differ in grid or rows: {baseline.up.shape}, {effect.up.shape}")
+    if baseline.up.shape[-1] != grid.n_hl:
         raise ValueError(f"flux sets do not match grid with n_hl={grid.n_hl}")
     direct = None
     if baseline.direct_down is not None or effect.direct_down is not None:

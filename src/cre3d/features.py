@@ -10,7 +10,7 @@ tropospheric window only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from .column import (
     PhysConsts,
     ProfileBatch,
     _as_float_array,
+    _level_rows,
     compute_cloud_optical_depth,
     compute_heating_rates,
     truncate_profile,
@@ -158,9 +159,10 @@ def build_input_matrix(profiles: Union[ProfileBatch, Sequence[AtmosphericProfile
 
 
 def build_target_vector(targets: EffectTargets, schema: FeatureSchema) -> np.ndarray:
+    """Output vector of one column's targets, or output rows of row targets."""
     if targets.component != schema.component:
         raise ValueError(f"targets are {targets.component!r}, schema is {schema.component!r}")
-    if targets.scalar.size != schema.n_hl_window or targets.heat.size != schema.n_fl_window:
+    if targets.scalar.shape[-1] != schema.n_hl_window or targets.heat.shape[-1] != schema.n_fl_window:
         raise ValueError("target lengths do not match the schema window")
     parts = [targets.scalar]
     if schema.component == SW:
@@ -168,7 +170,7 @@ def build_target_vector(targets: EffectTargets, schema: FeatureSchema) -> np.nda
             raise ValueError("shortwave targets need a direct_down profile")
         parts.append(targets.direct_down)
     parts.append(targets.heat)
-    return np.concatenate(parts)
+    return np.concatenate(parts, axis=-1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,19 +211,17 @@ def fit_normalization(samples) -> Normalization:
 
 
 def targets_from_flux_effects(component: str, up, down, grid, consts: PhysConsts,
-                              alpha: Optional[float] = None, direct_down=None,
+                              alpha: float | np.ndarray | None = None, direct_down=None,
                               p_trunc: float = 5000.0) -> EffectTargets:
     """Derive window training targets (scalar flux + heating effect) from
-    full-grid up/down flux-effect profiles."""
-    up = _as_float_array(up, "up")
-    down = _as_float_array(down, "down")
-    if up.size != grid.n_hl or down.size != grid.n_hl:
+    full-grid up/down flux-effect profiles: one column's vectors with a
+    float `alpha`, or (n, n_hl) rows with an (n,) `alpha`."""
+    fields = _level_rows({"up": up, "down": down, "direct_down": direct_down}, {})
+    if fields["up"].shape[-1] != grid.n_hl:
         raise ValueError(f"flux effects must have length n_hl={grid.n_hl}")
-    heat_full = compute_heating_rates(down - up, grid, consts)
-    scalar_w = truncate_to_window(up + down, grid, p_trunc)
-    heat_w = truncate_to_window(heat_full, grid, p_trunc)
-    direct_w = None
-    if direct_down is not None:
-        direct_w = truncate_to_window(direct_down, grid, p_trunc)
-    return EffectTargets(component=component, scalar=scalar_w, heat=heat_w,
-                         direct_down=direct_w, alpha=alpha if component == SW else None)
+    heat_full = compute_heating_rates(fields["down"] - fields["up"], grid, consts)
+    direct_w = None if direct_down is None else truncate_to_window(fields["direct_down"], grid, p_trunc)
+    return EffectTargets(component=component,
+                         scalar=truncate_to_window(fields["up"] + fields["down"], grid, p_trunc),
+                         heat=truncate_to_window(heat_full, grid, p_trunc), direct_down=direct_w,
+                         alpha=alpha if component == SW else None)

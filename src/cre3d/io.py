@@ -10,7 +10,7 @@ from __future__ import annotations
 import contextlib
 import json
 import os
-from typing import Iterable, Iterator, List, Optional, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -172,47 +172,66 @@ def read_profiles(path) -> ProfileBatch:
 # ---------------------------------------------------------------------------
 # Flux records
 
-
-def flux_to_record(pid: Optional[str], flux: FluxSet) -> dict:
-    record = {
-        "id": pid,
-        "up": flux.up.tolist(),
-        "down": flux.down.tolist(),
-        "heat": flux.heat.tolist(),
-    }
-    if flux.direct_down is not None:
-        record["direct_down"] = flux.direct_down.tolist()
-    return record
+_FLUX_FIELDS = ("up", "down", "heat", "direct_down")
 
 
-def flux_from_record(record: dict, path="<memory>", index: Optional[int] = None,
-                     ) -> Tuple[Optional[str], FluxSet]:
-    for key in ("up", "down", "heat"):
-        if key not in record:
-            raise DatasetError(path, index, f"missing field {key!r}")
-    direct = record.get("direct_down")
-    try:
-        return record.get("id"), FluxSet(
-            up=np.asarray(record["up"], dtype=float), down=np.asarray(record["down"], dtype=float),
-            heat=np.asarray(record["heat"], dtype=float),
-            direct_down=None if direct is None else np.asarray(direct, dtype=float))
-    except (TypeError, ValueError) as exc:
-        raise DatasetError(path, index, str(exc)) from exc
+def write_fluxes(path, ids: Sequence[Optional[str]], flux: FluxSet) -> None:
+    """Write one record per row of `flux`, with id `ids[i]` for row i,
+    converting one row at a time."""
+    fields = [(name, getattr(flux, name)) for name in _FLUX_FIELDS if getattr(flux, name) is not None]
+    if flux.up.ndim != 2 or len(ids) != len(flux.up):
+        raise ValueError(f"{path}: need (n, levels) flux rows and one id per row, got "
+                         f"{len(ids)} ids for rows of shape {flux.up.shape}")
+    write_jsonl(path, ({"id": pid, **{name: arr[i].tolist() for name, arr in fields}}
+                       for i, pid in enumerate(ids)))
 
 
-def write_fluxes(path, records: Iterable[Tuple[Optional[str], FluxSet]]) -> None:
-    write_jsonl(path, (flux_to_record(pid, f) for pid, f in records))
+def read_fluxes(path) -> Tuple[List[Optional[str]], FluxSet]:
+    """Read a flux file as its ids and one FluxSet of (n, levels) rows.
 
+    Every record must have record 1's lengths, give `direct_down` if and
+    only if record 1 does, and carry an id (or null) that no earlier
+    record has. Errors name the file and the first bad record.
+    """
+    columns = {name: [] for name in _FLUX_FIELDS}
+    ids, seen, shapes = [], {}, None
 
-def read_fluxes(path) -> List[Tuple[Optional[str], FluxSet]]:
-    """Flux records in file order; a non-null id may appear only once."""
-    out, seen = [], {}
+    def stack() -> FluxSet:
+        try:
+            return FluxSet(**{name: np.array(rows) if rows else None for name, rows in columns.items()})
+        except RowError as exc:
+            raise DatasetError(path, exc.row + 1, exc.message) from exc
+
     with open(path) as fh:
         for index, record in enumerate(_records(path, fh), start=1):
-            pid, flux = flux_from_record(record, path, index)
-            _check_new_id(seen, pid, path, index)
-            out.append((pid, flux))
-    return out
+            try:
+                for key in ("up", "down", "heat"):
+                    if key not in record:
+                        raise ValueError(f"missing field {key!r}")
+                row = {name: np.asarray(record[name], dtype=float)
+                       for name in _FLUX_FIELDS if record.get(name) is not None}
+                shape = {name: arr.shape for name, arr in row.items()}
+                if shapes is None:
+                    if row["up"].ndim != 1:
+                        raise ValueError("up must be a list of numbers")
+                    FluxSet(**row)  # record 1 sets the shapes of the file
+                    shapes = shape
+                elif shape != shapes:
+                    raise ValueError(f"field shapes {shape} differ from record 1's {shapes}: a flux "
+                                     "file holds one grid, and direct_down in every record or in none")
+                _check_new_id(seen, record.get("id"), path, index)
+            except (TypeError, ValueError) as exc:
+                if ids:
+                    stack()  # a non-finite value in an earlier record is named first
+                if isinstance(exc, DatasetError):
+                    raise
+                raise DatasetError(path, index, str(exc)) from exc
+            for name, arr in row.items():
+                columns[name].append(arr)
+            ids.append(record.get("id"))
+    if not ids:
+        raise DatasetError(path, None, "no flux records")
+    return ids, stack()
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from .column import (
     PhysConsts,
     ProfileBatch,
     VerticalGrid,
+    _extend,
 )
 from .features import (
     FeatureSchema,
@@ -480,14 +481,11 @@ def predict_flux_effects(model_lw: MlpModel, model_sw: MlpModel,
     _check_model(model_lw, LW, grid, consts)
     _check_model(model_sw, SW, grid, consts)
     i0 = grid.window_start(consts.p_trunc)
-    zeros = np.zeros((len(profiles), i0))
     effects = {}
     for model in (model_lw, model_sw):
         x = build_input_matrix(profiles, model.schema, consts)
         window = _window_effects(model, x, profiles.alpha, profiles.mu0, grid, consts)
-        effects[model.schema.component] = {
-            key: np.hstack([np.repeat(w[:, :1], i0, axis=1) if key == "up" else zeros, w])
-            for key, w in window.items()}
+        effects[model.schema.component] = _extend(window, i0)
     return effects
 
 

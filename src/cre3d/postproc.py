@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .column import FluxSet, PhysConsts, VerticalGrid, _as_float_array
+from .column import FluxSet, PhysConsts, VerticalGrid, _frozen, _level_rows
 
 LW = "lw"
 SW = "sw"
@@ -35,38 +35,33 @@ DEGENERATE_DIVERGENCE = 1e-9  # W m^-2; below this the multiplicative rescale is
 
 @dataclass(frozen=True, eq=False)
 class EffectTargets:
-    """3D effect on scalar flux, heating rate and (shortwave) direct flux."""
+    """3D effect on scalar flux, heating rate and (shortwave) direct flux:
+    one column's vectors with a float `alpha`, or (n, levels) rows with an
+    (n,) `alpha`, checked by the rules of FluxSet."""
 
     component: str  # "lw" | "sw"
     scalar: np.ndarray  # W m^-2, half levels
     heat: np.ndarray  # K s^-1, full levels
     direct_down: Optional[np.ndarray] = None  # W m^-2, half levels (SW)
-    alpha: Optional[float] = None  # surface albedo (SW)
+    alpha: float | np.ndarray | None = None  # surface albedo (SW)
 
     def __post_init__(self) -> None:
         if self.component not in (LW, SW):
             raise ValueError(f"component must be 'lw' or 'sw', got {self.component!r}")
-        scalar = _as_float_array(self.scalar, "scalar")
-        heat = _as_float_array(self.heat, "heat")
-        if scalar.size != heat.size + 1:
-            raise ValueError("scalar must live on half levels: len(scalar) == len(heat) + 1")
-        scalar.setflags(write=False)
-        heat.setflags(write=False)
-        object.__setattr__(self, "scalar", scalar)
-        object.__setattr__(self, "heat", heat)
+        fields = _level_rows({"scalar": self.scalar, "direct_down": self.direct_down},
+                             {"heat": self.heat})
+        self.__dict__.update((name, _frozen(arr)) for name, arr in fields.items())
         if self.component == SW:
-            if self.alpha is None or not (0.0 <= self.alpha <= 1.0):
-                raise ValueError(f"shortwave targets need alpha in [0, 1], got {self.alpha!r}")
-            if self.direct_down is not None:
-                direct = _as_float_array(self.direct_down, "direct_down")
-                if direct.size != scalar.size:
-                    raise ValueError("direct_down must have the same length as scalar")
-                direct.setflags(write=False)
-                object.__setattr__(self, "direct_down", direct)
+            shape = self.scalar.shape[:-1]
+            alpha = np.asarray(np.nan if self.alpha is None else self.alpha, dtype=float)
+            if alpha.shape != shape or not np.all((alpha >= 0.0) & (alpha <= 1.0)):
+                raise ValueError(f"shortwave targets need alpha in [0, 1] of shape {shape}, "
+                                 f"got {self.alpha!r}")
+            self.__dict__["alpha"] = float(alpha) if not shape else _frozen(alpha)
 
     @property
     def n_hl(self) -> int:
-        return self.scalar.size
+        return self.scalar.shape[-1]
 
 
 def postprocess(targets: EffectTargets, grid: VerticalGrid, consts: PhysConsts) -> FluxSet:
@@ -126,13 +121,15 @@ def postprocess_batch(component: str, scalar: np.ndarray, heat: np.ndarray,
     capped = (c != c_raw) & ~degenerate
     if np.any(capped):
         target = c * d_heat
-        zero_ds = capped & (d_scalar == 0.0)
+        zero_ds = capped & (np.abs(d_scalar) < DEGENERATE_DIVERGENCE)
         mult = capped & ~zero_ds
         if np.any(mult):
             factor = np.ones(n)
             factor[mult] = target[mult] / d_scalar[mult]
             scalar_r[mult] *= factor[mult, None]
-        if np.any(zero_ds):  # D_s has unit weight on the TOA value in both bands
+        # A D_s this small is a rounding residue of zero, not a scale: shift the
+        # TOA value instead (D_s has unit weight on it in both bands).
+        if np.any(zero_ds):
             scalar_r[zero_ds, 0] += target[zero_ds]
     if np.any(degenerate):  # c is ill-posed: spread the divergence gap evenly
         inc = (d_scalar - d_heat) / m

@@ -45,8 +45,8 @@ class TestSynth:
     def test_truth_ids_match_profiles(self, tmp_path, capsys):
         paths = synth(tmp_path, capsys)
         ids = [p.pid for p in io.read_profiles(paths["profiles"])]
-        assert [pid for pid, _ in io.read_fluxes(paths["truth_lw"])] == ids
-        assert [pid for pid, _ in io.read_fluxes(paths["truth_sw"])] == ids
+        assert io.read_fluxes(paths["truth_lw"])[0] == ids
+        assert io.read_fluxes(paths["truth_sw"])[0] == ids
 
 
 class TestAugment:
@@ -67,26 +67,27 @@ class TestCorrect:
     def test_zero_effect_reproduces_baseline(self, tmp_path, capsys):
         paths = synth(tmp_path, capsys)
         profiles = io.read_profiles(paths["profiles"])
-        m = profiles[0].grid.n_hl
+        n, m = len(profiles), profiles.grid.n_hl
         rng = np.random.default_rng(0)
         baseline = tmp_path / "baseline.jsonl"
-        io.write_fluxes(baseline, [
-            (p.pid, FluxSet(up=rng.uniform(0, 300, m), down=rng.uniform(0, 300, m),
-                            heat=rng.normal(scale=1e-5, size=m - 1)))
-            for p in profiles])
+        io.write_fluxes(baseline, profiles.ids[::-1], FluxSet(
+            up=rng.uniform(0, 300, (n, m)), down=rng.uniform(0, 300, (n, m)),
+            heat=rng.normal(scale=1e-5, size=(n, m - 1))))
         zeros = tmp_path / "zeros.jsonl"
-        io.write_fluxes(zeros, [
-            (p.pid, FluxSet(up=np.zeros(m), down=np.zeros(m), heat=np.zeros(m - 1)))
-            for p in profiles])
+        io.write_fluxes(zeros, profiles.ids, FluxSet(
+            up=np.zeros((n, m)), down=np.zeros((n, m)), heat=np.zeros((n, m - 1))))
         out = tmp_path / "corrected.jsonl"
         code, _, err = run(["correct", "--profiles", paths["profiles"],
                             "--baseline", baseline, "--effects", zeros,
                             "--out", out], capsys)
         assert code == 0, err
-        base = dict(io.read_fluxes(baseline))
-        for pid, flux in io.read_fluxes(out):
-            np.testing.assert_array_equal(flux.up, base[pid].up)
-            np.testing.assert_array_equal(flux.down, base[pid].down)
+        base_ids, base = io.read_fluxes(baseline)
+        base_row = {pid: row for row, pid in enumerate(base_ids)}
+        out_ids, corrected = io.read_fluxes(out)
+        assert out_ids == list(profiles.ids)
+        for row, pid in enumerate(out_ids):
+            np.testing.assert_array_equal(corrected.up[row], base.up[base_row[pid]])
+            np.testing.assert_array_equal(corrected.down[row], base.down[base_row[pid]])
 
     def test_missing_record_fails_cleanly(self, tmp_path, capsys):
         paths = synth(tmp_path, capsys)
@@ -98,6 +99,38 @@ class TestCorrect:
         assert code == 1
         assert err.count("\n") == 1
         assert err.startswith("error: DatasetError:")
+
+
+def null_ids(path):
+    """Rewrite a JSON-Lines file with every id set to null."""
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    path.write_text("".join(json.dumps({**r, "id": None}) + "\n" for r in records))
+
+
+class TestNullIds:
+    """Records are matched by id, so a null id matches nothing: every null-id
+    profile would otherwise get the file's last null-id record."""
+
+    @pytest.mark.parametrize("command", ["correct", "train", "eval"])
+    def test_null_id_rejected_naming_the_record(self, tmp_path, capsys, command):
+        paths = synth(tmp_path, capsys)
+        for key in paths:
+            null_ids(paths[key])
+        out = tmp_path / "out.json"
+        argv = {
+            "correct": ["correct", "--profiles", paths["profiles"], "--baseline", paths["truth_lw"],
+                        "--effects", paths["truth_lw"], "--out", out],
+            "train": ["train", "--profiles", paths["profiles"], "--truth", paths["truth_lw"],
+                      "--component", "lw", "--hidden-width", 4, "--max-epochs", 2,
+                      "--patience", 1, "--out", out],
+            "eval": ["eval", "--truth", paths["truth_lw"], "--pred", paths["truth_sw"],
+                     "--out", out],
+        }[command]
+        code, _, err = run(argv, capsys)
+        named = paths["truth_lw"] if command == "eval" else paths["profiles"]
+        assert code == 1
+        assert err.startswith(f"error: DatasetError: {named}:record 1: id is null")
+        assert not out.exists()
 
 
 class TestErrorReporting:
@@ -166,20 +199,22 @@ class TestEndToEnd:
 
     def test_predictions_cover_all_profiles(self, pipeline):
         profiles = io.read_profiles(pipeline / "profiles.jsonl")
-        preds = io.read_fluxes(pipeline / "pred_sw.jsonl")
-        assert [pid for pid, _ in preds] == [p.pid for p in profiles]
-        for (_, flux), p in zip(preds, profiles):
-            assert flux.up.size == p.grid.n_hl
-            assert flux.direct_down is not None
+        ids, preds = io.read_fluxes(pipeline / "pred_sw.jsonl")
+        assert ids == [p.pid for p in profiles]
+        assert len(preds.up) == len(profiles)
+        for up, p in zip(preds.up, profiles):
+            assert up.size == p.grid.n_hl
+        assert preds.direct_down is not None
 
     def test_night_predictions_have_zero_sw(self, pipeline):
         profiles = io.read_profiles(pipeline / "profiles.jsonl")
-        preds = dict(io.read_fluxes(pipeline / "pred_sw.jsonl"))
+        ids, preds = io.read_fluxes(pipeline / "pred_sw.jsonl")
+        row = {pid: i for i, pid in enumerate(ids)}
         night = [p for p in profiles if p.mu0 <= 0]
         assert night, "the synthetic set should include some night profiles"
         for p in night:
-            assert np.all(preds[p.pid].up == 0.0)
-            assert np.all(preds[p.pid].heat == 0.0)
+            assert np.all(preds.up[row[p.pid]] == 0.0)
+            assert np.all(preds.heat[row[p.pid]] == 0.0)
 
     def test_predict_bytes_match_per_row_writer(self, pipeline):
         profiles = list(io.read_profiles(pipeline / "profiles.jsonl"))
@@ -190,9 +225,11 @@ class TestEndToEnd:
             e = effects[comp]
             text = ""
             for i, p in enumerate(profiles):
-                flux = FluxSet(up=e["up"][i], down=e["down"][i], heat=e["heat"][i],
-                               direct_down=e["direct_down"][i] if "direct_down" in e else None)
-                text += json.dumps(io.flux_to_record(p.pid, flux)) + "\n"
+                record = {"id": p.pid, "up": e["up"][i].tolist(), "down": e["down"][i].tolist(),
+                          "heat": e["heat"][i].tolist()}
+                if comp == "sw":
+                    record["direct_down"] = e["direct_down"][i].tolist()
+                text += json.dumps(record) + "\n"
             assert (pipeline / f"pred_{comp}.jsonl").read_bytes() == text.encode()
 
     def test_predict_rejects_non_finite_effects(self, pipeline, capsys, monkeypatch):

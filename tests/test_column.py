@@ -281,6 +281,95 @@ class TestFluxSet:
         np.testing.assert_array_equal(w.f_c, p.f_c[small_grid.window_start():])
 
 
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+class TestFluxRows:
+    """The flux helpers take (n, levels) rows and give, bit for bit, the
+    stacked results of per-column calls."""
+
+    N = 7
+
+    def test_heating_rates(self, small_grid, consts):
+        net = np.random.default_rng(30).uniform(-400.0, 400.0, (self.N, small_grid.n_hl))
+        stacked = [compute_heating_rates(row, small_grid, consts) for row in net]
+        assert same_bits(compute_heating_rates(net, small_grid, consts), stacked)
+
+    def test_truncate_to_window(self, small_grid):
+        rng = np.random.default_rng(31)
+        for n in (small_grid.n_fl, small_grid.n_hl):
+            x = rng.normal(size=(self.N, n))
+            assert same_bits(truncate_to_window(x, small_grid),
+                             [truncate_to_window(row, small_grid) for row in x])
+
+    @pytest.mark.parametrize("component", ["lw", "sw"])
+    def test_extend_to_full(self, small_grid, component):
+        rng = np.random.default_rng(32)
+        m = small_grid.n_hl_window()
+        up, down = rng.normal(size=(self.N, m)), rng.normal(size=(self.N, m))
+        heat = rng.normal(size=(self.N, m - 1))
+        direct = rng.normal(size=(self.N, m)) if component == "sw" else None
+        rows = extend_to_full(up, down, direct, heat, small_grid)
+        columns = [extend_to_full(up[i], down[i], None if direct is None else direct[i],
+                                  heat[i], small_grid) for i in range(self.N)]
+        for name in ("up", "down", "heat") + (("direct_down",) if direct is not None else ()):
+            assert same_bits(getattr(rows, name), [getattr(c, name) for c in columns])
+        assert (rows.direct_down is None) == (direct is None)
+
+    def test_components_and_correction(self, small_grid, consts):
+        rng = np.random.default_rng(33)
+        shape = (self.N, small_grid.n_hl)
+        base = flux_set_from_components(rng.uniform(0, 400, shape), rng.uniform(0, 400, shape),
+                                        small_grid, consts, direct_down=rng.uniform(0, 400, shape))
+        effect = flux_set_from_components(rng.normal(size=shape), rng.normal(size=shape),
+                                          small_grid, consts)
+        rows = apply_correction(base, effect, small_grid, consts)
+        for i in range(self.N):
+            b = flux_set_from_components(base.up[i], base.down[i], small_grid, consts,
+                                         direct_down=base.direct_down[i])
+            e = FluxSet(up=effect.up[i], down=effect.down[i], heat=effect.heat[i])
+            assert same_bits(b.heat, base.heat[i])
+            column = apply_correction(b, e, small_grid, consts)
+            for name in ("up", "down", "heat", "direct_down"):
+                assert same_bits(getattr(rows, name)[i], getattr(column, name))
+
+    def test_correction_needs_equal_row_counts(self, small_grid, consts):
+        three = FluxSet(up=np.zeros((3, small_grid.n_hl)), down=np.zeros((3, small_grid.n_hl)),
+                        heat=np.zeros((3, small_grid.n_fl)))
+        two = FluxSet(up=np.zeros((2, small_grid.n_hl)), down=np.zeros((2, small_grid.n_hl)),
+                      heat=np.zeros((2, small_grid.n_fl)))
+        with pytest.raises(ValueError, match="grid or rows"):
+            apply_correction(three, two, small_grid, consts)
+
+    @pytest.mark.parametrize("field, shape", [("down", (3, 4)), ("heat", (3, 5)), ("heat", (2, 4)),
+                                              ("direct_down", (5,)), ("heat", (4,))])
+    def test_rows_checked_by_the_column_rules(self, field, shape):
+        fields = {"up": np.zeros((3, 5)), "down": np.zeros((3, 5)), "heat": np.zeros((3, 4)),
+                  "direct_down": np.zeros((3, 5))}
+        fields[field] = np.zeros(shape)
+        with pytest.raises(ValueError, match=f"{field} must have shape"):
+            FluxSet(**fields)
+
+    def test_first_row_with_a_non_finite_value_named(self):
+        fields = {"up": np.zeros((4, 5)), "down": np.zeros((4, 5)), "heat": np.zeros((4, 4))}
+        fields["heat"][3, 0] = np.nan
+        fields["down"][2, 4] = np.inf
+        with pytest.raises(RowError, match="row 2: down contains a non-finite value at level 4") as info:
+            FluxSet(**fields)
+        assert info.value.row == 2
+
+    def test_more_than_two_dimensions_rejected(self):
+        with pytest.raises(ValueError, match="up must be a 1-D array or"):
+            FluxSet(up=np.zeros((2, 2, 3)), down=np.zeros((2, 2, 3)), heat=np.zeros((2, 2, 2)))
+
+    def test_rows_are_read_only(self):
+        flux = FluxSet(up=np.zeros((2, 3)), down=np.zeros((2, 3)), heat=np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="read-only"):
+            flux.up[0, 0] = 1.0
+
+
 class TestProfileBatch:
     FIELDS = ("T", "f_c", "q_l", "q_i", "r_l", "r_i", "q")
 

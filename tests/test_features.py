@@ -153,6 +153,35 @@ class TestTargetVectors:
         assert t.heat.size == small_grid.n_fl_window()
 
 
+class TestTargetRows:
+    """Targets and target vectors of (n, n_hl) flux rows are, bit for bit,
+    the stacked per-column ones."""
+
+    @pytest.mark.parametrize("component", ["lw", "sw"])
+    def test_rows_equal_stacked_columns(self, small_grid, consts, component):
+        rng = np.random.default_rng(40)
+        n, m = 6, small_grid.n_hl
+        up, down = rng.normal(size=(n, m)), rng.normal(size=(n, m))
+        direct = rng.normal(size=(n, m)) if component == "sw" else None
+        alpha = rng.uniform(0.0, 1.0, n)
+        schema = schema_for_grid(component, small_grid)
+        rows = targets_from_flux_effects(component, up, down, small_grid, consts,
+                                         alpha=alpha, direct_down=direct)
+        y = build_target_vector(rows, schema)
+        assert y.shape == (n, schema.output_len)
+        for i in range(n):
+            column = targets_from_flux_effects(
+                component, up[i], down[i], small_grid, consts, alpha=float(alpha[i]),
+                direct_down=None if direct is None else direct[i])
+            for name in ("scalar", "heat") + (("direct_down",) if direct is not None else ()):
+                assert np.array_equal(getattr(rows, name)[i].view(np.int64),
+                                      getattr(column, name).view(np.int64))
+            assert np.array_equal(y[i].view(np.int64),
+                                  build_target_vector(column, schema).view(np.int64))
+        if component == "sw":
+            np.testing.assert_array_equal(rows.alpha, alpha)
+
+
 class TestNormalization:
     def test_two_sample_hand_values(self):
         norm = fit_normalization(np.array([[0.0, 10.0], [2.0, 10.0]]))

@@ -212,23 +212,34 @@ class TestProfiles:
 
 
 class TestFluxes:
+    @staticmethod
+    def _write(path, records):
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+
+    @staticmethod
+    def _record(pid, n_hl=4, direct=False):
+        record = {"id": pid, "up": [1.0] * n_hl, "down": [2.0] * n_hl, "heat": [0.5] * (n_hl - 1)}
+        if direct:
+            record["direct_down"] = [3.0] * n_hl
+        return record
+
     def test_round_trip(self, tmp_path, small_grid):
         m = small_grid.n_hl
         rng = np.random.default_rng(0)
-        flux = FluxSet(up=rng.normal(size=m), down=rng.normal(size=m),
-                       heat=rng.normal(size=m - 1), direct_down=rng.normal(size=m))
+        flux = FluxSet(up=rng.normal(size=(3, m)), down=rng.normal(size=(3, m)),
+                       heat=rng.normal(size=(3, m - 1)), direct_down=rng.normal(size=(3, m)))
         path = tmp_path / "flux.jsonl"
-        write_fluxes(path, [("p1", flux)])
-        pid, back = read_fluxes(path)[0]
-        assert pid == "p1"
+        write_fluxes(path, ["p1", "p2", None], flux)
+        ids, back = read_fluxes(path)
+        assert ids == ["p1", "p2", None]
         np.testing.assert_array_equal(back.up, flux.up)
         np.testing.assert_array_equal(back.direct_down, flux.direct_down)
 
     def test_direct_down_optional(self, tmp_path):
-        flux = FluxSet(up=np.zeros(3), down=np.zeros(3), heat=np.zeros(2))
+        flux = FluxSet(up=np.zeros((1, 3)), down=np.zeros((1, 3)), heat=np.zeros((1, 2)))
         path = tmp_path / "flux.jsonl"
-        write_fluxes(path, [(None, flux)])
-        _, back = read_fluxes(path)[0]
+        write_fluxes(path, [None], flux)
+        _, back = read_fluxes(path)
         assert back.direct_down is None
 
     def test_missing_heat_reported(self, tmp_path):
@@ -238,11 +249,84 @@ class TestFluxes:
             read_fluxes(path)
 
     def test_duplicate_id_rejected(self, tmp_path):
-        flux = FluxSet(up=np.zeros(3), down=np.zeros(3), heat=np.zeros(2))
+        flux = FluxSet(up=np.zeros((5, 3)), down=np.zeros((5, 3)), heat=np.zeros((5, 2)))
         path = tmp_path / "flux.jsonl"
-        write_fluxes(path, [("a", flux), ("b", flux), (None, flux), (None, flux), ("a", flux)])
+        write_fluxes(path, ["a", "b", None, None, "a"], flux)
         with pytest.raises(DatasetError, match=r"flux.jsonl:record 5: duplicate id 'a' \(first in record 1\)"):
             read_fluxes(path)
+
+    def test_rows_are_written_one_record_each(self, tmp_path):
+        flux = FluxSet(up=[[1.0, 2.0], [3.0, 4.0]], down=[[0.5, 0.25], [0.0, -1.0]],
+                       heat=[[1e-5], [-2e-5]])
+        path = tmp_path / "flux.jsonl"
+        write_fluxes(path, ["a", 7], flux)
+        assert read_jsonl(path) == [
+            {"id": "a", "up": [1.0, 2.0], "down": [0.5, 0.25], "heat": [1e-5]},
+            {"id": 7, "up": [3.0, 4.0], "down": [0.0, -1.0], "heat": [-2e-5]}]
+
+    @pytest.mark.parametrize("field", ["up", "down", "heat", "direct_down"])
+    def test_record_with_other_lengths_rejected(self, tmp_path, field):
+        records = [self._record(f"p{i}", direct=True) for i in range(3)]
+        records[2][field].append(0.0)
+        path = tmp_path / "flux.jsonl"
+        self._write(path, records)
+        with pytest.raises(DatasetError, match=rf"flux.jsonl:record 3: field shapes .*'{field}': \(\d,\)"):
+            read_fluxes(path)
+
+    @pytest.mark.parametrize("first_has_direct", [True, False])
+    def test_direct_down_in_every_record_or_none(self, tmp_path, first_has_direct):
+        records = [self._record(f"p{i}", direct=first_has_direct) for i in range(3)]
+        records[1] = self._record("p1", direct=not first_has_direct)
+        path = tmp_path / "flux.jsonl"
+        self._write(path, records)
+        with pytest.raises(DatasetError, match="flux.jsonl:record 2: .*direct_down in every record or in none"):
+            read_fluxes(path)
+
+    def test_record_one_checked_on_its_own(self, tmp_path):
+        records = [self._record("p0"), self._record("p1")]
+        records[0]["heat"].append(0.0)
+        path = tmp_path / "flux.jsonl"
+        self._write(path, records)
+        with pytest.raises(DatasetError, match="flux.jsonl:record 1: heat must have shape"):
+            read_fluxes(path)
+
+    @pytest.mark.parametrize("field", ["up", "heat", "direct_down"])
+    def test_non_finite_value_names_record_and_level(self, tmp_path, field):
+        records = [self._record(f"p{i}", direct=True) for i in range(4)]
+        records[2][field][1] = float("nan")
+        path = tmp_path / "flux.jsonl"
+        self._write(path, records)
+        with pytest.raises(DatasetError, match=f"flux.jsonl:record 3: {field} contains a non-finite value at level 1"):
+            read_fluxes(path)
+
+    def test_first_bad_record_named(self, tmp_path):
+        # record 2 holds an infinity, record 3 breaks the shape rule
+        records = [self._record(f"p{i}") for i in range(3)]
+        records[1]["down"][0] = float("inf")
+        records[2]["up"].append(0.0)
+        path = tmp_path / "flux.jsonl"
+        self._write(path, records)
+        with pytest.raises(DatasetError, match="flux.jsonl:record 2: down contains a non-finite value at level 0"):
+            read_fluxes(path)
+
+    def test_empty_file_rejected(self, tmp_path):
+        path = tmp_path / "flux.jsonl"
+        path.write_text("\n")
+        with pytest.raises(DatasetError, match="flux.jsonl: no flux records"):
+            read_fluxes(path)
+
+    @pytest.mark.parametrize("ids", [["a"], ["a", "b", "c"]])
+    def test_write_needs_one_id_per_row(self, tmp_path, ids):
+        flux = FluxSet(up=np.zeros((2, 3)), down=np.zeros((2, 3)), heat=np.zeros((2, 2)))
+        path = tmp_path / "flux.jsonl"
+        with pytest.raises(ValueError, match=f"flux.jsonl: need .* one id per row, got {len(ids)} ids"):
+            write_fluxes(path, ids, flux)
+        assert not path.exists()
+
+    def test_write_needs_rows(self, tmp_path):
+        flux = FluxSet(up=np.zeros(3), down=np.zeros(3), heat=np.zeros(2))
+        with pytest.raises(ValueError, match="rows"):
+            write_fluxes(tmp_path / "flux.jsonl", ["a"], flux)
 
 
 class TestModelFiles:

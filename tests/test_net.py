@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cre3d.augment import generate_profiles, toy_truth
-from cre3d.column import ProfileBatch, VerticalGrid
+from cre3d.column import ProfileBatch, VerticalGrid, extend_to_full
 from cre3d.features import (
     build_input_matrix,
     build_target_vector,
@@ -528,6 +528,23 @@ class TestPredictEffects:
             assert np.all(e["heat"][:, :i0] == 0.0)
             assert np.all(e["up"][:, :i0] == e["up"][:, i0:i0 + 1])
         assert np.all(effects["sw"]["direct_down"][:, :i0] == 0.0)
+
+    def test_effects_are_writable_window_extensions(self, small_grid, consts):
+        # The same extension as extend_to_full, bit for bit, in writable
+        # matrices; the longwave has no direct_down.
+        lw, sw = self._models(small_grid, consts)
+        profiles = generate_profiles(4, small_grid, seed=3)
+        i0 = small_grid.window_start(consts.p_trunc)
+        effects = predict_flux_effects(lw, sw, profiles, consts)
+        assert set(effects["lw"]) == {"up", "down", "heat"}
+        assert set(effects["sw"]) == {"up", "down", "heat", "direct_down"}
+        for e in effects.values():
+            direct = e["direct_down"][:, i0:] if "direct_down" in e else None
+            full = extend_to_full(e["up"][:, i0:], e["down"][:, i0:], direct, e["heat"][:, i0:],
+                                  small_grid, consts.p_trunc)
+            for name, m in e.items():
+                assert m.flags.writeable
+                assert np.array_equal(m.view(np.int64), getattr(full, name).view(np.int64))
 
     def test_batch_composition_independence(self, small_grid, consts):
         lw, sw = self._models(small_grid, consts)

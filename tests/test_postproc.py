@@ -470,6 +470,45 @@ class TestEffectTargets:
         with pytest.raises(ValueError, match="half levels"):
             EffectTargets(component="lw", scalar=np.zeros(5), heat=np.zeros(5))
 
+    def test_sw_rows_take_one_alpha_per_row(self):
+        t = EffectTargets(component="sw", scalar=np.zeros((3, 5)), heat=np.zeros((3, 4)),
+                          direct_down=np.zeros((3, 5)), alpha=[0.0, 0.5, 1.0])
+        np.testing.assert_array_equal(t.alpha, [0.0, 0.5, 1.0])
+        assert t.n_hl == 5
+
+    @pytest.mark.parametrize("alpha", [0.3, [0.3, 0.3], [[0.3, 0.3, 0.3]], [0.3, 1.5, 0.3],
+                                       [0.3, -0.1, 0.3], [0.3, np.nan, 0.3], None])
+    def test_sw_rows_reject_bad_alpha(self, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            EffectTargets(component="sw", scalar=np.zeros((3, 5)), heat=np.zeros((3, 4)),
+                          alpha=alpha)
+
+    def test_rows_checked_like_a_column(self):
+        with pytest.raises(ValueError, match="half levels"):
+            EffectTargets(component="lw", scalar=np.zeros((3, 5)), heat=np.zeros((2, 4)))
+        with pytest.raises(ValueError, match="direct_down must have shape"):
+            EffectTargets(component="sw", scalar=np.zeros((3, 5)), heat=np.zeros((3, 4)),
+                          direct_down=np.zeros(5), alpha=[0.3] * 3)
+
+
+class TestNearZeroScalarDivergence:
+    def test_rounding_residue_of_zero_is_no_scale(self):
+        # D_s is exactly 0 in every row; scaled by 3.0 it becomes a rounding
+        # residue of order 1e-16, which must take the zero-D_s branch, not
+        # divide by the residue. Degree-1 equivariance then holds to rounding.
+        rng = np.random.default_rng(50)
+        n = 200
+        alpha = rng.uniform(0.0, 1.0, n)
+        scalar = rng.uniform(-10.0, 10.0, (n, PGRID.n_hl))
+        scalar[:, 0] = -(scalar[:, -1] * (1.0 - alpha) / (1.0 + alpha))
+        heat = -(CONSTS.g / CONSTS.c_p) * rng.uniform(-10.0, 10.0, (n, PGRID.n_fl)) / PGRID.dp
+        one = postprocess_batch("sw", scalar, heat, PGRID, CONSTS, alpha=alpha)
+        three = postprocess_batch("sw", 3.0 * scalar, 3.0 * heat, PGRID, CONSTS, alpha=alpha)
+        flux_scale = max(np.abs(one[0]).max(), np.abs(one[1]).max())
+        for a, b in zip(one[:2], three[:2]):
+            np.testing.assert_allclose(b, 3.0 * a, rtol=0.0, atol=1e-12 * flux_scale)
+        np.testing.assert_allclose(three[2], 3.0 * one[2], rtol=1e-13)
+
 
 # ---------------------------------------------------------------------------
 # Invariants of the one reconstruction path, on random batches.
