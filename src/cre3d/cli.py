@@ -29,12 +29,16 @@ def _split_indices(n: int, seed: int):
     return order[:n_train], order[n_train:n_train + n_val], order[n_train + n_val:]
 
 
-def _fluxes_for(path, ids, ids_path, what: str = "record"):
+def _fluxes_for(path, ids, ids_path, n_hl: int, what: str = "record"):
     """One FluxSet of the rows of flux file `path` for `ids` (read from
-    `ids_path`), in that order; every id must be non-null and have a record."""
+    `ids_path`, whose grid has `n_hl` half levels), in that order; the file
+    must be on that grid, and every id must be non-null and have a record."""
     from . import column, io
 
     file_ids, flux = io.read_fluxes(path)
+    if flux.up.shape[-1] != n_hl:
+        raise io.DatasetError(path, None, f"records have {flux.up.shape[-1]} half levels, "
+                                          f"but the grid of {ids_path} has {n_hl}")
     row_of = {pid: row for row, pid in enumerate(file_ids)}
     for index, pid in enumerate(ids, start=1):
         if pid is None:
@@ -50,7 +54,8 @@ def _load_matched(profiles_path: str, truth_path: str):
     from . import io
 
     profiles = io.read_profiles(profiles_path)
-    return profiles, _fluxes_for(truth_path, profiles.ids, profiles_path, "truth record")
+    return profiles, _fluxes_for(truth_path, profiles.ids, profiles_path, profiles.grid.n_hl,
+                                 "truth record")
 
 
 def _build_xy(profiles, fluxes, component, consts,
@@ -219,8 +224,8 @@ def cmd_correct(args) -> int:
 
     profiles = io.read_profiles(args.profiles)
     consts = column.PhysConsts()
-    baseline = _fluxes_for(args.baseline, profiles.ids, args.profiles)
-    effects = _fluxes_for(args.effects, profiles.ids, args.profiles)
+    baseline = _fluxes_for(args.baseline, profiles.ids, args.profiles, profiles.grid.n_hl)
+    effects = _fluxes_for(args.effects, profiles.ids, args.profiles, profiles.grid.n_hl)
     io.write_fluxes(args.out, profiles.ids,
                     column.apply_correction(baseline, effects, profiles.grid, consts))
     print(f"wrote {len(profiles)} corrected records to {args.out}")
@@ -232,7 +237,7 @@ def cmd_eval(args) -> int:
     from .column import SECONDS_PER_DAY
 
     ids, truth = io.read_fluxes(args.truth)
-    pred = _fluxes_for(args.pred, ids, args.truth, "prediction")
+    pred = _fluxes_for(args.pred, ids, args.truth, truth.up.shape[-1], "prediction")
     report = {"note": "bulk statistics pool all levels of the full extended profiles",
               "n_profiles": len(ids), "fluxes": {}, "heating": {}}
     for name in ("up", "down", "direct_down"):
@@ -265,8 +270,7 @@ def cmd_bench(args) -> int:
 
     import numpy as np
 
-    x_lw = features.build_input_matrix(profiles, model_lw.schema, consts)
-    x_sw = features.build_input_matrix(profiles, model_sw.schema, consts)
+    x_lw, x_sw = features.build_input_matrices(profiles, (model_lw.schema, model_sw.schema), consts)
     runner = net.make_staged_runner(model_lw, model_sw, profiles.grid, consts)
 
     def replicate(batch, k):

@@ -147,15 +147,24 @@ def build_input_vector(profile: AtmosphericProfile, tau_c, schema: FeatureSchema
     return vec
 
 
+def build_input_matrices(profiles: Union[ProfileBatch, Sequence[AtmosphericProfile]],
+                         schemas: Sequence[FeatureSchema], consts: PhysConsts):
+    """Yield the input rows of full-grid profiles on one grid for each
+    schema in turn, from one window truncation and one cloud optical depth."""
+    window = truncate_profile(ProfileBatch.from_profiles(profiles), consts.p_trunc)
+    tau = compute_cloud_optical_depth(window, consts)
+    for schema in schemas:
+        n = schema.n_fl_window
+        if window.grid.n_fl != n:
+            raise ValueError(f"profiles have {window.grid.n_fl} window levels, schema expects {n}")
+        yield _assemble(window, tau, schema)
+
+
 def build_input_matrix(profiles: Union[ProfileBatch, Sequence[AtmosphericProfile]],
                        schema: FeatureSchema, consts: PhysConsts) -> np.ndarray:
     """Input rows for full-grid profiles on one grid, truncated to the
     window and assembled for the whole batch at once."""
-    window = truncate_profile(ProfileBatch.from_profiles(profiles), consts.p_trunc)
-    n = schema.n_fl_window
-    if window.grid.n_fl != n:
-        raise ValueError(f"profiles have {window.grid.n_fl} window levels, schema expects {n}")
-    return _assemble(window, compute_cloud_optical_depth(window, consts), schema)
+    return next(build_input_matrices(profiles, [schema], consts))
 
 
 def build_target_vector(targets: EffectTargets, schema: FeatureSchema) -> np.ndarray:

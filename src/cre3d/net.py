@@ -1,7 +1,8 @@
 """Framework-free multilayer perceptron for the two emulators.
 
-Batched forward pass with ELU hidden activations and a linear output,
-reverse-mode gradients for MSE + L1/L2 weight regularization, Adam,
+Batched forward pass with ELU hidden activations and a linear output
+(feature-major over blocks of ROW_CHUNK rows at inference, sample-major in
+training), reverse-mode gradients for MSE + L1/L2 weight regularization, Adam,
 early-stopped training, a hyperparameter grid search, and the inference
 pipeline that turns profiles into extended 3D-effect targets.
 """
@@ -26,13 +27,15 @@ from .column import (
 from .features import (
     FeatureSchema,
     Normalization,
-    build_input_matrix,
+    build_input_matrices,
+    build_input_matrix,  # noqa: F401  (net.build_input_matrix is a name perfbench's tracer wraps)
 )
 from .postproc import LW, SW, postprocess_batch
 
 REFERENCE_HIDDEN_LAYERS = 3
 REFERENCE_HIDDEN_WIDTH = {LW: 217, SW: 182}
 ELU_BLOCK = 32768  # elements per ELU pass; its scratch stays in cache
+ROW_CHUNK = 1024  # samples per feature-major block of the inference forward pass
 
 
 @dataclass(eq=False)
@@ -150,36 +153,50 @@ def reference_model(schema: FeatureSchema, seed: int) -> MlpModel:
     return init_model(sizes, seed, schema=schema)
 
 
-def _forward(model: MlpModel, x: np.ndarray, keep: bool = False):
-    """Dense layers, each writing into a buffer of this call: equal-width hidden
-    layers alternate between two. With `keep` (training) no buffer is reused,
-    and each hidden layer's ELU slope and each layer's input are returned too."""
-    h, spare, slopes, inputs = x, None, [], [x]
+def _forward(model: MlpModel, x: np.ndarray):
+    """Training forward pass, sample-major (`h @ w.T + b` per layer): the
+    output, each hidden layer's ELU slope and each layer's input."""
+    h, slopes, inputs = x, [], [x]
     for k, (w, b) in enumerate(zip(model.weights, model.biases)):
-        shape = (h.shape[0], w.shape[0])
-        z = spare if spare is not None and spare.shape == shape else np.empty(shape)
-        np.matmul(h, w.T, out=z)
+        z = h @ w.T
         z += b
         if k == len(model.weights) - 1:
-            return (z, slopes, inputs) if keep else z
-        if keep:
-            slopes.append(elu_grad(z))
-        elif k > 0:
-            spare = h  # free now, and ours: only layer 0 reads the caller's x
+            return z, slopes, inputs
+        slopes.append(elu_grad(z))
         h = elu(z, out=z)
         inputs.append(h)
 
 
 def forward(model: MlpModel, batch) -> np.ndarray:
-    """Deterministic, row-independent batched forward pass."""
-    x = np.asarray(batch, dtype=float)
+    """Deterministic, row-independent batched forward pass.
+
+    Feature-major over blocks of ROW_CHUNK rows: for h = x[s:s+c].T, each
+    layer is `w @ h` into a (width, c) buffer of this call, then `+= b[:, None]`
+    and ELU in place. Each block's output is copied back, transposed, into
+    one C-contiguous (n, out) matrix. A batch in another layout is read
+    through a C-ordered copy, so its bits do not depend on the layout.
+    """
+    x = np.asarray(batch, dtype=float, order="C")
     if x.ndim != 2:
         raise ValueError("batch must be a 2-D matrix (rows are samples)")
     if x.shape[1] != model.input_len:
         raise ValueError(f"batch width {x.shape[1]} != model input width {model.input_len}")
     if not np.all(np.isfinite(x)):
         raise ValueError("batch contains non-finite values")
-    return _forward(model, x)
+    n = x.shape[0]
+    out = np.empty((n, model.output_len))
+    store = [np.empty(w.shape[0] * min(ROW_CHUNK, n)) for w in model.weights]
+    last = len(model.weights) - 1
+    for s in range(0, n, ROW_CHUNK):
+        h = x[s:s + ROW_CHUNK].T
+        for k, (w, b) in enumerate(zip(model.weights, model.biases)):
+            # the first width * c elements, so a short last block stays C-contiguous
+            z = store[k][:w.shape[0] * h.shape[1]].reshape(w.shape[0], h.shape[1])
+            np.matmul(w, h, out=z)
+            z += b[:, None]
+            h = z if k == last else elu(z, out=z)
+        out[s:s + ROW_CHUNK] = h.T
+    return out
 
 
 def mse(prediction: np.ndarray, target: np.ndarray) -> float:
@@ -196,7 +213,7 @@ def loss_and_gradients(model: MlpModel, batch_x, batch_y, l1: float, l2: float):
     if y.shape != (x.shape[0], model.output_len):
         raise ValueError("target shape does not match (batch, output_len)")
 
-    pred, slopes, inputs = _forward(model, x, keep=True)
+    pred, slopes, inputs = _forward(model, x)
     err = pred - y
     loss = float(np.mean(err ** 2))
     for w in model.weights:
@@ -482,8 +499,8 @@ def predict_flux_effects(model_lw: MlpModel, model_sw: MlpModel,
     _check_model(model_sw, SW, grid, consts)
     i0 = grid.window_start(consts.p_trunc)
     effects = {}
-    for model in (model_lw, model_sw):
-        x = build_input_matrix(profiles, model.schema, consts)
+    models = (model_lw, model_sw)
+    for model, x in zip(models, build_input_matrices(profiles, [m.schema for m in models], consts)):
         window = _window_effects(model, x, profiles.alpha, profiles.mu0, grid, consts)
         effects[model.schema.component] = _extend(window, i0)
     return effects

@@ -133,6 +133,32 @@ class TestNullIds:
         assert not out.exists()
 
 
+class TestGridMismatch:
+    """A flux file on another grid than the records it is matched to is
+    rejected, naming the flux file."""
+
+    @pytest.mark.parametrize("command", ["correct", "train", "eval"])
+    def test_other_grid_rejected_naming_the_file(self, tmp_path, capsys, command):
+        paths = synth(tmp_path, capsys, levels=10)
+        other = synth(tmp_path, capsys, levels=6, tag="_other")  # same ids, 7 half levels
+        out = tmp_path / "out.json"
+        argv = {
+            "correct": ["correct", "--profiles", paths["profiles"], "--baseline", paths["truth_lw"],
+                        "--effects", other["truth_lw"], "--out", out],
+            "train": ["train", "--profiles", paths["profiles"], "--truth", other["truth_lw"],
+                      "--component", "lw", "--hidden-width", 4, "--max-epochs", 2,
+                      "--patience", 1, "--out", out],
+            "eval": ["eval", "--truth", paths["truth_lw"], "--pred", other["truth_lw"],
+                     "--out", out],
+        }[command]
+        code, _, err = run(argv, capsys)
+        against = paths["truth_lw"] if command == "eval" else paths["profiles"]
+        assert code == 1
+        assert err == (f"error: DatasetError: {other['truth_lw']}: records have 7 half levels, "
+                       f"but the grid of {against} has 11\n")
+        assert not out.exists()
+
+
 class TestErrorReporting:
     def test_malformed_profiles_single_line_stderr(self, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"

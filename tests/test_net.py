@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from cre3d import features, net
 from cre3d.augment import generate_profiles, toy_truth
 from cre3d.column import ProfileBatch, VerticalGrid, extend_to_full
 from cre3d.features import (
@@ -13,6 +14,7 @@ from cre3d.features import (
 )
 from cre3d.net import (
     ELU_BLOCK,
+    ROW_CHUNK,
     AdamState,
     GridDataset,
     GridSearchSpec,
@@ -62,6 +64,19 @@ def textbook_layers(model, x):
         pre.append(z)
         h = where_elu(z)
         inputs.append(h)
+
+
+def feature_major_layers(model, x):
+    """w @ h + b[:, None] and where-ELU on h = x[s:s+c].T for each block of
+    ROW_CHUNK rows, out of place, with the blocks' outputs stacked as rows."""
+    blocks = []
+    for s in range(0, len(x), ROW_CHUNK):
+        h = x[s:s + ROW_CHUNK].T
+        for k, (w, b) in enumerate(zip(model.weights, model.biases)):
+            z = w @ h + b[:, None]
+            h = z if k == len(model.weights) - 1 else where_elu(z)
+        blocks.append(h.T)
+    return np.concatenate(blocks)
 
 
 def textbook_gradients(model, x, y, l1, l2):
@@ -182,8 +197,7 @@ class TestInPlaceKernelBits:
     def test_forward(self, sizes, rows):
         model = kernel_model(sizes, seed=rows)
         x = kernel_batch(rows, sizes[0], seed=rows)
-        expected, _, _ = textbook_layers(model, x)
-        assert np.array_equal(bits(forward(model, x)), bits(expected))
+        assert np.array_equal(bits(forward(model, x)), bits(feature_major_layers(model, x)))
 
     @pytest.mark.parametrize("sizes", KERNEL_SHAPES)
     @pytest.mark.parametrize("rows", [1, 32, 300])
@@ -196,6 +210,45 @@ class TestInPlaceKernelBits:
         assert bits(loss) == bits(ref_loss)
         for got, ref in zip(gw + gb, ref_gw + ref_gb):
             assert np.array_equal(bits(got), bits(ref))
+
+
+class TestChunkedForward:
+    """forward runs feature-major over blocks of ROW_CHUNK rows."""
+
+    SHAPES = KERNEL_SHAPES + [[271, 217, 217, 217, 181], [182, 182, 182, 182, 272]]
+    ROWS = [1, ROW_CHUNK - 1, ROW_CHUNK, ROW_CHUNK + 1, int(2.5 * ROW_CHUNK)]
+
+    @pytest.mark.parametrize("sizes", SHAPES)
+    @pytest.mark.parametrize("rows", ROWS)
+    def test_bits_and_sample_major_agreement(self, sizes, rows):
+        model = kernel_model(sizes, seed=rows)
+        x = kernel_batch(rows, sizes[0], seed=rows)
+        got = forward(model, x)
+        assert np.array_equal(bits(got), bits(feature_major_layers(model, x)))
+        # The GEMM operand order differs from h @ w.T, so the two agree to rounding.
+        expected, _, _ = textbook_layers(model, x)
+        row_max = np.abs(expected).max(axis=1, keepdims=True)
+        assert np.all(np.abs(got - expected) <= 1e-13 * row_max)
+
+    def test_output_layout(self):
+        model = kernel_model([40, 30, 30, 45], seed=0)
+        x = kernel_batch(2 * ROW_CHUNK + 3, 40, seed=0)
+        out = forward(model, x)
+        assert out.shape == (len(x), 45)
+        assert out.flags.c_contiguous and out.flags.writeable
+        assert not np.shares_memory(out, x)
+
+    def test_input_forms(self):
+        model = kernel_model([40, 30, 30, 45], seed=1)
+        x = kernel_batch(ROW_CHUNK + 7, 40, seed=1)
+        expected = bits(forward(model, x))
+        frozen = x.copy()
+        frozen.setflags(write=False)
+        for given in (frozen, np.asfortranarray(x), x.tolist()):
+            assert np.array_equal(bits(forward(model, given)), expected)
+
+    def test_empty_batch(self):
+        assert forward(kernel_model([40, 30, 45], seed=2), np.zeros((0, 40))).shape == (0, 45)
 
 
 class TestInputsNotMutated:
@@ -545,6 +598,31 @@ class TestPredictEffects:
             for name, m in e.items():
                 assert m.flags.writeable
                 assert np.array_equal(m.view(np.int64), getattr(full, name).view(np.int64))
+
+    def test_window_and_optical_depth_computed_once(self, small_grid, consts, monkeypatch):
+        # Both components' input rows come from one window truncation and one
+        # cloud optical depth, with the bits of build_input_matrix.
+        lw, sw = self._models(small_grid, consts)
+        profiles = ProfileBatch.from_profiles(generate_profiles(7, small_grid, seed=9))
+        calls, inputs = [], {}
+        for name in ("truncate_profile", "compute_cloud_optical_depth"):
+            def counted(*args, _fn=getattr(features, name), _name=name):
+                calls.append(_name)
+                return _fn(*args)
+            monkeypatch.setattr(features, name, counted)
+        window_effects = net._window_effects
+
+        def recorded(model, x, *args):
+            inputs[model.schema.component] = x
+            return window_effects(model, x, *args)
+
+        monkeypatch.setattr(net, "_window_effects", recorded)
+        predict_flux_effects(lw, sw, profiles, consts)
+        assert sorted(calls) == ["compute_cloud_optical_depth", "truncate_profile"]
+        monkeypatch.undo()
+        for model in (lw, sw):
+            expected = build_input_matrix(profiles, model.schema, consts)
+            assert np.array_equal(bits(inputs[model.schema.component]), bits(expected))
 
     def test_batch_composition_independence(self, small_grid, consts):
         lw, sw = self._models(small_grid, consts)
