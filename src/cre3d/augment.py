@@ -15,14 +15,16 @@ therefore exact, which makes it a usable end-to-end learning target.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .column import (
     AtmosphericProfile,
     PhysConsts,
+    ProfileBatch,
     VerticalGrid,
+    _frozen,
     _unchecked,
     compute_cloud_optical_depth,
     compute_heating_rates,
@@ -31,32 +33,31 @@ from .column import (
 from .postproc import LW, SW, EffectTargets
 
 
-def augment_scalars(profiles: Sequence[AtmosphericProfile], k: int, seed: int,
-                    ) -> List[AtmosphericProfile]:
+def augment_scalars(profiles: Sequence[AtmosphericProfile], k: int, seed: int) -> ProfileBatch:
     """Originals followed by k copies with re-assigned alpha and mu0.
 
     Replacements are drawn independently, with replacement, from the
-    original value sets; every other field is shared verbatim. A copy
+    original value sets; every other field is repeated verbatim. A copy
     therefore satisfies the rules its original was validated against,
-    and is not validated again.
+    and is not validated again. For k = 0 the input batch is returned.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    profiles = list(profiles)
-    if not profiles:
+    if len(profiles) == 0:
         raise ValueError("need at least one profile")
+    batch = ProfileBatch.from_profiles(profiles)
+    if k == 0:
+        return batch
     rng = np.random.default_rng(seed)
-    alphas = np.array([p.alpha for p in profiles])
-    mu0s = np.array([p.mu0 for p in profiles])
-    out = list(profiles)
-    for copy_idx in range(1, k + 1):
-        new_alphas = rng.choice(alphas, size=len(profiles), replace=True)
-        new_mu0s = rng.choice(mu0s, size=len(profiles), replace=True)
-        for p, a, m in zip(profiles, new_alphas, new_mu0s):
-            pid = None if p.pid is None else f"{p.pid}_c{copy_idx}"
-            out.append(_unchecked(AtmosphericProfile,
-                                  **dict(vars(p), alpha=float(a), mu0=float(m), pid=pid)))
-    return out
+    drawn = {"alpha": [batch.alpha], "mu0": [batch.mu0]}
+    for _ in range(k):
+        for name, parts in drawn.items():
+            parts.append(rng.choice(getattr(batch, name), size=len(batch), replace=True))
+    fields = {name: _frozen(np.concatenate(drawn.get(name, [value] * (k + 1))))
+              for name, value in vars(batch).items() if isinstance(value, np.ndarray)}
+    ids = batch.ids + tuple(None if pid is None else f"{pid}_c{copy_idx}"
+                            for copy_idx in range(1, k + 1) for pid in batch.ids)
+    return _unchecked(ProfileBatch, **dict(vars(batch), ids=ids, **fields))
 
 
 @dataclass(frozen=True)
@@ -134,21 +135,20 @@ def make_reference_grid() -> VerticalGrid:
 
 
 def generate_profiles(n: int, grid: VerticalGrid, seed: int,
-                      with_humidity: bool = True) -> List[AtmosphericProfile]:
-    """Random but physically plausible cloudy columns for desk-scale runs."""
+                      with_humidity: bool = True) -> ProfileBatch:
+    """Random but physically plausible cloudy columns for desk-scale runs,
+    as one batch validated once."""
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = np.random.default_rng(seed)
     p_fl = grid.p_fl
-    n_fl = grid.n_fl
     p_sfc = grid.p_hl[-1]
-    profiles = []
+    levels = {name: np.zeros((n, grid.n_fl)) for name in ("T", "f_c", "q_l", "q_i", "r_l", "r_i")}
+    scalars = {name: np.zeros(n) for name in ("T_s", "alpha", "mu0")}
     for idx in range(n):
-        t_s = rng.uniform(255.0, 305.0)
-        temp = np.maximum(200.0, t_s * (p_fl / p_sfc) ** 0.19)
-        f_c = np.zeros(n_fl)
-        q_l = np.zeros(n_fl)
-        q_i = np.zeros(n_fl)
+        temp, f_c, q_l, q_i, r_l, r_i = (levels[name][idx] for name in levels)
+        t_s = scalars["T_s"][idx] = rng.uniform(255.0, 305.0)
+        temp[:] = np.maximum(200.0, t_s * (p_fl / p_sfc) ** 0.19)
         for _ in range(rng.integers(1, 4)):
             centre = rng.uniform(25000.0, 95000.0)
             half_width = rng.uniform(2000.0, 15000.0)
@@ -161,18 +161,9 @@ def generate_profiles(n: int, grid: VerticalGrid, seed: int,
             cold = temp < 258.0
             q_i[layer & cold] += condensate
             q_l[layer & ~cold] += condensate
-        profiles.append(AtmosphericProfile(
-            grid=grid,
-            T=temp,
-            f_c=f_c,
-            q_l=q_l,
-            q_i=q_i,
-            r_l=np.full(n_fl, rng.uniform(5e-6, 15e-6)),
-            r_i=np.full(n_fl, rng.uniform(2e-5, 6e-5)),
-            T_s=float(t_s),
-            alpha=float(rng.uniform(0.05, 0.8)),
-            mu0=float(rng.uniform(-0.3, 1.0)),
-            q=0.01 * (p_fl / p_sfc) ** 3 if with_humidity else None,
-            pid=f"p{idx:06d}",
-        ))
-    return profiles
+        r_l[:] = rng.uniform(5e-6, 15e-6)
+        r_i[:] = rng.uniform(2e-5, 6e-5)
+        scalars["alpha"][idx] = rng.uniform(0.05, 0.8)
+        scalars["mu0"][idx] = rng.uniform(-0.3, 1.0)
+    q = np.tile(0.01 * (p_fl / p_sfc) ** 3, (n, 1)) if with_humidity else None
+    return ProfileBatch(grid=grid, ids=[f"p{idx:06d}" for idx in range(n)], q=q, **levels, **scalars)

@@ -88,10 +88,9 @@ def cmd_synth(args) -> int:
     sw = column.extend_to_full([t.up_sw for t in truth], [t.down_sw for t in truth],
                                [t.direct_sw for t in truth], [t.sw.heat for t in truth],
                                grid, consts.p_trunc)
-    ids = [p.pid for p in profiles]
     io.write_profiles(args.out_profiles, profiles)
-    io.write_fluxes(args.out_truth_lw, ids, lw)
-    io.write_fluxes(args.out_truth_sw, ids, sw)
+    io.write_fluxes(args.out_truth_lw, profiles.ids, lw)
+    io.write_fluxes(args.out_truth_sw, profiles.ids, sw)
     print(f"wrote {len(profiles)} profiles to {args.out_profiles}")
     return 0
 
@@ -268,19 +267,10 @@ def cmd_bench(args) -> int:
     model_sw, _ = io.load_model(args.model_sw)
     profiles = io.read_profiles(args.profiles)
 
-    import numpy as np
-
     x_lw, x_sw = features.build_input_matrices(profiles, (model_lw.schema, model_sw.schema), consts)
     runner = net.make_staged_runner(model_lw, model_sw, profiles.grid, consts)
-
-    def replicate(batch, k):
-        xl, xs, a, m = batch
-        return ((np.concatenate([xl] * k), np.concatenate([xs] * k),
-                 np.concatenate([a] * k), np.concatenate([m] * k)), len(xl) * k)
-
     result = evalbench.bench(runner, (x_lw, x_sw, profiles.alpha, profiles.mu0),
-                             replication=args.replication, repeats=args.repeats,
-                             replicate=replicate)
+                             replication=args.replication, repeats=args.repeats)
     report = {
         "normalized_runtime": result.format(),
         "ms_per_profile_mean": result.mean_ms,

@@ -13,7 +13,7 @@ import math
 import statistics
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 
@@ -108,26 +108,23 @@ class BenchResult:
         return f"{self.mean_ms:.6g} ± {self.std_ms:.3g} ms per profile"
 
 
-def bench(runner: Callable, batch, replication: int = 10, repeats: int = 3,
-          replicate: Optional[Callable] = None) -> BenchResult:
-    """Time `runner` on the batch replicated `replication` times.
+def bench(runner: Callable, batch: Tuple[np.ndarray, ...], replication: int = 10,
+          repeats: int = 3) -> BenchResult:
+    """Time `runner` on a tuple of equal-length arrays (one row per
+    profile), each concatenated `replication` times.
 
-    The runner receives the replicated batch and may return a dict of
+    The runner receives the replicated tuple and may return a dict of
     per-stage wall-clock seconds, which is recorded alongside the total.
     """
     if replication < 1:
         raise ValueError("replication must be >= 1")
     if repeats < 3:
         raise ValueError("need at least 3 repeats for a mean and spread")
-    if replicate is not None:
-        replicated, n_profiles = replicate(batch, replication)
-    elif isinstance(batch, list):
-        replicated = batch * replication
-        n_profiles = len(replicated)
-    else:
-        raise ValueError("pass a list batch or a custom replicate function")
+    if len({len(a) for a in batch}) != 1:
+        raise ValueError("batch must be a tuple of equal-length arrays")
+    replicated = tuple(np.concatenate([a] * replication) for a in batch)
 
-    result = BenchResult(n_profiles=n_profiles, replication=replication, repeats=repeats)
+    result = BenchResult(n_profiles=len(replicated[0]), replication=replication, repeats=repeats)
     for _ in range(repeats):
         t0 = time.perf_counter()
         stages = runner(replicated)

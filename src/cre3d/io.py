@@ -10,7 +10,7 @@ from __future__ import annotations
 import contextlib
 import json
 import os
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -65,22 +65,22 @@ def write_jsonl(path, records: Iterable[dict]) -> None:
         fh.writelines(json.dumps(r) + "\n" for r in records)
 
 
-def _records(path, fh) -> Iterator[dict]:
-    """Decoded records of an open JSON-Lines file, blank lines skipped; a
-    decoding error names the line."""
-    for lineno, line in enumerate(fh, start=1):
-        if line.isspace():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise DatasetError(path, lineno, f"invalid JSON ({exc})") from exc
-        yield record
+def _lines(fh) -> Iterator[Tuple[int, str]]:
+    """The non-blank lines of an open JSON-Lines file, numbered as records
+    from 1 (blank lines are skipped and not counted)."""
+    return enumerate((line for line in fh if not line.isspace()), start=1)
+
+
+def _decode(path, index: int, line: str):
+    try:
+        return json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise DatasetError(path, index, f"invalid JSON ({exc})") from exc
 
 
 def read_jsonl(path) -> List[dict]:
     with open(path) as fh:
-        return list(_records(path, fh))
+        return [_decode(path, index, line) for index, line in _lines(fh)]
 
 
 def _check_new_id(seen: dict, pid, path, index: int) -> None:
@@ -91,6 +91,57 @@ def _check_new_id(seen: dict, pid, path, index: int) -> None:
         raise DatasetError(path, index, f"duplicate id {pid!r} (first in record {seen[pid]})")
 
 
+def _check_ids(path, ids) -> None:
+    """Fail, before `path` is written, on ids its reader would reject."""
+    seen = {}
+    for index, pid in enumerate(ids, start=1):
+        _check_new_id(seen, pid, path, index)
+
+
+def _read_rows(path, parse: Callable[[dict], dict], stack: Callable[[dict, list], object], what: str):
+    """Read a JSON-Lines file one record at a time and return the stacked rows.
+
+    `parse(record)` checks one decoded record and returns its fields by
+    name; `stack(columns, ids)` builds the result from each field's list of
+    values and the records' ids. Every record must carry an id (or null)
+    that no earlier record has. Errors name the file and the first bad
+    record, counted as records: a record that fails to decode or to parse
+    is reported after the records read so far are stacked, so a value rule
+    (a RowError of `stack`) broken by an earlier record is named first.
+    """
+    columns, ids, seen = {}, [], {}
+
+    def stacked():
+        try:
+            return stack(columns, ids)
+        except RowError as exc:
+            raise DatasetError(path, exc.row + 1, exc.message) from exc
+
+    with open(path) as fh:
+        for index, line in _lines(fh):
+            try:
+                record = _decode(path, index, line)
+                row = parse(record)
+                _check_new_id(seen, record.get("id"), path, index)
+            except (TypeError, ValueError) as exc:
+                if ids:
+                    stacked()
+                if isinstance(exc, DatasetError):
+                    raise
+                raise DatasetError(path, index, str(exc)) from exc
+            for name, value in row.items():
+                columns.setdefault(name, []).append(value)
+            ids.append(record.get("id"))
+    if not ids:
+        raise DatasetError(path, None, f"no {what}")
+    return stacked()
+
+
+def _stacked(columns: dict) -> dict:
+    """Each field's rows as one array, each list released once stacked."""
+    return {name: np.array(columns.pop(name)) for name in list(columns)}
+
+
 # ---------------------------------------------------------------------------
 # Profiles
 
@@ -98,23 +149,19 @@ _PROFILE_ARRAYS = ("T", "f_c", "q_l", "q_i", "r_l", "r_i")
 _PROFILE_SCALARS = ("T_s", "alpha", "mu0")
 
 
-def profile_to_record(profile: AtmosphericProfile) -> dict:
-    record = {
-        "id": profile.pid,
-        "p_hl": profile.grid.p_hl.tolist(),
-        "T_s": profile.T_s,
-        "alpha": profile.alpha,
-        "mu0": profile.mu0,
-    }
-    for name in _PROFILE_ARRAYS:
-        record[name] = getattr(profile, name).tolist()
-    if profile.q is not None:
-        record["q"] = profile.q.tolist()
-    return record
-
-
-def write_profiles(path, profiles: Iterable[AtmosphericProfile]) -> None:
-    write_jsonl(path, (profile_to_record(p) for p in profiles))
+def write_profiles(path, profiles: Sequence[AtmosphericProfile]) -> None:
+    """Write one record per row of a ProfileBatch (a sequence of profiles
+    is stacked into one first, so it must share one grid), converting one
+    row at a time. Repeated non-null ids fail before the file is created."""
+    batch = ProfileBatch.from_profiles(profiles)
+    _check_ids(path, batch.ids)
+    p_hl = batch.grid.p_hl.tolist()
+    scalars = [(name, getattr(batch, name).tolist()) for name in _PROFILE_SCALARS]
+    arrays = [(name, getattr(batch, name)) for name in _PROFILE_ARRAYS + ("q",)
+              if getattr(batch, name) is not None]
+    write_jsonl(path, ({"id": pid, "p_hl": p_hl, **{name: values[i] for name, values in scalars},
+                        **{name: arr[i].tolist() for name, arr in arrays}}
+                       for i, pid in enumerate(batch.ids)))
 
 
 def read_profiles(path) -> ProfileBatch:
@@ -127,46 +174,27 @@ def read_profiles(path) -> ProfileBatch:
     checked on the stacked batch, and on the records read so far when a
     record fails one of the checks above.
     """
-    columns = {name: [] for name in _PROFILE_ARRAYS + _PROFILE_SCALARS + ("q",)}
-    ids, seen = [], {}
     grid = first_p_hl = with_q = None
 
-    def stack() -> ProfileBatch:
-        fields = {name: np.array(columns.pop(name)) for name in _PROFILE_ARRAYS + _PROFILE_SCALARS}
-        try:
-            return ProfileBatch(grid=grid, q=np.array(columns["q"]) if with_q else None, ids=ids, **fields)
-        except RowError as exc:
-            raise DatasetError(path, exc.row + 1, exc.message) from exc
+    def parse(record: dict) -> dict:
+        nonlocal grid, first_p_hl, with_q
+        for key in ("p_hl",) + _PROFILE_ARRAYS + _PROFILE_SCALARS:
+            if key not in record:
+                raise ValueError(f"missing field {key!r}")
+        if grid is None:
+            grid = VerticalGrid(np.asarray(record["p_hl"], dtype=float))
+            first_p_hl, with_q = record["p_hl"], record.get("q") is not None
+        elif record["p_hl"] != first_p_hl:
+            raise ValueError("p_hl differs from record 1; profiles must share one grid")
+        if (record.get("q") is not None) != with_q:
+            raise ValueError("q must be given in every record or in none")
+        row = {name: _as_level_array(record[name], name, grid.n_fl)
+               for name in _PROFILE_ARRAYS + (("q",) if with_q else ())}
+        row.update((name, float(record[name])) for name in _PROFILE_SCALARS)
+        return row
 
-    with open(path) as fh:
-        for index, record in enumerate(_records(path, fh), start=1):
-            try:
-                for key in ("p_hl",) + _PROFILE_ARRAYS + _PROFILE_SCALARS:
-                    if key not in record:
-                        raise ValueError(f"missing field {key!r}")
-                if grid is None:
-                    grid = VerticalGrid(np.asarray(record["p_hl"], dtype=float))
-                    first_p_hl, with_q = record["p_hl"], record.get("q") is not None
-                elif record["p_hl"] != first_p_hl:
-                    raise ValueError("p_hl differs from record 1; profiles must share one grid")
-                if (record.get("q") is not None) != with_q:
-                    raise ValueError("q must be given in every record or in none")
-                row = {name: _as_level_array(record[name], name, grid.n_fl)
-                       for name in _PROFILE_ARRAYS + (("q",) if with_q else ())}
-                row.update((name, float(record[name])) for name in _PROFILE_SCALARS)
-                _check_new_id(seen, record.get("id"), path, index)
-            except (TypeError, ValueError) as exc:
-                if ids:
-                    stack()  # a value rule broken by an earlier record is named first
-                if isinstance(exc, DatasetError):
-                    raise
-                raise DatasetError(path, index, str(exc)) from exc
-            for name, value in row.items():
-                columns[name].append(value)
-            ids.append(record.get("id"))
-    if grid is None:
-        raise DatasetError(path, None, "no profiles")
-    return stack()
+    return _read_rows(path, parse, lambda columns, ids: ProfileBatch(grid=grid, ids=ids, **_stacked(columns)),
+                      "profiles")
 
 
 # ---------------------------------------------------------------------------
@@ -177,11 +205,13 @@ _FLUX_FIELDS = ("up", "down", "heat", "direct_down")
 
 def write_fluxes(path, ids: Sequence[Optional[str]], flux: FluxSet) -> None:
     """Write one record per row of `flux`, with id `ids[i]` for row i,
-    converting one row at a time."""
+    converting one row at a time. Repeated non-null ids fail before the
+    file is created."""
     fields = [(name, getattr(flux, name)) for name in _FLUX_FIELDS if getattr(flux, name) is not None]
     if flux.up.ndim != 2 or len(ids) != len(flux.up):
         raise ValueError(f"{path}: need (n, levels) flux rows and one id per row, got "
                          f"{len(ids)} ids for rows of shape {flux.up.shape}")
+    _check_ids(path, ids)
     write_jsonl(path, ({"id": pid, **{name: arr[i].tolist() for name, arr in fields}}
                        for i, pid in enumerate(ids)))
 
@@ -193,45 +223,27 @@ def read_fluxes(path) -> Tuple[List[Optional[str]], FluxSet]:
     only if record 1 does, and carry an id (or null) that no earlier
     record has. Errors name the file and the first bad record.
     """
-    columns = {name: [] for name in _FLUX_FIELDS}
-    ids, seen, shapes = [], {}, None
+    shapes = None
 
-    def stack() -> FluxSet:
-        try:
-            return FluxSet(**{name: np.array(rows) if rows else None for name, rows in columns.items()})
-        except RowError as exc:
-            raise DatasetError(path, exc.row + 1, exc.message) from exc
+    def parse(record: dict) -> dict:
+        nonlocal shapes
+        for key in ("up", "down", "heat"):
+            if key not in record:
+                raise ValueError(f"missing field {key!r}")
+        row = {name: np.asarray(record[name], dtype=float)
+               for name in _FLUX_FIELDS if record.get(name) is not None}
+        shape = {name: arr.shape for name, arr in row.items()}
+        if shapes is None:
+            if row["up"].ndim != 1:
+                raise ValueError("up must be a list of numbers")
+            FluxSet(**row)  # record 1 sets the shapes of the file
+            shapes = shape
+        elif shape != shapes:
+            raise ValueError(f"field shapes {shape} differ from record 1's {shapes}: a flux "
+                             "file holds one grid, and direct_down in every record or in none")
+        return row
 
-    with open(path) as fh:
-        for index, record in enumerate(_records(path, fh), start=1):
-            try:
-                for key in ("up", "down", "heat"):
-                    if key not in record:
-                        raise ValueError(f"missing field {key!r}")
-                row = {name: np.asarray(record[name], dtype=float)
-                       for name in _FLUX_FIELDS if record.get(name) is not None}
-                shape = {name: arr.shape for name, arr in row.items()}
-                if shapes is None:
-                    if row["up"].ndim != 1:
-                        raise ValueError("up must be a list of numbers")
-                    FluxSet(**row)  # record 1 sets the shapes of the file
-                    shapes = shape
-                elif shape != shapes:
-                    raise ValueError(f"field shapes {shape} differ from record 1's {shapes}: a flux "
-                                     "file holds one grid, and direct_down in every record or in none")
-                _check_new_id(seen, record.get("id"), path, index)
-            except (TypeError, ValueError) as exc:
-                if ids:
-                    stack()  # a non-finite value in an earlier record is named first
-                if isinstance(exc, DatasetError):
-                    raise
-                raise DatasetError(path, index, str(exc)) from exc
-            for name, arr in row.items():
-                columns[name].append(arr)
-            ids.append(record.get("id"))
-    if not ids:
-        raise DatasetError(path, None, "no flux records")
-    return ids, stack()
+    return _read_rows(path, parse, lambda columns, ids: (ids, FluxSet(**_stacked(columns))), "flux records")
 
 
 # ---------------------------------------------------------------------------

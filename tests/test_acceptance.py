@@ -239,18 +239,12 @@ def test_criterion_6_early_stopping_and_determinism():
 def test_criterion_7_augmentation(small_grid):
     originals = generate_profiles(13702, small_grid, seed=1)
     enlarged = augment_scalars(originals, k=9, seed=2)
-    alphas = {p.alpha for p in originals}
-    mu0s = {p.mu0 for p in originals}
-    shared_ok = True
-    member_ok = True
     n = len(originals)
-    for j in range(1, 10):
-        for orig, copy in zip(originals, enlarged[n * j:n * (j + 1)]):
-            if not (copy.T is orig.T and copy.f_c is orig.f_c and copy.q_l is orig.q_l
-                    and copy.q_i is orig.q_i and copy.T_s == orig.T_s):
-                shared_ok = False
-            if copy.alpha not in alphas or copy.mu0 not in mu0s:
-                member_ok = False
+    shared_ok = all(np.array_equal(getattr(enlarged, name)[n * j:n * (j + 1)].view(np.int64),
+                                   getattr(originals, name).view(np.int64))
+                    for j in range(1, 10) for name in ("T", "f_c", "q_l", "q_i", "T_s"))
+    member_ok = bool(np.isin(enlarged.alpha[n:], originals.alpha).all()
+                     and np.isin(enlarged.mu0[n:], originals.mu0).all())
     ok = len(enlarged) == 137020 and shared_ok and member_ok
     report(7, ok, f"13702 profiles -> {len(enlarged)} (= 137020); copies share all "
                   "non-scalar fields bitwise and draw alpha/mu0 from the original sets")
@@ -292,15 +286,9 @@ def test_criterion_9_benchmark(trained):
     alphas = np.array([p.alpha for p in profiles])
     mu0 = np.array([p.mu0 for p in profiles])
     runner = make_staged_runner(model_lw, model_sw, GRID, CONSTS)
-
-    def replicate(batch, k):
-        xl, xs, a, m = batch
-        return ((np.concatenate([xl] * k), np.concatenate([xs] * k),
-                 np.concatenate([a] * k), np.concatenate([m] * k)), len(xl) * k)
-
     batch = (x_lw, x_sw, alphas, mu0)
-    runner(replicate(batch, 10)[0])  # warm up caches and allocators
-    result = bench(runner, batch, replication=10, repeats=5, replicate=replicate)
+    runner(tuple(np.concatenate([a] * 10) for a in batch))  # warm up caches and allocators
+    result = bench(runner, batch, replication=10, repeats=5)
     spread = result.std_ms / result.mean_ms if result.mean_ms > 0 else math.inf
     text = result.format()
     ok = (result.n_profiles == 10000 and result.repeats >= 3 and spread < 0.20

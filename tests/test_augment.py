@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -8,18 +11,21 @@ from cre3d.augment import (
     make_reference_grid,
     toy_truth,
 )
-from cre3d.column import compute_heating_rates, truncate_profile
+from cre3d.column import ProfileBatch, compute_heating_rates, truncate_profile
 from cre3d.postproc import postprocess
 
 from conftest import make_profile
+
+
+def bits(a):
+    return np.asarray(a).view(np.int64)
 
 
 class TestAugmentScalars:
     def test_k_zero_is_identity(self, small_grid):
         profiles = generate_profiles(5, small_grid, seed=0)
         out = augment_scalars(profiles, k=0, seed=1)
-        assert len(out) == len(profiles)
-        assert all(a is b for a, b in zip(out, profiles))
+        assert out is profiles
 
     def test_counts(self, small_grid):
         profiles = generate_profiles(7, small_grid, seed=0)
@@ -30,9 +36,9 @@ class TestAugmentScalars:
         out = augment_scalars(profiles, k=3, seed=3)
         for j in range(1, 4):
             for orig, copy in zip(profiles, out[4 * j:4 * (j + 1)]):
-                assert copy.T is orig.T
-                assert copy.f_c is orig.f_c
-                assert copy.q_l is orig.q_l
+                assert np.array_equal(bits(copy.T), bits(orig.T))
+                assert np.array_equal(bits(copy.f_c), bits(orig.f_c))
+                assert np.array_equal(bits(copy.q_l), bits(orig.q_l))
                 assert copy.T_s == orig.T_s
                 assert copy.pid == f"{orig.pid}_c{j}"
 
@@ -75,6 +81,15 @@ class TestAugmentScalars:
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
             augment_scalars([], k=1, seed=0)
+
+    def test_list_of_profiles_stacked(self, small_grid):
+        profiles = generate_profiles(5, small_grid, seed=12)
+        a = augment_scalars(list(profiles), k=2, seed=13)
+        b = augment_scalars(profiles, k=2, seed=13)
+        assert isinstance(a, ProfileBatch)
+        assert a.ids == b.ids
+        for name in ("T", "q", "alpha", "mu0"):
+            assert np.array_equal(bits(getattr(a, name)), bits(getattr(b, name)))
 
 
 class TestReferenceGrid:
@@ -187,3 +202,30 @@ class TestGenerateProfiles:
         hits = sum(truncate_profile(p, consts.p_trunc).f_c.max() > 0
                    for p in generate_profiles(20, small_grid, seed=4))
         assert hits >= 15
+
+    def test_one_validated_batch(self, small_grid):
+        batch = generate_profiles(6, small_grid, seed=5)
+        assert isinstance(batch, ProfileBatch)
+        assert batch.T.shape == (6, small_grid.n_fl)
+        assert batch.alpha.shape == (6,)
+        assert not batch.f_c.flags.writeable
+
+    # SHA-256 of the arrays and ids of 50 columns on the small grid: synthesized
+    # data keep their bits, so the random numbers must keep their draw order
+    # (t_s, cloud layers, r_l, r_i, alpha, mu0 per column).
+    @pytest.mark.parametrize("seed, with_humidity, digest", [
+        (0, True, "31eca5c9bd619282e0800a2fac56d6454150da443bd85fd27a1cf3e0739cae0d"),
+        (0, False, "c201ab3f1ec9dff018b693520ad2418938fe196a360e6b3153b431d53983fd30"),
+        (1, True, "1013889e66cf7680abf405e20da1be0adbb5d5d75bbce36b1ea7d9c74233d7db"),
+        (1, False, "da36e9e3f79a0fc32442ac22328ca59967c28a317a7d759d502d0e0db8f73a31"),
+    ])
+    def test_bits_pinned(self, small_grid, seed, with_humidity, digest):
+        batch = generate_profiles(50, small_grid, seed, with_humidity=with_humidity)
+        h = hashlib.sha256()
+        for name in ("T", "f_c", "q_l", "q_i", "r_l", "r_i", "T_s", "alpha", "mu0", "q"):
+            value = getattr(batch, name)
+            h.update(name.encode())
+            if value is not None:
+                h.update(np.ascontiguousarray(value, dtype="<f8").tobytes())
+        h.update(json.dumps(list(batch.ids)).encode())
+        assert h.hexdigest() == digest

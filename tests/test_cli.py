@@ -62,6 +62,19 @@ class TestAugment:
         alphas = {p.alpha for p in originals}
         assert all(p.alpha in alphas for p in enlarged)
 
+    def test_copy_id_taken_by_an_original_rejected(self, tmp_path, capsys):
+        # ids a and a_c1: the copy of a would repeat a_c1, which no reader accepts
+        paths = synth(tmp_path, capsys, n=2)
+        lines = paths["profiles"].read_text().splitlines()
+        records = [dict(json.loads(line), id=pid) for line, pid in zip(lines, ["a", "a_c1"])]
+        paths["profiles"].write_text("".join(json.dumps(r) + "\n" for r in records))
+        out = tmp_path / "augmented.jsonl"
+        code, _, err = run(["augment", "--input", paths["profiles"],
+                            "--copies", 1, "--out", out], capsys)
+        assert code == 1
+        assert "duplicate id 'a_c1'" in err
+        assert not out.exists()
+
 
 class TestCorrect:
     def test_zero_effect_reproduces_baseline(self, tmp_path, capsys):

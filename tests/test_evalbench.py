@@ -123,10 +123,10 @@ class TestBench:
         seen = []
 
         def runner(batch):
-            seen.append(len(batch))
+            seen.append(len(batch[0]))
             time.sleep(0.001)
 
-        result = bench(runner, [0, 1, 2], replication=4, repeats=3)
+        result = bench(runner, (np.arange(3.0),), replication=4, repeats=3)
         assert seen == [12, 12, 12]
         assert result.n_profiles == 12
         assert len(result.total_s) == 3
@@ -136,7 +136,7 @@ class TestBench:
         def runner(batch):
             return {"inference": 0.002, "postprocess": 0.001}
 
-        result = bench(runner, [0] * 10, replication=1, repeats=3)
+        result = bench(runner, (np.zeros(10),), replication=1, repeats=3)
         stages = result.stage_ms_per_profile()
         assert stages["inference"] == pytest.approx(0.2)
         assert stages["postprocess"] == pytest.approx(0.1)
@@ -157,16 +157,17 @@ class TestBench:
 
     def test_too_few_repeats_rejected(self):
         with pytest.raises(ValueError, match="3 repeats"):
-            bench(lambda b: None, [0], repeats=2)
+            bench(lambda b: None, (np.zeros(1),), repeats=2)
 
-    def test_custom_replicate(self):
-        def replicate(batch, replication):
-            return np.tile(batch, (replication, 1)), batch.shape[0] * replication
-
-        result = bench(lambda b: None, np.zeros((5, 2)), replication=3, repeats=3,
-                       replicate=replicate)
+    def test_tuple_of_arrays_replicated(self):
+        seen = []
+        x, alpha = np.arange(10.0).reshape(5, 2), np.arange(5.0)
+        result = bench(seen.append, (x, alpha), replication=3, repeats=3)
         assert result.n_profiles == 15
+        got_x, got_alpha = seen[0]
+        np.testing.assert_array_equal(got_x, np.concatenate([x] * 3))
+        np.testing.assert_array_equal(got_alpha, np.concatenate([alpha] * 3))
 
-    def test_non_list_without_replicate_rejected(self):
-        with pytest.raises(ValueError, match="replicate"):
-            bench(lambda b: None, np.zeros((2, 2)))
+    def test_unequal_lengths_rejected(self):
+        with pytest.raises(ValueError, match="equal-length"):
+            bench(lambda b: None, (np.zeros((2, 2)), np.zeros(3)))

@@ -160,6 +160,37 @@ class TestProfiles:
         with pytest.raises(DatasetError, match="no profiles"):
             read_profiles(path)
 
+    def test_records_counted_past_blank_lines(self, tmp_path, small_grid):
+        # the 2nd record follows a blank line: every error calls it record 2
+        path = self._records(tmp_path, small_grid, 3)
+        lines = path.read_text().splitlines()
+        bad_mu0 = json.dumps({**json.loads(lines[1]), "mu0": 2.0})
+        for bad, message in (("not json", "invalid JSON"), (bad_mu0, "mu0")):
+            path.write_text("\n".join([lines[0], "", bad, lines[2]]) + "\n")
+            with pytest.raises(DatasetError, match=f"record 2: {message}"):
+                read_profiles(path)
+
+    def test_bad_record_named_before_a_later_undecodable_one(self, tmp_path, small_grid):
+        path = self._records(tmp_path, small_grid, 3)
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        records[1]["mu0"] = 2.0
+        path.write_text("".join(json.dumps(r) + "\n" for r in records[:2]) + "not json\n")
+        with pytest.raises(DatasetError, match="record 2: mu0"):
+            read_profiles(path)
+
+    def test_write_rejects_repeated_id_before_creating_the_file(self, tmp_path, small_grid):
+        path = tmp_path / "profiles.jsonl"
+        profiles = [make_profile(small_grid, seed=s) for s in (0, 1, 0)]
+        with pytest.raises(DatasetError, match=r"profiles.jsonl:record 3: duplicate id 't0' \(first in record 1\)"):
+            write_profiles(path, profiles)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_write_rejects_a_second_grid(self, tmp_path, small_grid):
+        other = make_profile(type(small_grid)(small_grid.p_hl * 1.001), seed=1)
+        with pytest.raises(ValueError, match="one vertical grid; profile 1"):
+            write_profiles(tmp_path / "profiles.jsonl", [make_profile(small_grid, seed=0), other])
+        assert list(tmp_path.iterdir()) == []
+
     @staticmethod
     def _records(tmp_path, grid, n):
         path = tmp_path / "profiles.jsonl"
@@ -249,11 +280,26 @@ class TestFluxes:
             read_fluxes(path)
 
     def test_duplicate_id_rejected(self, tmp_path):
-        flux = FluxSet(up=np.zeros((5, 3)), down=np.zeros((5, 3)), heat=np.zeros((5, 2)))
         path = tmp_path / "flux.jsonl"
-        write_fluxes(path, ["a", "b", None, None, "a"], flux)
+        self._write(path, [self._record(pid) for pid in ["a", "b", None, None, "a"]])
         with pytest.raises(DatasetError, match=r"flux.jsonl:record 5: duplicate id 'a' \(first in record 1\)"):
             read_fluxes(path)
+
+    def test_records_counted_past_blank_lines(self, tmp_path):
+        path = tmp_path / "flux.jsonl"
+        good = [json.dumps(self._record(f"p{i}")) for i in range(3)]
+        bad_heat = json.dumps({**self._record("p1"), "heat": [0.5, float("nan"), 0.5]})
+        for bad, message in (("{", "invalid JSON"), (bad_heat, "heat contains a non-finite value")):
+            path.write_text("\n".join([good[0], "", bad, good[2]]) + "\n")
+            with pytest.raises(DatasetError, match=f"flux.jsonl:record 2: {message}"):
+                read_fluxes(path)
+
+    def test_write_rejects_repeated_id_before_creating_the_file(self, tmp_path):
+        flux = FluxSet(up=np.zeros((3, 3)), down=np.zeros((3, 3)), heat=np.zeros((3, 2)))
+        path = tmp_path / "flux.jsonl"
+        with pytest.raises(DatasetError, match=r"flux.jsonl:record 3: duplicate id 7 \(first in record 2\)"):
+            write_fluxes(path, [None, 7, 7], flux)
+        assert not path.exists()
 
     def test_rows_are_written_one_record_each(self, tmp_path):
         flux = FluxSet(up=[[1.0, 2.0], [3.0, 4.0]], down=[[0.5, 0.25], [0.0, -1.0]],

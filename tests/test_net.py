@@ -645,6 +645,6 @@ class TestPredictEffects:
     def test_mixed_grids_rejected(self, small_grid, consts):
         lw, sw = self._models(small_grid, consts)
         other = VerticalGrid(small_grid.p_hl * 1.001)
-        profiles = generate_profiles(2, small_grid, seed=6) + generate_profiles(1, other, seed=7)
+        profiles = list(generate_profiles(2, small_grid, seed=6)) + list(generate_profiles(1, other, seed=7))
         with pytest.raises(ValueError, match="one vertical grid; profile 2"):
             predict_flux_effects(lw, sw, profiles, consts)
