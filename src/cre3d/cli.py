@@ -8,6 +8,8 @@ before numpy is loaded.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import inspect
 import json
 import os
 import platform
@@ -49,26 +51,42 @@ def _fluxes_for(path, ids, ids_path, n_hl: int, what: str = "record"):
     return column.FluxSet(**{name: arr if arr is None else arr[rows] for name, arr in vars(flux).items()})
 
 
-def _load_matched(profiles_path: str, truth_path: str):
-    """Profiles (a ProfileBatch) plus id-matched truth flux effects."""
-    from . import io
+def _training_set(profiles, truth, component: str, split, variant: int, consts):
+    """The schema, `norm_in` and a GridDataset (normalized train and validation
+    rows, `norm_out`) of input `variant` for id-matched profiles and truth;
+    the statistics come from the train rows of `split`."""
+    from . import features, net
 
-    profiles = io.read_profiles(profiles_path)
-    return profiles, _fluxes_for(truth_path, profiles.ids, profiles_path, profiles.grid.n_hl,
-                                 "truth record")
-
-
-def _build_xy(profiles, fluxes, component, consts,
-              include_humidity=False, include_thickness=False):
-    from . import features
-
-    schema = features.schema_for_grid(component, profiles.grid, consts.p_trunc,
-                                      include_humidity, include_thickness)
+    with_q, with_dz = INPUT_VARIANTS[variant]
+    schema = features.schema_for_grid(component, profiles.grid, consts.p_trunc, with_q, with_dz)
     x = features.build_input_matrix(profiles, schema, consts)
     targets = features.targets_from_flux_effects(
-        component, fluxes.up, fluxes.down, profiles.grid, consts,
-        alpha=profiles.alpha, direct_down=fluxes.direct_down, p_trunc=consts.p_trunc)
-    return schema, x, features.build_target_vector(targets, schema)
+        component, truth.up, truth.down, profiles.grid, consts,
+        alpha=profiles.alpha, direct_down=truth.direct_down)
+    y = features.build_target_vector(targets, schema)
+    idx_train, idx_val, _ = split
+    norm_in = features.fit_normalization(x[idx_train])
+    norm_out = features.fit_normalization(y[idx_train])
+    xn, yn = norm_in.apply(x), norm_out.apply(y)
+    return schema, norm_in, net.GridDataset(
+        x_train=xn[idx_train], y_train=yn[idx_train],
+        x_val=xn[idx_val], y_val=yn[idx_val], norm_out=norm_out)
+
+
+def _model_pair(path_lw: str, path_sw: str):
+    """The LW and SW models and the physical constants both files must share."""
+    from . import io
+
+    model_lw, consts = io.load_model(path_lw)
+    model_sw, consts_sw = io.load_model(path_sw)
+    if consts_sw != consts:
+        raise ValueError("LW and SW model files disagree on physical constants")
+    return model_lw, model_sw, consts
+
+
+def _default(target, name: str):
+    """The library's default for parameter `name` of a function or dataclass."""
+    return inspect.signature(target).parameters[name].default
 
 
 def cmd_synth(args) -> int:
@@ -105,40 +123,32 @@ def cmd_augment(args) -> int:
     return 0
 
 
-def _train_config(args, seed: int):
+def _train_config(args):
     from .net import TrainConfig
 
     return TrainConfig(max_epochs=args.max_epochs, patience=args.patience,
                        l1=args.l1, l2=args.l2, learning_rate=args.learning_rate,
-                       batch_size=args.batch_size, seed=seed)
+                       batch_size=args.batch_size, seed=args.seed)
 
 
 def cmd_train(args) -> int:
-    from . import column, features, io, net
+    from . import column, io, net
 
     consts = column.PhysConsts()
-    profiles, fluxes = _load_matched(args.profiles, args.truth)
-    schema, x, y = _build_xy(profiles, fluxes, args.component, consts)
-    idx_train, idx_val, idx_test = _split_indices(len(profiles), args.seed)
-    norm_in = features.fit_normalization(x[idx_train])
-    norm_out = features.fit_normalization(y[idx_train])
-    xn, yn = norm_in.apply(x), norm_out.apply(y)
+    profiles = io.read_profiles(args.profiles)
+    truth = _fluxes_for(args.truth, profiles.ids, args.profiles, profiles.grid.n_hl, "truth record")
+    idx_train, idx_val, idx_test = split = _split_indices(len(profiles), args.seed)
+    schema, norm_in, data = _training_set(profiles, truth, args.component, split, 6, consts)
 
-    if args.hidden_width is None:
-        model0 = net.reference_model(schema, args.seed)
-    else:
-        sizes = [schema.input_len] + [args.hidden_width] * args.hidden_layers + [schema.output_len]
-        model0 = net.init_model(sizes, args.seed, schema=schema)
-    model0.norm_in, model0.norm_out = norm_in, norm_out
+    width = net.REFERENCE_HIDDEN_WIDTH[args.component] if args.hidden_width is None else args.hidden_width
+    model0 = net.init_model([schema.input_len] + [width] * args.hidden_layers + [schema.output_len],
+                            args.seed, schema=schema)
+    model0.norm_in, model0.norm_out = norm_in, data.norm_out
 
-    cfg = _train_config(args, args.seed)
-    model, history = net.train(model0, xn[idx_train], yn[idx_train],
-                               xn[idx_val], yn[idx_val], cfg)
+    cfg = _train_config(args)
+    model, _ = net.train(model0, data.x_train, data.y_train, data.x_val, data.y_val, cfg)
     model.meta.update({
-        "config": {"max_epochs": cfg.max_epochs, "patience": cfg.patience,
-                   "l1": cfg.l1, "l2": cfg.l2, "learning_rate": cfg.learning_rate,
-                   "batch_size": cfg.batch_size, "beta1": cfg.beta1,
-                   "beta2": cfg.beta2, "eps": cfg.eps},
+        "config": {name: value for name, value in dataclasses.asdict(cfg).items() if name != "seed"},
         "split": {"seed": args.seed, "fractions": [0.6, 0.2, 0.2],
                   "train_ids": [profiles.ids[i] for i in idx_train],
                   "val_ids": [profiles.ids[i] for i in idx_val],
@@ -151,32 +161,21 @@ def cmd_train(args) -> int:
 
 
 def cmd_grid_search(args) -> int:
-    from . import column, features, io, net
+    from . import column, io, net
 
     consts = column.PhysConsts()
-    profiles, fluxes = _load_matched(args.profiles, args.truth)
-    idx_train, idx_val, _ = _split_indices(len(profiles), args.seed)
-    datasets = {}
-    for variant in args.variants:
-        if variant not in INPUT_VARIANTS:
-            raise ValueError(f"unknown input variant {variant}; choose from 6, 7, 8")
-        with_q, with_dz = INPUT_VARIANTS[variant]
-        _, x, y = _build_xy(profiles, fluxes, args.component, consts,
-                            include_humidity=with_q, include_thickness=with_dz)
-        norm_in = features.fit_normalization(x[idx_train])
-        norm_out = features.fit_normalization(y[idx_train])
-        xn, yn = norm_in.apply(x), norm_out.apply(y)
-        datasets[variant] = net.GridDataset(
-            x_train=xn[idx_train], y_train=yn[idx_train],
-            x_val=xn[idx_val], y_val=yn[idx_val], norm_out=norm_out)
-
+    profiles = io.read_profiles(args.profiles)
+    truth = _fluxes_for(args.truth, profiles.ids, args.profiles, profiles.grid.n_hl, "truth record")
+    split = _split_indices(len(profiles), args.seed)
+    datasets = {variant: _training_set(profiles, truth, args.component, split, variant, consts)[2]
+                for variant in args.variants}
     spec = net.GridSearchSpec(
         input_variants=tuple(args.variants),
         hidden_layer_counts=tuple(args.layers),
         width_multipliers=tuple(args.multipliers),
         reg_factors=tuple(args.regs),
         repeats=args.repeats)
-    report = net.grid_search(spec, datasets, _train_config(args, args.seed),
+    report = net.grid_search(spec, datasets, _train_config(args),
                              simplicity_tolerance=args.simplicity_tolerance)
     payload = {
         "selected": report.selected,
@@ -186,9 +185,7 @@ def cmd_grid_search(args) -> int:
                   "errors": r.errors}
                  for r in report.rows],
     }
-    from .io import atomic_write_text
-
-    atomic_write_text(args.out, json.dumps(payload, indent=2))
+    io.atomic_write_text(args.out, json.dumps(payload, indent=2))
     best = report.rows[report.selected]
     print(f"selected config: variant={best.input_variant} layers={best.n_layers} "
           f"width={best.width} reg={best.reg:g} mean_mae={best.mean_mae:.6g}; wrote {args.out}")
@@ -200,10 +197,7 @@ def cmd_predict(args) -> int:
 
     from . import column, io, net
 
-    model_lw, consts = io.load_model(args.model_lw)
-    model_sw, consts_sw = io.load_model(args.model_sw)
-    if consts_sw != consts:
-        raise ValueError("LW and SW model files disagree on physical constants")
+    model_lw, model_sw, consts = _model_pair(args.model_lw, args.model_sw)
     profiles = io.read_profiles(args.profiles)
     effects = net.predict_flux_effects(model_lw, model_sw, profiles, consts)
     for component, path in (("lw", args.out_lw), ("sw", args.out_sw)):
@@ -263,8 +257,7 @@ def cmd_eval(args) -> int:
 def cmd_bench(args) -> int:
     from . import evalbench, features, io, net
 
-    model_lw, consts = io.load_model(args.model_lw)
-    model_sw, _ = io.load_model(args.model_sw)
+    model_lw, model_sw, consts = _model_pair(args.model_lw, args.model_sw)
     profiles = io.read_profiles(args.profiles)
 
     x_lw, x_sw = features.build_input_matrices(profiles, (model_lw.schema, model_sw.schema), consts)
@@ -292,6 +285,9 @@ def cmd_bench(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # The flag defaults are the library's; this loads numpy, so `main` pins threads first.
+    from . import augment, evalbench, net
+
     parser = argparse.ArgumentParser(prog="cre3d",
                                      description="3D cloud radiative effect emulation pipeline")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -301,9 +297,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--levels", type=int, default=None,
                    help="full levels for a generic geometric grid (default: 137-level reference)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--amp-lw", type=float, default=2.0)
-    p.add_argument("--amp-sw", type=float, default=3.0)
-    p.add_argument("--decay", type=float, default=5.0)
+    for name in ("amp_lw", "amp_sw", "decay"):
+        p.add_argument("--" + name.replace("_", "-"), type=float,
+                       default=_default(augment.ToyTruthParams, name))
     p.add_argument("--out-profiles", required=True)
     p.add_argument("--out-truth-lw", required=True)
     p.add_argument("--out-truth-sw", required=True)
@@ -318,20 +314,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_train_flags(q):
         q.add_argument("--seed", type=int, default=0)
-        q.add_argument("--max-epochs", type=int, default=1000)
-        q.add_argument("--patience", type=int, default=50)
-        q.add_argument("--l1", type=float, default=1e-5)
-        q.add_argument("--l2", type=float, default=1e-5)
-        q.add_argument("--learning-rate", type=float, default=1e-3)
-        q.add_argument("--batch-size", type=int, default=256)
+        for name, kind in (("max_epochs", int), ("patience", int), ("l1", float), ("l2", float),
+                           ("learning_rate", float), ("batch_size", int)):
+            q.add_argument("--" + name.replace("_", "-"), type=kind,
+                           default=_default(net.TrainConfig, name))
 
     p = sub.add_parser("train", help="train one emulator component")
     p.add_argument("--profiles", required=True)
     p.add_argument("--truth", required=True, help="flux-effect truth records")
     p.add_argument("--component", choices=("lw", "sw"), required=True)
-    p.add_argument("--hidden-layers", type=int, default=3)
+    p.add_argument("--hidden-layers", type=int, default=net.REFERENCE_HIDDEN_LAYERS)
+    widths = " / ".join(f"{w} {c.upper()}" for c, w in net.REFERENCE_HIDDEN_WIDTH.items())
     p.add_argument("--hidden-width", type=int, default=None,
-                   help="override the reference width (217 LW / 182 SW)")
+                   help=f"units per hidden layer (default: the reference width, {widths})")
     add_train_flags(p)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)
@@ -340,12 +335,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profiles", required=True)
     p.add_argument("--truth", required=True)
     p.add_argument("--component", choices=("lw", "sw"), required=True)
-    p.add_argument("--variants", type=int, nargs="+", default=[6], choices=(6, 7, 8))
-    p.add_argument("--layers", type=int, nargs="+", default=[1, 2, 3, 4, 5])
-    p.add_argument("--multipliers", type=float, nargs="+", default=[0.5, 1.0, 2.0])
-    p.add_argument("--regs", type=float, nargs="+", default=[1e-6, 1e-5, 1e-4])
-    p.add_argument("--repeats", type=int, default=10)
-    p.add_argument("--simplicity-tolerance", type=float, default=0.0)
+    p.add_argument("--variants", type=int, nargs="+", choices=sorted(INPUT_VARIANTS),
+                   default=_default(net.GridSearchSpec, "input_variants"))
+    p.add_argument("--layers", type=int, nargs="+",
+                   default=_default(net.GridSearchSpec, "hidden_layer_counts"))
+    p.add_argument("--multipliers", type=float, nargs="+",
+                   default=_default(net.GridSearchSpec, "width_multipliers"))
+    p.add_argument("--regs", type=float, nargs="+",
+                   default=_default(net.GridSearchSpec, "reg_factors"))
+    p.add_argument("--repeats", type=int, default=_default(net.GridSearchSpec, "repeats"))
+    p.add_argument("--simplicity-tolerance", type=float,
+                   default=_default(net.grid_search, "simplicity_tolerance"))
     add_train_flags(p)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_grid_search)
@@ -376,8 +376,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profiles", required=True)
     p.add_argument("--model-lw", required=True)
     p.add_argument("--model-sw", required=True)
-    p.add_argument("--replication", type=int, default=10)
-    p.add_argument("--repeats", type=int, default=3)
+    p.add_argument("--replication", type=int, default=_default(evalbench.bench, "replication"))
+    p.add_argument("--repeats", type=int, default=_default(evalbench.bench, "repeats"))
     p.add_argument("--multi-thread", action="store_true",
                    help="allow multi-threaded BLAS (default: single-threaded)")
     p.add_argument("--out", required=True)

@@ -15,6 +15,7 @@ from typing import List, Sequence, Tuple, Union
 import numpy as np
 
 from .column import (
+    DEFAULT_P_TRUNC,
     DRY_AIR_GAS_CONSTANT,
     GRAVITY,
     AtmosphericProfile,
@@ -91,7 +92,7 @@ class FeatureSchema:
         return slices
 
 
-def schema_for_grid(component: str, grid, p_trunc: float = 5000.0,
+def schema_for_grid(component: str, grid, p_trunc: float = DEFAULT_P_TRUNC,
                     include_humidity: bool = False,
                     include_thickness: bool = False) -> FeatureSchema:
     return FeatureSchema(
@@ -173,12 +174,9 @@ def build_target_vector(targets: EffectTargets, schema: FeatureSchema) -> np.nda
         raise ValueError(f"targets are {targets.component!r}, schema is {schema.component!r}")
     if targets.scalar.shape[-1] != schema.n_hl_window or targets.heat.shape[-1] != schema.n_fl_window:
         raise ValueError("target lengths do not match the schema window")
-    parts = [targets.scalar]
-    if schema.component == SW:
-        if targets.direct_down is None:
-            raise ValueError("shortwave targets need a direct_down profile")
-        parts.append(targets.direct_down)
-    parts.append(targets.heat)
+    parts = [getattr(targets, name) for name, _ in schema.output_blocks]
+    if any(part is None for part in parts):
+        raise ValueError("shortwave targets need a direct_down profile")
     return np.concatenate(parts, axis=-1)
 
 
@@ -220,15 +218,17 @@ def fit_normalization(samples) -> Normalization:
 
 
 def targets_from_flux_effects(component: str, up, down, grid, consts: PhysConsts,
-                              alpha: float | np.ndarray | None = None, direct_down=None,
-                              p_trunc: float = 5000.0) -> EffectTargets:
-    """Derive window training targets (scalar flux + heating effect) from
-    full-grid up/down flux-effect profiles: one column's vectors with a
-    float `alpha`, or (n, n_hl) rows with an (n,) `alpha`."""
+                              alpha: float | np.ndarray | None = None,
+                              direct_down=None) -> EffectTargets:
+    """Derive training targets (scalar flux + heating effect) on the window of
+    `consts.p_trunc` from full-grid up/down flux-effect profiles: one
+    column's vectors with a float `alpha`, or (n, n_hl) rows with an (n,)
+    `alpha`."""
     fields = _level_rows({"up": up, "down": down, "direct_down": direct_down}, {})
     if fields["up"].shape[-1] != grid.n_hl:
         raise ValueError(f"flux effects must have length n_hl={grid.n_hl}")
     heat_full = compute_heating_rates(fields["down"] - fields["up"], grid, consts)
+    p_trunc = consts.p_trunc
     direct_w = None if direct_down is None else truncate_to_window(fields["direct_down"], grid, p_trunc)
     return EffectTargets(component=component,
                          scalar=truncate_to_window(fields["up"] + fields["down"], grid, p_trunc),

@@ -78,11 +78,6 @@ def _decode(path, index: int, line: str):
         raise DatasetError(path, index, f"invalid JSON ({exc})") from exc
 
 
-def read_jsonl(path) -> List[dict]:
-    with open(path) as fh:
-        return [_decode(path, index, line) for index, line in _lines(fh)]
-
-
 def _check_new_id(seen: dict, pid, path, index: int) -> None:
     """Remember a non-null id, or fail if an earlier record had it."""
     if isinstance(pid, (list, dict)):

@@ -359,14 +359,14 @@ class GridSearchSpec:
 
 @dataclass
 class GridDataset:
-    """Train/validation matrices for one input variant; `norm_out` lets the
-    selection metric be computed in physical units."""
+    """Normalized train/validation matrices for one input variant; `norm_out`
+    puts the selection metric in physical units."""
 
     x_train: np.ndarray
     y_train: np.ndarray
     x_val: np.ndarray
     y_val: np.ndarray
-    norm_out: Optional[Normalization] = None
+    norm_out: Normalization
 
 
 @dataclass
@@ -422,11 +422,8 @@ def grid_search(spec: GridSearchSpec, datasets: Dict[int, GridDataset],
             try:
                 model, _ = train(init_model(sizes, seed), data.x_train, data.y_train,
                                  data.x_val, data.y_val, cfg)
-                pred = forward(model, data.x_val)
-                truth = data.y_val
-                if data.norm_out is not None:
-                    pred = data.norm_out.invert(pred)
-                    truth = data.norm_out.invert(truth)
+                pred = data.norm_out.invert(forward(model, data.x_val))
+                truth = data.norm_out.invert(data.y_val)
                 row.val_maes.append(float(np.mean(np.abs(pred - truth))))
             except (FloatingPointError, ValueError) as exc:
                 row.errors.append(str(exc))

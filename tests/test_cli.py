@@ -330,6 +330,22 @@ class TestEndToEnd:
         assert set(stages) == {"normalize", "inference", "denormalize", "postprocess"}
         assert "ms per profile" in stdout
 
+    @pytest.mark.parametrize("command", ["predict", "bench"])
+    def test_model_pair_with_other_constants_rejected(self, pipeline, blas_env, tmp_path,
+                                                      capsys, command):
+        model = json.loads((pipeline / "model_sw.json").read_text())
+        model["constants"]["g"] = 9.7
+        other_sw = tmp_path / "model_sw_g97.json"
+        other_sw.write_text(json.dumps(model))
+        out = {"predict": ["--out-lw", tmp_path / "lw.jsonl", "--out-sw", tmp_path / "sw.jsonl"],
+               "bench": ["--replication", 1, "--out", tmp_path / "bench.json"]}[command]
+        code, _, err = run([command, "--profiles", pipeline / "profiles.jsonl",
+                            "--model-lw", pipeline / "model_lw.json",
+                            "--model-sw", other_sw] + out, capsys)
+        assert code == 1
+        assert err == "error: ValueError: LW and SW model files disagree on physical constants\n"
+        assert list(tmp_path.iterdir()) == [other_sw]
+
     def test_train_is_deterministic(self, pipeline, tmp_path, capsys):
         out = tmp_path / "model_lw2.json"
         code, _, err = run(["train", "--profiles", pipeline / "profiles.jsonl",
@@ -344,6 +360,19 @@ class TestEndToEnd:
         m2, _ = io.load_model(out)
         for w1, w2 in zip(m1.weights, m2.weights):
             np.testing.assert_array_equal(w1, w2)
+
+
+class TestTrainArchitecture:
+    def test_hidden_layers_alone_keeps_the_reference_width(self, tmp_path, capsys):
+        paths = synth(tmp_path, capsys)
+        out = tmp_path / "model.json"
+        code, _, err = run(["train", "--profiles", paths["profiles"], "--truth", paths["truth_sw"],
+                            "--component", "sw", "--hidden-layers", 1, "--max-epochs", 2,
+                            "--patience", 1, "--out", out], capsys)
+        assert code == 0, err
+        model, _ = io.load_model(out)
+        width = net.REFERENCE_HIDDEN_WIDTH["sw"]
+        assert model.layer_sizes == [model.schema.input_len, width, model.schema.output_len]
 
 
 class TestGridSearchCommand:

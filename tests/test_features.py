@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cre3d.augment import generate_profiles
-from cre3d.column import ProfileBatch, compute_cloud_optical_depth, truncate_profile
+from cre3d.column import PhysConsts, ProfileBatch, compute_cloud_optical_depth, truncate_profile
 from cre3d.features import (
     FeatureSchema,
     Normalization,
@@ -151,6 +151,19 @@ class TestTargetVectors:
         i0 = small_grid.window_start()
         np.testing.assert_allclose(t.scalar, (up + down)[i0:], rtol=1e-13)
         assert t.heat.size == small_grid.n_fl_window()
+
+    def test_targets_window_follows_consts(self, small_grid):
+        # 10000 Pa moves the first window full level of small_grid from index 4 to 6
+        consts = PhysConsts(p_trunc=10000.0)
+        assert small_grid.window_start(consts.p_trunc) != small_grid.window_start()
+        rng = np.random.default_rng(9)
+        up, down, direct = rng.normal(size=(3, small_grid.n_hl))
+        t = targets_from_flux_effects("sw", up, down, small_grid, consts, alpha=0.3,
+                                      direct_down=direct)
+        i0 = small_grid.window_start(consts.p_trunc)
+        np.testing.assert_array_equal(t.scalar, (up + down)[i0:])
+        np.testing.assert_array_equal(t.direct_down, direct[i0:])
+        assert t.heat.size == small_grid.n_fl_window(consts.p_trunc)
 
 
 class TestTargetRows:

@@ -12,7 +12,6 @@ from cre3d.io import (
     atomic_write_text,
     load_model,
     read_fluxes,
-    read_jsonl,
     read_profiles,
     save_model,
     write_fluxes,
@@ -29,18 +28,7 @@ class TestJsonl:
         path = tmp_path / "records.jsonl"
         records = [{"a": 1}, {"b": [1.5, 2.5]}]
         write_jsonl(path, records)
-        assert read_jsonl(path) == records
-
-    def test_blank_lines_skipped(self, tmp_path):
-        path = tmp_path / "records.jsonl"
-        path.write_text('{"a": 1}\n\n{"b": 2}\n')
-        assert len(read_jsonl(path)) == 2
-
-    def test_invalid_json_reports_line(self, tmp_path):
-        path = tmp_path / "bad.jsonl"
-        path.write_text('{"a": 1}\nnot json\n')
-        with pytest.raises(DatasetError, match="record 2"):
-            read_jsonl(path)
+        assert [json.loads(line) for line in path.read_text().splitlines()] == records
 
     def test_atomic_write_leaves_no_temp_files(self, tmp_path):
         path = tmp_path / "out.txt"
@@ -306,7 +294,7 @@ class TestFluxes:
                        heat=[[1e-5], [-2e-5]])
         path = tmp_path / "flux.jsonl"
         write_fluxes(path, ["a", 7], flux)
-        assert read_jsonl(path) == [
+        assert [json.loads(line) for line in path.read_text().splitlines()] == [
             {"id": "a", "up": [1.0, 2.0], "down": [0.5, 0.25], "heat": [1e-5]},
             {"id": 7, "up": [3.0, 4.0], "down": [0.0, -1.0], "heat": [-2e-5]}]
 

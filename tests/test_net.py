@@ -7,6 +7,7 @@ from cre3d import features, net
 from cre3d.augment import generate_profiles, toy_truth
 from cre3d.column import ProfileBatch, VerticalGrid, extend_to_full
 from cre3d.features import (
+    Normalization,
     build_input_matrix,
     build_target_vector,
     fit_normalization,
@@ -494,7 +495,9 @@ class TestGridSearch:
         w = rng.normal(size=(n_out, n_in))
         x = rng.uniform(-1, 1, size=(n, n_in))
         y = x @ w.T
-        return GridDataset(x_train=x[:80], y_train=y[:80], x_val=x[80:], y_val=y[80:])
+        identity = Normalization(mean=np.zeros(n_out), scale=np.ones(n_out))
+        return GridDataset(x_train=x[:80], y_train=y[:80], x_val=x[80:], y_val=y[80:],
+                           norm_out=identity)
 
     def test_run_seed_formula(self):
         assert run_seed(5, 3, 2) == 5 * 1_000_003 + 3 * 1_009 + 2
