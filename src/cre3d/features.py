@@ -9,8 +9,8 @@ tropospheric window only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Sequence, Tuple, Union
+from dataclasses import dataclass, field
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -42,6 +42,9 @@ class FeatureSchema:
     n_hl_window: int
     include_humidity: bool = False
     include_thickness: bool = False
+    # The window's half-level pressures on the grid the schema was made for,
+    # if known; they are not part of the layout, so equality ignores them.
+    p_hl_window: Optional[np.ndarray] = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if self.component not in (LW, SW):
@@ -50,6 +53,12 @@ class FeatureSchema:
             raise ValueError("n_hl_window must equal n_fl_window + 1")
         if self.n_fl_window < 1:
             raise ValueError("window must contain at least one full level")
+        if self.p_hl_window is not None:
+            p = np.array(self.p_hl_window, dtype=float)
+            if p.shape != (self.n_hl_window,):
+                raise ValueError(f"p_hl_window must have shape ({self.n_hl_window},), got {p.shape}")
+            p.setflags(write=False)
+            object.__setattr__(self, "p_hl_window", p)
 
     @property
     def input_blocks(self) -> List[Tuple[str, int]]:
@@ -101,6 +110,7 @@ def schema_for_grid(component: str, grid, p_trunc: float = DEFAULT_P_TRUNC,
         n_hl_window=grid.n_hl_window(p_trunc),
         include_humidity=include_humidity,
         include_thickness=include_thickness,
+        p_hl_window=grid.p_hl[grid.window_start(p_trunc):],
     )
 
 

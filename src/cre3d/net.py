@@ -450,6 +450,9 @@ def _check_model(model: MlpModel, component: str, grid: VerticalGrid, consts: Ph
         raise ValueError(f"expected a {component!r} model, got {model.schema.component!r}")
     if model.schema.n_fl_window != grid.n_fl_window(consts.p_trunc):
         raise ValueError("model schema window does not match the profile grid")
+    window = model.schema.p_hl_window
+    if window is not None and not np.array_equal(grid.p_hl[-window.size:], window):
+        raise ValueError("the profile grid's window pressures differ from those the model was trained on")
 
 
 STAGES = ("normalize", "inference", "denormalize", "postprocess")

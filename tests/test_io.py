@@ -1,10 +1,15 @@
 import json
 import os
+import signal
 import stat
+import sys
+import threading
+from collections.abc import Sequence
 
 import numpy as np
 import pytest
 
+from cre3d import io as cre3d_io
 from cre3d.column import FluxSet, PhysConsts, ProfileBatch
 from cre3d.features import fit_normalization, schema_for_grid
 from cre3d.io import (
@@ -23,6 +28,31 @@ from cre3d.net import init_model
 from conftest import make_profile
 
 
+@pytest.fixture
+def records_per_part():
+    """Fewest records per part of a JSON-Lines file; None puts every file in one part."""
+    return None
+
+
+@pytest.fixture(autouse=True)
+def _part_layout(records_per_part, monkeypatch):
+    if records_per_part is None:
+        monkeypatch.setattr(cre3d_io, "PART_RECORDS", sys.maxsize)
+    else:
+        monkeypatch.setattr(cre3d_io, "PART_RECORDS", records_per_part)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
+
+
+class InParts:
+    """Runs the tests of the class it is mixed into on files split into
+    parts of at least 1 and at least 2 records, each part after the first
+    in a forked child."""
+
+    @pytest.fixture(params=[1, 2], ids=["1-record parts", "2-record parts"])
+    def records_per_part(self, request):
+        return request.param
+
+
 class TestJsonl:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "records.jsonl"
@@ -37,13 +67,18 @@ class TestJsonl:
         assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
 
     def test_failed_streaming_write_leaves_nothing(self, tmp_path):
-        def records():
-            yield {"a": 1}
-            raise RuntimeError("producer failed")
+        class Records(Sequence):
+            def __len__(self):
+                return 2
+
+            def __getitem__(self, i):
+                if i == 1:
+                    raise RuntimeError("producer failed")
+                return {"a": 1}
 
         path = tmp_path / "out.jsonl"
         with pytest.raises(RuntimeError, match="producer failed"):
-            write_jsonl(path, records())
+            write_jsonl(path, Records())
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)])
@@ -282,6 +317,14 @@ class TestFluxes:
             with pytest.raises(DatasetError, match=f"flux.jsonl:record 2: {message}"):
                 read_fluxes(path)
 
+    def test_bytes_that_are_not_utf8_reported_with_record(self, tmp_path):
+        path = tmp_path / "flux.jsonl"
+        lines = [json.dumps(self._record(f"p{i}")).encode() for i in range(3)]
+        lines[1] = lines[1].replace(b'"p1"', b'"p\xff1"')
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        with pytest.raises(DatasetError, match="flux.jsonl:record 2: 'utf-8' codec can't decode byte 0xff"):
+            read_fluxes(path)
+
     def test_write_rejects_repeated_id_before_creating_the_file(self, tmp_path):
         flux = FluxSet(up=np.zeros((3, 3)), down=np.zeros((3, 3)), heat=np.zeros((3, 2)))
         path = tmp_path / "flux.jsonl"
@@ -363,6 +406,218 @@ class TestFluxes:
             write_fluxes(tmp_path / "flux.jsonl", ["a"], flux)
 
 
+class TestJsonlInParts(InParts, TestJsonl):
+    pass
+
+
+class TestProfilesInParts(InParts, TestProfiles):
+    pass
+
+
+class TestFluxesInParts(InParts, TestFluxes):
+    pass
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the children forked during the test, each of which must
+    be reaped by the time the test ends."""
+    pids, fork = [], os.fork
+
+    def spy():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", spy)
+    yield pids
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+def _flux_lines(ids, **fields):
+    return [json.dumps({**TestFluxes._record(pid), **fields}) for pid in ids]
+
+
+class TestPartBoundaries:
+    """Records on both sides of the boundary between two parts."""
+
+    @pytest.fixture
+    def records_per_part(self):
+        return 1
+
+    @staticmethod
+    def _starts(path):
+        """The byte offsets at which _split starts the parts after record 1."""
+        with open(path, "rb") as fh:
+            first = fh.readline()
+            return [start for start, _ in cre3d_io._split(fh, len(first))[1:]]
+
+    def test_write_bytes_do_not_depend_on_the_parts(self, tmp_path, monkeypatch, forks):
+        rng = np.random.default_rng(0)
+        flux = FluxSet(up=rng.normal(size=(5, 4)), down=rng.normal(size=(5, 4)), heat=rng.normal(size=(5, 3)))
+        monkeypatch.setattr(cre3d_io, "PART_RECORDS", sys.maxsize)
+        write_fluxes(tmp_path / "whole.jsonl", ["a", 2, None, "d", "e"], flux)
+        assert forks == []
+        monkeypatch.setattr(cre3d_io, "PART_RECORDS", 1)
+        write_fluxes(tmp_path / "parts.jsonl", ["a", 2, None, "d", "e"], flux)
+        assert len(forks) == 4
+        assert (tmp_path / "parts.jsonl").read_bytes() == (tmp_path / "whole.jsonl").read_bytes()
+        ids, back = read_fluxes(tmp_path / "parts.jsonl")
+        assert len(forks) > 4
+        assert ids == ["a", 2, None, "d", "e"]
+        np.testing.assert_array_equal(back.heat, flux.heat)
+
+    @pytest.mark.parametrize("ids, first", [(["p0", "p1", "p2", "p3", "p1"], 2),
+                                            (["p0", "p1", "p2", "p3", "p2"], 3)],
+                             ids=["first-copy-in-part-0", "first-copy-in-a-child-part"])
+    def test_duplicate_of_an_id_in_an_earlier_part(self, tmp_path, forks, ids, first):
+        path = tmp_path / "flux.jsonl"
+        path.write_text("".join(line + "\n" for line in _flux_lines(ids)))
+        with pytest.raises(DatasetError, match=rf"flux.jsonl:record 5: duplicate id '{ids[-1]}' "
+                                               rf"\(first in record {first}\)"):
+            read_fluxes(path)
+        assert len(forks) == 3
+
+    def test_blank_line_at_a_split(self, tmp_path, forks):
+        path = tmp_path / "flux.jsonl"
+        lines = _flux_lines(["p0", "p1"]) + [""] + _flux_lines(["p2", "p3", "p4"])
+        path.write_text("".join(line + "\n" for line in lines))
+        blank_at = sum(len(line) + 1 for line in lines[:2])
+        assert blank_at in self._starts(path)
+        ids, _ = read_fluxes(path)
+        assert ids == ["p0", "p1", "p2", "p3", "p4"]
+        lines[3] = json.dumps({**json.loads(lines[3]), "heat": [0.5, float("nan"), 0.5]})
+        path.write_text("".join(line + "\n" for line in lines))
+        assert blank_at in self._starts(path)
+        with pytest.raises(DatasetError, match="flux.jsonl:record 3: heat contains a non-finite value at level 1"):
+            read_fluxes(path)
+        assert len(forks) == 6
+
+    def test_value_rule_in_part_0_named_before_invalid_json_in_part_1(self, tmp_path, small_grid, forks):
+        path = tmp_path / "profiles.jsonl"
+        write_profiles(path, [make_profile(small_grid, seed=s) for s in range(3)])
+        lines = path.read_text().splitlines()
+        # record 2 is the longer, so the split falls between records 2 and 3
+        lines[1] = json.dumps({**json.loads(lines[1]), "mu0": 2.0}) + " " * 100
+        lines[2] += "x"
+        path.write_text("".join(line + "\n" for line in lines))
+        forks.clear()
+        with pytest.raises(DatasetError, match=r"profiles.jsonl:record 2: mu0 must lie in \[-1.0, 1.0\], got 2.0"):
+            read_profiles(path)
+        assert len(forks) == 1
+
+    def test_split_offset_in_the_middle_of_a_line(self, tmp_path, forks):
+        ids = ["p0", "p1" * 40, "p2", "p3" * 25, "p4", "p5" * 60]
+        path = tmp_path / "flux.jsonl"
+        lines = _flux_lines(ids)
+        path.write_text("".join(line + "\n" for line in lines))
+        line_starts = {sum(len(line) + 1 for line in lines[:i]) for i in range(len(lines))}
+        starts = self._starts(path)
+        start, rest = len(lines[0]) + 1, path.stat().st_size - len(lines[0]) - 1
+        k = rest // (len(lines[0]) + 1)
+        assert any(start + rest * i // k not in line_starts for i in range(1, k))
+        assert len(starts) > 1 and set(starts) <= line_starts
+        assert read_fluxes(path)[0] == ids
+
+    def test_one_part_while_other_threads_run(self, tmp_path, forks):
+        flux = FluxSet(up=np.zeros((5, 3)), down=np.zeros((5, 3)), heat=np.zeros((5, 2)))
+        path = tmp_path / "flux.jsonl"
+        release = threading.Event()
+        other = threading.Thread(target=release.wait, args=(10,))
+        other.start()
+        try:
+            write_fluxes(path, [f"p{i}" for i in range(5)], flux)
+            assert read_fluxes(path)[0] == [f"p{i}" for i in range(5)]
+        finally:
+            release.set()
+            other.join(10)
+        assert not other.is_alive()
+        assert forks == []
+        write_fluxes(path, [f"p{i}" for i in range(5)], flux)
+        assert len(forks) == 4
+
+    def test_file_smaller_than_one_part_is_not_split(self, tmp_path, monkeypatch, forks):
+        monkeypatch.setattr(cre3d_io, "PART_RECORDS", 10)
+        flux = FluxSet(up=np.zeros((5, 3)), down=np.zeros((5, 3)), heat=np.zeros((5, 2)))
+        path = tmp_path / "flux.jsonl"
+        write_fluxes(path, [f"p{i}" for i in range(5)], flux)
+        assert read_fluxes(path)[0] == [f"p{i}" for i in range(5)]
+        assert forks == []
+
+
+def _fault(kind):
+    if kind == "raises":
+        raise RuntimeError("part failed on purpose")
+    if kind == "exits":
+        os._exit(3)
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+class TestPartFailures:
+    """A part that fails fails the call, naming the file, and leaves no file and no child behind."""
+
+    REPORTS = {"raises": "RuntimeError: part failed on purpose",
+               "exits": "its process exited with status 3",
+               "killed": f"its process was killed by signal {int(signal.SIGKILL)}"}
+
+    @pytest.fixture
+    def records_per_part(self):
+        return 1
+
+    @pytest.mark.parametrize("kind", sorted(REPORTS))
+    def test_failed_child_of_a_write(self, tmp_path, forks, kind):
+        parent = os.getpid()
+
+        class Records(Sequence):
+            def __len__(self):
+                return 3
+
+            def __getitem__(self, i):
+                if i == 1 and os.getpid() != parent:
+                    _fault(kind)
+                return {"a": i}
+
+        with pytest.raises(RuntimeError, match=rf"out.jsonl: part 2 of 3 failed: {self.REPORTS[kind]}$"):
+            write_jsonl(tmp_path / "out.jsonl", Records())
+        assert len(forks) == 2
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_part_0_of_a_write_stops_the_children(self, tmp_path, forks):
+        class Records(Sequence):
+            def __len__(self):
+                return 3
+
+            def __getitem__(self, i):
+                if i == 0:
+                    raise RuntimeError("producer failed")
+                return {"a": i}
+
+        with pytest.raises(RuntimeError, match="^producer failed$"):
+            write_jsonl(tmp_path / "out.jsonl", Records())
+        assert len(forks) == 2
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("kind", sorted(REPORTS))
+    def test_failed_child_of_a_read(self, tmp_path, monkeypatch, forks, kind):
+        path = tmp_path / "flux.jsonl"
+        path.write_text("".join(line + "\n" for line in _flux_lines([f"p{i}" for i in range(4)])))
+        parent, parse_rows = os.getpid(), cre3d_io._parse_rows
+
+        def faulty(lines, parse):
+            if os.getpid() != parent:
+                _fault(kind)
+            return parse_rows(lines, parse)
+
+        monkeypatch.setattr(cre3d_io, "_parse_rows", faulty)
+        with pytest.raises(RuntimeError, match=rf"flux.jsonl: part 2 of 3 failed: {self.REPORTS[kind]}$"):
+            read_fluxes(path)
+        assert len(forks) == 2
+        assert [p.name for p in tmp_path.iterdir()] == ["flux.jsonl"]
+
+
 class TestModelFiles:
     @staticmethod
     def _model(small_grid, seed=0):
@@ -412,6 +667,23 @@ class TestModelFiles:
         path.write_text(path.read_text()[:100])
         with pytest.raises(DatasetError, match="invalid JSON"):
             load_model(path)
+
+    def test_training_grid_window_round_trips(self, tmp_path, small_grid, consts):
+        path = tmp_path / "model.json"
+        save_model(path, self._model(small_grid), consts)
+        assert json.loads(path.read_text())["schema"]["p_hl_window"] == small_grid.p_hl[4:].tolist()
+        back, _ = load_model(path)
+        np.testing.assert_array_equal(back.schema.p_hl_window, small_grid.p_hl[4:])
+
+    def test_model_file_without_training_window_loads(self, tmp_path, small_grid, consts):
+        path = tmp_path / "model.json"
+        save_model(path, self._model(small_grid), consts)
+        obj = json.loads(path.read_text())
+        del obj["schema"]["p_hl_window"]
+        path.write_text(json.dumps(obj))
+        back, _ = load_model(path)
+        assert back.schema.p_hl_window is None
+        assert back.schema == self._model(small_grid).schema
 
     def test_constants_round_trip_non_default(self, tmp_path, small_grid):
         model = self._model(small_grid)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -644,6 +645,28 @@ class TestPredictEffects:
         profiles = generate_profiles(1, small_grid, seed=5)
         with pytest.raises(ValueError, match="model"):
             predict_flux_effects(sw, lw, profiles, consts)
+
+    def test_grid_with_other_window_pressures_rejected(self, small_grid, consts):
+        # same window size, one window pressure moved
+        lw, sw = self._models(small_grid, consts)
+        p_hl = small_grid.p_hl.copy()
+        p_hl[-2] = 70000.0
+        other = VerticalGrid(p_hl)
+        assert other.n_fl_window(consts.p_trunc) == small_grid.n_fl_window(consts.p_trunc)
+        profiles = generate_profiles(2, other, seed=6)
+        with pytest.raises(ValueError, match="window pressures differ from those the model was trained on"):
+            predict_flux_effects(lw, sw, profiles, consts)
+        with pytest.raises(ValueError, match="window pressures differ"):
+            net.make_staged_runner(lw, sw, other, consts)
+        predict_flux_effects(lw, sw, generate_profiles(2, small_grid, seed=6), consts)
+
+    def test_model_without_training_window_checks_its_size_only(self, small_grid, consts):
+        lw, sw = self._models(small_grid, consts)
+        for model in (lw, sw):
+            model.schema = dataclasses.replace(model.schema, p_hl_window=None)
+        p_hl = small_grid.p_hl.copy()
+        p_hl[-2] = 70000.0
+        predict_flux_effects(lw, sw, generate_profiles(2, VerticalGrid(p_hl), seed=6), consts)
 
     def test_mixed_grids_rejected(self, small_grid, consts):
         lw, sw = self._models(small_grid, consts)
