@@ -87,43 +87,44 @@ def _smear_kernels(n: int, decay: float):
     return down, up
 
 
-def toy_truth(profile: AtmosphericProfile, consts: PhysConsts,
+def toy_truth(profiles, consts: PhysConsts,
               params: ToyTruthParams = ToyTruthParams()) -> ToyTruth:
-    """Deterministic synthetic 3D-effect truth for one profile (window arrays)."""
-    wprof = truncate_profile(profile, consts.p_trunc)
-    wgrid = wprof.grid
-    tau = compute_cloud_optical_depth(wprof, consts)
-    w = wprof.f_c * -np.expm1(-tau)
+    """Deterministic synthetic 3D-effect truth on the window: (n, levels) rows
+    for a batch or a sequence of profiles, one column's vectors for one
+    profile (the one-row case). Every row has the bits of a one-row call."""
+    one = isinstance(profiles, AtmosphericProfile)
+    batch = truncate_profile(ProfileBatch.from_profiles([profiles] if one else profiles), consts.p_trunc)
+    wgrid = batch.grid
+    tau = compute_cloud_optical_depth(batch, consts)
+    w = batch.f_c * -np.expm1(-tau)
     n = wgrid.n_fl
     down_k, up_k = _smear_kernels(n, params.decay)
     taper = 1.0 - np.arange(n + 1) / (n + 1)
+    # numpy runs a stacked matmul as one matrix-vector product per row, whose
+    # bits a one-row call shares; one GEMM over all rows would round otherwise.
+    smear_down = np.matmul(down_k, w[..., None])[..., 0]
+    smear_up = np.matmul(up_k, w[..., None])[..., 0]
 
-    down_lw = params.amp_lw * (down_k @ w)
-    up_lw = params.amp_lw * taper * (up_k @ w)
-
-    if profile.mu0 > 0:
-        scale = params.amp_sw * profile.mu0
-        down_sw = scale * (down_k @ w)
-        up_sw = scale * taper * (up_k @ w)
-        up_sw[-1] = profile.alpha * down_sw[-1]
-        direct_sw = -scale * np.concatenate([[0.0], np.cumsum(w)])
-    else:
-        down_sw = np.zeros(n + 1)
-        up_sw = np.zeros(n + 1)
-        direct_sw = np.zeros(n + 1)
+    scale = (params.amp_sw * batch.mu0)[:, None]
+    # `scale * taper` first, as in the one-column form `scale * taper * (up_k @ w)`.
+    rows = {"up_lw": params.amp_lw * taper * smear_up, "down_lw": params.amp_lw * smear_down,
+            "up_sw": scale * taper * smear_up, "down_sw": scale * smear_down,
+            "direct_sw": -scale * np.pad(np.cumsum(w, axis=-1), ((0, 0), (1, 0)))}
+    rows["up_sw"][:, -1] = batch.alpha * rows["down_sw"][:, -1]
+    for name in ("up_sw", "down_sw", "direct_sw"):
+        rows[name][batch.mu0 <= 0] = 0.0  # assigned, so night rows are +0.0
+    alpha = batch.alpha
+    if one:
+        rows = {name: row[0] for name, row in rows.items()}
+        alpha = profiles.alpha
 
     def targets(component, up, down, direct=None):
         heat = compute_heating_rates(down - up, wgrid, consts)
-        return EffectTargets(component=component, scalar=up + down, heat=heat,
-                             direct_down=direct,
-                             alpha=profile.alpha if component == SW else None)
+        return EffectTargets(component=component, scalar=up + down, heat=heat, direct_down=direct,
+                             alpha=alpha if component == SW else None)
 
-    return ToyTruth(
-        lw=targets(LW, up_lw, down_lw),
-        sw=targets(SW, up_sw, down_sw, direct_sw),
-        up_lw=up_lw, down_lw=down_lw,
-        up_sw=up_sw, down_sw=down_sw, direct_sw=direct_sw,
-    )
+    return ToyTruth(lw=targets(LW, rows["up_lw"], rows["down_lw"]),
+                    sw=targets(SW, rows["up_sw"], rows["down_sw"], rows["direct_sw"]), **rows)
 
 
 def make_reference_grid() -> VerticalGrid:

@@ -16,7 +16,6 @@ import platform
 import sys
 
 INPUT_VARIANTS = {6: (False, False), 7: (True, False), 8: (True, True)}
-THREADS_ENV = "CRE3D_NUM_THREADS"
 _BLAS_ENV = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
              "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
 
@@ -90,22 +89,18 @@ def _default(target, name: str):
 
 
 def cmd_synth(args) -> int:
+    import numpy as np
+
     from . import augment, column, io
 
-    grid = augment.make_reference_grid() if args.levels is None else None
-    if grid is None:
-        import numpy as np
-
-        grid = column.VerticalGrid(np.geomspace(1.0, 101325.0, args.levels + 1))
+    grid = (augment.make_reference_grid() if args.levels is None
+            else column.VerticalGrid(np.geomspace(1.0, 101325.0, args.levels + 1)))
     consts = column.PhysConsts()
     params = augment.ToyTruthParams(amp_lw=args.amp_lw, amp_sw=args.amp_sw, decay=args.decay)
     profiles = augment.generate_profiles(args.profiles, grid, args.seed)
-    truth = [augment.toy_truth(p, consts, params) for p in profiles]
-    lw = column.extend_to_full([t.up_lw for t in truth], [t.down_lw for t in truth], None,
-                               [t.lw.heat for t in truth], grid, consts.p_trunc)
-    sw = column.extend_to_full([t.up_sw for t in truth], [t.down_sw for t in truth],
-                               [t.direct_sw for t in truth], [t.sw.heat for t in truth],
-                               grid, consts.p_trunc)
+    t = augment.toy_truth(profiles, consts, params)
+    lw = column.extend_to_full(t.up_lw, t.down_lw, None, t.lw.heat, grid, consts.p_trunc)
+    sw = column.extend_to_full(t.up_sw, t.down_sw, t.direct_sw, t.sw.heat, grid, consts.p_trunc)
     io.write_profiles(args.out_profiles, profiles)
     io.write_fluxes(args.out_truth_lw, profiles.ids, lw)
     io.write_fluxes(args.out_truth_sw, profiles.ids, sw)
@@ -276,7 +271,6 @@ def cmd_bench(args) -> int:
         "hardware": {"platform": platform.platform(), "machine": platform.machine(),
                      "cpu_count": os.cpu_count()},
         "threads": {"multi_thread": args.multi_thread,
-                    "requested": os.environ.get(THREADS_ENV),
                     "env": {var: os.environ.get(var) for var in _BLAS_ENV}},
     }
     io.atomic_write_text(args.out, json.dumps(report, indent=2))
@@ -388,11 +382,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _pin_threads(argv) -> None:
     # Must precede numpy's first import; only the subcommand (first non-option) counts.
-    if next((a for a in argv if not a.startswith("-")), None) != "bench":
+    # With --multi-thread the environment's own BLAS variables decide.
+    if next((a for a in argv if not a.startswith("-")), None) != "bench" or "--multi-thread" in argv:
         return
-    threads = os.environ.get(THREADS_ENV) if "--multi-thread" in argv else "1"
-    for var in _BLAS_ENV if threads else ():
-        os.environ.setdefault(var, threads)
+    for var in _BLAS_ENV:
+        os.environ.setdefault(var, "1")
 
 
 def main(argv=None) -> int:

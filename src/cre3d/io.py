@@ -507,6 +507,9 @@ def model_to_json(model: MlpModel, consts: PhysConsts) -> dict:
 
 
 def model_from_json(obj: dict, path="<model>") -> Tuple[MlpModel, PhysConsts]:
+    if not isinstance(obj, dict):
+        raise DatasetError(path, None, f"bad model file: the top-level value is a "
+                                       f"{type(obj).__name__}, not an object")
     try:
         if obj.get("format_version") != MODEL_FORMAT_VERSION:
             raise ValueError(f"unsupported format_version {obj.get('format_version')!r}")
@@ -531,6 +534,12 @@ def model_from_json(obj: dict, path="<model>") -> Tuple[MlpModel, PhysConsts]:
             norm_out=_normalization_from_json(obj["normalization"]["out"]),
             meta=dict(obj.get("training", {})),
         )
+        for what, width, want in (("first layer input", model.input_len, schema.input_len),
+                                  ("norm_in", model.norm_in.mean.size, schema.input_len),
+                                  ("last layer output", model.output_len, schema.output_len),
+                                  ("norm_out", model.norm_out.mean.size, schema.output_len)):
+            if width != want:
+                raise ValueError(f"{what} has width {width}, but the schema's is {want}")
         c = obj["constants"]
         consts = PhysConsts(g=c["g"], c_p=c["c_p"], rho_l=c["rho_l"],
                             rho_i=c["rho_i"], p_trunc=c["p_trunc"])

@@ -69,13 +69,13 @@ def trained():
     t0 = time.monotonic()
     profiles = generate_profiles(2000, GRID, seed=42)
     idx_train, idx_val, idx_test = _split_indices(2000, seed=42)
-    truths = [toy_truth(p, CONSTS) for p in profiles]
+    truth = toy_truth(profiles, CONSTS)
 
     models = {}
     for comp in ("lw", "sw"):
         schema = schema_for_grid(comp, GRID)
         x = build_input_matrix(profiles, schema, CONSTS)
-        y = np.array([build_target_vector(getattr(t, comp), schema) for t in truths])
+        y = build_target_vector(getattr(truth, comp), schema)
         norm_in = fit_normalization(x[idx_train])
         norm_out = fit_normalization(y[idx_train])
         xn, yn = norm_in.apply(x), norm_out.apply(y)
@@ -87,7 +87,7 @@ def trained():
         models[comp] = {"model": model, "schema": schema, "x": x, "y": y}
     return {
         "profiles": profiles,
-        "truths": truths,
+        "truth": truth,
         "split": (idx_train, idx_val, idx_test),
         "models": models,
         "train_seconds": time.monotonic() - t0,

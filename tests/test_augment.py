@@ -21,6 +21,15 @@ def bits(a):
     return np.asarray(a).view(np.int64)
 
 
+def truth_rows(truth):
+    """Every array of a ToyTruth, the targets' fields unpacked, by name."""
+    return {"lw.scalar": truth.lw.scalar, "lw.heat": truth.lw.heat,
+            "sw.scalar": truth.sw.scalar, "sw.heat": truth.sw.heat,
+            "sw.direct_down": truth.sw.direct_down, "sw.alpha": truth.sw.alpha,
+            "up_lw": truth.up_lw, "down_lw": truth.down_lw, "up_sw": truth.up_sw,
+            "down_sw": truth.down_sw, "direct_sw": truth.direct_sw}
+
+
 class TestAugmentScalars:
     def test_k_zero_is_identity(self, small_grid):
         profiles = generate_profiles(5, small_grid, seed=0)
@@ -171,6 +180,46 @@ class TestToyTruth:
         truth = toy_truth(p, consts)
         assert truth.lw.scalar.size == small_grid.n_hl_window(consts.p_trunc)
         assert truth.lw.heat.size == small_grid.n_fl_window(consts.p_trunc)
+
+    @pytest.mark.parametrize("grid_name", ["small_grid", "ref_grid"])
+    def test_batch_equals_stacked_one_profile_calls(self, request, consts, grid_name):
+        batch = generate_profiles(40, request.getfixturevalue(grid_name), seed=7)
+        night = batch.mu0 <= 0
+        assert night.any() and not night.all()
+        rows = truth_rows(toy_truth(batch, consts))
+        one = [truth_rows(toy_truth(p, consts)) for p in batch]
+        for name, value in rows.items():
+            assert np.array_equal(bits(value), bits(np.stack([np.asarray(r[name]) for r in one]))), name
+
+    def test_night_rows_are_positive_zero(self, small_grid, consts):
+        batch = generate_profiles(40, small_grid, seed=8)
+        night = batch.mu0 <= 0
+        assert night.any()
+        rows = truth_rows(toy_truth(batch, consts))
+        for name in ("sw.scalar", "up_sw", "down_sw", "direct_sw"):
+            assert np.all(bits(rows[name][night]) == 0), name  # +0.0: no sign bit
+
+    def test_list_gives_the_batch_bits(self, small_grid, consts):
+        batch = generate_profiles(12, small_grid, seed=9)
+        from_list = truth_rows(toy_truth(list(batch), consts))
+        for name, value in truth_rows(toy_truth(batch, consts)).items():
+            assert np.array_equal(bits(from_list[name]), bits(value)), name
+
+    # SHA-256 of the truth rows of 40 columns (some of them at night), taken
+    # from one-profile calls stacked row by row: batch truth keeps their bits.
+    @pytest.mark.parametrize("grid_name, seed, digest", [
+        ("small_grid", 0, "c798935cfab6969feec122ec5297c1a0bc61480cc3994664897ac4a8858a0b9b"),
+        ("small_grid", 1, "32d9366e926bc9a78cfc9b7e22b978bf3e86c84dc15ed8c81ff86f1ff1ea740f"),
+        ("ref_grid", 0, "152076fb5671ce70648d5d25f6db6a1b30bc81d67c9f0bff46c1308afdff9865"),
+        ("ref_grid", 1, "f9e5b447ce8df5c69739983249e1e3e57961f8f4a7c81b05a42d4c09f83e1396"),
+    ])
+    def test_bits_pinned(self, request, consts, grid_name, seed, digest):
+        batch = generate_profiles(40, request.getfixturevalue(grid_name), seed)
+        h = hashlib.sha256()
+        for name, value in truth_rows(toy_truth(batch, consts)).items():
+            h.update(name.encode())
+            h.update(np.ascontiguousarray(value, dtype="<f8").tobytes())
+        assert h.hexdigest() == digest
 
 
 class TestGenerateProfiles:

@@ -195,7 +195,7 @@ def blas_env(monkeypatch):
     """The BLAS thread variables unset, and restored after the test: `bench`
     run in this process sets them. setenv first, so that the undo also
     removes a variable that was unset before."""
-    for var in cli._BLAS_ENV + (cli.THREADS_ENV,):
+    for var in cli._BLAS_ENV:
         monkeypatch.setenv(var, "")
         monkeypatch.delenv(var)
     return monkeypatch
@@ -416,6 +416,13 @@ class TestThreadPinning:
         assert not any(var in os.environ for var in cli._BLAS_ENV)
         cli._pin_threads(["bench", "--profiles", "p.jsonl"])
         assert all(os.environ[var] == "1" for var in cli._BLAS_ENV)
+
+    def test_multi_thread_leaves_the_environment_to_decide(self, blas_env):
+        blas_env.setenv("OMP_NUM_THREADS", "3")
+        blas_env.setenv("CRE3D_NUM_THREADS", "4")
+        cli._pin_threads(["bench", "--multi-thread", "--profiles", "p.jsonl"])
+        assert {var: os.environ.get(var) for var in cli._BLAS_ENV} == {
+            var: "3" if var == "OMP_NUM_THREADS" else None for var in cli._BLAS_ENV}
 
     def test_bench_report_records_the_effective_env(self, pipeline, blas_env, capsys):
         blas_env.setenv("OPENBLAS_NUM_THREADS", "4")

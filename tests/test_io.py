@@ -668,6 +668,28 @@ class TestModelFiles:
         with pytest.raises(DatasetError, match="invalid JSON"):
             load_model(path)
 
+    def test_non_object_file_rejected(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text("[1, 2]")
+        with pytest.raises(DatasetError, match=r"model\.json: bad model file: .* list, not an object"):
+            load_model(path)
+
+    @pytest.mark.parametrize("what", ["first layer input", "norm_in", "last layer output", "norm_out"])
+    def test_widths_disagreeing_with_the_schema_rejected(self, tmp_path, small_grid, consts, what):
+        schema = schema_for_grid("lw", small_grid)
+        n_in = 3 if what == "first layer input" else schema.input_len
+        n_out = 3 if what == "last layer output" else schema.output_len
+        model = init_model([n_in, 5, n_out], seed=0, schema=schema)
+        rng = np.random.default_rng(0)
+        model.norm_in = fit_normalization(rng.normal(size=(4, 3 if what == "norm_in" else n_in)))
+        model.norm_out = fit_normalization(rng.normal(size=(4, 3 if what == "norm_out" else n_out)))
+        path = tmp_path / "model.json"
+        save_model(path, model, consts)
+        want = schema.output_len if what in ("last layer output", "norm_out") else schema.input_len
+        with pytest.raises(DatasetError, match=rf"model\.json: bad model file: {what} has width 3, "
+                                               rf"but the schema's is {want}$"):
+            load_model(path)
+
     def test_training_grid_window_round_trips(self, tmp_path, small_grid, consts):
         path = tmp_path / "model.json"
         save_model(path, self._model(small_grid), consts)

@@ -475,8 +475,7 @@ class TestMemorization:
         profiles = generate_profiles(100, small_grid, seed=0)
         schema = schema_for_grid("lw", small_grid)
         x = build_input_matrix(profiles, schema, consts)
-        y = np.array([build_target_vector(toy_truth(p, consts).lw, schema)
-                      for p in profiles])
+        y = build_target_vector(toy_truth(profiles, consts).lw, schema)
         norm_in = fit_normalization(x)
         norm_out = fit_normalization(y)
         xn, yn = norm_in.apply(x), norm_out.apply(y)
