@@ -129,6 +129,8 @@ def _train_config(args):
 def cmd_train(args) -> int:
     from . import column, io, net
 
+    if args.hidden_layers < 0:
+        raise ValueError(f"--hidden-layers {args.hidden_layers} is below 0")
     consts = column.PhysConsts()
     profiles = io.read_profiles(args.profiles)
     truth = _fluxes_for(args.truth, profiles.ids, args.profiles, profiles.grid.n_hl, "truth record")
@@ -180,7 +182,7 @@ def cmd_grid_search(args) -> int:
                   "errors": r.errors}
                  for r in report.rows],
     }
-    io.atomic_write_text(args.out, json.dumps(payload, indent=2))
+    io.write_json(args.out, payload)
     best = report.rows[report.selected]
     print(f"selected config: variant={best.input_variant} layers={best.n_layers} "
           f"width={best.width} reg={best.reg:g} mean_mae={best.mean_mae:.6g}; wrote {args.out}")
@@ -236,7 +238,7 @@ def cmd_eval(args) -> int:
     report["heating"]["heat_K_per_day"] = evalbench.bulk_stats(
         truth.heat * SECONDS_PER_DAY, pred.heat * SECONDS_PER_DAY)
 
-    io.atomic_write_text(args.out, json.dumps(report, indent=2))
+    io.write_json(args.out, report)
     if args.per_level:
         per_level = {}
         for name in ("up", "down", "heat"):
@@ -273,7 +275,7 @@ def cmd_bench(args) -> int:
         "threads": {"multi_thread": args.multi_thread,
                     "env": {var: os.environ.get(var) for var in _BLAS_ENV}},
     }
-    io.atomic_write_text(args.out, json.dumps(report, indent=2))
+    io.write_json(args.out, report)
     print(result.format())
     return 0
 

@@ -2,7 +2,8 @@
 
 All numbers are written as decimal JSON floats, which round-trip IEEE
 doubles exactly. Writes stream into a temp file and finish with an atomic
-rename. A profile file holds profiles on one grid with unique ids.
+rename. A profile file holds profiles on one grid with unique ids. A record
+is one line ending at \\n or \\r\\n; lines of ASCII whitespace are blank.
 
 JSON-Lines records are encoded and decoded in contiguous parts at the same
 time: this process handles part 0 and forked children the others (see
@@ -13,7 +14,6 @@ the records are split.
 from __future__ import annotations
 
 import contextlib
-import itertools
 import json
 import math
 import os
@@ -78,6 +78,11 @@ def _atomic_open(path):
 def atomic_write_text(path, text: str) -> None:
     with _atomic_open(path) as fh:
         fh.write(text)
+
+
+def write_json(path, obj) -> None:
+    """Write `obj` as indented JSON, each non-finite number as null: JSON has none."""
+    atomic_write_text(path, json.dumps(json.loads(json.dumps(obj), parse_constant=lambda _: None), indent=2))
 
 
 # ---------------------------------------------------------------------------
@@ -204,29 +209,18 @@ class _Records(Sequence):
         return self._record(range(self._n)[i])
 
 
-def _chunks(fh, end: Optional[int] = None):
-    """The lines of binary file `fh` as they end at b"\\n", from its
-    position up to byte `end` (None: the end of the file)."""
+def _lines(fh, end: Optional[int] = None):
+    """The non-blank lines of binary file `fh`, each ending at b"\\n" (the
+    last may not), from its position up to byte `end` (None: the end of
+    the file). A line of ASCII whitespace (`bytes.isspace`) is blank."""
     left = math.inf if end is None else end - fh.tell()
     while left > 0:
-        chunk = fh.readline()
-        if not chunk:
+        line = fh.readline()
+        if not line:
             return
-        left -= len(chunk)
-        yield chunk
-
-
-def _lines(chunks):
-    """The non-blank lines in `chunks`, split and blank as a text-mode file
-    reads them: \\r\\n and \\r end a line as \\n does and read as \\n,
-    and a line of whitespace is blank."""
-    for chunk in chunks:
-        if b"\r" in chunk:
-            chunk = chunk.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-        for line in chunk.splitlines(keepends=True):
-            # a record starts with "{"; other lines may be blank by str.isspace()
-            if not (line.isspace() or (line[:1] != b"{" and line.decode(errors="replace").isspace())):
-                yield line
+        left -= len(line)
+        if not line.isspace():
+            yield line
 
 
 def _split(fh, line_bytes: int) -> List[Tuple[Optional[int], Optional[int]]]:
@@ -299,8 +293,9 @@ def _read_rows(path, parse: Callable[[dict], dict], build: Callable[[dict, list]
     `parse(record)` checks one decoded record and returns its fields by
     name; `build(columns, ids)` makes the result from each field's stacked
     rows and the records' ids, and raises a RowError for a row that breaks
-    a value rule. Record 1 is parsed first, so `parse` can check the others
-    against it; the rest of the file is read in parts (see `_in_parts`).
+    a value rule. Records are the non-blank lines (see `_lines`). Record 1
+    is parsed first, so `parse` can check the others against it; the rest
+    of the file is read in parts (see `_in_parts`).
     Every record must carry an id (or null) that no earlier record has.
     Errors name the file and the first bad record, counted as records: a
     record that fails to decode, to parse or the id rule is reported after
@@ -308,25 +303,21 @@ def _read_rows(path, parse: Callable[[dict], dict], build: Callable[[dict, list]
     record is named first.
     """
     with open(path, "rb") as fh:
-        first = []  # the lines of the first chunk that has one
-        for chunk in _chunks(fh):
-            first = list(_lines([chunk]))
-            if first:
-                break
-        if not first:
+        first = next(_lines(fh), None)  # fh is left right after it
+        if first is None:
             raise DatasetError(path, None, f"no {what}")
-        head = _parse_rows(first[:1], parse)
+        head = _parse_rows([first], parse)
         if head.error:
             raise DatasetError(path, 1, head.error[1])
-        parts = _split(fh, len(first[0]))
+        parts = _split(fh, len(first))
 
         def read(part) -> _Rows:
             start, end = part
             if start is None:
-                return _parse_rows(itertools.chain(first[1:], _lines(_chunks(fh, end))), parse)
+                return _parse_rows(_lines(fh, end), parse)
             with open(path, "rb") as part_fh:
                 part_fh.seek(start)
-                return _parse_rows(_lines(_chunks(part_fh, end)), parse)
+                return _parse_rows(_lines(part_fh, end), parse)
 
         results = [head] + _in_parts(path, read, parts)
 
@@ -553,9 +544,9 @@ def save_model(path, model: MlpModel, consts: PhysConsts) -> None:
 
 
 def load_model(path) -> Tuple[MlpModel, PhysConsts]:
-    with open(path) as fh:
+    with open(path, "rb") as fh:
         try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
+            obj = json.loads(fh.read())
+        except ValueError as exc:  # a JSONDecodeError or a UnicodeDecodeError
             raise DatasetError(path, None, f"invalid JSON ({exc})") from exc
     return model_from_json(obj, path)

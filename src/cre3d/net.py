@@ -137,6 +137,8 @@ def init_model(layer_sizes: Sequence[int], seed: int,
     """He-uniform weights, zero biases, keyed by seed."""
     if len(layer_sizes) < 2:
         raise ValueError("need at least input and output sizes")
+    if min(layer_sizes) < 1:
+        raise ValueError(f"layer size {min(layer_sizes)} is below 1 in {list(layer_sizes)}")
     rng = np.random.default_rng(seed)
     weights, biases = [], []
     for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
@@ -351,6 +353,10 @@ class GridSearchSpec:
                 raise ValueError(f"grid axis {name} must be non-empty")
         if self.repeats < 1:
             raise ValueError("repeats must be >= 1")
+        if min(self.hidden_layer_counts) < 0:
+            raise ValueError(f"hidden layer count {min(self.hidden_layer_counts)} is below 0")
+        if min(self.width_multipliers) <= 0:
+            raise ValueError(f"width multiplier {min(self.width_multipliers)} is not above 0")
 
     def configurations(self):
         return list(itertools.product(self.input_variants, self.hidden_layer_counts,

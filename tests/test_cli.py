@@ -374,6 +374,25 @@ class TestTrainArchitecture:
         width = net.REFERENCE_HIDDEN_WIDTH["sw"]
         assert model.layer_sizes == [model.schema.input_len, width, model.schema.output_len]
 
+    @pytest.mark.parametrize("command, flags, value", [
+        ("train", ["--hidden-layers", -1], "-1"),
+        ("train", ["--hidden-width", 0], "0"),
+        ("train", ["--hidden-width", -3], "-3"),
+        ("grid-search", ["--layers", -2], "-2"),
+        ("grid-search", ["--multipliers", 0], "0.0"),
+    ])
+    def test_bad_architecture_rejected(self, tmp_path, capsys, command, flags, value):
+        paths = synth(tmp_path, capsys, n=50, levels=20)
+        out = tmp_path / "out.json"
+        small = {"train": [], "grid-search": ["--layers", 1, "--multipliers", 1, "--regs", 1e-5, "--repeats", 1]}
+        code, _, err = run([command, "--profiles", paths["profiles"], "--truth", paths["truth_lw"],
+                            "--component", "lw", "--max-epochs", 1, "--patience", 1]
+                           + small[command] + flags + ["--out", out], capsys)
+        assert code == 1
+        assert err.startswith("error: ValueError: ") and err.count("\n") == 1
+        assert f" {value} is " in err
+        assert not out.exists()
+
 
 class TestGridSearchCommand:
     def test_small_search_writes_report(self, pipeline, tmp_path, capsys):
@@ -390,6 +409,45 @@ class TestGridSearchCommand:
         assert 0 <= report["selected"] < 2
         assert all(len(r["val_maes"]) == 2 for r in report["rows"])
         assert "selected config" in stdout
+
+    def test_run_that_all_failed_has_a_null_mean(self, pipeline, tmp_path, capsys, monkeypatch):
+        train = net.train
+
+        def fails_with_two_layers(model, *args):
+            if len(model.weights) == 3:
+                raise FloatingPointError("diverged on purpose")
+            return train(model, *args)
+
+        monkeypatch.setattr(net, "train", fails_with_two_layers)
+        out = tmp_path / "grid.json"
+        code, _, err = run(
+            ["grid-search", "--profiles", pipeline / "profiles.jsonl",
+             "--truth", pipeline / "truth_lw.jsonl", "--component", "lw",
+             "--layers", 1, 2, "--multipliers", 0.5, "--regs", 1e-5, "--repeats", 1,
+             "--max-epochs", 2, "--patience", 1, "--out", out], capsys)
+        assert code == 0, err
+        report = json.loads(out.read_text(), parse_constant=not_json)
+        assert report["rows"][1]["mean_mae"] is None
+        assert report["rows"][1]["errors"] == ["diverged on purpose"]
+        assert report["rows"][0]["mean_mae"] == report["rows"][0]["val_maes"][0]
+
+
+def not_json(name):
+    raise AssertionError(f"{name} is not JSON")
+
+
+class TestEvalReport:
+    def test_undefined_percentages_are_null(self, tmp_path, capsys):
+        zeros = tmp_path / "zeros.jsonl"
+        io.write_fluxes(zeros, ["a", "b"], FluxSet(up=np.zeros((2, 3)), down=np.zeros((2, 3)),
+                                                   heat=np.zeros((2, 2))))
+        out = tmp_path / "eval.json"
+        code, _, err = run(["eval", "--truth", zeros, "--pred", zeros, "--out", out], capsys)
+        assert code == 0, err
+        report = json.loads(out.read_text(), parse_constant=not_json)
+        for stats in (*report["fluxes"].values(), report["heating"]["heat_K_per_day"]):
+            assert stats["pct_error"] is None and stats["mabs_pct_error"] is None
+            assert stats["mean_error"] == stats["mabs_error"] == 0.0
 
 
 class TestThreadPinning:

@@ -2,6 +2,7 @@ import json
 import os
 import signal
 import stat
+import subprocess
 import sys
 import threading
 from collections.abc import Sequence
@@ -20,6 +21,7 @@ from cre3d.io import (
     read_profiles,
     save_model,
     write_fluxes,
+    write_json,
     write_jsonl,
     write_profiles,
 )
@@ -547,6 +549,101 @@ class TestPartBoundaries:
         assert read_fluxes(path)[0] == [f"p{i}" for i in range(5)]
         assert forks == []
 
+    def test_fifo_read_in_one_part(self, tmp_path, small_grid, forks):
+        path, fifo = tmp_path / "profiles.jsonl", tmp_path / "profiles.fifo"
+        write_profiles(path, [make_profile(small_grid, seed=s) for s in range(5)])
+        os.mkfifo(fifo)
+        feed = ("import shutil, sys\n"
+                "with open(sys.argv[1], 'rb') as src, open(sys.argv[2], 'wb') as dst:\n"
+                "    shutil.copyfileobj(src, dst)\n")
+        forks.clear()
+        with subprocess.Popen([sys.executable, "-c", feed, str(path), str(fifo)]) as feeder:
+            try:
+                piped = read_profiles(fifo)
+            except BaseException:
+                feeder.kill()
+                raise
+        assert feeder.returncode == 0
+        assert forks == []
+        batch = read_profiles(path)
+        assert forks  # the regular file is read in parts
+        assert piped.ids == batch.ids
+        for name in ("T", "f_c", "q_l", "q_i", "r_l", "r_i", "T_s", "alpha", "mu0", "q"):
+            np.testing.assert_array_equal(getattr(piped, name), getattr(batch, name))
+
+
+class TestLineEnds:
+    """A record ends at \\n: \\r\\n reads as \\n does, a lone \\r ends no record."""
+
+    @pytest.fixture(params=[None, 1], ids=["one part", "1-record parts"])
+    def records_per_part(self, request):
+        return request.param
+
+    @staticmethod
+    def _write(path, lines):
+        path.write_text("".join(line + "\n" for line in lines))
+
+    @staticmethod
+    def _crlf_twin(path):
+        """A copy of `path` beside it with each \\n written as \\r\\n."""
+        twin = path.with_name("crlf-" + path.name)
+        twin.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        return twin
+
+    @staticmethod
+    def _error(read, path):
+        with pytest.raises(DatasetError) as exc:
+            read(path)
+        return str(exc.value).replace(str(path), "<path>")
+
+    def _assert_named_alike(self, read, path, lines, locus):
+        """`lines` fail to read with the same error, naming `locus`, with \\n and \\r\\n line ends."""
+        self._write(path, lines)
+        error = self._error(read, path)
+        assert error.startswith(f"<path>:{locus}")
+        assert self._error(read, self._crlf_twin(path)) == error
+
+    def test_crlf_profiles_read_as_their_lf_twin(self, tmp_path, small_grid, forks, records_per_part):
+        path = tmp_path / "profiles.jsonl"
+        write_profiles(path, [make_profile(small_grid, seed=s) for s in range(6)])
+        lines = path.read_text().splitlines()
+        lines.insert(2, " \t")  # blank, so not counted
+        self._write(path, lines)
+        forks.clear()
+        lf, crlf = read_profiles(path), read_profiles(self._crlf_twin(path))
+        assert bool(forks) == bool(records_per_part)
+        assert crlf.ids == lf.ids == tuple(f"t{s}" for s in range(6))
+        for name in ("T", "f_c", "q_l", "q_i", "r_l", "r_i", "T_s", "alpha", "mu0", "q"):
+            np.testing.assert_array_equal(getattr(crlf, name), getattr(lf, name))
+        np.testing.assert_array_equal(crlf.grid.p_hl, lf.grid.p_hl)
+        bad_mu0 = json.dumps({**json.loads(lines[4]), "mu0": 2.0})
+        for bad, message in ((bad_mu0, "mu0 must lie in [-1.0, 1.0], got 2.0"), ("not json", "invalid JSON")):
+            self._assert_named_alike(read_profiles, path, lines[:4] + [bad] + lines[5:], f"record 4: {message}")
+
+    def test_crlf_fluxes_read_as_their_lf_twin(self, tmp_path, forks, records_per_part):
+        path = tmp_path / "flux.jsonl"
+        ids = ["p0", "p1", 2, None, "p4", "p5"]
+        lines = _flux_lines(ids, direct_down=[3.0] * 4)
+        lines.insert(2, "")
+        self._write(path, lines)
+        (lf_ids, lf), (crlf_ids, crlf) = read_fluxes(path), read_fluxes(self._crlf_twin(path))
+        assert bool(forks) == bool(records_per_part)
+        assert crlf_ids == lf_ids == ids
+        for name in ("up", "down", "heat", "direct_down"):
+            np.testing.assert_array_equal(getattr(crlf, name), getattr(lf, name))
+        bad_heat = json.dumps({**json.loads(lines[4]), "heat": [0.5, float("nan"), 0.5]})
+        for bad, message in ((bad_heat, "heat contains a non-finite value at level 1"), ("{x}", "invalid JSON"),
+                             (lines[1], "duplicate id 'p1' (first in record 2)")):
+            self._assert_named_alike(read_fluxes, path, lines[:4] + [bad] + lines[5:], f"record 4: {message}")
+
+    @pytest.mark.parametrize("separator, record", [(b"\r", 1), (b"\n\xc2\xa0\n", 2)],
+                             ids=["lone CR", "line of a no-break space"])
+    def test_other_separators_are_not_line_ends_or_blank_lines(self, tmp_path, separator, record):
+        path = tmp_path / "flux.jsonl"
+        path.write_bytes(separator.join(line.encode() for line in _flux_lines(["p0", "p1", "p2"])) + b"\n")
+        with pytest.raises(DatasetError, match=f"flux.jsonl:record {record}: invalid JSON"):
+            read_fluxes(path)
+
 
 def _fault(kind):
     if kind == "raises":
@@ -668,6 +765,13 @@ class TestModelFiles:
         with pytest.raises(DatasetError, match="invalid JSON"):
             load_model(path)
 
+    @pytest.mark.parametrize("content", [b'\xff\xfe{"a":1}', b'{"format_version": "\xff"}'])
+    def test_bytes_that_are_not_utf8_rejected(self, tmp_path, content):
+        path = tmp_path / "model.json"
+        path.write_bytes(content)
+        with pytest.raises(DatasetError, match=r"model\.json: invalid JSON \(.* codec can't decode byte"):
+            load_model(path)
+
     def test_non_object_file_rejected(self, tmp_path):
         path = tmp_path / "model.json"
         path.write_text("[1, 2]")
@@ -714,3 +818,14 @@ class TestModelFiles:
         save_model(path, model, consts)
         _, back = load_model(path)
         assert back.g == 9.80665
+
+
+def test_write_json_writes_non_finite_numbers_as_null(tmp_path):
+    path = tmp_path / "report.json"
+    write_json(path, {"a": float("inf"), "b": [float("nan"), 1.5, -float("inf")], "c": {"d": 0.1}})
+
+    def constant(name):
+        raise AssertionError(f"{name} is not JSON")
+
+    assert json.loads(path.read_text(), parse_constant=constant) == {"a": None, "b": [None, 1.5, None],
+                                                                    "c": {"d": 0.1}}
