@@ -121,7 +121,8 @@ def cmd_augment(args) -> int:
 def _train_config(args):
     from .net import TrainConfig
 
-    return TrainConfig(max_epochs=args.max_epochs, patience=args.patience,
+    patience = min(TrainConfig.patience, args.max_epochs - 1) if args.patience is None else args.patience
+    return TrainConfig(max_epochs=args.max_epochs, patience=patience,
                        l1=args.l1, l2=args.l2, learning_rate=args.learning_rate,
                        batch_size=args.batch_size, seed=args.seed)
 
@@ -190,21 +191,19 @@ def cmd_grid_search(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    import numpy as np
-
     from . import column, io, net
 
     model_lw, model_sw, consts = _model_pair(args.model_lw, args.model_sw)
     profiles = io.read_profiles(args.profiles)
-    effects = net.predict_flux_effects(model_lw, model_sw, profiles, consts)
-    for component, path in (("lw", args.out_lw), ("sw", args.out_sw)):
-        e = effects[component]
-        for name, m in e.items():
-            if not np.all(np.isfinite(m)):
-                row, level = np.argwhere(~np.isfinite(m))[0]
-                raise ValueError(f"predicted {component} {name} of profile {profiles.ids[row]!r} "
-                                 f"is not finite at level {level}")
-        io.write_fluxes(path, profiles.ids, column.FluxSet(**e))
+    fluxes = {}
+    for component, e in net.predict_flux_effects(model_lw, model_sw, profiles, consts).items():
+        try:
+            fluxes[component] = column.FluxSet(**e)
+        except column.RowError as exc:
+            raise ValueError(f"predicted {component} effects of profile {profiles.ids[exc.row]!r}: "
+                             f"{exc.message}") from None
+    io.write_fluxes(args.out_lw, profiles.ids, fluxes["lw"])
+    io.write_fluxes(args.out_sw, profiles.ids, fluxes["sw"])
     print(f"wrote {len(profiles)} effect records to {args.out_lw} and {args.out_sw}")
     return 0
 
@@ -252,37 +251,54 @@ def cmd_eval(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    from . import evalbench, features, io, net
+    import statistics
+    import time
 
+    import numpy as np
+
+    from . import features, io, net
+
+    if args.replication < 1:
+        raise ValueError("--replication must be >= 1")
+    if args.repeats < 3:
+        raise ValueError("--repeats: need at least 3 repeats for a mean and spread")
     model_lw, model_sw, consts = _model_pair(args.model_lw, args.model_sw)
     profiles = io.read_profiles(args.profiles)
 
     x_lw, x_sw = features.build_input_matrices(profiles, (model_lw.schema, model_sw.schema), consts)
-    runner = net.make_staged_runner(model_lw, model_sw, profiles.grid, consts)
-    result = evalbench.bench(runner, (x_lw, x_sw, profiles.alpha, profiles.mu0),
-                             replication=args.replication, repeats=args.repeats)
+    batch = [np.concatenate([a] * args.replication) for a in (x_lw, x_sw, profiles.alpha, profiles.mu0)]
+    n = len(batch[0])
+    total_s, stage_s = [], []
+    for _ in range(args.repeats):
+        t0 = time.perf_counter()
+        stage_s.append(net.stage_seconds(model_lw, model_sw, *batch, profiles.grid, consts))
+        total_s.append(time.perf_counter() - t0)
+    ms = [1000.0 * t / n for t in total_s]
+    mean_ms, std_ms = statistics.fmean(ms), statistics.pstdev(ms)
+    text = f"{mean_ms:.6g} ± {std_ms:.3g} ms per profile"
     report = {
-        "normalized_runtime": result.format(),
-        "ms_per_profile_mean": result.mean_ms,
-        "ms_per_profile_std": result.std_ms,
-        "ms_per_profile_repeats": result.ms_per_profile,
-        "stage_ms_per_profile": result.stage_ms_per_profile(),
-        "n_profiles": result.n_profiles,
-        "replication": result.replication,
-        "repeats": result.repeats,
+        "normalized_runtime": text,
+        "ms_per_profile_mean": mean_ms,
+        "ms_per_profile_std": std_ms,
+        "ms_per_profile_repeats": ms,
+        "stage_ms_per_profile": {stage: 1000.0 * statistics.fmean(s[stage] for s in stage_s) / n
+                                 for stage in net.STAGES},
+        "n_profiles": n,
+        "replication": args.replication,
+        "repeats": args.repeats,
         "hardware": {"platform": platform.platform(), "machine": platform.machine(),
                      "cpu_count": os.cpu_count()},
         "threads": {"multi_thread": args.multi_thread,
                     "env": {var: os.environ.get(var) for var in _BLAS_ENV}},
     }
     io.write_json(args.out, report)
-    print(result.format())
+    print(text)
     return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
-    # The flag defaults are the library's; this loads numpy, so `main` pins threads first.
-    from . import augment, evalbench, net
+    # Most flag defaults are the library's; this loads numpy, so `main` pins threads first.
+    from . import augment, net
 
     parser = argparse.ArgumentParser(prog="cre3d",
                                      description="3D cloud radiative effect emulation pipeline")
@@ -310,10 +326,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_train_flags(q):
         q.add_argument("--seed", type=int, default=0)
-        for name, kind in (("max_epochs", int), ("patience", int), ("l1", float), ("l2", float),
+        for name, kind in (("max_epochs", int), ("l1", float), ("l2", float),
                            ("learning_rate", float), ("batch_size", int)):
             q.add_argument("--" + name.replace("_", "-"), type=kind,
                            default=_default(net.TrainConfig, name))
+        q.add_argument("--patience", type=int, default=None,
+                       help=f"epochs without improvement before stopping (default: "
+                            f"{_default(net.TrainConfig, 'patience')}, or --max-epochs - 1 if smaller)")
 
     p = sub.add_parser("train", help="train one emulator component")
     p.add_argument("--profiles", required=True)
@@ -372,8 +391,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profiles", required=True)
     p.add_argument("--model-lw", required=True)
     p.add_argument("--model-sw", required=True)
-    p.add_argument("--replication", type=int, default=_default(evalbench.bench, "replication"))
-    p.add_argument("--repeats", type=int, default=_default(evalbench.bench, "repeats"))
+    p.add_argument("--replication", type=int, default=10,
+                   help="copies of the profile set in the timed batch (default: 10)")
+    p.add_argument("--repeats", type=int, default=3, help="timed repeats, at least 3 (default: 3)")
     p.add_argument("--multi-thread", action="store_true",
                    help="allow multi-threaded BLAS (default: single-threaded)")
     p.add_argument("--out", required=True)

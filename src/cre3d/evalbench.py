@@ -1,4 +1,4 @@
-"""Evaluation statistics and the normalized-runtime benchmark.
+"""Evaluation statistics, as `cre3d eval` reports them.
 
 Bulk statistics pool every element of a (profiles x levels) matrix; the
 error convention is prediction minus signal, and percentage errors are
@@ -10,10 +10,7 @@ K per day only at this reporting boundary.
 from __future__ import annotations
 
 import math
-import statistics
-import time
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Tuple
+from typing import Dict
 
 import numpy as np
 
@@ -75,61 +72,3 @@ def per_level_stats(signal, prediction) -> Dict[str, Dict[str, np.ndarray]]:
             "q90": _band(values, 0.90),
         }
     return out
-
-
-@dataclass
-class BenchResult:
-    """Normalized runtime over several repeats of a replicated batch."""
-
-    n_profiles: int
-    replication: int
-    repeats: int
-    total_s: List[float] = field(default_factory=list)
-    stage_s: Dict[str, List[float]] = field(default_factory=dict)
-
-    @property
-    def ms_per_profile(self) -> List[float]:
-        return [1000.0 * t / self.n_profiles for t in self.total_s]
-
-    @property
-    def mean_ms(self) -> float:
-        return statistics.fmean(self.ms_per_profile)
-
-    @property
-    def std_ms(self) -> float:
-        values = self.ms_per_profile
-        return statistics.pstdev(values) if len(values) > 1 else 0.0
-
-    def stage_ms_per_profile(self) -> Dict[str, float]:
-        return {name: 1000.0 * statistics.fmean(ts) / self.n_profiles
-                for name, ts in self.stage_s.items()}
-
-    def format(self) -> str:
-        return f"{self.mean_ms:.6g} ± {self.std_ms:.3g} ms per profile"
-
-
-def bench(runner: Callable, batch: Tuple[np.ndarray, ...], replication: int = 10,
-          repeats: int = 3) -> BenchResult:
-    """Time `runner` on a tuple of equal-length arrays (one row per
-    profile), each concatenated `replication` times.
-
-    The runner receives the replicated tuple and may return a dict of
-    per-stage wall-clock seconds, which is recorded alongside the total.
-    """
-    if replication < 1:
-        raise ValueError("replication must be >= 1")
-    if repeats < 3:
-        raise ValueError("need at least 3 repeats for a mean and spread")
-    if len({len(a) for a in batch}) != 1:
-        raise ValueError("batch must be a tuple of equal-length arrays")
-    replicated = tuple(np.concatenate([a] * replication) for a in batch)
-
-    result = BenchResult(n_profiles=len(replicated[0]), replication=replication, repeats=repeats)
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        stages = runner(replicated)
-        result.total_s.append(time.perf_counter() - t0)
-        if isinstance(stages, dict):
-            for name, dt in stages.items():
-                result.stage_s.setdefault(name, []).append(float(dt))
-    return result

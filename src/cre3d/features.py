@@ -161,13 +161,17 @@ def build_input_vector(profile: AtmosphericProfile, tau_c, schema: FeatureSchema
 def build_input_matrices(profiles: Union[ProfileBatch, Sequence[AtmosphericProfile]],
                          schemas: Sequence[FeatureSchema], consts: PhysConsts):
     """Yield the input rows of full-grid profiles on one grid for each
-    schema in turn, from one window truncation and one cloud optical depth."""
+    schema in turn, from one window truncation and one cloud optical depth.
+    The window must have the schema's size and, if the schema records them,
+    its half-level pressures."""
     window = truncate_profile(ProfileBatch.from_profiles(profiles), consts.p_trunc)
     tau = compute_cloud_optical_depth(window, consts)
     for schema in schemas:
         n = schema.n_fl_window
         if window.grid.n_fl != n:
             raise ValueError(f"profiles have {window.grid.n_fl} window levels, schema expects {n}")
+        if schema.p_hl_window is not None and not np.array_equal(window.grid.p_hl, schema.p_hl_window):
+            raise ValueError("the profile grid's window pressures differ from those the model was trained on")
         yield _assemble(window, tau, schema)
 
 

@@ -99,6 +99,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if self.max_epochs < 1:
+            raise ValueError(f"max_epochs {self.max_epochs} is below 1")
         if self.patience >= self.max_epochs:
             raise ValueError("patience must be smaller than max_epochs")
         if self.learning_rate <= 0 or self.batch_size < 1:
@@ -449,16 +451,11 @@ def grid_search(spec: GridSearchSpec, datasets: Dict[int, GridDataset],
 # Inference pipeline
 
 
-def _check_model(model: MlpModel, component: str, grid: VerticalGrid, consts: PhysConsts) -> None:
+def _check_model(model: MlpModel, component: str) -> None:
     if model.schema is None or model.norm_in is None or model.norm_out is None:
         raise ValueError("model lacks schema or normalization statistics")
     if model.schema.component != component:
         raise ValueError(f"expected a {component!r} model, got {model.schema.component!r}")
-    if model.schema.n_fl_window != grid.n_fl_window(consts.p_trunc):
-        raise ValueError("model schema window does not match the profile grid")
-    window = model.schema.p_hl_window
-    if window is not None and not np.array_equal(grid.p_hl[-window.size:], window):
-        raise ValueError("the profile grid's window pressures differ from those the model was trained on")
 
 
 STAGES = ("normalize", "inference", "denormalize", "postprocess")
@@ -501,8 +498,8 @@ def predict_flux_effects(model_lw: MlpModel, model_sw: MlpModel,
     packed as a dict of (n, n_hl) / (n, n_fl) arrays per component."""
     profiles = ProfileBatch.from_profiles(profiles)
     grid = profiles.grid
-    _check_model(model_lw, LW, grid, consts)
-    _check_model(model_sw, SW, grid, consts)
+    _check_model(model_lw, LW)
+    _check_model(model_sw, SW)
     i0 = grid.window_start(consts.p_trunc)
     effects = {}
     models = (model_lw, model_sw)
@@ -512,28 +509,16 @@ def predict_flux_effects(model_lw: MlpModel, model_sw: MlpModel,
     return effects
 
 
-def make_staged_runner(model_lw: MlpModel, model_sw: MlpModel,
-                       grid: VerticalGrid, consts: PhysConsts):
-    """Benchmark runner over pre-built raw input matrices.
-
-    The returned callable takes (x_lw, x_sw, alphas, mu0), runs the
-    inference pipeline and returns wall-clock seconds per stage:
-    normalize, inference, denormalize, postprocess.
-    """
-    _check_model(model_lw, LW, grid, consts)
-    _check_model(model_sw, SW, grid, consts)
-
-    def runner(batch):
-        x_lw, x_sw, alphas, mu0 = batch
-        seconds = dict.fromkeys(STAGES, 0.0)
-        for model, x in ((model_lw, x_lw), (model_sw, x_sw)):
-            clock = [time.perf_counter()]
-            try:
-                _window_effects(model, x, alphas, mu0, grid, consts, clock)
-            except Exception as exc:
-                raise RuntimeError(f"benchmark stage '{STAGES[len(clock) - 1]}' failed: {exc}") from exc
-            for stage, start, end in zip(STAGES, clock, clock[1:]):
-                seconds[stage] += end - start
-        return seconds
-
-    return runner
+def stage_seconds(model_lw: MlpModel, model_sw: MlpModel, x_lw, x_sw, alpha, mu0,
+                  grid: VerticalGrid, consts: PhysConsts) -> Dict[str, float]:
+    """Run the window pipeline of both components on raw input rows (as
+    `build_input_matrices` gives them) and return the wall-clock seconds
+    of each of STAGES, summed over the two, from `_window_effects`'s clock."""
+    seconds = dict.fromkeys(STAGES, 0.0)
+    for component, model, x in ((LW, model_lw, x_lw), (SW, model_sw, x_sw)):
+        _check_model(model, component)
+        clock = [time.perf_counter()]
+        _window_effects(model, x, alpha, mu0, grid, consts, clock)
+        for stage, start, end in zip(STAGES, clock, clock[1:]):
+            seconds[stage] += end - start
+    return seconds

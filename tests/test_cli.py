@@ -1,5 +1,6 @@
 import json
 import os
+import statistics
 import subprocess
 import sys
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 import cre3d
-from cre3d import cli, io, net
+from cre3d import cli, features, io, net
 from cre3d.column import FluxSet
 
 
@@ -287,8 +288,9 @@ class TestEndToEnd:
                             "--out-lw", pipeline / "nan_lw.jsonl",
                             "--out-sw", pipeline / "nan_sw.jsonl"], capsys)
         assert code != 0
-        assert f"predicted sw heat of profile {ids[2]!r} is not finite at level 7" in err
+        assert f"predicted sw effects of profile {ids[2]!r}: heat contains a non-finite value at level 7" in err
         assert not (pipeline / "nan_sw.jsonl").exists()
+        assert not (pipeline / "nan_lw.jsonl").exists()
 
     def test_eval_report(self, pipeline, capsys):
         out = pipeline / "eval.json"
@@ -360,6 +362,107 @@ class TestEndToEnd:
         m2, _ = io.load_model(out)
         for w1, w2 in zip(m1.weights, m2.weights):
             np.testing.assert_array_equal(w1, w2)
+
+
+def run_bench(pipeline, capsys, out, *flags):
+    return run(["bench", "--profiles", pipeline / "profiles.jsonl",
+                "--model-lw", pipeline / "model_lw.json", "--model-sw", pipeline / "model_sw.json",
+                *flags, "--out", out], capsys)
+
+
+class TestBench:
+    """`cre3d bench` times repeats of the replicated profile set and reads the
+    stage times from the inference pipeline's own clock."""
+
+    def report(self, pipeline, capsys, out, *flags):
+        code, stdout, err = run_bench(pipeline, capsys, out, *flags)
+        assert code == 0, err
+        return json.loads(out.read_text()), stdout
+
+    def test_replication_and_timing(self, pipeline, blas_env, tmp_path, capsys):
+        report, _ = self.report(pipeline, capsys, tmp_path / "bench.json", "--replication", 4)
+        assert report["n_profiles"] == 4 * len(io.read_profiles(pipeline / "profiles.jsonl"))
+        assert report["replication"] == 4
+        assert report["repeats"] == 3 == len(report["ms_per_profile_repeats"])
+        assert report["ms_per_profile_mean"] > 0.0
+
+    def test_stage_dict_recorded(self, pipeline, blas_env, tmp_path, capsys):
+        report, _ = self.report(pipeline, capsys, tmp_path / "bench.json", "--replication", 2)
+        stages = report["stage_ms_per_profile"]
+        assert tuple(stages) == net.STAGES
+        assert min(stages.values()) >= 0.0
+        # the stages run inside each timed repeat
+        assert sum(stages.values()) <= report["ms_per_profile_mean"]
+
+    def test_format_string(self, pipeline, blas_env, tmp_path, capsys):
+        report, stdout = self.report(pipeline, capsys, tmp_path / "bench.json", "--replication", 2)
+        mean, std = report["ms_per_profile_mean"], report["ms_per_profile_std"]
+        assert stdout == f"{mean:.6g} ± {std:.3g} ms per profile\n"
+        assert report["normalized_runtime"] == stdout.rstrip("\n")
+
+    def test_std_is_population(self, pipeline, blas_env, tmp_path, capsys):
+        report, _ = self.report(pipeline, capsys, tmp_path / "bench.json", "--repeats", 4)
+        ms = report["ms_per_profile_repeats"]
+        assert len(ms) == 4
+        assert report["ms_per_profile_mean"] == statistics.fmean(ms)
+        assert report["ms_per_profile_std"] == statistics.pstdev(ms)
+
+    def test_tuple_of_arrays_replicated(self, pipeline, blas_env, tmp_path, capsys, monkeypatch):
+        calls = []
+        stage_seconds = net.stage_seconds
+
+        def recorded(*args):
+            calls.append(args)
+            return stage_seconds(*args)
+
+        monkeypatch.setattr(net, "stage_seconds", recorded)
+        self.report(pipeline, capsys, tmp_path / "bench.json", "--replication", 3)
+        assert len(calls) == 3
+        model_lw, model_sw, consts = cli._model_pair(pipeline / "model_lw.json", pipeline / "model_sw.json")
+        profiles = io.read_profiles(pipeline / "profiles.jsonl")
+        rows = (features.build_input_matrix(profiles, model_lw.schema, consts),
+                features.build_input_matrix(profiles, model_sw.schema, consts),
+                profiles.alpha, profiles.mu0)
+        for got, want in zip(calls[0][2:6], rows):
+            np.testing.assert_array_equal(got, np.concatenate([want] * 3))
+
+    def rejected(self, pipeline, capsys, tmp_path, *flags):
+        code, _, err = run_bench(pipeline, capsys, tmp_path / "bench.json", *flags)
+        assert code == 1
+        assert err.startswith("error: ValueError: ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+        return err
+
+    def test_too_few_repeats_rejected(self, pipeline, blas_env, tmp_path, capsys):
+        assert "need at least 3 repeats" in self.rejected(pipeline, capsys, tmp_path, "--repeats", 2)
+
+    def test_replication_below_one_rejected(self, pipeline, blas_env, tmp_path, capsys):
+        assert "--replication must be >= 1" in self.rejected(pipeline, capsys, tmp_path, "--replication", 0)
+
+
+class TestTrainFlags:
+    @pytest.mark.parametrize("command", ["train", "grid-search"])
+    def test_patience_defaults_below_max_epochs(self, tmp_path, capsys, command):
+        paths = synth(tmp_path, capsys, n=20)
+        out = tmp_path / "out.json"
+        small = {"train": ["--hidden-layers", 1, "--hidden-width", 8],
+                 "grid-search": ["--layers", 1, "--multipliers", 1, "--regs", 1e-5, "--repeats", 1]}
+        code, _, err = run([command, "--profiles", paths["profiles"], "--truth", paths["truth_lw"],
+                            "--component", "lw", "--max-epochs", 3] + small[command] + ["--out", out],
+                           capsys)
+        assert code == 0, err
+        if command == "train":
+            assert json.loads(out.read_text())["training"]["config"]["patience"] == 2
+
+    def test_explicit_patience_not_below_max_epochs_rejected(self, tmp_path, capsys):
+        paths = synth(tmp_path, capsys, n=20)
+        out = tmp_path / "model.json"
+        code, _, err = run(["train", "--profiles", paths["profiles"], "--truth", paths["truth_lw"],
+                            "--component", "lw", "--max-epochs", 3, "--patience", 3, "--out", out],
+                           capsys)
+        assert code == 1
+        assert err == "error: ValueError: patience must be smaller than max_epochs\n"
+        assert not out.exists()
 
 
 class TestTrainArchitecture:

@@ -1,10 +1,9 @@
 import math
-import time
 
 import numpy as np
 import pytest
 
-from cre3d.evalbench import BenchResult, bench, bulk_stats, per_level_stats
+from cre3d.evalbench import bulk_stats, per_level_stats
 
 
 def naive_bulk(signal, prediction):
@@ -116,58 +115,3 @@ class TestPerLevelStats:
     def test_one_dim_rejected(self):
         with pytest.raises(ValueError, match="matrix"):
             per_level_stats(np.zeros(5), np.zeros(5))
-
-
-class TestBench:
-    def test_replication_and_timing(self):
-        seen = []
-
-        def runner(batch):
-            seen.append(len(batch[0]))
-            time.sleep(0.001)
-
-        result = bench(runner, (np.arange(3.0),), replication=4, repeats=3)
-        assert seen == [12, 12, 12]
-        assert result.n_profiles == 12
-        assert len(result.total_s) == 3
-        assert result.mean_ms > 0.0
-
-    def test_stage_dict_recorded(self):
-        def runner(batch):
-            return {"inference": 0.002, "postprocess": 0.001}
-
-        result = bench(runner, (np.zeros(10),), replication=1, repeats=3)
-        stages = result.stage_ms_per_profile()
-        assert stages["inference"] == pytest.approx(0.2)
-        assert stages["postprocess"] == pytest.approx(0.1)
-
-    def test_format_string(self):
-        result = BenchResult(n_profiles=1000, replication=10, repeats=3,
-                             total_s=[0.0257, 0.0257, 0.0257])
-        text = result.format()
-        assert "±" in text
-        assert text.endswith("ms per profile")
-        assert text.startswith("0.0257")
-
-    def test_std_is_population(self):
-        result = BenchResult(n_profiles=1, replication=1, repeats=3,
-                             total_s=[0.001, 0.002, 0.003])
-        assert result.mean_ms == pytest.approx(2.0)
-        assert result.std_ms == pytest.approx(math.sqrt(2.0 / 3.0), rel=1e-12)
-
-    def test_too_few_repeats_rejected(self):
-        with pytest.raises(ValueError, match="3 repeats"):
-            bench(lambda b: None, (np.zeros(1),), repeats=2)
-
-    def test_tuple_of_arrays_replicated(self):
-        seen = []
-        x, alpha = np.arange(10.0).reshape(5, 2), np.arange(5.0)
-        result = bench(seen.append, (x, alpha), replication=3, repeats=3)
-        assert result.n_profiles == 15
-        got_x, got_alpha = seen[0]
-        np.testing.assert_array_equal(got_x, np.concatenate([x] * 3))
-        np.testing.assert_array_equal(got_alpha, np.concatenate([alpha] * 3))
-
-    def test_unequal_lengths_rejected(self):
-        with pytest.raises(ValueError, match="equal-length"):
-            bench(lambda b: None, (np.zeros((2, 2)), np.zeros(3)))

@@ -467,6 +467,11 @@ class TestTrain:
         with pytest.raises(ValueError, match="patience"):
             TrainConfig(max_epochs=10, patience=10)
 
+    def test_no_epochs_rejected(self):
+        # a patience below the epoch count must not let a run of no epochs through
+        with pytest.raises(ValueError, match="max_epochs 0 is below 1"):
+            TrainConfig(max_epochs=0, patience=-1)
+
 
 class TestMemorization:
     def test_reference_net_memorizes_small_toy_set(self, small_grid, consts):
@@ -655,8 +660,9 @@ class TestPredictEffects:
         profiles = generate_profiles(2, other, seed=6)
         with pytest.raises(ValueError, match="window pressures differ from those the model was trained on"):
             predict_flux_effects(lw, sw, profiles, consts)
-        with pytest.raises(ValueError, match="window pressures differ"):
-            net.make_staged_runner(lw, sw, other, consts)
+        for model in (lw, sw):
+            with pytest.raises(ValueError, match="window pressures differ"):
+                build_input_matrix(profiles, model.schema, consts)
         predict_flux_effects(lw, sw, generate_profiles(2, small_grid, seed=6), consts)
 
     def test_model_without_training_window_checks_its_size_only(self, small_grid, consts):
