@@ -24,6 +24,8 @@ from .column import (
     PhysConsts,
     ProfileBatch,
     VerticalGrid,
+    _LEVEL_FIELDS,
+    _SCALAR_FIELDS,
     _frozen,
     _unchecked,
     compute_cloud_optical_depth,
@@ -144,8 +146,8 @@ def generate_profiles(n: int, grid: VerticalGrid, seed: int,
     rng = np.random.default_rng(seed)
     p_fl = grid.p_fl
     p_sfc = grid.p_hl[-1]
-    levels = {name: np.zeros((n, grid.n_fl)) for name in ("T", "f_c", "q_l", "q_i", "r_l", "r_i")}
-    scalars = {name: np.zeros(n) for name in ("T_s", "alpha", "mu0")}
+    levels = {name: np.zeros((n, grid.n_fl)) for name in _LEVEL_FIELDS}
+    scalars = {name: np.zeros(n) for name in _SCALAR_FIELDS}
     for idx in range(n):
         temp, f_c, q_l, q_i, r_l, r_i = (levels[name][idx] for name in levels)
         t_s = scalars["T_s"][idx] = rng.uniform(255.0, 305.0)

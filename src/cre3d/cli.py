@@ -265,7 +265,7 @@ def cmd_bench(args) -> int:
     model_lw, model_sw, consts = _model_pair(args.model_lw, args.model_sw)
     profiles = io.read_profiles(args.profiles)
 
-    x_lw, x_sw = features.build_input_matrices(profiles, (model_lw.schema, model_sw.schema), consts)
+    x_lw, x_sw = features.build_input_matrix(profiles, (model_lw.schema, model_sw.schema), consts)
     batch = [np.concatenate([a] * args.replication) for a in (x_lw, x_sw, profiles.alpha, profiles.mu0)]
     n = len(batch[0])
     total_s, stage_s = [], []

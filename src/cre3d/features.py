@@ -1,6 +1,8 @@
-"""Emulator input/output vector assembly and normalization.
+"""Emulator input/output rows and their normalization.
 
-Vectors are flat concatenations of named blocks in a fixed order.
+`build_input_matrix` is the one path from profiles to network input rows:
+one window truncation and one cloud optical depth, then one matrix per
+schema. Rows are flat concatenations of named blocks in a fixed order.
 Longwave inputs: [f_c | tau_c | T | (q) | (dz) | T_s]; shortwave inputs:
 [f_c | tau_c | (q) | (dz) | alpha | mu0]. Outputs: [scalar flux |
 (SW: direct down) | heating rate]. All level blocks cover the
@@ -128,8 +130,8 @@ def layer_thickness(grid, T) -> np.ndarray:
 
 
 def _assemble(window, tau: np.ndarray, schema: FeatureSchema) -> np.ndarray:
-    """Input blocks of a window profile (one vector) or of a window batch
-    (one row per profile), concatenated along the last axis."""
+    """Input rows of a window batch, one per profile: the schema's input
+    blocks concatenated along the last axis."""
     parts = []
     for name, _ in schema.input_blocks:
         if name == "tau_c":
@@ -145,41 +147,23 @@ def _assemble(window, tau: np.ndarray, schema: FeatureSchema) -> np.ndarray:
     return np.concatenate(parts, axis=-1)
 
 
-def build_input_vector(profile: AtmosphericProfile, tau_c, schema: FeatureSchema) -> np.ndarray:
-    """Assemble one input vector from a window-truncated profile."""
-    n = schema.n_fl_window
-    if profile.grid.n_fl != n:
-        raise ValueError(f"profile has {profile.grid.n_fl} window levels, schema expects {n}")
-    tau = _as_float_array(tau_c, "tau_c")
-    if tau.size != n:
-        raise ValueError(f"tau_c must have length {n}, got {tau.size}")
-    vec = _assemble(profile, tau, schema)
-    assert vec.size == schema.input_len
-    return vec
-
-
-def build_input_matrices(profiles: Union[ProfileBatch, Sequence[AtmosphericProfile]],
-                         schemas: Sequence[FeatureSchema], consts: PhysConsts):
-    """Yield the input rows of full-grid profiles on one grid for each
-    schema in turn, from one window truncation and one cloud optical depth.
-    The window must have the schema's size and, if the schema records them,
-    its half-level pressures."""
-    window = truncate_profile(ProfileBatch.from_profiles(profiles), consts.p_trunc)
-    tau = compute_cloud_optical_depth(window, consts)
-    for schema in schemas:
-        n = schema.n_fl_window
-        if window.grid.n_fl != n:
-            raise ValueError(f"profiles have {window.grid.n_fl} window levels, schema expects {n}")
-        if schema.p_hl_window is not None and not np.array_equal(window.grid.p_hl, schema.p_hl_window):
-            raise ValueError("the profile grid's window pressures differ from those the model was trained on")
-        yield _assemble(window, tau, schema)
-
-
 def build_input_matrix(profiles: Union[ProfileBatch, Sequence[AtmosphericProfile]],
-                       schema: FeatureSchema, consts: PhysConsts) -> np.ndarray:
-    """Input rows for full-grid profiles on one grid, truncated to the
-    window and assembled for the whole batch at once."""
-    return next(build_input_matrices(profiles, [schema], consts))
+                       schema: Union[FeatureSchema, Sequence[FeatureSchema]],
+                       consts: PhysConsts) -> Union[np.ndarray, List[np.ndarray]]:
+    """Input rows of full-grid profiles on one grid: a matrix for one schema,
+    a list of matrices for a sequence of schemas. Before any is assembled,
+    the window must have every schema's size and, where a schema records
+    them, its half-level pressures."""
+    schemas = [schema] if isinstance(schema, FeatureSchema) else list(schema)
+    window = truncate_profile(ProfileBatch.from_profiles(profiles), consts.p_trunc)
+    for s in schemas:
+        if window.grid.n_fl != s.n_fl_window:
+            raise ValueError(f"profiles have {window.grid.n_fl} window levels, schema expects {s.n_fl_window}")
+        if s.p_hl_window is not None and not np.array_equal(window.grid.p_hl, s.p_hl_window):
+            raise ValueError("the profile grid's window pressures differ from those the model was trained on")
+    tau = compute_cloud_optical_depth(window, consts)
+    matrices = [_assemble(window, tau, s) for s in schemas]
+    return matrices[0] if isinstance(schema, FeatureSchema) else matrices
 
 
 def build_target_vector(targets: EffectTargets, schema: FeatureSchema) -> np.ndarray:

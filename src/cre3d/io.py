@@ -33,6 +33,8 @@ from .column import (
     ProfileBatch,
     RowError,
     VerticalGrid,
+    _LEVEL_FIELDS,
+    _SCALAR_FIELDS,
     _as_level_array,
 )
 from .features import FeatureSchema, Normalization
@@ -353,9 +355,6 @@ def _read_rows(path, parse: Callable[[dict], dict], build: Callable[[dict, list]
 # ---------------------------------------------------------------------------
 # Profiles
 
-_PROFILE_ARRAYS = ("T", "f_c", "q_l", "q_i", "r_l", "r_i")
-_PROFILE_SCALARS = ("T_s", "alpha", "mu0")
-
 
 def write_profiles(path, profiles: Sequence[AtmosphericProfile]) -> None:
     """Write one record per row of a ProfileBatch (a sequence of profiles
@@ -364,8 +363,8 @@ def write_profiles(path, profiles: Sequence[AtmosphericProfile]) -> None:
     batch = ProfileBatch.from_profiles(profiles)
     _check_ids(path, batch.ids)
     p_hl = batch.grid.p_hl.tolist()
-    scalars = [(name, getattr(batch, name).tolist()) for name in _PROFILE_SCALARS]
-    arrays = [(name, getattr(batch, name)) for name in _PROFILE_ARRAYS + ("q",)
+    scalars = [(name, getattr(batch, name).tolist()) for name in _SCALAR_FIELDS]
+    arrays = [(name, getattr(batch, name)) for name in _LEVEL_FIELDS + ("q",)
               if getattr(batch, name) is not None]
     write_jsonl(path, _Records(len(batch), lambda i: {
         "id": batch.ids[i], "p_hl": p_hl, **{name: values[i] for name, values in scalars},
@@ -386,7 +385,7 @@ def read_profiles(path) -> ProfileBatch:
 
     def parse(record: dict) -> dict:
         nonlocal grid, first_p_hl, with_q
-        for key in ("p_hl",) + _PROFILE_ARRAYS + _PROFILE_SCALARS:
+        for key in ("p_hl",) + _LEVEL_FIELDS + _SCALAR_FIELDS:
             if key not in record:
                 raise ValueError(f"missing field {key!r}")
         if grid is None:
@@ -397,8 +396,8 @@ def read_profiles(path) -> ProfileBatch:
         if (record.get("q") is not None) != with_q:
             raise ValueError("q must be given in every record or in none")
         row = {name: _as_level_array(record[name], name, grid.n_fl)
-               for name in _PROFILE_ARRAYS + (("q",) if with_q else ())}
-        row.update((name, float(record[name])) for name in _PROFILE_SCALARS)
+               for name in _LEVEL_FIELDS + (("q",) if with_q else ())}
+        row.update((name, float(record[name])) for name in _SCALAR_FIELDS)
         return row
 
     return _read_rows(path, parse, lambda columns, ids: ProfileBatch(grid=grid, ids=ids, **columns), "profiles")

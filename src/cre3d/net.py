@@ -24,12 +24,7 @@ from .column import (
     VerticalGrid,
     _extend,
 )
-from .features import (
-    FeatureSchema,
-    Normalization,
-    build_input_matrices,
-    build_input_matrix,  # noqa: F401  (net.build_input_matrix is a name perfbench's tracer wraps)
-)
+from .features import FeatureSchema, Normalization, build_input_matrix
 from .postproc import LW, SW, postprocess_batch
 
 REFERENCE_HIDDEN_LAYERS = 3
@@ -101,6 +96,8 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.max_epochs < 1:
             raise ValueError(f"max_epochs {self.max_epochs} is below 1")
+        if self.patience < 0:
+            raise ValueError(f"patience {self.patience} is below 0")
         if self.patience >= self.max_epochs:
             raise ValueError("patience must be smaller than max_epochs")
         if self.learning_rate <= 0 or self.batch_size < 1:
@@ -359,6 +356,8 @@ class GridSearchSpec:
             raise ValueError(f"hidden layer count {min(self.hidden_layer_counts)} is below 0")
         if min(self.width_multipliers) <= 0:
             raise ValueError(f"width multiplier {min(self.width_multipliers)} is not above 0")
+        if min(self.reg_factors) < 0:
+            raise ValueError(f"regularization factor {min(self.reg_factors)} is below 0")
 
     def configurations(self):
         return list(itertools.product(self.input_variants, self.hidden_layer_counts,
@@ -413,10 +412,13 @@ def grid_search(spec: GridSearchSpec, datasets: Dict[int, GridDataset],
     simplest wins -- fewer inputs, then fewer layers, then fewer neurons,
     then lower MAE. Per-run failures are recorded, not fatal.
     """
-    rows: List[GridSearchRow] = []
-    for cfg_idx, (variant, n_layers, mult, reg) in enumerate(spec.configurations()):
+    if not simplicity_tolerance >= 0:
+        raise ValueError(f"simplicity tolerance {simplicity_tolerance} is not >= 0")
+    for variant in spec.input_variants:
         if variant not in datasets:
             raise ValueError(f"no dataset supplied for input variant {variant}")
+    rows: List[GridSearchRow] = []
+    for cfg_idx, (variant, n_layers, mult, reg) in enumerate(spec.configurations()):
         data = datasets[variant]
         n_in = data.x_train.shape[1]
         n_out = data.y_train.shape[1]
@@ -502,17 +504,18 @@ def predict_flux_effects(model_lw: MlpModel, model_sw: MlpModel,
     _check_model(model_sw, SW)
     i0 = grid.window_start(consts.p_trunc)
     effects = {}
-    models = (model_lw, model_sw)
-    for model, x in zip(models, build_input_matrices(profiles, [m.schema for m in models], consts)):
-        window = _window_effects(model, x, profiles.alpha, profiles.mu0, grid, consts)
+    inputs = build_input_matrix(profiles, [model_lw.schema, model_sw.schema], consts)
+    for model in (model_lw, model_sw):
+        # popped, so LW's input rows are freed before SW runs
+        window = _window_effects(model, inputs.pop(0), profiles.alpha, profiles.mu0, grid, consts)
         effects[model.schema.component] = _extend(window, i0)
     return effects
 
 
 def stage_seconds(model_lw: MlpModel, model_sw: MlpModel, x_lw, x_sw, alpha, mu0,
                   grid: VerticalGrid, consts: PhysConsts) -> Dict[str, float]:
-    """Run the window pipeline of both components on raw input rows (as
-    `build_input_matrices` gives them) and return the wall-clock seconds
+    """Run the window pipeline of both components on raw input rows (from
+    `build_input_matrix` with both schemas) and return the wall-clock seconds
     of each of STAGES, summed over the two, from `_window_effects`'s clock."""
     seconds = dict.fromkeys(STAGES, 0.0)
     for component, model, x in ((LW, model_lw, x_lw), (SW, model_sw, x_sw)):

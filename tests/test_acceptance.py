@@ -17,7 +17,6 @@ from cre3d.cli import _split_indices
 from cre3d.column import PhysConsts, compute_heating_rates
 from cre3d.evalbench import bulk_stats
 from cre3d.features import (
-    build_input_matrices,
     build_input_matrix,
     build_target_vector,
     fit_normalization,
@@ -283,7 +282,7 @@ def test_criterion_9_benchmark(trained):
     model_lw = trained["models"]["lw"]["model"]
     model_sw = trained["models"]["sw"]["model"]
     profiles = trained["profiles"][:1000]
-    x_lw, x_sw = build_input_matrices(profiles, (model_lw.schema, model_sw.schema), CONSTS)
+    x_lw, x_sw = build_input_matrix(profiles, (model_lw.schema, model_sw.schema), CONSTS)
     batch = [np.concatenate([a] * 10) for a in (x_lw, x_sw, profiles.alpha, profiles.mu0)]
     stage_seconds(model_lw, model_sw, *batch, GRID, CONSTS)  # warm up caches and allocators
     repeats = 5

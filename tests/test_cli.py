@@ -465,6 +465,31 @@ class TestTrainFlags:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("command, flags, message", [
+        ("train", ["--patience", -3], "patience -3 is below 0"),
+        ("grid-search", ["--patience", -3], "patience -3 is below 0"),
+        ("grid-search", ["--simplicity-tolerance", -1], "simplicity tolerance -1.0 is not >= 0"),
+        ("grid-search", ["--simplicity-tolerance", "nan"], "simplicity tolerance nan is not >= 0"),
+        ("grid-search", ["--regs", 1e-5, "-0.00001"], "regularization factor -1e-05 is below 0"),
+    ])
+    def test_bad_training_flags_rejected_before_training(self, tmp_path, capsys, monkeypatch,
+                                                         command, flags, message):
+        paths = synth(tmp_path, capsys, n=20)
+        out = tmp_path / "out.json"
+        trained = []
+        train = net.train
+        monkeypatch.setattr(net, "train", lambda *args: trained.append(args) or train(*args))
+        small = {"train": ["--hidden-layers", 1, "--hidden-width", 8],
+                 "grid-search": ["--layers", 1, "--multipliers", 1, "--regs", 1e-5, "--repeats", 1]}
+        code, _, err = run([command, "--profiles", paths["profiles"], "--truth", paths["truth_lw"],
+                            "--component", "lw", "--max-epochs", 3] + small[command] + flags
+                           + ["--out", out], capsys)
+        assert code == 1
+        assert err == f"error: ValueError: {message}\n"
+        assert trained == []
+        assert not out.exists()
+
+
 class TestTrainArchitecture:
     def test_hidden_layers_alone_keeps_the_reference_width(self, tmp_path, capsys):
         paths = synth(tmp_path, capsys)

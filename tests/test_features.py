@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
+from cre3d import features
 from cre3d.augment import generate_profiles
 from cre3d.column import PhysConsts, ProfileBatch, compute_cloud_optical_depth, truncate_profile
 from cre3d.features import (
     FeatureSchema,
     Normalization,
     build_input_matrix,
-    build_input_vector,
     build_target_vector,
     fit_normalization,
     layer_thickness,
@@ -51,33 +51,44 @@ class TestSchema:
 
 
 class TestInputVectors:
+    """Layout of one profile's row, as the one-row batch of build_input_matrix."""
+
+    @staticmethod
+    def one_row(profile, schema, consts):
+        x = build_input_matrix([profile], schema, consts)
+        assert x.shape == (1, schema.input_len)
+        return x[0]
+
     def test_lw_layout(self, small_grid, consts):
         schema = schema_for_grid("lw", small_grid)
-        wp = truncate_profile(make_profile(small_grid, seed=1))
-        tau = np.arange(schema.n_fl_window, dtype=float)
-        vec = build_input_vector(wp, tau, schema)
+        p = make_profile(small_grid, seed=1)
+        wp = truncate_profile(p, consts.p_trunc)
+        vec = self.one_row(p, schema, consts)
         n = schema.n_fl_window
         np.testing.assert_array_equal(vec[:n], wp.f_c)
-        np.testing.assert_array_equal(vec[n:2 * n], tau)
+        np.testing.assert_array_equal(vec[n:2 * n], compute_cloud_optical_depth(wp, consts))
         np.testing.assert_array_equal(vec[2 * n:3 * n], wp.T)
         assert vec[-1] == wp.T_s
 
-    def test_sw_layout(self, small_grid):
+    def test_sw_layout(self, small_grid, consts):
         schema = schema_for_grid("sw", small_grid)
-        wp = truncate_profile(make_profile(small_grid, seed=2))
-        tau = np.zeros(schema.n_fl_window)
-        vec = build_input_vector(wp, tau, schema)
+        p = make_profile(small_grid, seed=2)
+        wp = truncate_profile(p, consts.p_trunc)
+        vec = self.one_row(p, schema, consts)
+        n = schema.n_fl_window
+        np.testing.assert_array_equal(vec[:n], wp.f_c)
+        np.testing.assert_array_equal(vec[n:2 * n], compute_cloud_optical_depth(wp, consts))
         assert vec[-2] == wp.alpha
         assert vec[-1] == wp.mu0
 
-    def test_clear_sky_isothermal(self, small_grid):
+    def test_clear_sky_isothermal(self, small_grid, consts):
         schema = schema_for_grid("lw", small_grid)
-        wp = truncate_profile(make_profile(small_grid, seed=3))
-        n = schema.n_fl_window
-        clear = type(wp)(grid=wp.grid, T=np.full(n, 260.0), f_c=np.zeros(n),
-                         q_l=np.zeros(n), q_i=np.zeros(n), r_l=wp.r_l, r_i=wp.r_i,
-                         T_s=260.0, alpha=0.2, mu0=0.5)
-        vec = build_input_vector(clear, np.zeros(n), schema)
+        p = make_profile(small_grid, seed=3)
+        m, n = small_grid.n_fl, schema.n_fl_window
+        clear = type(p)(grid=small_grid, T=np.full(m, 260.0), f_c=np.zeros(m),
+                        q_l=np.zeros(m), q_i=np.zeros(m), r_l=p.r_l, r_i=p.r_i,
+                        T_s=260.0, alpha=0.2, mu0=0.5)
+        vec = self.one_row(clear, schema, consts)
         assert np.all(vec[:2 * n] == 0.0)
         assert np.all(vec[2 * n:3 * n] == 260.0)
 
@@ -87,23 +98,53 @@ class TestInputVectors:
         x = build_input_matrix(profiles, schema, consts)
         assert x.shape == (3, 271)
 
-    def test_length_mismatch_rejected(self, small_grid):
-        schema = schema_for_grid("lw", small_grid)
-        wp = truncate_profile(make_profile(small_grid, seed=4))
-        with pytest.raises(ValueError, match="tau_c"):
-            build_input_vector(wp, np.zeros(schema.n_fl_window + 1), schema)
-
-    def test_humidity_required_when_enabled(self, small_grid):
+    def test_humidity_required_when_enabled(self, small_grid, consts):
         schema = schema_for_grid("sw", small_grid, include_humidity=True)
-        wp = truncate_profile(make_profile(small_grid, seed=5))
-        dry = type(wp)(grid=wp.grid, T=wp.T, f_c=wp.f_c, q_l=wp.q_l, q_i=wp.q_i,
-                       r_l=wp.r_l, r_i=wp.r_i, T_s=wp.T_s, alpha=wp.alpha, mu0=wp.mu0)
+        p = make_profile(small_grid, seed=5)
+        dry = type(p)(grid=p.grid, T=p.T, f_c=p.f_c, q_l=p.q_l, q_i=p.q_i,
+                      r_l=p.r_l, r_i=p.r_i, T_s=p.T_s, alpha=p.alpha, mu0=p.mu0)
         with pytest.raises(ValueError, match="humidity"):
-            build_input_vector(dry, np.zeros(schema.n_fl_window), schema)
+            build_input_matrix([dry], schema, consts)
 
     def test_layer_thickness_positive(self, small_grid):
         dz = layer_thickness(small_grid, np.full(small_grid.n_fl, 250.0))
         assert np.all(dz > 0)
+
+
+class TestSchemaSequence:
+    """A sequence of schemas gives a list of matrices, one per schema, from
+    one window truncation and one cloud optical depth."""
+
+    @staticmethod
+    def count_calls(monkeypatch, names):
+        calls = []
+        for name in names:
+            def counted(*args, _fn=getattr(features, name), _name=name):
+                calls.append(_name)
+                return _fn(*args)
+            monkeypatch.setattr(features, name, counted)
+        return calls
+
+    def test_one_window_and_optical_depth_for_every_schema(self, ref_grid, consts, monkeypatch):
+        profiles = generate_profiles(6, ref_grid, seed=14)
+        schemas = [schema_for_grid(component, ref_grid, consts.p_trunc, q, dz)
+                   for component in ("lw", "sw") for q, dz in ((False, False), (True, True))]
+        want = [build_input_matrix(profiles, schema, consts) for schema in schemas]
+        calls = self.count_calls(monkeypatch, ("truncate_profile", "compute_cloud_optical_depth"))
+        got = build_input_matrix(profiles, tuple(schemas), consts)
+        assert sorted(calls) == ["compute_cloud_optical_depth", "truncate_profile"]
+        assert isinstance(got, list) and len(got) == len(schemas)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+    def test_every_schema_checked_before_any_assembly(self, small_grid, consts, monkeypatch):
+        lw = schema_for_grid("lw", small_grid)
+        n = lw.n_fl_window + 1
+        sw = FeatureSchema(component="sw", n_fl_window=n, n_hl_window=n + 1)
+        calls = self.count_calls(monkeypatch, ("_assemble", "compute_cloud_optical_depth"))
+        with pytest.raises(ValueError, match=f"schema expects {n}"):
+            build_input_matrix([make_profile(small_grid, seed=1)], [lw, sw], consts)
+        assert calls == []
 
 
 class TestTargetVectors:
@@ -263,15 +304,11 @@ class TestRowPermutation:
 
 class TestBatchEquivalence:
     """The batch path must give, bit for bit, the rows of the per-profile
-    reference: truncate, optical depth, one vector per profile."""
+    reference: each profile built alone, as a one-row batch."""
 
     @staticmethod
     def reference_matrix(profiles, schema, consts):
-        rows = []
-        for p in profiles:
-            wp = truncate_profile(p, consts.p_trunc)
-            rows.append(build_input_vector(wp, compute_cloud_optical_depth(wp, consts), schema))
-        return np.asarray(rows)
+        return np.asarray([build_input_matrix([p], schema, consts)[0] for p in profiles])
 
     @pytest.mark.parametrize("component", ["lw", "sw"])
     @pytest.mark.parametrize("humidity, thickness", [(False, False), (True, False), (True, True)])

@@ -467,6 +467,10 @@ class TestTrain:
         with pytest.raises(ValueError, match="patience"):
             TrainConfig(max_epochs=10, patience=10)
 
+    def test_negative_patience_rejected(self):
+        with pytest.raises(ValueError, match="patience -3 is below 0"):
+            TrainConfig(max_epochs=5, patience=-3)
+
     def test_no_epochs_rejected(self):
         # a patience below the epoch count must not let a run of no epochs through
         with pytest.raises(ValueError, match="max_epochs 0 is below 1"):
@@ -548,6 +552,24 @@ class TestGridSearch:
                               width_multipliers=(1.0,), reg_factors=(1e-6,), repeats=1)
         with pytest.raises(ValueError, match="variant 7"):
             grid_search(spec, {6: self._dataset(4)}, TrainConfig(max_epochs=2, patience=1))
+
+    def test_negative_reg_factor_rejected(self):
+        with pytest.raises(ValueError, match="regularization factor -1e-05 is below 0"):
+            GridSearchSpec(reg_factors=(1e-5, -1e-5))
+
+    @pytest.mark.parametrize("tolerance, variants, message", [
+        (-1.0, (6,), "simplicity tolerance -1.0 is not >= 0"),
+        (math.nan, (6,), "simplicity tolerance nan is not >= 0"),
+        (0.0, (6, 7), "no dataset supplied for input variant 7")])
+    def test_bad_arguments_rejected_before_any_training(self, monkeypatch, tolerance, variants, message):
+        trained = []
+        monkeypatch.setattr(net, "train", lambda *args: trained.append(args))
+        spec = GridSearchSpec(input_variants=variants, hidden_layer_counts=(1,),
+                              width_multipliers=(1.0,), reg_factors=(1e-6,), repeats=1)
+        with pytest.raises(ValueError, match=message):
+            grid_search(spec, {6: self._dataset(5)}, TrainConfig(max_epochs=2, patience=1),
+                        simplicity_tolerance=tolerance)
+        assert trained == []
 
 
 class TestPredictEffects:
@@ -664,6 +686,16 @@ class TestPredictEffects:
             with pytest.raises(ValueError, match="window pressures differ"):
                 build_input_matrix(profiles, model.schema, consts)
         predict_flux_effects(lw, sw, generate_profiles(2, small_grid, seed=6), consts)
+
+    def test_sw_model_on_another_window_fails_before_any_forward(self, small_grid, consts, monkeypatch):
+        # Both schemas are checked before the LW network runs.
+        lw, sw = self._models(small_grid, consts)
+        sw.schema = dataclasses.replace(sw.schema, p_hl_window=sw.schema.p_hl_window * 1.001)
+        calls = []
+        monkeypatch.setattr(net, "forward", lambda *args: calls.append(args) or forward(*args))
+        with pytest.raises(ValueError, match="window pressures differ from those the model was trained on"):
+            predict_flux_effects(lw, sw, generate_profiles(2, small_grid, seed=6), consts)
+        assert calls == []
 
     def test_model_without_training_window_checks_its_size_only(self, small_grid, consts):
         lw, sw = self._models(small_grid, consts)

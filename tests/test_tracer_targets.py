@@ -7,18 +7,52 @@ import pathlib
 from types import SimpleNamespace
 
 from cre3d import augment, cli, column, features, io, net, postproc
+from cre3d.augment import generate_profiles
 
 TRACER = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+PROG = SimpleNamespace(cli=cli, column=column, features=features, net=net,
+                       postproc=postproc, augment=augment, io=io)
 
 
-def test_every_traced_name_resolves():
+def load_tracer():
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
-    prog = SimpleNamespace(cli=cli, column=column, features=features, net=net,
-                           postproc=postproc, augment=augment, io=io)
-    targets = tracer.program_targets(prog)
+    return tracer
+
+
+def test_every_traced_name_resolves():
+    targets = load_tracer().program_targets(PROG)
     assert targets
     missing = [f"{owner.__name__}.{attr}" for owner, attr, *_ in targets
                if not callable(getattr(owner, attr, None))]
     assert not missing, f"names the tracer wraps are gone: {missing}"
+
+
+def test_feature_assembly_is_one_traced_span(ref_grid, consts):
+    # predict_flux_effects builds its input rows through a name the tracer
+    # wraps, so the window truncation and the cloud optical depth are
+    # counted as feature assembly, not as predict_flux_effects self time.
+    models = []
+    for component in ("lw", "sw"):
+        schema = features.schema_for_grid(component, ref_grid, consts.p_trunc)
+        model = net.init_model([schema.input_len, 8, schema.output_len], seed=0, schema=schema)
+        model.norm_in = features.fit_normalization(
+            features.build_input_matrix(generate_profiles(10, ref_grid, seed=0), schema, consts))
+        model.norm_out = features.Normalization(mean=[0.0] * schema.output_len,
+                                                scale=[1.0] * schema.output_len)
+        models.append(model)
+    profiles = generate_profiles(3, ref_grid, seed=1)
+    module = load_tracer()
+    tracer = module.Tracer()
+    tracer.install(module.program_targets(PROG))
+    try:
+        net.predict_flux_effects(*models, profiles, consts)
+    finally:
+        tracer.uninstall()
+    names = [name for name, *_ in tracer.spans]
+    assert names.count("features.build_input_matrix") == 1
+    builder = names.index("features.build_input_matrix")
+    assert tracer.spans[builder][3] == names.index("net.predict_flux_effects")
+    for name in ("column.truncate_profile", "column.cloud_optical_depth"):
+        assert [span[3] for span in tracer.spans if span[0] == name] == [builder]
