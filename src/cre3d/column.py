@@ -7,6 +7,7 @@ levels (layer centres). All quantities are SI; heating rates are K s^-1.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -114,7 +115,11 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class VerticalGrid:
-    """Half-level pressure coordinate, strictly increasing TOA to surface."""
+    """Half-level pressure coordinate, strictly increasing TOA to surface.
+
+    The grid holds its own read-only copy of `p_hl`, so the values derived
+    from it (`p_fl`, `dp`, and the window start and window grid of each
+    truncation pressure) are computed once per grid and kept."""
 
     p_hl: np.ndarray
 
@@ -127,8 +132,8 @@ class VerticalGrid:
         if not np.all(np.diff(p) > 0):
             bad = int(np.flatnonzero(np.diff(p) <= 0)[0])
             raise ValueError(f"half-level pressures must increase strictly; violated at index {bad}")
-        p.setflags(write=False)
-        object.__setattr__(self, "p_hl", p)
+        object.__setattr__(self, "p_hl", _frozen(p.copy()))
+        object.__setattr__(self, "_windows", {})  # p_trunc -> (window start, window grid)
 
     @property
     def n_hl(self) -> int:
@@ -138,20 +143,27 @@ class VerticalGrid:
     def n_fl(self) -> int:
         return self.p_hl.size - 1
 
-    @property
+    @functools.cached_property
     def p_fl(self) -> np.ndarray:
-        return 0.5 * (self.p_hl[:-1] + self.p_hl[1:])
+        return _frozen(0.5 * (self.p_hl[:-1] + self.p_hl[1:]))
 
-    @property
+    @functools.cached_property
     def dp(self) -> np.ndarray:
-        return np.diff(self.p_hl)
+        return _frozen(np.diff(self.p_hl))
+
+    def _window(self, p_trunc: float) -> tuple:
+        known = self._windows.get(p_trunc)
+        if known is None:
+            inside = np.flatnonzero(self.p_fl >= p_trunc)
+            if inside.size == 0:
+                raise ValueError(f"no full level has p_fl >= {p_trunc} Pa; window is empty")
+            i0 = int(inside[0])
+            known = self._windows.setdefault(p_trunc, (i0, VerticalGrid(self.p_hl[i0:])))
+        return known
 
     def window_start(self, p_trunc: float = DEFAULT_P_TRUNC) -> int:
         """First full-level index inside the tropospheric window (p_fl >= p_trunc)."""
-        inside = np.flatnonzero(self.p_fl >= p_trunc)
-        if inside.size == 0:
-            raise ValueError(f"no full level has p_fl >= {p_trunc} Pa; window is empty")
-        return int(inside[0])
+        return self._window(p_trunc)[0]
 
     def n_fl_window(self, p_trunc: float = DEFAULT_P_TRUNC) -> int:
         return self.n_fl - self.window_start(p_trunc)
@@ -161,7 +173,7 @@ class VerticalGrid:
 
     def window(self, p_trunc: float = DEFAULT_P_TRUNC) -> "VerticalGrid":
         """Grid restricted to the half levels bounding the window full levels."""
-        return VerticalGrid(self.p_hl[self.window_start(p_trunc):])
+        return self._window(p_trunc)[1]
 
     def same_as(self, other: "VerticalGrid") -> bool:
         return self.p_hl.size == other.p_hl.size and bool(np.array_equal(self.p_hl, other.p_hl))
@@ -339,10 +351,11 @@ def compute_cloud_optical_depth(profile, consts: PhysConsts) -> np.ndarray:
     """
     if not isinstance(profile, AtmosphericProfile):
         profile = ProfileBatch.from_profiles(profile)
-    q_l, q_i, r_l, r_i = profile.q_l, profile.q_i, profile.r_l, profile.r_i
-    term_l = np.where(q_l > 0, q_l / (consts.rho_l * np.where(r_l > 0, r_l, 1.0)), 0.0)
-    term_i = np.where(q_i > 0, q_i / (consts.rho_i * np.where(r_i > 0, r_i, 1.0)), 0.0)
-    return 1.5 * (profile.grid.dp / consts.g) * (term_l + term_i)
+    q_l, q_i = profile.q_l, profile.q_i
+    term_l = np.divide(q_l, consts.rho_l * profile.r_l, out=np.zeros(q_l.shape), where=q_l > 0)
+    term_i = np.divide(q_i, consts.rho_i * profile.r_i, out=np.zeros(q_i.shape), where=q_i > 0)
+    term_l += term_i
+    return np.multiply(1.5 * (profile.grid.dp / consts.g), term_l, out=term_l)
 
 
 def compute_heating_rates(net_flux, grid: VerticalGrid, consts: PhysConsts) -> np.ndarray:
@@ -375,8 +388,10 @@ def truncate_to_window(x, grid: VerticalGrid, p_trunc: float = DEFAULT_P_TRUNC) 
 def _extend(window: dict, i0: int) -> dict:
     """Window flux fields (vectors or rows) with `i0` levels added on top:
     zero there, except `up`, held at its window-top value."""
-    full = {name: np.zeros(w.shape[:-1] + (i0 + w.shape[-1],)) for name, w in window.items()}
+    full = {}
     for name, w in window.items():
+        # every level of `up` is written below, so it is not zero-filled first
+        full[name] = (np.empty if name == "up" else np.zeros)(w.shape[:-1] + (i0 + w.shape[-1],))
         full[name][..., i0:] = w
     full["up"][..., :i0] = window["up"][..., :1]
     return full

@@ -171,12 +171,12 @@ def _in_parts(path, work: Callable, parts: Sequence) -> list:
 # JSON Lines
 
 
-def write_jsonl(path, records: Sequence[dict]) -> None:
-    """Write `records[i]` as line i + 1, encoding each record as it is
-    written. Part 0 goes straight into the temp file; each other part is
-    encoded by a child into a file beside it, appended in order once all
-    parts are done."""
-    n = len(records)
+def write_jsonl(path, lines: Sequence[str]) -> None:
+    """Write `lines[i]` (one record's JSON text, without its newline) as
+    line i + 1, taking each line from `lines` only as it is written. Part 0
+    goes straight into the temp file; each other part is written by a child
+    into a file beside it, appended in order once all parts are done."""
+    n = len(lines)
     with _atomic_open(path) as fh:
         k = _n_parts(n)
         rows = [range(n * i // k, n * (i + 1) // k) for i in range(k)]
@@ -184,7 +184,7 @@ def write_jsonl(path, records: Sequence[dict]) -> None:
 
         def encode(i: int) -> None:
             with contextlib.nullcontext(fh) if i == 0 else open(part_paths[i], "x") as out:
-                out.writelines(json.dumps(records[j]) + "\n" for j in rows[i])
+                out.writelines(lines[j] + "\n" for j in rows[i])
 
         try:
             _in_parts(path, encode, range(k))
@@ -198,17 +198,17 @@ def write_jsonl(path, records: Sequence[dict]) -> None:
                     os.unlink(part)
 
 
-class _Records(Sequence):
-    """`n` records, record i built by `record(i)` each time it is read."""
+class _Lines(Sequence):
+    """`n` JSON lines, line i encoded by `line(i)` each time it is read."""
 
-    def __init__(self, n: int, record: Callable[[int], dict]):
-        self._n, self._record = n, record
+    def __init__(self, n: int, line: Callable[[int], str]):
+        self._n, self._line = n, line
 
     def __len__(self) -> int:
         return self._n
 
-    def __getitem__(self, i) -> dict:
-        return self._record(range(self._n)[i])
+    def __getitem__(self, i) -> str:
+        return self._line(range(self._n)[i])
 
 
 def _lines(fh, end: Optional[int] = None):
@@ -362,13 +362,19 @@ def write_profiles(path, profiles: Sequence[AtmosphericProfile]) -> None:
     row at a time. Repeated non-null ids fail before the file is created."""
     batch = ProfileBatch.from_profiles(profiles)
     _check_ids(path, batch.ids)
-    p_hl = batch.grid.p_hl.tolist()
+    # Every record holds the one grid: its text is encoded once, and each line
+    # is json.dumps of {"id", "p_hl", then the row's fields} put together.
+    p_hl = json.dumps(batch.grid.p_hl.tolist())
     scalars = [(name, getattr(batch, name).tolist()) for name in _SCALAR_FIELDS]
     arrays = [(name, getattr(batch, name)) for name in _LEVEL_FIELDS + ("q",)
               if getattr(batch, name) is not None]
-    write_jsonl(path, _Records(len(batch), lambda i: {
-        "id": batch.ids[i], "p_hl": p_hl, **{name: values[i] for name, values in scalars},
-        **{name: arr[i].tolist() for name, arr in arrays}}))
+
+    def line(i: int) -> str:
+        fields = json.dumps({**{name: values[i] for name, values in scalars},
+                             **{name: arr[i].tolist() for name, arr in arrays}})
+        return f'{{"id": {json.dumps(batch.ids[i])}, "p_hl": {p_hl}, {fields[1:]}'
+
+    write_jsonl(path, _Lines(len(batch), line))
 
 
 def read_profiles(path) -> ProfileBatch:
@@ -418,7 +424,8 @@ def write_fluxes(path, ids: Sequence[Optional[str]], flux: FluxSet) -> None:
         raise ValueError(f"{path}: need (n, levels) flux rows and one id per row, got "
                          f"{len(ids)} ids for rows of shape {flux.up.shape}")
     _check_ids(path, ids)
-    write_jsonl(path, _Records(len(ids), lambda i: {"id": ids[i], **{name: arr[i].tolist() for name, arr in fields}}))
+    write_jsonl(path, _Lines(len(ids), lambda i: json.dumps(
+        {"id": ids[i], **{name: arr[i].tolist() for name, arr in fields}})))
 
 
 def read_fluxes(path) -> Tuple[List[Optional[str]], FluxSet]:

@@ -100,10 +100,12 @@ class TrainConfig:
             raise ValueError(f"patience {self.patience} is below 0")
         if self.patience >= self.max_epochs:
             raise ValueError("patience must be smaller than max_epochs")
-        if self.learning_rate <= 0 or self.batch_size < 1:
-            raise ValueError("learning_rate must be > 0 and batch_size >= 1")
-        if self.l1 < 0 or self.l2 < 0:
-            raise ValueError("regularization factors must be >= 0")
+        # `not x > 0` and `not x >= 0` reject NaN as well
+        if not self.learning_rate > 0 or self.batch_size < 1:
+            raise ValueError(f"learning_rate must be > 0 and batch_size >= 1, got "
+                             f"{self.learning_rate!r} and {self.batch_size!r}")
+        if not (self.l1 >= 0 and self.l2 >= 0):
+            raise ValueError(f"regularization factors must be >= 0, got l1={self.l1!r}, l2={self.l2!r}")
 
 
 def elu(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -117,7 +119,8 @@ def elu(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         np.copyto(out, x)
     flat = out.reshape(-1)
     scratch = np.empty(min(ELU_BLOCK, flat.size))
-    for v in np.split(flat, range(ELU_BLOCK, flat.size, ELU_BLOCK)):
+    for s in range(0, flat.size, ELU_BLOCK):
+        v = flat[s:s + ELU_BLOCK]
         t = scratch[:v.size]
         np.minimum(v, 0.0, out=t)
         np.expm1(t, out=t)
@@ -352,12 +355,14 @@ class GridSearchSpec:
                 raise ValueError(f"grid axis {name} must be non-empty")
         if self.repeats < 1:
             raise ValueError("repeats must be >= 1")
-        if min(self.hidden_layer_counts) < 0:
-            raise ValueError(f"hidden layer count {min(self.hidden_layer_counts)} is below 0")
-        if min(self.width_multipliers) <= 0:
-            raise ValueError(f"width multiplier {min(self.width_multipliers)} is not above 0")
-        if min(self.reg_factors) < 0:
-            raise ValueError(f"regularization factor {min(self.reg_factors)} is below 0")
+        # `not ok(v)`, so that NaN fails too
+        for what, values, ok, rule in (
+                ("hidden layer count", self.hidden_layer_counts, lambda v: v >= 0, "is below 0"),
+                ("width multiplier", self.width_multipliers, lambda v: v > 0, "is not above 0"),
+                ("regularization factor", self.reg_factors, lambda v: v >= 0, "is below 0")):
+            bad = [v for v in values if not ok(v)]
+            if bad:
+                raise ValueError(f"{what} {bad[0]} {rule if bad[0] == bad[0] else 'is not a number'}")
 
     def configurations(self):
         return list(itertools.product(self.input_variants, self.hidden_layer_counts,

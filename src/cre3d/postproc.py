@@ -108,33 +108,33 @@ def postprocess_batch(component: str, scalar: np.ndarray, heat: np.ndarray,
     else:
         raise ValueError(f"component must be 'lw' or 'sw', got {component!r}")
 
+    # Every fix-up below is a masked ufunc into a preset output: a row outside
+    # its mask is not evaluated, so it raises no floating-point error.
     degenerate = np.abs(d_heat) < DEGENERATE_DIVERGENCE
-    safe_dh = np.where(degenerate, 1.0, d_heat)
-    c_raw = d_scalar / safe_dh
-    c = np.clip(c_raw, CAP_LO, CAP_HI)
-    c = np.where(degenerate, 1.0, c)
+    c_raw = np.divide(d_scalar, d_heat, out=np.ones(n), where=~degenerate)
+    # c_raw, and so c, is 1 on degenerate rows: none of them counts as capped
+    c = np.minimum(np.maximum(c_raw, CAP_LO), CAP_HI)
 
     heat_r = c[:, None] * heat
     delta_net *= c[:, None]  # rescaled in place; c is 1 on degenerate rows
     scalar_r = scalar.copy()
 
-    capped = (c != c_raw) & ~degenerate
-    if np.any(capped):
+    capped = c != c_raw
+    if capped.any():
         target = c * d_heat
         zero_ds = capped & (np.abs(d_scalar) < DEGENERATE_DIVERGENCE)
         mult = capped & ~zero_ds
-        if np.any(mult):
-            factor = np.ones(n)
-            factor[mult] = target[mult] / d_scalar[mult]
-            scalar_r[mult] *= factor[mult, None]
+        factor = np.divide(target, d_scalar, out=np.ones(n), where=mult)
+        np.multiply(scalar_r, factor[:, None], out=scalar_r, where=mult[:, None])
         # A D_s this small is a rounding residue of zero, not a scale: shift the
         # TOA value instead (D_s has unit weight on it in both bands).
-        if np.any(zero_ds):
-            scalar_r[zero_ds, 0] += target[zero_ds]
-    if np.any(degenerate):  # c is ill-posed: spread the divergence gap evenly
+        np.add(scalar_r[:, 0], target, out=scalar_r[:, 0], where=zero_ds)
+    if degenerate.any():  # c is ill-posed: spread the divergence gap evenly
+        rows = degenerate[:, None]
         inc = (d_scalar - d_heat) / m
-        delta_net[degenerate] += inc[degenerate, None]
-        heat_r[degenerate] = -(consts.g / consts.c_p) * delta_net[degenerate] / dp
+        np.add(delta_net, inc[:, None], out=delta_net, where=rows)
+        np.multiply(delta_net, -(consts.g / consts.c_p), out=heat_r, where=rows)
+        np.divide(heat_r, dp, out=heat_r, where=rows)
 
     net = np.empty_like(scalar_r)
     net[:, 0] = -scalar_r[:, 0]

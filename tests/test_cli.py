@@ -471,6 +471,11 @@ class TestTrainFlags:
         ("grid-search", ["--simplicity-tolerance", -1], "simplicity tolerance -1.0 is not >= 0"),
         ("grid-search", ["--simplicity-tolerance", "nan"], "simplicity tolerance nan is not >= 0"),
         ("grid-search", ["--regs", 1e-5, "-0.00001"], "regularization factor -1e-05 is below 0"),
+        ("grid-search", ["--multipliers", 1, "nan"], "width multiplier nan is not a number"),
+        ("grid-search", ["--regs", "nan"], "regularization factor nan is not a number"),
+        ("train", ["--learning-rate", "nan"],
+         "learning_rate must be > 0 and batch_size >= 1, got nan and 256"),
+        ("train", ["--l2", "nan"], "regularization factors must be >= 0, got l1=1e-05, l2=nan"),
     ])
     def test_bad_training_flags_rejected_before_training(self, tmp_path, capsys, monkeypatch,
                                                          command, flags, message):

@@ -41,6 +41,37 @@ class TestVerticalGrid:
         with pytest.raises(ValueError, match="non-finite"):
             VerticalGrid(np.array([0.0, np.nan, 300.0]))
 
+    def test_derived_values_are_read_only_and_computed_once(self, small_grid):
+        for name in ("p_fl", "dp"):
+            value = getattr(small_grid, name)
+            assert not value.flags.writeable
+            assert getattr(small_grid, name) is value
+        assert small_grid.window() is small_grid.window(5000.0)
+        assert small_grid.window(20000.0) is small_grid.window(20000.0)
+        assert small_grid.window() is not small_grid.window(20000.0)
+        assert small_grid.window_start(20000.0) == 7
+
+    def test_empty_window_raises_on_every_call(self):
+        grid = VerticalGrid(np.array([10.0, 100.0, 1000.0]))
+        for _ in range(2):
+            for call in (grid.window_start, grid.window):
+                with pytest.raises(ValueError, match="window is empty"):
+                    call()
+        assert grid.window(100.0).n_fl == 1
+
+    def test_holds_its_own_copy_of_the_pressures(self):
+        # The caller's array stays writable, and writing to it leaves the
+        # grid and the values derived from it unchanged.
+        p = np.array([100.0, 1000.0, 6000.0, 20000.0, 101325.0])
+        grid = VerticalGrid(p)
+        assert grid.p_hl is not p and not grid.p_hl.flags.writeable
+        assert p.flags.writeable
+        window = grid.window()
+        p[:] = [1.0, 2.0, 3.0, 4.0, 5.0]
+        np.testing.assert_array_equal(grid.p_hl, [100.0, 1000.0, 6000.0, 20000.0, 101325.0])
+        np.testing.assert_array_equal(grid.dp, [900.0, 5000.0, 14000.0, 81325.0])
+        assert grid.window() is window and window.n_fl == 2
+
 
 class TestCloudOpticalDepth:
     def test_hand_value(self, consts):

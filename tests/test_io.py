@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import signal
@@ -59,7 +60,7 @@ class TestJsonl:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "records.jsonl"
         records = [{"a": 1}, {"b": [1.5, 2.5]}]
-        write_jsonl(path, records)
+        write_jsonl(path, [json.dumps(record) for record in records])
         assert [json.loads(line) for line in path.read_text().splitlines()] == records
 
     def test_atomic_write_leaves_no_temp_files(self, tmp_path):
@@ -76,7 +77,7 @@ class TestJsonl:
             def __getitem__(self, i):
                 if i == 1:
                     raise RuntimeError("producer failed")
-                return {"a": 1}
+                return '{"a": 1}'
 
         path = tmp_path / "out.jsonl"
         with pytest.raises(RuntimeError, match="producer failed"):
@@ -88,7 +89,7 @@ class TestJsonl:
         old = os.umask(umask)
         try:
             atomic_write_text(tmp_path / "text.txt", "hello")
-            write_jsonl(tmp_path / "records.jsonl", [{"a": 1}])
+            write_jsonl(tmp_path / "records.jsonl", ['{"a": 1}'])
         finally:
             os.umask(old)
         for name in ("text.txt", "records.jsonl"):
@@ -145,6 +146,22 @@ class TestProfiles:
         again = tmp_path / "again.jsonl"
         write_profiles(again, read_profiles(path))
         assert again.read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("with_q", [True, False])
+    def test_lines_are_json_dumps_of_the_record(self, tmp_path, small_grid, with_q):
+        # the grid's text is encoded once and spliced into each line, with
+        # the bytes of json.dumps of the whole record
+        ids = ["p0", None, 7]
+        batch = ProfileBatch.from_profiles([make_profile(small_grid, seed=s) for s in range(3)])
+        batch = dataclasses.replace(batch, ids=ids, q=batch.q if with_q else None)
+        path = tmp_path / "profiles.jsonl"
+        write_profiles(path, batch)
+        records = [{"id": pid, "p_hl": small_grid.p_hl.tolist(),
+                    **{name: float(getattr(batch, name)[i]) for name in ("T_s", "alpha", "mu0")},
+                    **{name: getattr(batch, name)[i].tolist()
+                       for name in ("T", "f_c", "q_l", "q_i", "r_l", "r_i", "q") if getattr(batch, name) is not None}}
+                   for i, pid in enumerate(ids)]
+        assert path.read_text() == "".join(json.dumps(record) + "\n" for record in records)
 
     def test_record_on_another_grid_rejected(self, tmp_path, small_grid):
         path = self._records(tmp_path, small_grid, 4)
@@ -675,7 +692,7 @@ class TestPartFailures:
             def __getitem__(self, i):
                 if i == 1 and os.getpid() != parent:
                     _fault(kind)
-                return {"a": i}
+                return json.dumps({"a": i})
 
         with pytest.raises(RuntimeError, match=rf"out.jsonl: part 2 of 3 failed: {self.REPORTS[kind]}$"):
             write_jsonl(tmp_path / "out.jsonl", Records())
@@ -690,7 +707,7 @@ class TestPartFailures:
             def __getitem__(self, i):
                 if i == 0:
                     raise RuntimeError("producer failed")
-                return {"a": i}
+                return json.dumps({"a": i})
 
         with pytest.raises(RuntimeError, match="^producer failed$"):
             write_jsonl(tmp_path / "out.jsonl", Records())

@@ -1,12 +1,13 @@
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from cre3d import features, net
-from cre3d.augment import generate_profiles, toy_truth
-from cre3d.column import ProfileBatch, VerticalGrid, extend_to_full
+from cre3d.augment import generate_profiles, make_reference_grid, toy_truth
+from cre3d.column import PhysConsts, ProfileBatch, VerticalGrid, extend_to_full
 from cre3d.features import (
     Normalization,
     build_input_matrix,
@@ -467,6 +468,11 @@ class TestTrain:
         with pytest.raises(ValueError, match="patience"):
             TrainConfig(max_epochs=10, patience=10)
 
+    @pytest.mark.parametrize("field", ["learning_rate", "l1", "l2"])
+    def test_nan_rate_or_regularization_rejected(self, field):
+        with pytest.raises(ValueError, match="nan"):
+            TrainConfig(**{field: math.nan})
+
     def test_negative_patience_rejected(self):
         with pytest.raises(ValueError, match="patience -3 is below 0"):
             TrainConfig(max_epochs=5, patience=-3)
@@ -557,6 +563,14 @@ class TestGridSearch:
         with pytest.raises(ValueError, match="regularization factor -1e-05 is below 0"):
             GridSearchSpec(reg_factors=(1e-5, -1e-5))
 
+    @pytest.mark.parametrize("axes, message", [
+        ({"width_multipliers": (1.0, math.nan)}, "width multiplier nan is not a number"),
+        ({"reg_factors": (math.nan,)}, "regularization factor nan is not a number"),
+        ({"hidden_layer_counts": (1, math.nan)}, "hidden layer count nan is not a number")])
+    def test_nan_axis_value_rejected(self, axes, message):
+        with pytest.raises(ValueError, match=message):
+            GridSearchSpec(**axes)
+
     @pytest.mark.parametrize("tolerance, variants, message", [
         (-1.0, (6,), "simplicity tolerance -1.0 is not >= 0"),
         (math.nan, (6,), "simplicity tolerance nan is not >= 0"),
@@ -570,6 +584,49 @@ class TestGridSearch:
             grid_search(spec, {6: self._dataset(5)}, TrainConfig(max_epochs=2, patience=1),
                         simplicity_tolerance=tolerance)
         assert trained == []
+
+
+class TestPredictDigests:
+    """The bits of `predict_flux_effects` at host-model block sizes: the
+    first 64 of 2000 generated profiles in calls of 1, 8 and 32 rows, and
+    all 2000 in one call. The rows hit both caps, and the shortwave's night
+    rows the degenerate branch."""
+
+    DIGESTS = {
+        1: "537c09121a4f98127618a10cb412ca2407162b5d7d73a495b7e1bcf9c1b6f049",
+        8: "737aa6261a27b659fc13fae21528922bed30ee75a4a52eb58b3f5031c0a5c103",
+        32: "f8e18448467dc74b8f0a585f647eb876b1a93f1c7855dc57fd08bc442d33a9bc",
+        2000: "ca3ef78618a331bc989fed39773e241aaf1e4afaad6940b5dd00420ffef383cb",
+    }
+
+    @pytest.fixture(scope="class")
+    def setup(self):
+        # Reference-width LW and SW models, He-uniform weights of seed 3 and
+        # normalization fitted on 200 generated profiles and their toy truth.
+        consts = PhysConsts()
+        grid = make_reference_grid()
+        profiles = generate_profiles(200, grid, seed=3)
+        truth = toy_truth(profiles, consts)
+        models = []
+        for component in ("lw", "sw"):
+            schema = schema_for_grid(component, grid, consts.p_trunc)
+            model = net.reference_model(schema, 3)
+            model.norm_in = fit_normalization(build_input_matrix(profiles, schema, consts))
+            model.norm_out = fit_normalization(build_target_vector(getattr(truth, component), schema))
+            models.append(model)
+        return models, generate_profiles(2000, grid, seed=11), consts
+
+    @pytest.mark.parametrize("block", sorted(DIGESTS))
+    def test_bits_pinned(self, setup, block):
+        (lw, sw), profiles, consts = setup
+        n = len(profiles) if block == 2000 else 64
+        h = hashlib.sha256()
+        for s in range(0, n, block):
+            effects = predict_flux_effects(lw, sw, profiles[s:s + block], consts)
+            for component in ("lw", "sw"):
+                for name in sorted(effects[component]):
+                    h.update(np.ascontiguousarray(effects[component][name], dtype="<f8").tobytes())
+        assert h.hexdigest() == self.DIGESTS[block]
 
 
 class TestPredictEffects:

@@ -396,6 +396,20 @@ class TestPostprocessBatch:
         assert np.isclose(c, CAP_HI).any() and np.isclose(c, CAP_LO).any()
 
     @pytest.mark.parametrize("component", ["lw", "sw"])
+    def test_rows_outside_a_branch_raise_no_floating_point_error(self, wgrid, consts, component):
+        # Capped, zero-D_s, degenerate and night (all-zero) rows: a divide or
+        # fix-up evaluated on a row outside its branch divides by zero there.
+        scalar, heat, alphas = mixed_columns(wgrid, consts, component)
+        scalar[-3:] = 0.0
+        heat[-3:] = 0.0
+        alpha = alphas if component == "sw" else None
+        expected = chained_postprocess_batch(component, scalar, heat, wgrid, consts, alpha=alpha)
+        with np.errstate(all="raise"):
+            got = postprocess_batch(component, scalar, heat, wgrid, consts, alpha=alpha)
+        for g, e in zip(got, expected):
+            assert np.array_equal(g.view(np.int64), e.view(np.int64))
+
+    @pytest.mark.parametrize("component", ["lw", "sw"])
     def test_inputs_not_mutated(self, wgrid, consts, component):
         # The rows arrive as column slices of one network output matrix.
         scalar, heat, alphas = mixed_columns(wgrid, consts, component)
