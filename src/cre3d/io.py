@@ -1,9 +1,14 @@
 """File formats: JSON-Lines profile and flux datasets, JSON model files.
 
 All numbers are written as decimal JSON floats, which round-trip IEEE
-doubles exactly. Writes stream into a temp file and finish with an atomic
-rename. A profile file holds profiles on one grid with unique ids. A record
-is one line ending at \\n or \\r\\n; lines of ASCII whitespace are blank.
+doubles exactly; a file holds the bytes `json.dumps` gives for its
+records. Float arrays become text through `_floattext.format_rows`:
+Schubfach's shortest round-trip digits (R. Giulietti, "The Schubfach way
+to render doubles", 2020) computed on numpy arrays, spliced into the
+records a block of records at a time. Writes stream into a temp file and
+finish with an atomic rename. A profile file holds profiles on one grid
+with unique ids. A record is one line ending at \\n or \\r\\n; lines of
+ASCII whitespace are blank.
 
 JSON-Lines records are encoded and decoded in contiguous parts at the same
 time: this process handles part 0 and forked children the others (see
@@ -26,6 +31,7 @@ from typing import Callable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
+from ._floattext import CHUNK, format_rows
 from .column import (
     AtmosphericProfile,
     FluxSet,
@@ -198,17 +204,49 @@ def write_jsonl(path, lines: Sequence[str]) -> None:
                     os.unlink(part)
 
 
-class _Lines(Sequence):
-    """`n` JSON lines, line i encoded by `line(i)` each time it is read."""
+class _Blocks(Sequence):
+    """`n` JSON lines made `size` at a time: reading line i calls
+    `block(range(i, i + size))` for the lines of those records, unless the
+    block made last holds line i."""
 
-    def __init__(self, n: int, line: Callable[[int], str]):
-        self._n, self._line = n, line
+    def __init__(self, n: int, size: int, block: Callable[[range], List[str]]):
+        self._n, self._size, self._block = n, size, block
+        self._rows, self._lines = range(0), []
 
     def __len__(self) -> int:
         return self._n
 
     def __getitem__(self, i) -> str:
-        return self._line(range(self._n)[i])
+        i = range(self._n)[i]
+        if i not in self._rows:
+            self._rows = range(i, min(i + self._size, self._n))
+            self._lines = self._block(self._rows)
+        return self._lines[i - self._rows.start]
+
+
+def _records(ids: Sequence, fields: Sequence[Tuple[str, object]]) -> _Blocks:
+    """The JSON lines `json.dumps({"id": ids[i], name: value, ...})` of
+    records i = 0, 1, ..., one block of about CHUNK float values at a time.
+    A field's value is a JSON text (str), the same in every record, or an
+    array: record i's row of a 2-D one as a list, its element of a 1-D one
+    as a number."""
+    parts, arrays = ['{{"id": {}'], []
+    for name, value in fields:
+        key = json.dumps(name).replace("{", "{{").replace("}", "}}")
+        if isinstance(value, str):
+            parts.append(f"{key}: " + value.replace("{", "{{").replace("}", "}}"))
+        else:
+            parts.append(f"{key}: [{{}}]" if value.ndim == 2 else f"{key}: {{}}")
+            arrays.append(value if value.ndim == 2 else value[:, None])
+    line = ", ".join(parts) + "}}"
+    widths = [arr.shape[1] for arr in arrays]
+
+    def block(rows: range) -> List[str]:
+        texts = format_rows(np.concatenate([arr[rows.start:rows.stop] for arr in arrays], axis=1), widths)
+        return [line.format(json.dumps(ids[i]), *texts[j:j + len(widths)])
+                for i, j in zip(rows, range(0, len(texts), len(widths)))]
+
+    return _Blocks(len(ids), max(1, CHUNK // sum(widths)), block)
 
 
 def _lines(fh, end: Optional[int] = None):
@@ -358,23 +396,17 @@ def _read_rows(path, parse: Callable[[dict], dict], build: Callable[[dict, list]
 
 def write_profiles(path, profiles: Sequence[AtmosphericProfile]) -> None:
     """Write one record per row of a ProfileBatch (a sequence of profiles
-    is stacked into one first, so it must share one grid), converting one
-    row at a time. Repeated non-null ids fail before the file is created."""
+    is stacked into one first, so it must share one grid), converting a
+    block of rows at a time. Repeated non-null ids fail before the file is
+    created."""
     batch = ProfileBatch.from_profiles(profiles)
     _check_ids(path, batch.ids)
-    # Every record holds the one grid: its text is encoded once, and each line
-    # is json.dumps of {"id", "p_hl", then the row's fields} put together.
-    p_hl = json.dumps(batch.grid.p_hl.tolist())
-    scalars = [(name, getattr(batch, name).tolist()) for name in _SCALAR_FIELDS]
-    arrays = [(name, getattr(batch, name)) for name in _LEVEL_FIELDS + ("q",)
-              if getattr(batch, name) is not None]
-
-    def line(i: int) -> str:
-        fields = json.dumps({**{name: values[i] for name, values in scalars},
-                             **{name: arr[i].tolist() for name, arr in arrays}})
-        return f'{{"id": {json.dumps(batch.ids[i])}, "p_hl": {p_hl}, {fields[1:]}'
-
-    write_jsonl(path, _Lines(len(batch), line))
+    # every record holds the one grid, whose text is made once
+    p_hl = f"[{format_rows(batch.grid.p_hl[None])[0]}]"
+    fields = [("p_hl", p_hl)] + [(name, getattr(batch, name))
+                                 for name in _SCALAR_FIELDS + _LEVEL_FIELDS + ("q",)
+                                 if getattr(batch, name) is not None]
+    write_jsonl(path, _records(batch.ids, fields))
 
 
 def read_profiles(path) -> ProfileBatch:
@@ -417,15 +449,14 @@ _FLUX_FIELDS = ("up", "down", "heat", "direct_down")
 
 def write_fluxes(path, ids: Sequence[Optional[str]], flux: FluxSet) -> None:
     """Write one record per row of `flux`, with id `ids[i]` for row i,
-    converting one row at a time. Repeated non-null ids fail before the
-    file is created."""
+    converting a block of rows at a time. Repeated non-null ids fail before
+    the file is created."""
     fields = [(name, getattr(flux, name)) for name in _FLUX_FIELDS if getattr(flux, name) is not None]
     if flux.up.ndim != 2 or len(ids) != len(flux.up):
         raise ValueError(f"{path}: need (n, levels) flux rows and one id per row, got "
                          f"{len(ids)} ids for rows of shape {flux.up.shape}")
     _check_ids(path, ids)
-    write_jsonl(path, _Lines(len(ids), lambda i: json.dumps(
-        {"id": ids[i], **{name: arr[i].tolist() for name, arr in fields}})))
+    write_jsonl(path, _records(ids, fields))
 
 
 def read_fluxes(path) -> Tuple[List[Optional[str]], FluxSet]:
@@ -463,7 +494,7 @@ def read_fluxes(path) -> Tuple[List[Optional[str]], FluxSet]:
 
 
 def _normalization_to_json(norm: Normalization) -> dict:
-    return {"mean": norm.mean.tolist(), "scale": norm.scale.tolist()}
+    return {"mean": norm.mean, "scale": norm.scale}
 
 
 def _normalization_from_json(obj: dict) -> Normalization:
@@ -472,6 +503,7 @@ def _normalization_from_json(obj: dict) -> Normalization:
 
 
 def model_to_json(model: MlpModel, consts: PhysConsts) -> dict:
+    """The model file's JSON object, each of its float lists as a 1-D float64 array."""
     if model.schema is None or model.norm_in is None or model.norm_out is None:
         raise ValueError("only fully-fitted models (schema + normalization) can be saved")
     schema = model.schema
@@ -486,7 +518,7 @@ def model_to_json(model: MlpModel, consts: PhysConsts) -> dict:
             "include_thickness": schema.include_thickness,
             "input_len": schema.input_len,
             "output_len": schema.output_len,
-            **({} if schema.p_hl_window is None else {"p_hl_window": schema.p_hl_window.tolist()}),
+            **({} if schema.p_hl_window is None else {"p_hl_window": schema.p_hl_window}),
         },
         "normalization": {
             "in": _normalization_to_json(model.norm_in),
@@ -494,7 +526,7 @@ def model_to_json(model: MlpModel, consts: PhysConsts) -> dict:
         },
         "layers": [
             {"rows": int(w.shape[0]), "cols": int(w.shape[1]),
-             "w_rowmajor": w.ravel().tolist(), "b": b.tolist()}
+             "w_rowmajor": w.ravel(), "b": b}
             for w, b in zip(model.weights, model.biases)
         ],
         "training": dict(model.meta),
@@ -545,8 +577,19 @@ def model_from_json(obj: dict, path="<model>") -> Tuple[MlpModel, PhysConsts]:
         raise DatasetError(path, None, f"bad model file: {exc}") from exc
 
 
+def _dumps(obj) -> str:
+    """`json.dumps(obj)` of a JSON value whose float lists may be 1-D float64 arrays."""
+    if isinstance(obj, np.ndarray):
+        return f"[{format_rows(obj[None])[0]}]"
+    if isinstance(obj, list):
+        return f"[{', '.join(map(_dumps, obj))}]"
+    if isinstance(obj, dict) and all(isinstance(key, str) for key in obj):
+        return "{" + ", ".join(f"{json.dumps(key)}: {_dumps(value)}" for key, value in obj.items()) + "}"
+    return json.dumps(obj)
+
+
 def save_model(path, model: MlpModel, consts: PhysConsts) -> None:
-    atomic_write_text(path, json.dumps(model_to_json(model, consts)))
+    atomic_write_text(path, _dumps(model_to_json(model, consts)))
 
 
 def load_model(path) -> Tuple[MlpModel, PhysConsts]:

@@ -104,8 +104,14 @@ class TrainConfig:
         if not self.learning_rate > 0 or self.batch_size < 1:
             raise ValueError(f"learning_rate must be > 0 and batch_size >= 1, got "
                              f"{self.learning_rate!r} and {self.batch_size!r}")
+        if math.isinf(self.learning_rate):
+            raise ValueError(f"learning_rate must be finite, got {self.learning_rate!r}")
         if not (self.l1 >= 0 and self.l2 >= 0):
             raise ValueError(f"regularization factors must be >= 0, got l1={self.l1!r}, l2={self.l2!r}")
+        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
+            raise ValueError(f"Adam's beta1 and beta2 must lie in [0, 1), got {self.beta1!r} and {self.beta2!r}")
+        if not 0 < self.eps < math.inf:
+            raise ValueError(f"Adam's eps must be finite and > 0, got {self.eps!r}")
 
 
 def elu(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:

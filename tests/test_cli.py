@@ -476,6 +476,7 @@ class TestTrainFlags:
         ("train", ["--learning-rate", "nan"],
          "learning_rate must be > 0 and batch_size >= 1, got nan and 256"),
         ("train", ["--l2", "nan"], "regularization factors must be >= 0, got l1=1e-05, l2=nan"),
+        ("train", ["--learning-rate", "inf"], "learning_rate must be finite, got inf"),
     ])
     def test_bad_training_flags_rejected_before_training(self, tmp_path, capsys, monkeypatch,
                                                          command, flags, message):

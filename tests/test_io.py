@@ -31,6 +31,16 @@ from cre3d.net import init_model
 from conftest import make_profile
 
 
+# Values whose text is easy to get wrong: a subnormal, the least normal,
+# -0.0, the switches between positional and exponent form, integers.
+EDGE_VALUES = [5e-324, 2.2250738585072014e-308, -0.0, 1e16, 9999999999999998.0, 1e-5, 1e-4,
+               280.0, -3.0, 1.7976931348623157e308, 0.1]
+
+
+def _bits(arr):
+    return np.asarray(arr, dtype=float).view(np.uint64)
+
+
 @pytest.fixture
 def records_per_part():
     """Fewest records per part of a JSON-Lines file; None puts every file in one part."""
@@ -153,7 +163,12 @@ class TestProfiles:
         # the bytes of json.dumps of the whole record
         ids = ["p0", None, 7]
         batch = ProfileBatch.from_profiles([make_profile(small_grid, seed=s) for s in range(3)])
-        batch = dataclasses.replace(batch, ids=ids, q=batch.q if with_q else None)
+        T, q_l, q = batch.T.copy(), batch.q_l.copy(), batch.q.copy()
+        T[0, :len(EDGE_VALUES) - 1] = EDGE_VALUES[1:]
+        T[1, :len(EDGE_VALUES) - 1] = EDGE_VALUES[:-1]
+        q_l[2, :4] = q[0, :4] = [5e-324, 0.0, 1e-5, 1e-4]
+        batch = dataclasses.replace(batch, ids=ids, T=T, q_l=q_l, q=q if with_q else None,
+                                    T_s=[1e16, -0.0, 5e-324], alpha=[1e-5, 0.0, 1.0], mu0=[-0.0, 1e-4, -1.0])
         path = tmp_path / "profiles.jsonl"
         write_profiles(path, batch)
         records = [{"id": pid, "p_hl": small_grid.p_hl.tolist(),
@@ -359,6 +374,25 @@ class TestFluxes:
         assert [json.loads(line) for line in path.read_text().splitlines()] == [
             {"id": "a", "up": [1.0, 2.0], "down": [0.5, 0.25], "heat": [1e-5]},
             {"id": 7, "up": [3.0, 4.0], "down": [0.0, -1.0], "heat": [-2e-5]}]
+
+    @pytest.mark.parametrize("direct", [True, False])
+    def test_lines_are_json_dumps_of_the_record(self, tmp_path, direct):
+        rng = np.random.default_rng(3)
+        rows = rng.normal(size=(4, 3, len(EDGE_VALUES))) * 10.0 ** rng.integers(-30, 30, size=(4, 3, 1))
+        rows[0, 0] = EDGE_VALUES
+        rows[1, :] = EDGE_VALUES[::-1]
+        up, down, direct_down = rows.transpose(1, 0, 2)
+        heat = np.roll(up, 2, axis=1)[:, 1:]
+        flux = FluxSet(up=up, down=down, heat=heat, direct_down=direct_down if direct else None)
+        ids = ["a", None, 7, "d"]
+        path = tmp_path / "flux.jsonl"
+        write_fluxes(path, ids, flux)
+        records = [{"id": pid, "up": up[i].tolist(), "down": down[i].tolist(), "heat": heat[i].tolist(),
+                    **({"direct_down": direct_down[i].tolist()} if direct else {})}
+                   for i, pid in enumerate(ids)]
+        assert path.read_text() == "".join(json.dumps(record) + "\n" for record in records)
+        _, back = read_fluxes(path)
+        assert (_bits(back.up) == _bits(up)).all() and (_bits(back.heat) == _bits(heat)).all()
 
     @pytest.mark.parametrize("field", ["up", "down", "heat", "direct_down"])
     def test_record_with_other_lengths_rejected(self, tmp_path, field):
@@ -827,6 +861,32 @@ class TestModelFiles:
         back, _ = load_model(path)
         assert back.schema.p_hl_window is None
         assert back.schema == self._model(small_grid).schema
+
+    def test_file_is_json_dumps_of_the_model_and_loads_bit_equal(self, tmp_path, small_grid, consts):
+        model = self._model(small_grid)
+        w = model.weights[0].copy()
+        w.ravel()[:len(EDGE_VALUES)] = EDGE_VALUES
+        mean = model.norm_in.mean.copy()
+        mean[:len(EDGE_VALUES)] = EDGE_VALUES
+        model = dataclasses.replace(model, weights=[w] + model.weights[1:],
+                                    biases=[model.biases[0]] + [-b for b in model.biases[1:]],
+                                    norm_in=dataclasses.replace(model.norm_in, mean=mean))
+        path = tmp_path / "model.json"
+        save_model(path, model, consts)
+
+        def as_lists(obj):
+            if isinstance(obj, np.ndarray):
+                return obj.tolist()
+            if isinstance(obj, dict):
+                return {key: as_lists(value) for key, value in obj.items()}
+            return [as_lists(value) for value in obj] if isinstance(obj, list) else obj
+
+        assert path.read_text() == json.dumps(as_lists(cre3d_io.model_to_json(model, consts)))
+        back, _ = load_model(path)
+        for a, b in zip(back.weights + back.biases, model.weights + model.biases):
+            assert (_bits(a) == _bits(b)).all()
+        for a, b in ((back.norm_in, model.norm_in), (back.norm_out, model.norm_out)):
+            assert (_bits(a.mean) == _bits(b.mean)).all() and (_bits(a.scale) == _bits(b.scale)).all()
 
     def test_constants_round_trip_non_default(self, tmp_path, small_grid):
         model = self._model(small_grid)

@@ -473,6 +473,19 @@ class TestTrain:
         with pytest.raises(ValueError, match="nan"):
             TrainConfig(**{field: math.nan})
 
+    @pytest.mark.parametrize("fields, message", [
+        ({"learning_rate": math.inf}, "learning_rate must be finite, got inf"),
+        ({"beta1": math.nan}, r"beta1 and beta2 must lie in \[0, 1\), got nan and 0.999"),
+        ({"beta2": 1.0}, r"beta1 and beta2 must lie in \[0, 1\), got 0.9 and 1.0"),
+        ({"beta1": -0.1}, r"beta1 and beta2 must lie in \[0, 1\), got -0.1 and 0.999"),
+        ({"eps": -1.0}, "eps must be finite and > 0, got -1.0"),
+        ({"eps": math.inf}, "eps must be finite and > 0, got inf"),
+        ({"eps": math.nan}, "eps must be finite and > 0, got nan"),
+    ])
+    def test_infinite_rate_and_bad_adam_constants_rejected(self, fields, message):
+        with pytest.raises(ValueError, match=message):
+            TrainConfig(**fields)
+
     def test_negative_patience_rejected(self):
         with pytest.raises(ValueError, match="patience -3 is below 0"):
             TrainConfig(max_epochs=5, patience=-3)
