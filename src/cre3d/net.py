@@ -29,7 +29,7 @@ from .postproc import LW, SW, postprocess_batch
 
 REFERENCE_HIDDEN_LAYERS = 3
 REFERENCE_HIDDEN_WIDTH = {LW: 217, SW: 182}
-ELU_BLOCK = 32768  # elements per ELU pass; its scratch stays in cache
+ELU_BLOCK = 32768  # elements per in-place elementwise pass (ELU, Adam, L1/L2 gradient)
 ROW_CHUNK = 1024  # samples per feature-major block of the inference forward pass
 
 
@@ -213,6 +213,30 @@ def mse(prediction: np.ndarray, target: np.ndarray) -> float:
     return float(np.mean((prediction - target) ** 2))
 
 
+def _blocks(groups):
+    """Blocks for in-place elementwise passes over groups of equal-shape arrays.
+
+    Yields (views, t, u) per block: a list with one view of each array of the
+    group over the same slice of the leading axis, at most ELU_BLOCK elements
+    (one row where a row is longer), and two scratch arrays of the block's
+    shape that every block reuses, so the pass stays in cache. Row slices
+    are views whatever the memory layout, so writes reach the arrays.
+    """
+    blocks = []
+    for group in groups:
+        row = group[0].shape[1:]
+        rows = max(1, ELU_BLOCK // max(1, math.prod(row)))
+        blocks.append((group, rows, (min(len(group[0]), rows),) + row))
+    size = max(math.prod(shape) for _, _, shape in blocks)
+    t_flat, u_flat = np.empty(size), np.empty(size)
+    for group, rows, shape in blocks:
+        t, u = (flat[:math.prod(shape)].reshape(shape) for flat in (t_flat, u_flat))
+        for s in range(0, len(group[0]), rows):
+            views = [a[s:s + rows] for a in group]
+            n = len(views[0])
+            yield views, t[:n], u[:n]
+
+
 def loss_and_gradients(model: MlpModel, batch_x, batch_y, l1: float, l2: float):
     """Objective MSE + l1*sum|W| + l2*sum(W^2) (weights only) and its
     exact gradients with respect to all parameters."""
@@ -232,14 +256,22 @@ def loss_and_gradients(model: MlpModel, batch_x, batch_y, l1: float, l2: float):
     n_layers = len(model.weights)
     grad_w: List[np.ndarray] = [None] * n_layers
     grad_b: List[np.ndarray] = [None] * n_layers
-    g = 2.0 * err / err.size
+    g = err  # 2 * err / err.size, in place
+    g *= 2.0
+    g /= err.size
     for k in range(n_layers - 1, -1, -1):
         grad_w[k] = g.T @ inputs[k]
         grad_b[k] = g.sum(axis=0)
         if k > 0:
-            g = (g @ model.weights[k]) * slopes[k - 1]
-    for k, w in enumerate(model.weights):
-        grad_w[k] += l1 * np.sign(w) + 2.0 * l2 * w
+            g = g @ model.weights[k]
+            g *= slopes[k - 1]
+    # grad_w += l1 * sign(w) + (2 * l2) * w, in place block by block
+    for (w, gw), t, u in _blocks(zip(model.weights, grad_w)):
+        np.sign(w, out=t)
+        t *= l1
+        np.multiply(w, 2.0 * l2, out=u)
+        t += u
+        gw += t
     return loss, (grad_w, grad_b)
 
 
@@ -255,22 +287,44 @@ class AdamState:
 
 
 def adam_step(model: MlpModel, grads, state: AdamState, cfg: TrainConfig) -> None:
+    """One Adam update of every parameter, in place, block by block:
+    m = beta1 * m + (1 - beta1) * g, v = beta2 * v + (1 - beta2) * g**2 and
+    p -= lr * (m / bc1) / (sqrt(v / bc2) + eps), each operation in this order."""
     grad_w, grad_b = grads
     state.t += 1
-    bc1 = 1.0 - cfg.beta1 ** state.t
-    bc2 = 1.0 - cfg.beta2 ** state.t
-    for params, gs, ms, vs in ((model.weights, grad_w, state.m_w, state.v_w),
-                               (model.biases, grad_b, state.m_b, state.v_b)):
-        for p, g, m, v in zip(params, gs, ms, vs):
-            m *= cfg.beta1
-            m += (1.0 - cfg.beta1) * g
-            v *= cfg.beta2
-            v += (1.0 - cfg.beta2) * g ** 2
-            p -= cfg.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
+    b1, b2 = cfg.beta1, cfg.beta2
+    bc1 = 1.0 - b1 ** state.t
+    bc2 = 1.0 - b2 ** state.t
+    groups = zip(model.weights + model.biases, grad_w + grad_b,
+                 state.m_w + state.m_b, state.v_w + state.v_b)
+    for (p, g, m, v), t, u in _blocks(groups):
+        np.multiply(g, 1.0 - b1, out=t)
+        m *= b1
+        m += t
+        np.square(g, out=t)
+        t *= 1.0 - b2
+        v *= b2
+        v += t
+        np.divide(m, bc1, out=t)
+        t *= cfg.learning_rate
+        np.divide(v, bc2, out=u)
+        np.sqrt(u, out=u)
+        u += cfg.eps
+        t /= u
+        p -= t
 
 
 @dataclass
 class EpochRecord:
+    """One epoch of `train`.
+
+    train_loss is the row-weighted mean of the epoch's minibatch objectives
+    (MSE plus the L1/L2 terms, each at the parameters before its step), as
+    `loss_and_gradients` returns them: sum(loss * rows) over the minibatches,
+    in order, divided by the training rows. val_loss is the validation MSE
+    after the epoch's last step.
+    """
+
     epoch: int
     train_loss: float
     val_loss: float
@@ -283,11 +337,26 @@ def train(model_init: MlpModel, x_train, y_train, x_val, y_val,
     Returns a model holding the parameters of the best validation epoch;
     stops after `patience` epochs without improvement. Fully deterministic
     given cfg.seed (fixed init is the caller's, fixed shuffle order ours).
+    The x arrays must be (rows, input_len) and the y arrays (rows,
+    output_len), with as many y rows as x rows in each split, and finite.
     """
-    x_train = np.asarray(x_train, dtype=float)
-    y_train = np.asarray(y_train, dtype=float)
-    x_val = np.asarray(x_val, dtype=float)
-    y_val = np.asarray(y_val, dtype=float)
+    widths = {"x": ("input", model_init.input_len), "y": ("output", model_init.output_len)}
+    arrays = []
+    named = (("x_train", x_train), ("y_train", y_train), ("x_val", x_val), ("y_val", y_val))
+    for name, a in named:
+        a = np.asarray(a, dtype=float)
+        side, width = widths[name[0]]
+        if a.ndim != 2:
+            raise ValueError(f"{name} must be a 2-D matrix (rows are samples), got shape {a.shape}")
+        if a.shape[1] != width:
+            raise ValueError(f"{name} has {a.shape[1]} columns, the model's {side} width is {width}")
+        if not np.all(np.isfinite(a)):
+            raise ValueError(f"{name} contains non-finite values")
+        arrays.append(a)
+    x_train, y_train, x_val, y_val = arrays
+    for split, x, y in (("train", x_train, y_train), ("val", x_val, y_val)):
+        if len(y) != len(x):
+            raise ValueError(f"y_{split} has {len(y)} rows, x_{split} has {len(x)}")
     if x_train.shape[0] == 0 or x_val.shape[0] == 0:
         raise ValueError("training and validation sets must be non-empty")
 
@@ -307,6 +376,7 @@ def train(model_init: MlpModel, x_train, y_train, x_val, y_val,
 
     for epoch in range(1, cfg.max_epochs + 1):
         order = rng.permutation(n)
+        objective = 0.0
         for start in range(0, n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
             loss, grads = loss_and_gradients(model, x_train[idx], y_train[idx], cfg.l1, cfg.l2)
@@ -315,9 +385,9 @@ def train(model_init: MlpModel, x_train, y_train, x_val, y_val,
                     f"training diverged at epoch {epoch} (loss={loss!r}); "
                     f"lr={cfg.learning_rate}, batch_size={cfg.batch_size}")
             adam_step(model, grads, state, cfg)
-        train_loss = mse(forward(model, x_train), y_train)
+            objective += loss * len(idx)
         val_loss = mse(forward(model, x_val), y_val)
-        history.append(EpochRecord(epoch=epoch, train_loss=train_loss, val_loss=val_loss))
+        history.append(EpochRecord(epoch=epoch, train_loss=objective / n, val_loss=val_loss))
         if val_loss < best_val:
             best_val = val_loss
             best_params = model.copy_params()

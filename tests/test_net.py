@@ -101,6 +101,44 @@ def textbook_gradients(model, x, y, l1, l2):
     return loss, gw, gb
 
 
+def textbook_adam(params, grads, ms, vs, t, cfg):
+    """Out-of-place Adam step t: the new parameter and moment lists."""
+    bc1 = 1.0 - cfg.beta1 ** t
+    bc2 = 1.0 - cfg.beta2 ** t
+    ms = [m * cfg.beta1 + (1.0 - cfg.beta1) * g for m, g in zip(ms, grads)]
+    vs = [v * cfg.beta2 + (1.0 - cfg.beta2) * g ** 2 for v, g in zip(vs, grads)]
+    params = [p - cfg.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
+              for p, m, v in zip(params, ms, vs)]
+    return params, ms, vs
+
+
+def textbook_train(model, x, y, xv, yv, cfg):
+    """train's epoch loop on textbook_gradients, textbook_adam and the
+    out-of-place forward, without early stopping: (parameters after each
+    epoch, (train_loss, val_loss) per epoch)."""
+    n_layers = len(model.weights)
+    params = [a.copy() for a in model.weights + model.biases]
+    ms = [np.zeros_like(a) for a in params]
+    vs = [np.zeros_like(a) for a in params]
+    rng = np.random.default_rng(cfg.seed)
+    t, snapshots, losses = 0, [], []
+    for _ in range(cfg.max_epochs):
+        order = rng.permutation(len(x))
+        objective = 0.0
+        for start in range(0, len(x), cfg.batch_size):
+            idx = order[start:start + cfg.batch_size]
+            current = MlpModel(weights=params[:n_layers], biases=params[n_layers:])
+            loss, gw, gb = textbook_gradients(current, x[idx], y[idx], cfg.l1, cfg.l2)
+            objective += loss * len(idx)
+            t += 1
+            params, ms, vs = textbook_adam(params, gw + gb, ms, vs, t, cfg)
+        current = MlpModel(weights=params[:n_layers], biases=params[n_layers:])
+        val = float(np.mean((feature_major_layers(current, xv) - yv) ** 2))
+        snapshots.append(params)
+        losses.append((objective / len(x), val))
+    return snapshots, losses
+
+
 # Layer sizes: one linear layer, equal hidden widths (the buffers alternate),
 # and the unequal widths a grid search over multipliers produces.
 KERNEL_SHAPES = [[40, 10], [40, 30, 30, 30, 45], [40, 20, 80, 40, 10], [8, 8, 8, 8]]
@@ -404,6 +442,95 @@ class TestAdam:
         assert model.weights[0][0, 0] == pytest.approx(1.0 - 1e-3, rel=1e-4)
 
 
+class TestOptimizerBits:
+    """The blockwise in-place Adam and regularization passes give the bits of
+    the out-of-place formulas, for arrays below, at and above one block."""
+
+    # weights (128, 256): exactly one block; (257, 128): one block plus a
+    # one-row last block; (9, 257) and every bias: below one block.
+    # [2, 40000, 1]: a 40000-element bias (a short last block), a (40000, 2)
+    # weight of three blocks and a (1, 40000) weight whose one row is longer
+    # than a block.
+    SHAPES = [[256, 128, 257, 9], [2, 40000, 1]]
+
+    @staticmethod
+    def _model(sizes, seed):
+        model = kernel_model(sizes, seed)
+        for w in model.weights:
+            w.reshape(-1)[::11] = 0.0
+            w.reshape(-1)[5::13] = -0.0
+        return model
+
+    @pytest.mark.parametrize("sizes", SHAPES)
+    def test_adam_steps(self, sizes):
+        model = self._model(sizes, seed=len(sizes))
+        cfg = TrainConfig(learning_rate=3e-3, beta1=0.8, beta2=0.99, eps=1e-6)
+        state = AdamState(model)
+        params = [a.copy() for a in model.weights + model.biases]
+        ms = [np.zeros_like(a) for a in params]
+        vs = [np.zeros_like(a) for a in params]
+        rng = np.random.default_rng(7)
+        for t in range(1, 5):
+            grads = [rng.normal(scale=10.0 ** -t, size=a.shape) for a in params]
+            grads[0].reshape(-1)[::3] = 0.0
+            n = len(model.weights)
+            adam_step(model, ([g.copy() for g in grads[:n]], [g.copy() for g in grads[n:]]),
+                      state, cfg)
+            params, ms, vs = textbook_adam(params, grads, ms, vs, t, cfg)
+            assert state.t == t
+            got = (model.weights + model.biases, state.m_w + state.m_b, state.v_w + state.v_b)
+            for got_list, ref_list in zip(got, (params, ms, vs)):
+                for a, b in zip(got_list, ref_list):
+                    assert np.array_equal(bits(a), bits(b))
+
+    def test_fortran_ordered_arrays_step_in_place(self):
+        # row blocks are views in any memory layout, so the update reaches
+        # F-ordered parameters and moments with the bits of the C-ordered case
+        c_model = self._model([300, 200, 4], seed=1)
+        f_model = MlpModel(weights=[np.asfortranarray(w) for w in c_model.weights],
+                           biases=[b.copy() for b in c_model.biases])
+        rng = np.random.default_rng(1)
+        grads = ([rng.normal(size=w.shape) for w in c_model.weights],
+                 [np.ones_like(b) for b in c_model.biases])
+        f_grads = ([np.asfortranarray(g) for g in grads[0]], grads[1])
+        c_state, f_state = AdamState(c_model), AdamState(f_model)
+        assert f_state.m_w[0].flags.f_contiguous and not f_state.m_w[0].flags.c_contiguous
+        for _ in range(2):
+            adam_step(c_model, grads, c_state, TrainConfig())
+            adam_step(f_model, f_grads, f_state, TrainConfig())
+        for a, b in zip(c_model.weights + c_state.m_w + c_state.v_w,
+                        f_model.weights + f_state.m_w + f_state.v_w):
+            assert np.array_equal(bits(a), bits(b))
+
+    @pytest.mark.parametrize("sizes", SHAPES)
+    def test_regularization_gradient(self, sizes):
+        model = self._model(sizes, seed=3)
+        x = kernel_batch(3, sizes[0], seed=3)
+        y = np.random.default_rng(3).normal(size=(3, sizes[-1]))
+        for l1, l2 in ((1e-5, 1e-4), (3e-2, 7e-3)):
+            loss, (gw, gb) = loss_and_gradients(model, x, y, l1=l1, l2=l2)
+            ref_loss, ref_gw, ref_gb = textbook_gradients(model, x, y, l1=l1, l2=l2)
+            assert bits(loss) == bits(ref_loss)
+            for got, ref in zip(gw + gb, ref_gw + ref_gb):
+                assert np.array_equal(bits(got), bits(ref))
+
+    @pytest.mark.parametrize("sizes", [[271, 217, 217, 217, 181], [182, 182, 182, 182, 272]])
+    def test_train_is_the_textbook_loop(self, sizes):
+        # reference widths, batch 64 over 150 rows: minibatches of 64, 64 and 22
+        rng = np.random.default_rng(sizes[0])
+        x, y = rng.normal(size=(150, sizes[0])), rng.normal(size=(150, sizes[-1]))
+        xv, yv = rng.normal(size=(40, sizes[0])), rng.normal(size=(40, sizes[-1]))
+        cfg = TrainConfig(max_epochs=3, patience=2, batch_size=64, l1=1e-4, l2=1e-3, seed=9)
+        model0 = init_model(sizes, seed=4)
+        trained, history = train(model0, x, y, xv, yv, cfg)
+        snapshots, losses = textbook_train(model0, x, y, xv, yv, cfg)
+        assert [(r.train_loss, r.val_loss) for r in history] == losses
+        best = min(range(3), key=lambda e: losses[e][1])
+        assert trained.meta["best_epoch"] == best + 1
+        for got, ref in zip(trained.weights + trained.biases, snapshots[best]):
+            assert np.array_equal(bits(got), bits(ref))
+
+
 class TestTrain:
     @staticmethod
     def _linear_data(seed, n=400):
@@ -458,6 +585,61 @@ class TestTrain:
         train(init, x_tr, y_tr, x_va, y_va, TrainConfig(max_epochs=5, patience=2, seed=5))
         for w0, w1 in zip(snapshot[0], init.weights):
             np.testing.assert_array_equal(w0, w1)
+
+    def test_train_loss_is_the_row_weighted_minibatch_objective(self, monkeypatch):
+        x_tr, y_tr, x_va, y_va = self._linear_data(6, n=250)
+        x_va, y_va = x_va[:40], y_va[:40]
+        cfg = TrainConfig(max_epochs=4, patience=3, batch_size=32, seed=6)
+        model0 = init_model([1, 6, 1], seed=6)
+        seen, objectives = [], []
+
+        def recording_loss(model, bx, by, l1, l2):
+            loss, grads = loss_and_gradients(model, bx, by, l1, l2)
+            objectives.append((loss, len(bx)))
+            return loss, grads
+
+        def recording_forward(model, batch):
+            seen.append(len(batch))
+            return forward(model, batch)
+
+        monkeypatch.setattr(net, "loss_and_gradients", recording_loss)
+        monkeypatch.setattr(net, "forward", recording_forward)
+        _, history = train(model0, x_tr, y_tr, x_va, y_va, cfg)
+        # 125 training rows: minibatches of 32, 32, 32 and 29 per epoch
+        assert [rows for _, rows in objectives] == [32, 32, 32, 29] * 4
+        for epoch, record in enumerate(history):
+            total = 0.0
+            for loss, rows in objectives[4 * epoch:4 * epoch + 4]:
+                total += loss * rows
+            assert record.train_loss == total / 125
+        # one forward per epoch, over the 40 validation rows only
+        assert seen == [40] * 4
+
+    @pytest.mark.parametrize("arrays, message", [
+        ({"x_train": np.zeros(10)}, r"x_train must be a 2-D matrix .*got shape \(10,\)"),
+        ({"y_val": np.zeros((3, 2, 1))}, r"y_val must be a 2-D matrix .*got shape \(3, 2, 1\)"),
+        ({"x_val": np.zeros((3, 4))}, "x_val has 4 columns, the model's input width is 3"),
+        ({"y_val": np.zeros((3, 1))}, "y_val has 1 columns, the model's output width is 2"),
+        ({"y_train": np.zeros((10, 1))}, "y_train has 1 columns, the model's output width is 2"),
+        ({"y_val": np.zeros((1, 2))}, "y_val has 1 rows, x_val has 3"),
+        ({"y_train": np.zeros((12, 2))}, "y_train has 12 rows, x_train has 10"),
+        # a NaN validation target made every val_loss NaN, so no epoch ever
+        # improved and the untrained initial model came back
+        ({"y_val": np.array([[0.0, 0.0], [0.0, np.nan], [0.0, 0.0]])},
+         "y_val contains non-finite values"),
+        ({"x_train": np.full((10, 3), np.inf)}, "x_train contains non-finite values"),
+    ])
+    def test_bad_arrays_rejected(self, monkeypatch, arrays, message):
+        given = {"x_train": np.zeros((10, 3)), "y_train": np.zeros((10, 2)),
+                 "x_val": np.zeros((3, 3)), "y_val": np.zeros((3, 2)), **arrays}
+
+        def no_step(*args):
+            raise AssertionError("a training step ran before the input checks")
+
+        monkeypatch.setattr(net, "loss_and_gradients", no_step)
+        with pytest.raises(ValueError, match=message):
+            train(init_model([3, 4, 2], seed=0), cfg=TrainConfig(max_epochs=2, patience=1),
+                  **given)
 
     def test_empty_split_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):

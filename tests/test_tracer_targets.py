@@ -6,6 +6,8 @@ import importlib.util
 import pathlib
 from types import SimpleNamespace
 
+import numpy as np
+
 from cre3d import augment, cli, column, features, io, net, postproc
 from cre3d.augment import generate_profiles
 
@@ -56,3 +58,27 @@ def test_feature_assembly_is_one_traced_span(ref_grid, consts):
     assert tracer.spans[builder][3] == names.index("net.predict_flux_effects")
     for name in ("column.truncate_profile", "column.cloud_optical_depth"):
         assert [span[3] for span in tracer.spans if span[0] == name] == [builder]
+
+
+def test_training_spans():
+    # train's steps and epoch ends go through the names the tracer wraps:
+    # one net.grad and one net.adam span per minibatch, one net.epoch_eval
+    # (the validation forward) per epoch, each a child of net.train.
+    rng = np.random.default_rng(0)
+    x, y = rng.normal(size=(150, 5)), rng.normal(size=(150, 2))
+    xv, yv = rng.normal(size=(30, 5)), rng.normal(size=(30, 2))
+    cfg = net.TrainConfig(max_epochs=2, patience=1, batch_size=64, seed=0)
+    module = load_tracer()
+    tracer = module.Tracer()
+    tracer.install(module.program_targets(PROG))
+    try:
+        net.train(net.init_model([5, 8, 2], seed=0), x, y, xv, yv, cfg)
+    finally:
+        tracer.uninstall()
+    names = [name for name, *_ in tracer.spans]
+    root = names.index("net.train")
+    children = [name for name, _, _, parent in tracer.spans if parent == root]
+    assert children == ["net.grad", "net.adam"] * 3 + ["net.epoch_eval"] + \
+        ["net.grad", "net.adam"] * 3 + ["net.epoch_eval"]
+    assert names.count("net.forward") == 0
+    assert tracer.counts["net.minibatch_steps"] == 6
