@@ -29,9 +29,9 @@ from .column import (
     _frozen,
     _unchecked,
     compute_cloud_optical_depth,
-    compute_heating_rates,
     truncate_profile,
 )
+from .features import targets_from_flux_effects
 from .postproc import LW, SW, EffectTargets
 
 
@@ -120,13 +120,10 @@ def toy_truth(profiles, consts: PhysConsts,
         rows = {name: row[0] for name, row in rows.items()}
         alpha = profiles.alpha
 
-    def targets(component, up, down, direct=None):
-        heat = compute_heating_rates(down - up, wgrid, consts)
-        return EffectTargets(component=component, scalar=up + down, heat=heat, direct_down=direct,
-                             alpha=alpha if component == SW else None)
-
-    return ToyTruth(lw=targets(LW, rows["up_lw"], rows["down_lw"]),
-                    sw=targets(SW, rows["up_sw"], rows["down_sw"], rows["direct_sw"]), **rows)
+    # the rows are on the window grid, whose truncation keeps every level
+    return ToyTruth(lw=targets_from_flux_effects(LW, rows["up_lw"], rows["down_lw"], wgrid, consts),
+                    sw=targets_from_flux_effects(SW, rows["up_sw"], rows["down_sw"], wgrid, consts,
+                                                 alpha, rows["direct_sw"]), **rows)
 
 
 def make_reference_grid() -> VerticalGrid:

@@ -12,8 +12,11 @@ ASCII whitespace are blank.
 
 JSON-Lines records are encoded and decoded in contiguous parts at the same
 time: this process handles part 0 and forked children the others (see
-`_n_parts`). The bytes written and the errors raised do not depend on how
-the records are split.
+`_n_parts`). Both dataset writers end in `_write_records`, where each part
+makes its records' text once, in order (see `write_jsonl`). The bytes
+written and the errors raised do not depend on how the records are split.
+A field that holds numbers holds JSON numbers only: a string or a boolean
+in its place fails its record.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import shutil
 import stat
 import threading
 from collections.abc import Sequence
-from typing import Callable, List, NamedTuple, Optional, Tuple
+from typing import Callable, Iterable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -177,12 +180,12 @@ def _in_parts(path, work: Callable, parts: Sequence) -> list:
 # JSON Lines
 
 
-def write_jsonl(path, lines: Sequence[str]) -> None:
-    """Write `lines[i]` (one record's JSON text, without its newline) as
-    line i + 1, taking each line from `lines` only as it is written. Part 0
-    goes straight into the temp file; each other part is written by a child
-    into a file beside it, appended in order once all parts are done."""
-    n = len(lines)
+def write_jsonl(path, n: int, lines: Callable[[range], Iterable[str]]) -> None:
+    """Write `n` records, line i + 1 holding record i's JSON text:
+    `lines(rows)` yields the text (without its newline) of the records in
+    `rows`, in order, and is called once for each part. Part 0 goes
+    straight into the temp file; each other part is written by a child into
+    a file beside it, appended in order once all parts are done."""
     with _atomic_open(path) as fh:
         k = _n_parts(n)
         rows = [range(n * i // k, n * (i + 1) // k) for i in range(k)]
@@ -190,7 +193,7 @@ def write_jsonl(path, lines: Sequence[str]) -> None:
 
         def encode(i: int) -> None:
             with contextlib.nullcontext(fh) if i == 0 else open(part_paths[i], "x") as out:
-                out.writelines(lines[j] + "\n" for j in rows[i])
+                out.writelines(line + "\n" for line in lines(rows[i]))
 
         try:
             _in_parts(path, encode, range(k))
@@ -204,32 +207,13 @@ def write_jsonl(path, lines: Sequence[str]) -> None:
                     os.unlink(part)
 
 
-class _Blocks(Sequence):
-    """`n` JSON lines made `size` at a time: reading line i calls
-    `block(range(i, i + size))` for the lines of those records, unless the
-    block made last holds line i."""
-
-    def __init__(self, n: int, size: int, block: Callable[[range], List[str]]):
-        self._n, self._size, self._block = n, size, block
-        self._rows, self._lines = range(0), []
-
-    def __len__(self) -> int:
-        return self._n
-
-    def __getitem__(self, i) -> str:
-        i = range(self._n)[i]
-        if i not in self._rows:
-            self._rows = range(i, min(i + self._size, self._n))
-            self._lines = self._block(self._rows)
-        return self._lines[i - self._rows.start]
-
-
-def _records(ids: Sequence, fields: Sequence[Tuple[str, object]]) -> _Blocks:
-    """The JSON lines `json.dumps({"id": ids[i], name: value, ...})` of
-    records i = 0, 1, ..., one block of about CHUNK float values at a time.
-    A field's value is a JSON text (str), the same in every record, or an
-    array: record i's row of a 2-D one as a list, its element of a 1-D one
-    as a number."""
+def _records(ids: Sequence, fields: Sequence[Tuple[str, object]]) -> Callable[[range], Iterable[str]]:
+    """`lines(rows)` for `write_jsonl`: the JSON text
+    `json.dumps({"id": ids[i], name: value, ...})` of each record i in
+    `rows`, made one block of about CHUNK float values at a time. A field's
+    value is a JSON text (str), the same in every record, or an array:
+    record i's row of a 2-D one as a list, its element of a 1-D one as a
+    number."""
     parts, arrays = ['{{"id": {}'], []
     for name, value in fields:
         key = json.dumps(name).replace("{", "{{").replace("}", "}}")
@@ -240,13 +224,25 @@ def _records(ids: Sequence, fields: Sequence[Tuple[str, object]]) -> _Blocks:
             arrays.append(value if value.ndim == 2 else value[:, None])
     line = ", ".join(parts) + "}}"
     widths = [arr.shape[1] for arr in arrays]
+    size = max(1, CHUNK // sum(widths))
 
-    def block(rows: range) -> List[str]:
-        texts = format_rows(np.concatenate([arr[rows.start:rows.stop] for arr in arrays], axis=1), widths)
-        return [line.format(json.dumps(ids[i]), *texts[j:j + len(widths)])
-                for i, j in zip(rows, range(0, len(texts), len(widths)))]
+    def lines(rows: range) -> Iterable[str]:
+        for start in range(rows.start, rows.stop, size):
+            stop = min(start + size, rows.stop)
+            texts = format_rows(np.concatenate([arr[start:stop] for arr in arrays], axis=1), widths)
+            for i, j in zip(range(start, stop), range(0, len(texts), len(widths))):
+                yield line.format(json.dumps(ids[i]), *texts[j:j + len(widths)])
 
-    return _Blocks(len(ids), max(1, CHUNK // sum(widths)), block)
+    return lines
+
+
+def _write_records(path, ids: Sequence, fields: Sequence[Tuple[str, object]]) -> None:
+    """Write record i as line i + 1 (see `_records`), failing before the
+    file is created on ids its reader would reject."""
+    seen = {}
+    for index, pid in enumerate(ids, start=1):
+        _check_new_id(seen, pid, path, index)
+    write_jsonl(path, len(ids), _records(ids, fields))
 
 
 def _lines(fh, end: Optional[int] = None):
@@ -314,17 +310,19 @@ def _parse_rows(lines, parse: Callable[[dict], dict]) -> _Rows:
 
 def _check_new_id(seen: dict, pid, path, index: int) -> None:
     """Remember a non-null id, or fail if an earlier record had it."""
-    if isinstance(pid, (list, dict)):
+    if isinstance(pid, (bool, list, dict)):
         raise DatasetError(path, index, f"id must be a string, a number or null, got {pid!r}")
     if pid is not None and seen.setdefault(pid, index) != index:
         raise DatasetError(path, index, f"duplicate id {pid!r} (first in record {seen[pid]})")
 
 
-def _check_ids(path, ids) -> None:
-    """Fail, before `path` is written, on ids its reader would reject."""
-    seen = {}
-    for index, pid in enumerate(ids, start=1):
-        _check_new_id(seen, pid, path, index)
+def _numbers(record: dict, name: str) -> np.ndarray:
+    """Field `name` of a decoded record as a float array, which must hold
+    JSON numbers only: numpy would parse strings and take booleans."""
+    arr = np.asarray(record[name])
+    if arr.dtype.kind not in "iuf":
+        raise ValueError(f"{name} must be a list of numbers")
+    return arr.astype(float, copy=False)
 
 
 def _read_rows(path, parse: Callable[[dict], dict], build: Callable[[dict, list], object], what: str):
@@ -400,13 +398,12 @@ def write_profiles(path, profiles: Sequence[AtmosphericProfile]) -> None:
     block of rows at a time. Repeated non-null ids fail before the file is
     created."""
     batch = ProfileBatch.from_profiles(profiles)
-    _check_ids(path, batch.ids)
     # every record holds the one grid, whose text is made once
     p_hl = f"[{format_rows(batch.grid.p_hl[None])[0]}]"
     fields = [("p_hl", p_hl)] + [(name, getattr(batch, name))
                                  for name in _SCALAR_FIELDS + _LEVEL_FIELDS + ("q",)
                                  if getattr(batch, name) is not None]
-    write_jsonl(path, _records(batch.ids, fields))
+    _write_records(path, batch.ids, fields)
 
 
 def read_profiles(path) -> ProfileBatch:
@@ -427,14 +424,17 @@ def read_profiles(path) -> ProfileBatch:
             if key not in record:
                 raise ValueError(f"missing field {key!r}")
         if grid is None:
-            grid = VerticalGrid(np.asarray(record["p_hl"], dtype=float))
+            grid = VerticalGrid(_numbers(record, "p_hl"))
             first_p_hl, with_q = record["p_hl"], record.get("q") is not None
         elif record["p_hl"] != first_p_hl:
             raise ValueError("p_hl differs from record 1; profiles must share one grid")
         if (record.get("q") is not None) != with_q:
             raise ValueError("q must be given in every record or in none")
-        row = {name: _as_level_array(record[name], name, grid.n_fl)
+        row = {name: _as_level_array(_numbers(record, name), name, grid.n_fl)
                for name in _LEVEL_FIELDS + (("q",) if with_q else ())}
+        for name in _SCALAR_FIELDS:
+            if type(record[name]) not in (int, float):
+                raise ValueError(f"{name} must be a number, got {record[name]!r}")
         row.update((name, float(record[name])) for name in _SCALAR_FIELDS)
         return row
 
@@ -455,8 +455,7 @@ def write_fluxes(path, ids: Sequence[Optional[str]], flux: FluxSet) -> None:
     if flux.up.ndim != 2 or len(ids) != len(flux.up):
         raise ValueError(f"{path}: need (n, levels) flux rows and one id per row, got "
                          f"{len(ids)} ids for rows of shape {flux.up.shape}")
-    _check_ids(path, ids)
-    write_jsonl(path, _records(ids, fields))
+    _write_records(path, ids, fields)
 
 
 def read_fluxes(path) -> Tuple[List[Optional[str]], FluxSet]:
@@ -473,7 +472,7 @@ def read_fluxes(path) -> Tuple[List[Optional[str]], FluxSet]:
         for key in ("up", "down", "heat"):
             if key not in record:
                 raise ValueError(f"missing field {key!r}")
-        row = {name: np.asarray(record[name], dtype=float)
+        row = {name: _numbers(record, name)
                for name in _FLUX_FIELDS if record.get(name) is not None}
         shape = {name: arr.shape for name, arr in row.items()}
         if shapes is None:

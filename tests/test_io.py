@@ -6,7 +6,6 @@ import stat
 import subprocess
 import sys
 import threading
-from collections.abc import Sequence
 
 import numpy as np
 import pytest
@@ -70,7 +69,7 @@ class TestJsonl:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "records.jsonl"
         records = [{"a": 1}, {"b": [1.5, 2.5]}]
-        write_jsonl(path, [json.dumps(record) for record in records])
+        write_jsonl(path, len(records), lambda rows: (json.dumps(records[i]) for i in rows))
         assert [json.loads(line) for line in path.read_text().splitlines()] == records
 
     def test_atomic_write_leaves_no_temp_files(self, tmp_path):
@@ -80,18 +79,15 @@ class TestJsonl:
         assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
 
     def test_failed_streaming_write_leaves_nothing(self, tmp_path):
-        class Records(Sequence):
-            def __len__(self):
-                return 2
-
-            def __getitem__(self, i):
+        def lines(rows):
+            for i in rows:
                 if i == 1:
                     raise RuntimeError("producer failed")
-                return '{"a": 1}'
+                yield '{"a": 1}'
 
         path = tmp_path / "out.jsonl"
         with pytest.raises(RuntimeError, match="producer failed"):
-            write_jsonl(path, Records())
+            write_jsonl(path, 2, lines)
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)])
@@ -99,11 +95,27 @@ class TestJsonl:
         old = os.umask(umask)
         try:
             atomic_write_text(tmp_path / "text.txt", "hello")
-            write_jsonl(tmp_path / "records.jsonl", ['{"a": 1}'])
+            write_jsonl(tmp_path / "records.jsonl", 1, lambda rows: ('{"a": 1}' for _ in rows))
         finally:
             os.umask(old)
         for name in ("text.txt", "records.jsonl"):
             assert stat.S_IMODE((tmp_path / name).stat().st_mode) == mode
+
+
+class TestRecords:
+    @pytest.mark.parametrize("start, stop", [(2, 4), (1, 11), (5, 5)],
+                             ids=["mid-block", "across-blocks", "empty"])
+    def test_lines_are_json_dumps_of_the_records_in_rows(self, monkeypatch, start, stop):
+        # 4 values per row and CHUNK = 16: blocks of 4 records, at 0, 4, 8 in a whole-file write
+        monkeypatch.setattr(cre3d_io, "CHUNK", 16)
+        rng = np.random.default_rng(5)
+        ids = [f"r{i}" for i in range(12)]
+        ids[3], ids[8] = None, 8
+        up, heat = rng.normal(size=(12, 3)), rng.normal(size=12)
+        lines = cre3d_io._records(ids, [("p_hl", "[1.0, 2.5]"), ("up", up), ("heat", heat)])
+        assert list(lines(range(start, stop))) == [
+            json.dumps({"id": ids[i], "p_hl": [1.0, 2.5], "up": up[i].tolist(), "heat": float(heat[i])})
+            for i in range(start, stop)]
 
 
 class TestProfiles:
@@ -200,6 +212,33 @@ class TestProfiles:
         records[1]["id"] = [1, 2]
         path.write_text("".join(json.dumps(r) + "\n" for r in records))
         with pytest.raises(DatasetError, match=r"record 2: id must be a string, a number or null"):
+            read_profiles(path)
+
+    def test_boolean_id_rejected(self, tmp_path, small_grid):
+        path = self._records(tmp_path, small_grid, 3)
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        records[1]["id"] = True
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        with pytest.raises(DatasetError, match=r"record 2: id must be a string, a number or null, got True"):
+            read_profiles(path)
+
+    @pytest.mark.parametrize("index, field, edit, message", [
+        (1, "T_s", str, r"T_s must be a number, got '2"),
+        (1, "mu0", lambda v: True, "mu0 must be a number, got True"),
+        (2, "alpha", lambda v: [v], r"alpha must be a number, got \["),
+        (1, "T", lambda v: [str(x) for x in v], "T must be a list of numbers"),
+        (1, "f_c", lambda v: [x > 0.5 for x in v], "f_c must be a list of numbers"),
+        (2, "q", lambda v: [str(x) for x in v], "q must be a list of numbers"),
+        (0, "p_hl", lambda v: [str(x) for x in v], "p_hl must be a list of numbers"),
+    ], ids=["string-T_s", "boolean-mu0", "list-alpha", "string-T", "boolean-f_c", "string-q", "string-p_hl"])
+    def test_strings_and_booleans_are_not_numbers(self, tmp_path, small_grid, index, field, edit, message):
+        path = self._records(tmp_path, small_grid, 3)
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        # every record gets the edited p_hl, so that record 1's is the only bad one
+        for r in records[index:] if field == "p_hl" else [records[index]]:
+            r[field] = edit(r[field])
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        with pytest.raises(DatasetError, match=f"profiles.jsonl:record {index + 1}: {message}"):
             read_profiles(path)
 
     def test_records_without_id_allowed(self, tmp_path, small_grid):
@@ -340,6 +379,26 @@ class TestFluxes:
         path = tmp_path / "flux.jsonl"
         self._write(path, [self._record(pid) for pid in ["a", "b", None, None, "a"]])
         with pytest.raises(DatasetError, match=r"flux.jsonl:record 5: duplicate id 'a' \(first in record 1\)"):
+            read_fluxes(path)
+
+    def test_boolean_id_rejected(self, tmp_path):
+        # true == 1 in Python: read as an id, it would pass for a duplicate of 1
+        path = tmp_path / "flux.jsonl"
+        self._write(path, [self._record(pid) for pid in [True, 1]])
+        with pytest.raises(DatasetError, match="flux.jsonl:record 1: id must be a string, a number or null, got True"):
+            read_fluxes(path)
+        flux = FluxSet(up=np.zeros((2, 3)), down=np.zeros((2, 3)), heat=np.zeros((2, 2)))
+        with pytest.raises(DatasetError, match="out.jsonl:record 2: id must be a string, a number or null, got False"):
+            write_fluxes(tmp_path / "out.jsonl", [0, False], flux)
+        assert not (tmp_path / "out.jsonl").exists()
+
+    @pytest.mark.parametrize("field, value", [("up", "1.0"), ("down", "2"), ("heat", True), ("direct_down", False)])
+    def test_strings_and_booleans_are_not_numbers(self, tmp_path, field, value):
+        records = [self._record(f"p{i}", direct=True) for i in range(3)]
+        records[1][field] = [value] * len(records[1][field])
+        path = tmp_path / "flux.jsonl"
+        self._write(path, records)
+        with pytest.raises(DatasetError, match=f"flux.jsonl:record 2: {field} must be a list of numbers"):
             read_fluxes(path)
 
     def test_records_counted_past_blank_lines(self, tmp_path):
@@ -719,32 +778,26 @@ class TestPartFailures:
     def test_failed_child_of_a_write(self, tmp_path, forks, kind):
         parent = os.getpid()
 
-        class Records(Sequence):
-            def __len__(self):
-                return 3
-
-            def __getitem__(self, i):
+        def lines(rows):
+            for i in rows:
                 if i == 1 and os.getpid() != parent:
                     _fault(kind)
-                return json.dumps({"a": i})
+                yield json.dumps({"a": i})
 
         with pytest.raises(RuntimeError, match=rf"out.jsonl: part 2 of 3 failed: {self.REPORTS[kind]}$"):
-            write_jsonl(tmp_path / "out.jsonl", Records())
+            write_jsonl(tmp_path / "out.jsonl", 3, lines)
         assert len(forks) == 2
         assert list(tmp_path.iterdir()) == []
 
     def test_failed_part_0_of_a_write_stops_the_children(self, tmp_path, forks):
-        class Records(Sequence):
-            def __len__(self):
-                return 3
-
-            def __getitem__(self, i):
+        def lines(rows):
+            for i in rows:
                 if i == 0:
                     raise RuntimeError("producer failed")
-                return json.dumps({"a": i})
+                yield json.dumps({"a": i})
 
         with pytest.raises(RuntimeError, match="^producer failed$"):
-            write_jsonl(tmp_path / "out.jsonl", Records())
+            write_jsonl(tmp_path / "out.jsonl", 3, lines)
         assert len(forks) == 2
         assert list(tmp_path.iterdir()) == []
 
