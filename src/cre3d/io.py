@@ -16,7 +16,9 @@ time: this process handles part 0 and forked children the others (see
 makes its records' text once, in order (see `write_jsonl`). The bytes
 written and the errors raised do not depend on how the records are split.
 A field that holds numbers holds JSON numbers only: a string or a boolean
-in its place fails its record.
+in its place fails its record. Every profile record repeats the grid, so
+`read_profiles` matches record 1's grid text in the others instead of
+parsing it again.
 """
 
 from __future__ import annotations
@@ -54,6 +56,12 @@ MODEL_FORMAT_VERSION = 1
 # cost a few ms, and encoding or decoding one flux record on the reference
 # grid 0.2 to 0.5 ms.
 PART_RECORDS = 100
+# Read buffer of a JSON-Lines file and of each of its parts. A profile
+# record on the reference grid is about 16.6 KB: on a 2-vCPU x86 VM,
+# splitting 2000 of them into lines took 35 ms with the default 8 KiB
+# buffer, 10.6 ms with this one and 9.0 ms with 1 MiB, under which the
+# peak RSS of repeated `cre3d predict` runs was about 1.5 MB higher.
+READ_BUFFER = 1 << 17
 
 
 class DatasetError(ValueError):
@@ -289,13 +297,13 @@ class _Rows(NamedTuple):
     error: Optional[Tuple[int, str]]  # (record, message) of the first bad record
 
 
-def _parse_rows(lines, parse: Callable[[dict], dict]) -> _Rows:
+def _parse_rows(lines, parse: Callable[[dict], dict], decode: Callable[[bytes], object] = json.loads) -> _Rows:
     """Decode and parse `lines`, records 1, 2, ... of a part, up to the first bad one."""
     columns, ids, count, error = {}, [], 0, None
     for count, line in enumerate(lines, start=1):
         try:
             try:
-                record = json.loads(line)
+                record = decode(line)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"invalid JSON ({exc})") from exc
             row = parse(record)
@@ -325,37 +333,41 @@ def _numbers(record: dict, name: str) -> np.ndarray:
     return arr.astype(float, copy=False)
 
 
-def _read_rows(path, parse: Callable[[dict], dict], build: Callable[[dict, list], object], what: str):
+def _read_rows(path, parse: Callable[[dict], dict], build: Callable[[dict, list], object], what: str,
+               decoder: Optional[Callable[[bytes], Callable[[bytes], object]]] = None):
     """Read a JSON-Lines file and return its records' rows, built into one result.
 
     `parse(record)` checks one decoded record and returns its fields by
     name; `build(columns, ids)` makes the result from each field's stacked
     rows and the records' ids, and raises a RowError for a row that breaks
     a value rule. Records are the non-blank lines (see `_lines`). Record 1
-    is parsed first, so `parse` can check the others against it; the rest
-    of the file is read in parts (see `_in_parts`).
+    is decoded with `json.loads` and parsed first, so `parse` can check the
+    others against it; the rest of the file is read in parts (see
+    `_in_parts`), each line decoded by `decoder(line 1)` if given, which
+    must give what `json.loads` gives and raise what it raises.
     Every record must carry an id (or null) that no earlier record has.
     Errors name the file and the first bad record, counted as records: a
     record that fails to decode, to parse or the id rule is reported after
     the records before it are built, so a value rule broken by an earlier
     record is named first.
     """
-    with open(path, "rb") as fh:
+    with open(path, "rb", buffering=READ_BUFFER) as fh:
         first = next(_lines(fh), None)  # fh is left right after it
         if first is None:
             raise DatasetError(path, None, f"no {what}")
         head = _parse_rows([first], parse)
         if head.error:
             raise DatasetError(path, 1, head.error[1])
+        decode = json.loads if decoder is None else decoder(first)
         parts = _split(fh, len(first))
 
         def read(part) -> _Rows:
             start, end = part
             if start is None:
-                return _parse_rows(_lines(fh, end), parse)
-            with open(path, "rb") as part_fh:
+                return _parse_rows(_lines(fh, end), parse, decode)
+            with open(path, "rb", buffering=READ_BUFFER) as part_fh:
                 part_fh.seek(start)
-                return _parse_rows(_lines(part_fh, end), parse)
+                return _parse_rows(_lines(part_fh, end), parse, decode)
 
         results = [head] + _in_parts(path, read, parts)
 
@@ -406,12 +418,63 @@ def write_profiles(path, profiles: Sequence[AtmosphericProfile]) -> None:
     _write_records(path, batch.ids, fields)
 
 
+_GRID_KEY = b'"p_hl"'
+_GRID_START = b'"p_hl": ['
+# Put in place of record 1's grid text: a string holding one backslash,
+# which no string of a line without a backslash can decode to.
+_GRID_MARK = b'"p_hl": "\\\\"'
+
+
+def _grid_decoder(first: bytes, p_hl: list) -> Callable[[bytes], object]:
+    """`json.loads` for the lines after line 1 of a profile file, given line 1
+    and record 1's decoded `p_hl`, that matches record 1's grid text G
+    instead of parsing it again.
+
+    G runs from `"p_hl": [` to the first `]` after it in line 1. It is
+    taken only where `"p_hl"` occurs once in line 1 and G's list equals
+    `p_hl`, so it is one whole JSON value. A line with no backslash whose
+    first `"p_hl"` is followed by G is decoded with G replaced by
+    `_GRID_MARK`. Without a backslash a key is spelled as it reads, and no
+    other string decodes to the mark's, so the record's `p_hl` is the mark
+    only if that occurrence is its `p_hl` key and the last one: then the
+    record is what `json.loads(line)` gives with `p_hl` equal to record 1's
+    (identical text, identical values), and it gets `p_hl` itself. Every
+    other line goes through `json.loads(line)`, its errors included.
+    """
+    start = first.find(_GRID_START)
+    if start < 0 or first.count(_GRID_KEY) != 1:
+        return json.loads
+    grid = first[start:first.find(b"]", start) + 1]
+    try:
+        if json.loads(grid[len(_GRID_START) - 1:]) != p_hl:
+            return json.loads
+    except ValueError:
+        return json.loads
+
+    def decode(line: bytes):
+        at = line.find(_GRID_KEY)
+        if at >= 0 and line.startswith(grid, at) and b"\\" not in line:
+            try:
+                record = json.loads(line[:at] + _GRID_MARK + line[at + len(grid):])
+            except ValueError:
+                pass
+            else:
+                if type(record) is dict and record.get("p_hl") == "\\":
+                    record["p_hl"] = p_hl
+                    return record
+        return json.loads(line)
+
+    return decode
+
+
 def read_profiles(path) -> ProfileBatch:
     """Read a profile file into one validated ProfileBatch.
 
     Records are decoded one at a time and only their arrays are kept.
-    Every record must have record 1's `p_hl`, give `q` if and only if
-    record 1 does, and carry an id (or null) that no earlier record has.
+    Record 1's grid text is matched in the later records, not parsed again
+    (see `_grid_decoder`). Every record must have record 1's `p_hl`, give
+    `q` if and only if record 1 does, and carry an id (or null) that no
+    earlier record has.
     Errors name the file and the first bad record: the value rules are
     checked on the stacked batch, and on the records read so far when a
     record fails one of the checks above.
@@ -435,10 +498,14 @@ def read_profiles(path) -> ProfileBatch:
         for name in _SCALAR_FIELDS:
             if type(record[name]) not in (int, float):
                 raise ValueError(f"{name} must be a number, got {record[name]!r}")
-        row.update((name, float(record[name])) for name in _SCALAR_FIELDS)
+            try:
+                row[name] = float(record[name])
+            except OverflowError:
+                raise ValueError(f"{name} must be a number, got an integer too large for a float") from None
         return row
 
-    return _read_rows(path, parse, lambda columns, ids: ProfileBatch(grid=grid, ids=ids, **columns), "profiles")
+    return _read_rows(path, parse, lambda columns, ids: ProfileBatch(grid=grid, ids=ids, **columns), "profiles",
+                      lambda first: _grid_decoder(first, first_p_hl))
 
 
 # ---------------------------------------------------------------------------

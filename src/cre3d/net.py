@@ -178,13 +178,19 @@ def _forward(model: MlpModel, x: np.ndarray):
 
 
 def forward(model: MlpModel, batch) -> np.ndarray:
-    """Deterministic, row-independent batched forward pass.
+    """Deterministic batched forward pass.
 
     Feature-major over blocks of ROW_CHUNK rows: for h = x[s:s+c].T, each
     layer is `w @ h` into a (width, c) buffer of this call, then `+= b[:, None]`
     and ELU in place. Each block's output is copied back, transposed, into
     one C-contiguous (n, out) matrix. A batch in another layout is read
     through a C-ordered copy, so its bits do not depend on the layout.
+
+    The same rows in the same block sizes give the same bits, but a row's
+    bits may depend on the size of its block: the BLAS GEMM can take the
+    last columns of a block through another kernel (OpenBLAS: the last
+    c mod 8). Across block sizes a row agrees to rounding: tests bound the
+    difference by 1e-13 of the row's largest output.
     """
     x = np.asarray(batch, dtype=float, order="C")
     if x.ndim != 2:

@@ -241,6 +241,15 @@ class TestProfiles:
         with pytest.raises(DatasetError, match=f"profiles.jsonl:record {index + 1}: {message}"):
             read_profiles(path)
 
+    def test_integer_too_large_for_a_float_reported_with_record(self, tmp_path, small_grid):
+        path = self._records(tmp_path, small_grid, 3)
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        records[1]["T_s"] = 10 ** 400
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        with pytest.raises(DatasetError, match="profiles.jsonl:record 2: T_s must be a number, "
+                                               "got an integer too large for a float"):
+            read_profiles(path)
+
     def test_records_without_id_allowed(self, tmp_path, small_grid):
         path = self._records(tmp_path, small_grid, 3)
         records = [json.loads(line) for line in path.read_text().splitlines()]
@@ -516,6 +525,121 @@ class TestFluxes:
         flux = FluxSet(up=np.zeros(3), down=np.zeros(3), heat=np.zeros(2))
         with pytest.raises(ValueError, match="rows"):
             write_fluxes(tmp_path / "flux.jsonl", ["a"], flux)
+
+
+def _read_outcome(path):
+    """read_profiles(path), or the text of the error it raises."""
+    try:
+        return read_profiles(path)
+    except DatasetError as exc:
+        return str(exc)
+
+
+class TestGridText:
+    """Record 1's grid text is matched in the later records, not parsed
+    again: each file reads as it does when every record is decoded in full,
+    with the same arrays, ids and errors."""
+
+    GRID = "100.0, 500.0, 1000.0, 2000.0, 4000.0, 6500.0, 9000.0, 20000.0, 50000.0, 80000.0, 101325.0"
+
+    @pytest.fixture(params=[None, 1], ids=["one part", "1-record parts"])
+    def records_per_part(self, request):
+        # with 1-record parts, record 2 is in part 0 and records 3 and 4 in children
+        return request.param
+
+    @pytest.fixture
+    def lines(self, tmp_path, small_grid):
+        path = tmp_path / "profiles.jsonl"
+        write_profiles(path, [make_profile(small_grid, seed=s) for s in range(4)])
+        lines = path.read_text().splitlines()
+        assert all(f'"p_hl": [{self.GRID}]' in line for line in lines)
+        return lines
+
+    def _check(self, tmp_path, monkeypatch, lines):
+        """Read `lines` with and without the grid text matched; both give the same."""
+        path = tmp_path / "profiles.jsonl"
+        path.write_text("".join(line + "\n" for line in lines))
+        got = _read_outcome(path)
+        with monkeypatch.context() as m:
+            m.setattr(cre3d_io, "_grid_decoder", lambda first, p_hl: json.loads)
+            full = _read_outcome(path)
+        if isinstance(full, str):
+            assert got == full
+            return got
+        assert isinstance(got, ProfileBatch)
+        assert got.ids == full.ids
+        assert np.array_equal(_bits(got.grid.p_hl), _bits(full.grid.p_hl))
+        for name in ("T", "f_c", "q_l", "q_i", "r_l", "r_i", "q", "T_s", "alpha", "mu0"):
+            assert np.array_equal(_bits(getattr(got, name)), _bits(getattr(full, name))), name
+        return got
+
+    def test_written_file(self, tmp_path, monkeypatch, small_grid, lines):
+        batch = self._check(tmp_path, monkeypatch, lines)
+        written = ProfileBatch.from_profiles([make_profile(small_grid, seed=s) for s in range(4)])
+        assert batch.ids == written.ids
+        assert np.array_equal(_bits(batch.T), _bits(written.T))
+
+    def test_equal_values_spelled_otherwise(self, tmp_path, monkeypatch, lines):
+        lines[1:] = [line.replace("500.0, 1000.0,", "5e2, 1e3,") for line in lines[1:]]
+        self._check(tmp_path, monkeypatch, lines)
+
+    @pytest.mark.parametrize("index", [1, 3], ids=["record 2", "record 4"])
+    def test_one_changed_value(self, tmp_path, monkeypatch, lines, index):
+        lines[index] = lines[index].replace("9000.0,", "9000.5,", 1)
+        message = self._check(tmp_path, monkeypatch, lines)
+        assert f"record {index + 1}: p_hl differs from record 1" in message
+
+    def test_record_1_without_the_space(self, tmp_path, monkeypatch, lines):
+        lines[0] = lines[0].replace('"p_hl": [', '"p_hl":[')
+        assert cre3d_io._grid_decoder(lines[0].encode(), json.loads(lines[0])["p_hl"]) is json.loads
+        self._check(tmp_path, monkeypatch, lines)
+
+    def test_record_1_key_spelled_twice(self, tmp_path, monkeypatch, lines):
+        # record 1's grid is the escaped key's, not the text after "p_hl"
+        grid = f'"p_hl": [{self.GRID}]'
+        lines[0] = lines[0].replace(grid, f'"p_hl": [1.0], "p\\u005fhl": [{self.GRID}]')
+        lines[1] = lines[1].replace(grid, '"p_hl": [1.0]')
+        assert "record 2: p_hl differs" in self._check(tmp_path, monkeypatch, lines)
+
+    @pytest.mark.parametrize("edit, message", [
+        # JSON's last key wins: the grid text first, then another value
+        (lambda line, grid: line[:-1] + ', "p_hl": [1.0]}', "record 2: p_hl differs"),
+        (lambda line, grid: line[:-1] + ', "p_hl": null}', "record 2: p_hl differs"),
+        (lambda line, grid: line[:-1] + ', "p\\u005fhl": null}', "record 2: p_hl differs"),
+        (lambda line, grid: line[:-1] + ', "p_hl": "\\\\"}', "record 2: p_hl differs"),
+        # another value first, then the grid text
+        (lambda line, grid: line.replace(grid, '"p_hl": [1.0], ' + grid), None),
+        # inside an id string, before the key or as a string holding the key's text
+        (lambda line, grid: line.replace('"id": "t1"', '"id": "p_hl"'), None),
+        (lambda line, grid: line.replace('"id": "t1"', '"id": ' + json.dumps(grid)), None),
+        # inside a nested object, before the key or in place of it
+        (lambda line, grid: line.replace(grid, '"meta": {' + grid + '}, ' + grid), None),
+        (lambda line, grid: line.replace(grid, '"meta": {' + grid + '}'), "record 2: missing field 'p_hl'"),
+    ], ids=["grid-then-list", "grid-then-null", "grid-then-escaped-key", "grid-then-backslash", "list-then-grid", "id-p_hl", "id-holding-grid",
+            "nested-then-key", "nested-only"])
+    def test_key_text_elsewhere(self, tmp_path, monkeypatch, lines, edit, message):
+        lines[1] = edit(lines[1], f'"p_hl": [{self.GRID}]')
+        got = self._check(tmp_path, monkeypatch, lines)
+        assert isinstance(got, ProfileBatch) if message is None else message in got
+
+    @pytest.mark.parametrize("edit", [
+        lambda line: line[:-1],
+        lambda line: line.replace('"T_s"', '"T_s" 1'),
+        lambda line: line.replace("101325.0]", "101325.0]]"),
+        lambda line: line + " x",
+    ], ids=["truncated", "missing-colon", "extra-bracket", "trailing-text"])
+    def test_malformed_record_reports_the_full_decode_error(self, tmp_path, monkeypatch, lines, edit):
+        lines[1] = edit(lines[1])
+        message = self._check(tmp_path, monkeypatch, lines)
+        assert "record 2: invalid JSON (" in message and "(char " in message
+
+    def test_written_lines_take_the_grid_text(self, lines):
+        p_hl = json.loads(lines[0])["p_hl"]
+        decode = cre3d_io._grid_decoder(lines[0].encode(), p_hl)
+        for line in lines[1:]:
+            record = decode(line.encode())
+            assert record["p_hl"] is p_hl
+            assert record == json.loads(line)
 
 
 class TestJsonlInParts(InParts, TestJsonl):
@@ -807,10 +931,10 @@ class TestPartFailures:
         path.write_text("".join(line + "\n" for line in _flux_lines([f"p{i}" for i in range(4)])))
         parent, parse_rows = os.getpid(), cre3d_io._parse_rows
 
-        def faulty(lines, parse):
+        def faulty(lines, *args):
             if os.getpid() != parent:
                 _fault(kind)
-            return parse_rows(lines, parse)
+            return parse_rows(lines, *args)
 
         monkeypatch.setattr(cre3d_io, "_parse_rows", faulty)
         with pytest.raises(RuntimeError, match=rf"flux.jsonl: part 2 of 3 failed: {self.REPORTS[kind]}$"):

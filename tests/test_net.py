@@ -271,6 +271,22 @@ class TestChunkedForward:
         row_max = np.abs(expected).max(axis=1, keepdims=True)
         assert np.all(np.abs(got - expected) <= 1e-13 * row_max)
 
+    @pytest.mark.parametrize("component", ["lw", "sw"])
+    def test_rows_agree_across_block_sizes(self, component):
+        # A row's bits may depend on the size of its block (the GEMM's tail
+        # kernel); its value may not, beyond rounding: reference-width
+        # models on 512 rows in calls of 1 to 32 rows against one call.
+        grid, consts = make_reference_grid(), PhysConsts()
+        schema = schema_for_grid(component, grid, consts.p_trunc)
+        model = reference_model(schema, 3)
+        x = build_input_matrix(generate_profiles(512, grid, seed=5), schema, consts)
+        x = fit_normalization(x).apply(x)
+        whole = forward(model, x)
+        row_max = np.abs(whole).max(axis=1, keepdims=True)
+        for c in range(1, 33):
+            blocks = np.concatenate([forward(model, x[s:s + c]) for s in range(0, len(x), c)])
+            assert np.all(np.abs(blocks - whole) <= 1e-13 * row_max), c
+
     def test_output_layout(self):
         model = kernel_model([40, 30, 30, 45], seed=0)
         x = kernel_batch(2 * ROW_CHUNK + 3, 40, seed=0)
