@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import inspect
-import json
 import os
 import platform
 import sys
@@ -245,7 +244,7 @@ def cmd_eval(args) -> int:
             per_level[name] = {
                 series: {key: value.tolist() for key, value in block.items()}
                 for series, block in stats.items()}
-        io.atomic_write_text(args.per_level, json.dumps(per_level))
+        io.write_json(args.per_level, per_level, indent=None)
     print(f"wrote evaluation report to {args.out}")
     return 0
 

@@ -36,11 +36,12 @@ def _pct(numerator: float, denominator: float) -> float:
 def bulk_stats(signal, prediction) -> Dict[str, float]:
     """Pooled mean / mean-absolute statistics of signal and error."""
     s, p = _check_pair(signal, prediction)
-    err = p - s
-    mean_signal = float(s.mean())
-    mean_error = float(err.mean())
-    mabs_signal = float(np.abs(s).mean())
-    mabs_error = float(np.abs(err).mean())
+    with np.errstate(over="ignore", invalid="ignore"):  # huge values give inf, then nan
+        err = p - s
+        mean_signal = float(s.mean())
+        mean_error = float(err.mean())
+        mabs_signal = float(np.abs(s).mean())
+        mabs_error = float(np.abs(err).mean())
     return {
         "mean_signal": mean_signal,
         "mean_error": mean_error,
@@ -64,11 +65,12 @@ def per_level_stats(signal, prediction) -> Dict[str, Dict[str, np.ndarray]]:
     if s.ndim != 2:
         raise ValueError("per-level statistics need a (profiles, levels) matrix")
     out = {}
-    for name, values in (("signal", s), ("prediction", p), ("error", p - s)):
-        out[name] = {
-            "mean": values.mean(axis=0),
-            "mabs": np.abs(values).mean(axis=0),
-            "q50": _band(values, 0.50),
-            "q90": _band(values, 0.90),
-        }
+    with np.errstate(over="ignore", invalid="ignore"):  # huge values give inf, then nan
+        for name, values in (("signal", s), ("prediction", p), ("error", p - s)):
+            out[name] = {
+                "mean": values.mean(axis=0),
+                "mabs": np.abs(values).mean(axis=0),
+                "q50": _band(values, 0.50),
+                "q90": _band(values, 0.90),
+            }
     return out

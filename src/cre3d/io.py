@@ -99,9 +99,10 @@ def atomic_write_text(path, text: str) -> None:
         fh.write(text)
 
 
-def write_json(path, obj) -> None:
-    """Write `obj` as indented JSON, each non-finite number as null: JSON has none."""
-    atomic_write_text(path, json.dumps(json.loads(json.dumps(obj), parse_constant=lambda _: None), indent=2))
+def write_json(path, obj, indent: Optional[int] = 2) -> None:
+    """Write `obj` as JSON, indented by default, each non-finite number as
+    null: JSON has none."""
+    atomic_write_text(path, json.dumps(json.loads(json.dumps(obj), parse_constant=lambda _: None), indent=indent))
 
 
 # ---------------------------------------------------------------------------
@@ -324,12 +325,13 @@ def _check_new_id(seen: dict, pid, path, index: int) -> None:
         raise DatasetError(path, index, f"duplicate id {pid!r} (first in record {seen[pid]})")
 
 
-def _numbers(record: dict, name: str) -> np.ndarray:
-    """Field `name` of a decoded record as a float array, which must hold
-    JSON numbers only: numpy would parse strings and take booleans."""
+def _numbers(record: dict, name: str, where: str = "") -> np.ndarray:
+    """Field `name` of a decoded record (or of the object at `where` in a
+    model file) as a float array, which must hold JSON numbers only: numpy
+    would parse strings and take booleans."""
     arr = np.asarray(record[name])
     if arr.dtype.kind not in "iuf":
-        raise ValueError(f"{name} must be a list of numbers")
+        raise ValueError(f"{where}{name} must be a list of numbers")
     return arr.astype(float, copy=False)
 
 
@@ -563,9 +565,19 @@ def _normalization_to_json(norm: Normalization) -> dict:
     return {"mean": norm.mean, "scale": norm.scale}
 
 
-def _normalization_from_json(obj: dict) -> Normalization:
-    return Normalization(mean=np.asarray(obj["mean"], dtype=float),
-                         scale=np.asarray(obj["scale"], dtype=float))
+def _normalization_from_json(obj: dict, where: str) -> Normalization:
+    return Normalization(mean=_numbers(obj, "mean", where), scale=_numbers(obj, "scale", where))
+
+
+_JSON_KINDS = {(int,): "an integer", (bool,): "a boolean", (int, float): "a number"}
+
+
+def _scalar(value, name: str, kinds: tuple):
+    """`value` of the model-file field `name`, whose Python type must be one
+    of `kinds` exactly: `True` is no integer."""
+    if type(value) not in kinds:
+        raise ValueError(f"{name} must be {_JSON_KINDS[kinds]}, got {value!r}")
+    return value
 
 
 def model_to_json(model: MlpModel, consts: PhysConsts) -> dict:
@@ -606,27 +618,28 @@ def model_from_json(obj: dict, path="<model>") -> Tuple[MlpModel, PhysConsts]:
         raise DatasetError(path, None, f"bad model file: the top-level value is a "
                                        f"{type(obj).__name__}, not an object")
     try:
-        if obj.get("format_version") != MODEL_FORMAT_VERSION:
-            raise ValueError(f"unsupported format_version {obj.get('format_version')!r}")
+        version = obj.get("format_version")
+        if type(version) is not int or version != MODEL_FORMAT_VERSION:
+            raise ValueError(f"unsupported format_version {version!r}")
         s = obj["schema"]
         schema = FeatureSchema(
             component=s["component"],
-            n_fl_window=int(s["n_fl_window"]),
-            n_hl_window=int(s["n_hl_window"]),
-            include_humidity=bool(s.get("include_humidity", False)),
-            include_thickness=bool(s.get("include_thickness", False)),
-            p_hl_window=s.get("p_hl_window"),
+            n_fl_window=_scalar(s["n_fl_window"], "schema.n_fl_window", (int,)),
+            n_hl_window=_scalar(s["n_hl_window"], "schema.n_hl_window", (int,)),
+            include_humidity=_scalar(s.get("include_humidity", False), "schema.include_humidity", (bool,)),
+            include_thickness=_scalar(s.get("include_thickness", False), "schema.include_thickness", (bool,)),
+            p_hl_window=None if s.get("p_hl_window") is None else _numbers(s, "p_hl_window", "schema."),
         )
         weights, biases = [], []
-        for layer in obj["layers"]:
-            w = np.asarray(layer["w_rowmajor"], dtype=float).reshape(
-                int(layer["rows"]), int(layer["cols"]))
-            weights.append(w)
-            biases.append(np.asarray(layer["b"], dtype=float))
+        for k, layer in enumerate(obj["layers"]):
+            where = f"layers[{k}]."
+            rows, cols = (_scalar(layer[name], where + name, (int,)) for name in ("rows", "cols"))
+            weights.append(_numbers(layer, "w_rowmajor", where).reshape(rows, cols))
+            biases.append(_numbers(layer, "b", where))
         model = MlpModel(
             weights=weights, biases=biases, schema=schema,
-            norm_in=_normalization_from_json(obj["normalization"]["in"]),
-            norm_out=_normalization_from_json(obj["normalization"]["out"]),
+            norm_in=_normalization_from_json(obj["normalization"]["in"], "normalization.in."),
+            norm_out=_normalization_from_json(obj["normalization"]["out"], "normalization.out."),
             meta=dict(obj.get("training", {})),
         )
         for what, width, want in (("first layer input", model.input_len, schema.input_len),
@@ -636,8 +649,8 @@ def model_from_json(obj: dict, path="<model>") -> Tuple[MlpModel, PhysConsts]:
             if width != want:
                 raise ValueError(f"{what} has width {width}, but the schema's is {want}")
         c = obj["constants"]
-        consts = PhysConsts(g=c["g"], c_p=c["c_p"], rho_l=c["rho_l"],
-                            rho_i=c["rho_i"], p_trunc=c["p_trunc"])
+        consts = PhysConsts(**{name: _scalar(c[name], f"constants.{name}", (int, float))
+                               for name in ("g", "c_p", "rho_l", "rho_i", "p_trunc")})
         return model, consts
     except (KeyError, TypeError, ValueError) as exc:
         raise DatasetError(path, None, f"bad model file: {exc}") from exc

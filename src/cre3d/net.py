@@ -29,7 +29,7 @@ from .postproc import LW, SW, postprocess_batch
 
 REFERENCE_HIDDEN_LAYERS = 3
 REFERENCE_HIDDEN_WIDTH = {LW: 217, SW: 182}
-ELU_BLOCK = 32768  # elements per in-place elementwise pass (ELU, Adam, L1/L2 gradient)
+ELU_BLOCK = 32768  # elements per in-place pass of ELU and of the L1/L2 gradient
 ROW_CHUNK = 1024  # samples per feature-major block of the inference forward pass
 
 
@@ -163,14 +163,14 @@ def reference_model(schema: FeatureSchema, seed: int) -> MlpModel:
     return init_model(sizes, seed, schema=schema)
 
 
-def _forward(model: MlpModel, x: np.ndarray):
+def _forward(weights, biases, x: np.ndarray):
     """Training forward pass, sample-major (`h @ w.T + b` per layer): the
     output, each hidden layer's ELU slope and each layer's input."""
     h, slopes, inputs = x, [], [x]
-    for k, (w, b) in enumerate(zip(model.weights, model.biases)):
+    for k, (w, b) in enumerate(zip(weights, biases)):
         z = h @ w.T
         z += b
-        if k == len(model.weights) - 1:
+        if k == len(weights) - 1:
             return z, slopes, inputs
         slopes.append(elu_grad(z))
         h = elu(z, out=z)
@@ -219,30 +219,6 @@ def mse(prediction: np.ndarray, target: np.ndarray) -> float:
     return float(np.mean((prediction - target) ** 2))
 
 
-def _blocks(groups):
-    """Blocks for in-place elementwise passes over groups of equal-shape arrays.
-
-    Yields (views, t, u) per block: a list with one view of each array of the
-    group over the same slice of the leading axis, at most ELU_BLOCK elements
-    (one row where a row is longer), and two scratch arrays of the block's
-    shape that every block reuses, so the pass stays in cache. Row slices
-    are views whatever the memory layout, so writes reach the arrays.
-    """
-    blocks = []
-    for group in groups:
-        row = group[0].shape[1:]
-        rows = max(1, ELU_BLOCK // max(1, math.prod(row)))
-        blocks.append((group, rows, (min(len(group[0]), rows),) + row))
-    size = max(math.prod(shape) for _, _, shape in blocks)
-    t_flat, u_flat = np.empty(size), np.empty(size)
-    for group, rows, shape in blocks:
-        t, u = (flat[:math.prod(shape)].reshape(shape) for flat in (t_flat, u_flat))
-        for s in range(0, len(group[0]), rows):
-            views = [a[s:s + rows] for a in group]
-            n = len(views[0])
-            yield views, t[:n], u[:n]
-
-
 def loss_and_gradients(model: MlpModel, batch_x, batch_y, l1: float, l2: float):
     """Objective MSE + l1*sum|W| + l2*sum(W^2) (weights only) and its
     exact gradients with respect to all parameters."""
@@ -253,13 +229,16 @@ def loss_and_gradients(model: MlpModel, batch_x, batch_y, l1: float, l2: float):
     if y.shape != (x.shape[0], model.output_len):
         raise ValueError("target shape does not match (batch, output_len)")
 
-    pred, slopes, inputs = _forward(model, x)
+    # A weight in another layout is read through a C-ordered copy: the GEMMs
+    # and sums, and so the bits, do not depend on the layout.
+    weights = [np.ascontiguousarray(w) for w in model.weights]
+    pred, slopes, inputs = _forward(weights, model.biases, x)
     err = pred - y
     loss = float(np.mean(err ** 2))
-    for w in model.weights:
+    for w in weights:
         loss += l1 * float(np.abs(w).sum()) + l2 * float((w ** 2).sum())
 
-    n_layers = len(model.weights)
+    n_layers = len(weights)
     grad_w: List[np.ndarray] = [None] * n_layers
     grad_b: List[np.ndarray] = [None] * n_layers
     g = err  # 2 * err / err.size, in place
@@ -269,15 +248,23 @@ def loss_and_gradients(model: MlpModel, batch_x, batch_y, l1: float, l2: float):
         grad_w[k] = g.T @ inputs[k]
         grad_b[k] = g.sum(axis=0)
         if k > 0:
-            g = g @ model.weights[k]
+            g = g @ weights[k]
             g *= slopes[k - 1]
-    # grad_w += l1 * sign(w) + (2 * l2) * w, in place block by block
-    for (w, gw), t, u in _blocks(zip(model.weights, grad_w)):
-        np.sign(w, out=t)
-        t *= l1
-        np.multiply(w, 2.0 * l2, out=u)
-        t += u
-        gw += t
+    # grad_w += l1 * sign(w) + (2 * l2) * w, in place over flat ELU_BLOCK-element
+    # slices with two scratch buffers, as in `elu`. grad_w[k] is a matmul output,
+    # C-contiguous, so gw.reshape(-1) is a view: a copy would drop the term.
+    size = min(ELU_BLOCK, max(w.size for w in weights))
+    t_flat, u_flat = np.empty(size), np.empty(size)
+    for w, gw in zip(weights, grad_w):
+        w, gw = w.reshape(-1), gw.reshape(-1)
+        for s in range(0, w.size, ELU_BLOCK):
+            v, gv = w[s:s + ELU_BLOCK], gw[s:s + ELU_BLOCK]
+            t, u = t_flat[:v.size], u_flat[:v.size]
+            np.sign(v, out=t)
+            t *= l1
+            np.multiply(v, 2.0 * l2, out=u)
+            t += u
+            gv += t
     return loss, (grad_w, grad_b)
 
 
@@ -293,7 +280,7 @@ class AdamState:
 
 
 def adam_step(model: MlpModel, grads, state: AdamState, cfg: TrainConfig) -> None:
-    """One Adam update of every parameter, in place, block by block:
+    """One Adam update of every parameter, in place, array by array:
     m = beta1 * m + (1 - beta1) * g, v = beta2 * v + (1 - beta2) * g**2 and
     p -= lr * (m / bc1) / (sqrt(v / bc2) + eps), each operation in this order."""
     grad_w, grad_b = grads
@@ -301,23 +288,13 @@ def adam_step(model: MlpModel, grads, state: AdamState, cfg: TrainConfig) -> Non
     b1, b2 = cfg.beta1, cfg.beta2
     bc1 = 1.0 - b1 ** state.t
     bc2 = 1.0 - b2 ** state.t
-    groups = zip(model.weights + model.biases, grad_w + grad_b,
-                 state.m_w + state.m_b, state.v_w + state.v_b)
-    for (p, g, m, v), t, u in _blocks(groups):
-        np.multiply(g, 1.0 - b1, out=t)
+    for p, g, m, v in zip(model.weights + model.biases, grad_w + grad_b,
+                          state.m_w + state.m_b, state.v_w + state.v_b):
         m *= b1
-        m += t
-        np.square(g, out=t)
-        t *= 1.0 - b2
+        m += g * (1.0 - b1)
         v *= b2
-        v += t
-        np.divide(m, bc1, out=t)
-        t *= cfg.learning_rate
-        np.divide(v, bc2, out=u)
-        np.sqrt(u, out=u)
-        u += cfg.eps
-        t /= u
-        p -= t
+        v += np.square(g) * (1.0 - b2)
+        p -= m / bc1 * cfg.learning_rate / (np.sqrt(v / bc2) + cfg.eps)
 
 
 @dataclass

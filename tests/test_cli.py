@@ -583,6 +583,22 @@ class TestEvalReport:
             assert stats["pct_error"] is None and stats["mabs_pct_error"] is None
             assert stats["mean_error"] == stats["mabs_error"] == 0.0
 
+    def test_overflowing_per_level_statistics_are_null(self, tmp_path, capsys):
+        # 1e308 is finite, so the flux reader takes it, but the mean of two overflows
+        truth, pred = tmp_path / "truth.jsonl", tmp_path / "pred.jsonl"
+        ones = {"up": np.ones((2, 3)), "down": np.ones((2, 3)), "heat": np.ones((2, 2))}
+        io.write_fluxes(truth, ["a", "b"], FluxSet(**ones))
+        io.write_fluxes(pred, ["a", "b"], FluxSet(**{**ones, "up": np.full((2, 3), 1e308)}))
+        out, per_level = tmp_path / "eval.json", tmp_path / "per_level.json"
+        code, _, err = run(["eval", "--truth", truth, "--pred", pred, "--out", out,
+                            "--per-level", per_level], capsys)
+        assert code == 0, err
+        assert json.loads(out.read_text(), parse_constant=not_json)["fluxes"]["up"]["mean_error"] is None
+        levels = json.loads(per_level.read_text(), parse_constant=not_json)
+        assert levels["up"]["prediction"]["mean"] == [None] * 3
+        assert levels["up"]["signal"]["mean"] == [1.0] * 3
+        assert levels["down"]["error"]["mabs"] == [0.0] * 3
+
 
 class TestThreadPinning:
     def test_importing_the_cli_leaves_numpy_unloaded(self):

@@ -1065,6 +1065,46 @@ class TestModelFiles:
         for a, b in ((back.norm_in, model.norm_in), (back.norm_out, model.norm_out)):
             assert (_bits(a.mean) == _bits(b.mean)).all() and (_bits(a.scale) == _bits(b.scale)).all()
 
+    # one edit of a saved model's JSON object per case, each a number or a
+    # flag of the wrong JSON type that float(), int() or bool() would take
+    WRONG_TYPES = {
+        "w_rowmajor_strings": (
+            lambda o: o["layers"][0].update(w_rowmajor=[str(v) for v in o["layers"][0]["w_rowmajor"]]),
+            r"layers\[0\]\.w_rowmajor must be a list of numbers"),
+        "b_booleans": (
+            lambda o: o["layers"][1].update(b=[True] * len(o["layers"][1]["b"])),
+            r"layers\[1\]\.b must be a list of numbers"),
+        "scale_string": (
+            lambda o: o["normalization"]["in"]["scale"].__setitem__(0, "1.5"),
+            r"normalization\.in\.scale must be a list of numbers"),
+        "p_hl_window_strings": (
+            lambda o: o["schema"].update(p_hl_window=[str(v) for v in o["schema"]["p_hl_window"]]),
+            r"schema\.p_hl_window must be a list of numbers"),
+        "format_version_true": (
+            lambda o: o.update(format_version=True), r"unsupported format_version True"),
+        "n_fl_window_string": (
+            lambda o: o["schema"].update(n_fl_window=str(o["schema"]["n_fl_window"])),
+            r"schema\.n_fl_window must be an integer, got '\d+'"),
+        "cols_string": (
+            lambda o: o["layers"][1].update(cols="5"), r"layers\[1\]\.cols must be an integer, got '5'"),
+        "p_trunc_true": (
+            lambda o: o["constants"].update(p_trunc=True), r"constants\.p_trunc must be a number, got True"),
+        "include_humidity_string": (
+            lambda o: o["schema"].update(include_humidity="no"),
+            r"schema\.include_humidity must be a boolean, got 'no'"),
+    }
+
+    @pytest.mark.parametrize("case", list(WRONG_TYPES))
+    def test_wrong_json_type_rejected(self, tmp_path, small_grid, consts, case):
+        edit, message = self.WRONG_TYPES[case]
+        path = tmp_path / "model.json"
+        save_model(path, self._model(small_grid), consts)
+        obj = json.loads(path.read_text())
+        edit(obj)
+        path.write_text(json.dumps(obj))
+        with pytest.raises(DatasetError, match=rf"model\.json: bad model file: {message}$"):
+            load_model(path)
+
     def test_constants_round_trip_non_default(self, tmp_path, small_grid):
         model = self._model(small_grid)
         consts = PhysConsts(g=9.80665)

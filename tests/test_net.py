@@ -459,14 +459,14 @@ class TestAdam:
 
 
 class TestOptimizerBits:
-    """The blockwise in-place Adam and regularization passes give the bits of
-    the out-of-place formulas, for arrays below, at and above one block."""
+    """The in-place Adam update and the regularization pass over flat
+    ELU_BLOCK-element blocks give the bits of the out-of-place formulas, for
+    arrays below, at and above one block, in C and in F order."""
 
     # weights (128, 256): exactly one block; (257, 128): one block plus a
-    # one-row last block; (9, 257) and every bias: below one block.
-    # [2, 40000, 1]: a 40000-element bias (a short last block), a (40000, 2)
-    # weight of three blocks and a (1, 40000) weight whose one row is longer
-    # than a block.
+    # 128-element last block; (9, 257) and every bias: below one block.
+    # [2, 40000, 1]: a 40000-element bias, a (40000, 2) weight of three blocks
+    # and a (1, 40000) weight of two, whose one row is longer than a block.
     SHAPES = [[256, 128, 257, 9], [2, 40000, 1]]
 
     @staticmethod
@@ -500,8 +500,8 @@ class TestOptimizerBits:
                     assert np.array_equal(bits(a), bits(b))
 
     def test_fortran_ordered_arrays_step_in_place(self):
-        # row blocks are views in any memory layout, so the update reaches
-        # F-ordered parameters and moments with the bits of the C-ordered case
+        # the in-place update reaches F-ordered parameters and moments with
+        # the bits of the C-ordered case
         c_model = self._model([300, 200, 4], seed=1)
         f_model = MlpModel(weights=[np.asfortranarray(w) for w in c_model.weights],
                            biases=[b.copy() for b in c_model.biases])
@@ -518,13 +518,19 @@ class TestOptimizerBits:
                         f_model.weights + f_state.m_w + f_state.v_w):
             assert np.array_equal(bits(a), bits(b))
 
+    @pytest.mark.parametrize("layout", ["C", "F"])
     @pytest.mark.parametrize("sizes", SHAPES)
-    def test_regularization_gradient(self, sizes):
+    def test_regularization_gradient(self, sizes, layout):
+        # an F-ordered weight is read through a C-order copy, so its loss and
+        # gradients are the C-ordered model's, bit for bit
         model = self._model(sizes, seed=3)
         x = kernel_batch(3, sizes[0], seed=3)
         y = np.random.default_rng(3).normal(size=(3, sizes[-1]))
+        used = model if layout == "C" else MlpModel(
+            weights=[np.asfortranarray(w) for w in model.weights], biases=model.biases)
+        assert used.weights[0].flags.c_contiguous == (layout == "C")
         for l1, l2 in ((1e-5, 1e-4), (3e-2, 7e-3)):
-            loss, (gw, gb) = loss_and_gradients(model, x, y, l1=l1, l2=l2)
+            loss, (gw, gb) = loss_and_gradients(used, x, y, l1=l1, l2=l2)
             ref_loss, ref_gw, ref_gb = textbook_gradients(model, x, y, l1=l1, l2=l2)
             assert bits(loss) == bits(ref_loss)
             for got, ref in zip(gw + gb, ref_gw + ref_gb):

@@ -1,7 +1,7 @@
 """The CI workflow parses as YAML and keeps its time limit, its test steps
 (the numeric modules', the float encoder's, the toy truth's, the
-evaluation statistics', the file formats' and the CLI's tests among them
-with RuntimeWarning as an error)
+evaluation statistics', the file formats', the CLI's and the tracer
+targets' tests among them with RuntimeWarning as an error)
 and a benchmark check of every workload."""
 
 import json
@@ -24,7 +24,7 @@ def test_workflow_keeps_its_time_limit_and_steps():
     assert any("python -X dev -W error::ResourceWarning" in run and "-m pytest" in run for run in runs)
     numeric = ("tests/test_postproc.py tests/test_net.py tests/test_column.py tests/test_features.py "
                "tests/test_floattext.py tests/test_augment.py tests/test_evalbench.py "
-               "tests/test_io.py tests/test_cli.py tests/test_workflow.py")
+               "tests/test_io.py tests/test_cli.py tests/test_workflow.py tests/test_tracer_targets.py")
     assert any("-m pytest -W error::RuntimeWarning" in run and run.endswith(numeric) for run in runs)
     bench = [run for run in runs if "perfbench/run.py" in run]
     assert len(bench) == 1
