@@ -14,6 +14,7 @@ therefore exact, which makes it a usable end-to-end learning target.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -67,6 +68,12 @@ class ToyTruthParams:
     amp_lw: float = 2.0  # W m^-2
     amp_sw: float = 3.0  # W m^-2
     decay: float = 5.0  # layers; vertical smearing scale
+
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.amp_lw) and math.isfinite(self.amp_sw)):
+            raise ValueError(f"amp_lw and amp_sw must be finite, got {self.amp_lw!r} and {self.amp_sw!r}")
+        if not 0 < self.decay < math.inf:  # false for NaN too
+            raise ValueError(f"decay must be finite and > 0, got {self.decay!r}")
 
 
 class ToyTruth(NamedTuple):

@@ -92,10 +92,12 @@ def cmd_synth(args) -> int:
 
     from . import augment, column, io
 
+    if args.levels is not None and args.levels < 1:
+        raise ValueError(f"--levels {args.levels} is below 1")
+    params = augment.ToyTruthParams(amp_lw=args.amp_lw, amp_sw=args.amp_sw, decay=args.decay)
     grid = (augment.make_reference_grid() if args.levels is None
             else column.VerticalGrid(np.geomspace(1.0, 101325.0, args.levels + 1)))
     consts = column.PhysConsts()
-    params = augment.ToyTruthParams(amp_lw=args.amp_lw, amp_sw=args.amp_sw, decay=args.decay)
     profiles = augment.generate_profiles(args.profiles, grid, args.seed)
     t = augment.toy_truth(profiles, consts, params)
     lw = column.extend_to_full(t.up_lw, t.down_lw, None, t.lw.heat, grid, consts.p_trunc)

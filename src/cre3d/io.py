@@ -15,10 +15,9 @@ time: this process handles part 0 and forked children the others (see
 `_n_parts`). Both dataset writers end in `_write_records`, where each part
 makes its records' text once, in order (see `write_jsonl`). The bytes
 written and the errors raised do not depend on how the records are split.
-A field that holds numbers holds JSON numbers only: a string or a boolean
-in its place fails its record. Every profile record repeats the grid, so
-`read_profiles` matches record 1's grid text in the others instead of
-parsing it again.
+The readers take every field through `_field`'s JSON type rule. Every
+profile record repeats the grid, so `read_profiles` matches record 1's grid
+text in the others instead of parsing it again.
 """
 
 from __future__ import annotations
@@ -318,21 +317,58 @@ def _parse_rows(lines, parse: Callable[[dict], dict], decode: Callable[[bytes], 
 
 
 def _check_new_id(seen: dict, pid, path, index: int) -> None:
-    """Remember a non-null id, or fail if an earlier record had it."""
-    if isinstance(pid, (bool, list, dict)):
-        raise DatasetError(path, index, f"id must be a string, a number or null, got {pid!r}")
+    """Remember a non-null id, or fail if it is no `_ID` or an earlier record had it."""
+    try:
+        _field({"id": pid}, "id", _ID, default=None)
+    except ValueError as exc:
+        raise DatasetError(path, index, str(exc)) from None
     if pid is not None and seen.setdefault(pid, index) != index:
         raise DatasetError(path, index, f"duplicate id {pid!r} (first in record {seen[pid]})")
 
 
-def _numbers(record: dict, name: str, where: str = "") -> np.ndarray:
-    """Field `name` of a decoded record (or of the object at `where` in a
-    model file) as a float array, which must hold JSON numbers only: numpy
-    would parse strings and take booleans."""
-    arr = np.asarray(record[name])
-    if arr.dtype.kind not in "iuf":
-        raise ValueError(f"{where}{name} must be a list of numbers")
-    return arr.astype(float, copy=False)
+_MISSING = object()
+_ID = "a string, a number or null"
+
+
+def _field(obj, name: str, kind: Optional[str], where: str = "", default=_MISSING):
+    """Field `name` of the decoded JSON object `obj` (named by `where`, or a
+    record), checked to hold `kind`; errors name its path `where + name`.
+    Kinds: "a list of numbers" comes back as a float array (numpy would
+    parse strings and take booleans), "a number" as a float; "an integer",
+    "a boolean", "a string", "a list" and "an object" are exact JSON types
+    (`True` is no integer); an `_ID` number must be finite, as JSON has no
+    NaN, and may be a subclass (a writer's numpy.float64); None is any value.
+    A missing field is `default` if given, and a null one is None if that is.
+    """
+    if type(obj) is not dict:
+        raise ValueError(f"{where.rstrip('.') or 'a record'} must be an object, got {obj!r}")
+    path, value = where + name, obj.get(name, default)
+    if value is _MISSING:
+        raise ValueError(f"missing field {path!r}")
+    if (value is None and default is None) or kind is None:
+        return value
+    if kind == "a list of numbers":
+        try:
+            arr = np.asarray(value) if type(value) is list else None
+        except ValueError:  # lists of different lengths
+            arr = None
+        if arr is None or arr.ndim != 1 or arr.dtype.kind not in "iuf":
+            raise ValueError(f"{path} must be a list of numbers")
+        return arr.astype(float, copy=False)
+    if kind == "a number" and type(value) in (int, float):
+        try:
+            return float(value)
+        except OverflowError:
+            raise ValueError(f"{path} must be a number, got an integer too large for a float") from None
+    if kind == _ID:
+        ok = isinstance(value, str) or (isinstance(value, (int, float)) and not isinstance(value, bool)
+                                        and -math.inf < value < math.inf)
+    else:  # a "number" of another type matches no entry
+        ok = type(value) is {"an integer": int, "a boolean": bool, "a string": str, "a list": list,
+                             "an object": dict}.get(kind)
+    if not ok:
+        raise ValueError(f"{path} must be {kind}, got {value!r}")
+    return value
 
 
 def _read_rows(path, parse: Callable[[dict], dict], build: Callable[[dict, list], object], what: str,
@@ -485,25 +521,19 @@ def read_profiles(path) -> ProfileBatch:
 
     def parse(record: dict) -> dict:
         nonlocal grid, first_p_hl, with_q
-        for key in ("p_hl",) + _LEVEL_FIELDS + _SCALAR_FIELDS:
-            if key not in record:
-                raise ValueError(f"missing field {key!r}")
+        q = _field(record, "q", "a list of numbers", default=None)
         if grid is None:
-            grid = VerticalGrid(_numbers(record, "p_hl"))
-            first_p_hl, with_q = record["p_hl"], record.get("q") is not None
-        elif record["p_hl"] != first_p_hl:
+            grid = VerticalGrid(_field(record, "p_hl", "a list of numbers"))
+            first_p_hl, with_q = record["p_hl"], q is not None
+        elif _field(record, "p_hl", None) != first_p_hl:  # any value: compared as JSON values
             raise ValueError("p_hl differs from record 1; profiles must share one grid")
-        if (record.get("q") is not None) != with_q:
+        if (q is not None) != with_q:
             raise ValueError("q must be given in every record or in none")
-        row = {name: _as_level_array(_numbers(record, name), name, grid.n_fl)
-               for name in _LEVEL_FIELDS + (("q",) if with_q else ())}
-        for name in _SCALAR_FIELDS:
-            if type(record[name]) not in (int, float):
-                raise ValueError(f"{name} must be a number, got {record[name]!r}")
-            try:
-                row[name] = float(record[name])
-            except OverflowError:
-                raise ValueError(f"{name} must be a number, got an integer too large for a float") from None
+        row = {name: _as_level_array(_field(record, name, "a list of numbers"), name, grid.n_fl)
+               for name in _LEVEL_FIELDS}
+        if with_q:
+            row["q"] = _as_level_array(q, "q", grid.n_fl)
+        row.update((name, _field(record, name, "a number")) for name in _SCALAR_FIELDS)
         return row
 
     return _read_rows(path, parse, lambda columns, ids: ProfileBatch(grid=grid, ids=ids, **columns), "profiles",
@@ -538,15 +568,11 @@ def read_fluxes(path) -> Tuple[List[Optional[str]], FluxSet]:
 
     def parse(record: dict) -> dict:
         nonlocal shapes
-        for key in ("up", "down", "heat"):
-            if key not in record:
-                raise ValueError(f"missing field {key!r}")
-        row = {name: _numbers(record, name)
-               for name in _FLUX_FIELDS if record.get(name) is not None}
+        row = {name: _field(record, name, "a list of numbers") for name in ("up", "down", "heat")}
+        if (direct := _field(record, "direct_down", "a list of numbers", default=None)) is not None:
+            row["direct_down"] = direct
         shape = {name: arr.shape for name, arr in row.items()}
         if shapes is None:
-            if row["up"].ndim != 1:
-                raise ValueError("up must be a list of numbers")
             FluxSet(**row)  # record 1 sets the shapes of the file
             shapes = shape
         elif shape != shapes:
@@ -561,23 +587,10 @@ def read_fluxes(path) -> Tuple[List[Optional[str]], FluxSet]:
 # Model files
 
 
-def _normalization_to_json(norm: Normalization) -> dict:
-    return {"mean": norm.mean, "scale": norm.scale}
-
-
-def _normalization_from_json(obj: dict, where: str) -> Normalization:
-    return Normalization(mean=_numbers(obj, "mean", where), scale=_numbers(obj, "scale", where))
-
-
-_JSON_KINDS = {(int,): "an integer", (bool,): "a boolean", (int, float): "a number"}
-
-
-def _scalar(value, name: str, kinds: tuple):
-    """`value` of the model-file field `name`, whose Python type must be one
-    of `kinds` exactly: `True` is no integer."""
-    if type(value) not in kinds:
-        raise ValueError(f"{name} must be {_JSON_KINDS[kinds]}, got {value!r}")
-    return value
+def _normalization_from_json(obj: dict, side: str) -> Normalization:
+    where = f"normalization.{side}."
+    norm = _field(_field(obj, "normalization", "an object"), side, "an object", "normalization.")
+    return Normalization(*(_field(norm, stat, "a list of numbers", where) for stat in ("mean", "scale")))
 
 
 def model_to_json(model: MlpModel, consts: PhysConsts) -> dict:
@@ -588,25 +601,13 @@ def model_to_json(model: MlpModel, consts: PhysConsts) -> dict:
     return {
         "format_version": MODEL_FORMAT_VERSION,
         "component": schema.component,
-        "schema": {
-            "component": schema.component,
-            "n_fl_window": schema.n_fl_window,
-            "n_hl_window": schema.n_hl_window,
-            "include_humidity": schema.include_humidity,
-            "include_thickness": schema.include_thickness,
-            "input_len": schema.input_len,
-            "output_len": schema.output_len,
-            **({} if schema.p_hl_window is None else {"p_hl_window": schema.p_hl_window}),
-        },
-        "normalization": {
-            "in": _normalization_to_json(model.norm_in),
-            "out": _normalization_to_json(model.norm_out),
-        },
-        "layers": [
-            {"rows": int(w.shape[0]), "cols": int(w.shape[1]),
-             "w_rowmajor": w.ravel(), "b": b}
-            for w, b in zip(model.weights, model.biases)
-        ],
+        "schema": {**{name: getattr(schema, name) for name in ("component", "n_fl_window", "n_hl_window",
+                      "include_humidity", "include_thickness", "input_len", "output_len")},
+                   **({} if schema.p_hl_window is None else {"p_hl_window": schema.p_hl_window})},
+        "normalization": {side: {"mean": norm.mean, "scale": norm.scale}
+                          for side, norm in (("in", model.norm_in), ("out", model.norm_out))},
+        "layers": [{"rows": int(w.shape[0]), "cols": int(w.shape[1]), "w_rowmajor": w.ravel(), "b": b}
+                   for w, b in zip(model.weights, model.biases)],
         "training": dict(model.meta),
         "constants": {"g": consts.g, "c_p": consts.c_p, "rho_l": consts.rho_l,
                       "rho_i": consts.rho_i, "p_trunc": consts.p_trunc},
@@ -621,38 +622,35 @@ def model_from_json(obj: dict, path="<model>") -> Tuple[MlpModel, PhysConsts]:
         version = obj.get("format_version")
         if type(version) is not int or version != MODEL_FORMAT_VERSION:
             raise ValueError(f"unsupported format_version {version!r}")
-        s = obj["schema"]
+        s = _field(obj, "schema", "an object")
         schema = FeatureSchema(
-            component=s["component"],
-            n_fl_window=_scalar(s["n_fl_window"], "schema.n_fl_window", (int,)),
-            n_hl_window=_scalar(s["n_hl_window"], "schema.n_hl_window", (int,)),
-            include_humidity=_scalar(s.get("include_humidity", False), "schema.include_humidity", (bool,)),
-            include_thickness=_scalar(s.get("include_thickness", False), "schema.include_thickness", (bool,)),
-            p_hl_window=None if s.get("p_hl_window") is None else _numbers(s, "p_hl_window", "schema."),
+            component=_field(s, "component", "a string", "schema."),
+            n_fl_window=_field(s, "n_fl_window", "an integer", "schema."),
+            n_hl_window=_field(s, "n_hl_window", "an integer", "schema."),
+            include_humidity=_field(s, "include_humidity", "a boolean", "schema.", False),
+            include_thickness=_field(s, "include_thickness", "a boolean", "schema.", False),
+            p_hl_window=_field(s, "p_hl_window", "a list of numbers", "schema.", None),
         )
         weights, biases = [], []
-        for k, layer in enumerate(obj["layers"]):
+        for k, layer in enumerate(_field(obj, "layers", "a list")):
             where = f"layers[{k}]."
-            rows, cols = (_scalar(layer[name], where + name, (int,)) for name in ("rows", "cols"))
-            weights.append(_numbers(layer, "w_rowmajor", where).reshape(rows, cols))
-            biases.append(_numbers(layer, "b", where))
-        model = MlpModel(
-            weights=weights, biases=biases, schema=schema,
-            norm_in=_normalization_from_json(obj["normalization"]["in"], "normalization.in."),
-            norm_out=_normalization_from_json(obj["normalization"]["out"], "normalization.out."),
-            meta=dict(obj.get("training", {})),
-        )
+            rows, cols = (_field(layer, name, "an integer", where) for name in ("rows", "cols"))
+            weights.append(_field(layer, "w_rowmajor", "a list of numbers", where).reshape(rows, cols))
+            biases.append(_field(layer, "b", "a list of numbers", where))
+        norm_in, norm_out = (_normalization_from_json(obj, side) for side in ("in", "out"))
+        model = MlpModel(weights=weights, biases=biases, schema=schema, norm_in=norm_in, norm_out=norm_out,
+                         meta=dict(_field(obj, "training", "an object", default={})))
         for what, width, want in (("first layer input", model.input_len, schema.input_len),
                                   ("norm_in", model.norm_in.mean.size, schema.input_len),
                                   ("last layer output", model.output_len, schema.output_len),
                                   ("norm_out", model.norm_out.mean.size, schema.output_len)):
             if width != want:
                 raise ValueError(f"{what} has width {width}, but the schema's is {want}")
-        c = obj["constants"]
-        consts = PhysConsts(**{name: _scalar(c[name], f"constants.{name}", (int, float))
+        c = _field(obj, "constants", "an object")
+        consts = PhysConsts(**{name: _field(c, name, "a number", "constants.")
                                for name in ("g", "c_p", "rho_l", "rho_i", "p_trunc")})
         return model, consts
-    except (KeyError, TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise DatasetError(path, None, f"bad model file: {exc}") from exc
 
 

@@ -221,6 +221,20 @@ class TestToyTruth:
             h.update(np.ascontiguousarray(value, dtype="<f8").tobytes())
         assert h.hexdigest() == digest
 
+    @pytest.mark.parametrize("fields", [
+        {"decay": 0.0}, {"decay": -2.0}, {"decay": float("nan")}, {"decay": float("inf")},
+        {"amp_lw": float("nan")}, {"amp_sw": float("inf")}, {"amp_lw": -float("inf")},
+    ])
+    def test_params_that_make_no_sense_rejected(self, fields):
+        with pytest.raises(ValueError, match="must be finite"):
+            ToyTruthParams(**fields)
+
+    def test_negative_amplitudes_allowed(self, small_grid, consts):
+        p = make_profile(small_grid, seed=5, mu0=0.6)
+        base = toy_truth(p, consts, ToyTruthParams(amp_lw=1.0, amp_sw=1.0))
+        negated = toy_truth(p, consts, ToyTruthParams(amp_lw=-1.0, amp_sw=-1.0))
+        np.testing.assert_array_equal(negated.lw.scalar, -base.lw.scalar)
+
 
 class TestGenerateProfiles:
     def test_count_and_determinism(self, small_grid):

@@ -49,6 +49,24 @@ class TestSynth:
         assert io.read_fluxes(paths["truth_lw"])[0] == ids
         assert io.read_fluxes(paths["truth_sw"])[0] == ids
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--decay", 0], "decay must be finite and > 0, got 0.0"),
+        (["--decay", -2], "decay must be finite and > 0, got -2.0"),
+        (["--decay", "nan"], "decay must be finite and > 0, got nan"),
+        (["--decay", "inf"], "decay must be finite and > 0, got inf"),
+        (["--amp-lw", "nan"], "amp_lw and amp_sw must be finite, got nan and 3.0"),
+        (["--amp-sw=-inf"], "amp_lw and amp_sw must be finite, got 2.0 and -inf"),
+        (["--levels", -3], "--levels -3 is below 1"),
+        (["--levels", 0], "--levels 0 is below 1"),
+    ])
+    def test_bad_toy_truth_flags_rejected_before_writing(self, tmp_path, capsys, flags, message):
+        outs = [tmp_path / f"{key}.jsonl" for key in ("profiles", "truth_lw", "truth_sw")]
+        code, _, err = run(["synth", "--profiles", 5, "--levels", 12] + flags
+                           + ["--out-profiles", outs[0], "--out-truth-lw", outs[1], "--out-truth-sw", outs[2]], capsys)
+        assert code == 1
+        assert err == f"error: ValueError: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestAugment:
     def test_counts_and_marginals(self, tmp_path, capsys):

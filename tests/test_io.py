@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import re
 import signal
 import stat
 import subprocess
@@ -1123,3 +1124,106 @@ def test_write_json_writes_non_finite_numbers_as_null(tmp_path):
 
     assert json.loads(path.read_text(), parse_constant=constant) == {"a": None, "b": [None, 1.5, None],
                                                                     "c": {"d": 0.1}}
+
+
+# Every JSON value a field could be set to, by kind: null, a boolean, the
+# numbers (an integer too large for a float included), the non-finite
+# constants Python's json module reads, a string, and lists and objects
+# empty, of a number, of a list, of a boolean, of a string and of a big integer.
+MALFORMED = [None, True, 0, -1, 10 ** 400, 1e308, float("nan"), float("inf"), "x", [], [1], [[1]], {},
+             {"a": 1}, [True], ["1"], [10 ** 400]]
+# Python's own text for a lookup or a type error, or a message that is only a key
+PYTHON_TEXT = (r"^'[^']*'$|not iterable|not subscriptable|indices must be|unhashable|has no attribute"
+               r"|required positional argument|not supported between|too large to convert|inhomogeneous")
+
+
+def _model_paths(value, path=()):
+    """The paths of every field of a model file's JSON object, and of each object in a list."""
+    items = value.items() if isinstance(value, dict) else enumerate(value)
+    for key, item in items:
+        if isinstance(value, dict) or isinstance(item, dict):
+            yield path + (key,)
+        if isinstance(item, dict) or (isinstance(item, list) and item and isinstance(item[0], dict)):
+            yield from _model_paths(item, path + (key,))
+
+
+class TestMalformedValues:
+    """One value of a small valid file set to each of MALFORMED: the reader
+    returns, or raises a DatasetError naming the file (and record 2 of a
+    dataset) in the reader's own words."""
+
+    @staticmethod
+    def _check(reader, path, prefix, case):
+        try:
+            reader(path)
+        except DatasetError as exc:
+            message = str(exc)
+            assert message.startswith(prefix), (case, message)
+            assert not re.search(PYTHON_TEXT, message[len(prefix):]), (case, message)
+
+    def test_dataset_records(self, tmp_path, small_grid):
+        profiles = tmp_path / "profiles.jsonl"
+        write_profiles(profiles, [make_profile(small_grid, seed=s) for s in range(3)])
+        flux = FluxSet(up=np.ones((3, 4)), down=np.ones((3, 4)), heat=np.zeros((3, 3)),
+                       direct_down=np.ones((3, 4)))
+        fluxes = tmp_path / "flux.jsonl"
+        write_fluxes(fluxes, ["a", "b", "c"], flux)
+        for reader, path in ((read_profiles, profiles), (read_fluxes, fluxes)):
+            lines = path.read_text().splitlines()
+            for key in [None] + list(json.loads(lines[1])):
+                for value in MALFORMED:
+                    record = value if key is None else {**json.loads(lines[1]), key: value}
+                    path.write_text("\n".join([lines[0], json.dumps(record), lines[2]]) + "\n")
+                    self._check(reader, path, f"{path}:record 2: ", (key, value))
+
+    def test_model_file(self, tmp_path, small_grid, consts):
+        path = tmp_path / "model.json"
+        save_model(path, TestModelFiles._model(small_grid), consts)
+        saved = json.loads(path.read_text())
+        paths = list(_model_paths(saved))
+        assert len(paths) == 38 and ("layers", 1) in paths  # the 36 fields and the 2 layers
+        for field_path in paths:
+            for value in MALFORMED:
+                obj = json.loads(json.dumps(saved))
+                parent = obj
+                for key in field_path[:-1]:
+                    parent = parent[key]
+                parent[field_path[-1]] = value
+                path.write_text(json.dumps(obj))
+                self._check(load_model, path, f"{path}: bad model file: ", (field_path, value))
+
+
+class TestIdRule:
+    @pytest.mark.parametrize("pid, text", [(float("nan"), "nan"), (float("inf"), "inf"), (-float("inf"), "-inf"),
+                                           (np.float64("nan"), r"np.float64\(nan\)")])
+    def test_non_finite_id_rejected_by_writers_and_readers(self, tmp_path, small_grid, pid, text):
+        flux = FluxSet(up=np.zeros((2, 3)), down=np.zeros((2, 3)), heat=np.zeros((2, 2)))
+        out = tmp_path / "out.jsonl"
+        with pytest.raises(DatasetError, match=rf"out.jsonl:record 2: id must be a string, a number or null, "
+                                               rf"got {text}$"):
+            write_fluxes(out, ["a", pid], flux)
+        batch = dataclasses.replace(ProfileBatch.from_profiles([make_profile(small_grid, seed=s) for s in range(2)]),
+                                    ids=["a", pid])
+        with pytest.raises(DatasetError, match=rf"out.jsonl:record 2: id must be a string, a number or null"):
+            write_profiles(out, batch)
+        assert list(tmp_path.iterdir()) == []
+        path = tmp_path / "flux.jsonl"
+        path.write_text("".join(json.dumps({"id": i, "up": [0.0] * 3, "down": [0.0] * 3, "heat": [0.0] * 2}) + "\n"
+                                for i in ["a", float(pid)]))
+        assert "NaN" in path.read_text() or "Infinity" in path.read_text()
+        with pytest.raises(DatasetError, match=rf"flux.jsonl:record 2: id must be a string, a number or null, "
+                                               rf"got {float(pid)!r}$"):
+            read_fluxes(path)
+
+    def test_ids_that_write_as_json_still_work(self, tmp_path):
+        ids = [np.float64(1.5), np.str_("b"), 7, 10 ** 30, -0.5, "", None]
+        n = len(ids)
+        flux = FluxSet(up=np.zeros((n, 3)), down=np.zeros((n, 3)), heat=np.zeros((n, 2)))
+        path = tmp_path / "flux.jsonl"
+        write_fluxes(path, ids, flux)
+
+        def constant(name):
+            raise AssertionError(f"{name} is not JSON")
+
+        assert [json.loads(line, parse_constant=constant)["id"] for line in path.read_text().splitlines()] == ids
+        assert read_fluxes(path)[0] == ids
