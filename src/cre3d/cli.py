@@ -290,7 +290,8 @@ def cmd_bench(args) -> int:
         "hardware": {"platform": platform.platform(), "machine": platform.machine(),
                      "cpu_count": os.cpu_count()},
         "threads": {"multi_thread": args.multi_thread,
-                    "env": {var: os.environ.get(var) for var in _BLAS_ENV}},
+                    "env": {var: os.environ.get(var) for var in _BLAS_ENV},
+                    "forward_workers": net.forward_workers(n)},
     }
     io.write_json(args.out, report)
     print(text)

@@ -29,7 +29,6 @@ import os
 import pickle
 import shutil
 import stat
-import threading
 from collections.abc import Sequence
 from typing import Callable, Iterable, List, NamedTuple, Optional, Tuple
 
@@ -48,7 +47,7 @@ from .column import (
     _as_level_array,
 )
 from .features import FeatureSchema, Normalization
-from .net import MlpModel
+from .net import MlpModel, usable_cpus
 
 MODEL_FORMAT_VERSION = 1
 # Fewest records per part of a JSON-Lines file: a fork, a pipe and a join
@@ -109,14 +108,10 @@ def write_json(path, obj, indent: Optional[int] = 2) -> None:
 
 
 def _n_parts(n_records: int) -> int:
-    """How many parts to split `n_records` records into: one per CPU this
-    process may run on, with at least PART_RECORDS records each. One where
-    the CPUs are unknown, or where the process runs other threads: a fork
-    copies only the calling thread, so a lock another thread holds would
-    stay held in the child."""
-    if not hasattr(os, "sched_getaffinity") or threading.active_count() > 1:
-        return 1
-    return max(1, min(len(os.sched_getaffinity(0)), n_records // PART_RECORDS))
+    """How many parts to split `n_records` records into: one per usable CPU
+    (`net.usable_cpus`, which is one while other threads run), with at least
+    PART_RECORDS records each."""
+    return max(1, min(usable_cpus(), n_records // PART_RECORDS))
 
 
 def _child(work: Callable, part, pipe_fd: int) -> None:
@@ -631,11 +626,26 @@ def model_from_json(obj: dict, path="<model>") -> Tuple[MlpModel, PhysConsts]:
             include_thickness=_field(s, "include_thickness", "a boolean", "schema.", False),
             p_hl_window=_field(s, "p_hl_window", "a list of numbers", "schema.", None),
         )
+        # fields the schema does not need, written for the file's readers: each must agree with it
+        for container, where, name, kind, want in (
+                (obj, "", "component", "a string", schema.component),
+                (s, "schema.", "input_len", "an integer", schema.input_len),
+                (s, "schema.", "output_len", "an integer", schema.output_len)):
+            got = _field(container, name, kind, where)
+            if got != want:
+                raise ValueError(f"{where}{name} is {got!r}, but the schema built from the file has {want!r}")
         weights, biases = [], []
         for k, layer in enumerate(_field(obj, "layers", "a list")):
             where = f"layers[{k}]."
             rows, cols = (_field(layer, name, "an integer", where) for name in ("rows", "cols"))
-            weights.append(_field(layer, "w_rowmajor", "a list of numbers", where).reshape(rows, cols))
+            for name, value in (("rows", rows), ("cols", cols)):
+                if value < 1:
+                    raise ValueError(f"{where}{name} must be at least 1, got {value}")
+            w = _field(layer, "w_rowmajor", "a list of numbers", where)
+            if rows * cols != w.size:
+                raise ValueError(f"{where}rows * {where}cols is {rows * cols}, "
+                                 f"but {where}w_rowmajor holds {w.size} numbers")
+            weights.append(w.reshape(rows, cols))
             biases.append(_field(layer, "b", "a list of numbers", where))
         norm_in, norm_out = (_normalization_from_json(obj, side) for side in ("in", "out"))
         model = MlpModel(weights=weights, biases=biases, schema=schema, norm_in=norm_in, norm_out=norm_out,

@@ -1,16 +1,20 @@
 """Framework-free multilayer perceptron for the two emulators.
 
 Batched forward pass with ELU hidden activations and a linear output
-(feature-major over blocks of ROW_CHUNK rows at inference, sample-major in
-training), reverse-mode gradients for MSE + L1/L2 weight regularization, Adam,
+(feature-major over blocks of ROW_CHUNK rows at inference, the blocks on one
+thread per CPU where the BLAS runs on one; sample-major in training),
+reverse-mode gradients for MSE + L1/L2 weight regularization, Adam,
 early-stopped training, a hyperparameter grid search, and the inference
 pipeline that turns profiles into extended 3D-effect targets.
 """
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
+import os
+import threading
 import time
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -177,14 +181,70 @@ def _forward(weights, biases, x: np.ndarray):
         inputs.append(h)
 
 
+def usable_cpus() -> int:
+    """How many workers this process may run at once: one per CPU in its
+    affinity mask. One where the mask is unknown (outside Linux), or while
+    the process runs other threads: they need CPU time of their own, and a
+    fork copies only the calling thread, so a lock another thread holds
+    would stay held in the child."""
+    if not hasattr(os, "sched_getaffinity") or threading.active_count() > 1:
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+# numpy's OpenBLAS takes its thread count from the first of these that is set.
+BLAS_THREAD_ENV = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def forward_workers(n_rows: int) -> int:
+    """How many threads `forward` runs `n_rows` rows on: one per usable CPU,
+    each with at least two ROW_CHUNK blocks. One unless the environment pins
+    the BLAS to one thread (the first of BLAS_THREAD_ENV that is set says
+    "1"): row workers beside a threaded BLAS were slower than one caller."""
+    most = -(-n_rows // ROW_CHUNK) // 2
+    if most < 2:  # the cheapest test first: a host model's small blocks end here
+        return 1
+    first = next((os.environ[var] for var in BLAS_THREAD_ENV if var in os.environ), None)
+    return min(usable_cpus(), most) if first == "1" else 1
+
+
+def _forward_blocks(model: MlpModel, x: np.ndarray, out: np.ndarray, starts: collections.deque,
+                    buffers: Tuple[np.ndarray, np.ndarray], errors: list) -> None:
+    """One worker of `forward`: pop block starts from `starts` (shared by the
+    workers; a deque pops atomically) until it pops None, run each block
+    through `buffers` and write its rows of `out`. An exception is appended
+    to `errors` and ends this worker."""
+    last = len(model.weights) - 1
+    try:
+        for s in iter(starts.popleft, None):
+            h = x[s:s + ROW_CHUNK].T
+            for k, (w, b) in enumerate(zip(model.weights, model.biases)):
+                # the first width * c elements, so a short last block stays C-contiguous
+                z = buffers[k % 2][:w.shape[0] * h.shape[1]].reshape(w.shape[0], h.shape[1])
+                np.matmul(w, h, out=z)
+                z += b[:, None]
+                h = z if k == last else elu(z, out=z)
+            out[s:s + ROW_CHUNK] = h.T
+    except BaseException as exc:  # noqa: BLE001 - `forward` re-raises it after joining every worker
+        errors.append(exc)
+
+
 def forward(model: MlpModel, batch) -> np.ndarray:
     """Deterministic batched forward pass.
 
     Feature-major over blocks of ROW_CHUNK rows: for h = x[s:s+c].T, each
-    layer is `w @ h` into a (width, c) buffer of this call, then `+= b[:, None]`
-    and ELU in place. Each block's output is copied back, transposed, into
+    layer is `w @ h` into a (width, c) buffer, then `+= b[:, None]` and ELU
+    in place, the layers alternating between two buffers of the largest
+    width. Each block's output is copied back, transposed, into its rows of
     one C-contiguous (n, out) matrix. A batch in another layout is read
     through a C-ordered copy, so its bits do not depend on the layout.
+
+    The blocks run on `forward_workers(n)` workers: the calling thread and
+    one started thread per further worker, each with its own two buffers,
+    taking whole blocks in turn. Every worker is joined before this returns
+    or raises the first exception a worker raised. A block's operations do
+    not depend on the worker that runs it, so the bits do not depend on the
+    worker count.
 
     The same rows in the same block sizes give the same bits, but a row's
     bits may depend on the size of its block: the BLAS GEMM can take the
@@ -201,17 +261,24 @@ def forward(model: MlpModel, batch) -> np.ndarray:
         raise ValueError("batch contains non-finite values")
     n = x.shape[0]
     out = np.empty((n, model.output_len))
-    store = [np.empty(w.shape[0] * min(ROW_CHUNK, n)) for w in model.weights]
-    last = len(model.weights) - 1
-    for s in range(0, n, ROW_CHUNK):
-        h = x[s:s + ROW_CHUNK].T
-        for k, (w, b) in enumerate(zip(model.weights, model.biases)):
-            # the first width * c elements, so a short last block stays C-contiguous
-            z = store[k][:w.shape[0] * h.shape[1]].reshape(w.shape[0], h.shape[1])
-            np.matmul(w, h, out=z)
-            z += b[:, None]
-            h = z if k == last else elu(z, out=z)
-        out[s:s + ROW_CHUNK] = h.T
+    k = forward_workers(n)
+    size = max(w.shape[0] for w in model.weights) * min(ROW_CHUNK, n)
+    buffers = [(np.empty(size), np.empty(size)) for _ in range(k)]
+    # each worker stops at the first None it pops, after every block is taken
+    starts = collections.deque([*range(0, n, ROW_CHUNK), *[None] * k])
+    errors: list = []
+    started = []
+    try:
+        for pair in buffers[1:]:
+            t = threading.Thread(target=_forward_blocks, args=(model, x, out, starts, pair, errors))
+            t.start()
+            started.append(t)
+        _forward_blocks(model, x, out, starts, buffers[0], errors)
+    finally:
+        for t in started:
+            t.join()
+    if errors:
+        raise errors[0]
     return out
 
 

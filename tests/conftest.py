@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,19 @@ def consts():
 @pytest.fixture(scope="session")
 def ref_grid():
     return make_reference_grid()
+
+
+@pytest.fixture
+def started(monkeypatch):
+    """The threads started while the test runs."""
+    threads = []
+
+    class Counted(threading.Thread):
+        def start(self):
+            threads.append(self)
+            super().start()
+    monkeypatch.setattr(threading, "Thread", Counted)
+    return threads
 
 
 @pytest.fixture

@@ -3,6 +3,7 @@ import os
 import statistics
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -382,6 +383,40 @@ class TestEndToEnd:
             np.testing.assert_array_equal(w1, w2)
 
 
+class TestForkAfterParallelForward:
+    def test_predict_joins_forward_workers_before_the_writer_forks(self, pipeline, blas_env, started, tmp_path,
+                                                                    capsys):
+        # 60 profiles in blocks of 8 rows: forward runs 8 blocks on 2 workers per
+        # component, then each writer forks a second part. Under -W
+        # "error:This process:DeprecationWarning" (Python 3.12+), a fork while
+        # a worker thread runs fails the command.
+        blas_env.setattr(net, "ROW_CHUNK", 8)
+        blas_env.setattr(io, "PART_RECORDS", 10)
+        blas_env.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        threads_at_fork, fork = [], os.fork
+
+        def counted_fork():
+            threads_at_fork.append(threading.active_count())
+            return fork()
+        blas_env.setattr(os, "fork", counted_fork)
+        written = {}
+        for pinned in (False, True):
+            if pinned:
+                for var in cli._BLAS_ENV:
+                    blas_env.setenv(var, "1")
+            out = {comp: tmp_path / f"{comp}_{pinned}.jsonl" for comp in ("lw", "sw")}
+            code, _, err = run(["predict", "--profiles", pipeline / "profiles.jsonl",
+                                "--model-lw", pipeline / "model_lw.json", "--model-sw", pipeline / "model_sw.json",
+                                "--out-lw", out["lw"], "--out-sw", out["sw"]], capsys)
+            assert code == 0, err
+            written[pinned] = [out[comp].read_bytes() for comp in ("lw", "sw")]
+            assert len(started) == (2 if pinned else 0)
+        assert written[True] == written[False]
+        # each run: one fork to read the profiles and one per written file
+        assert threads_at_fork == [1] * 6
+        assert not any(t.is_alive() for t in started)
+
+
 def run_bench(pipeline, capsys, out, *flags):
     return run(["bench", "--profiles", pipeline / "profiles.jsonl",
                 "--model-lw", pipeline / "model_lw.json", "--model-sw", pipeline / "model_sw.json",
@@ -443,6 +478,15 @@ class TestBench:
                 profiles.alpha, profiles.mu0)
         for got, want in zip(calls[0][2:6], rows):
             np.testing.assert_array_equal(got, np.concatenate([want] * 3))
+
+    @pytest.mark.parametrize("flags, workers", [(["--replication", 1], 1), (["--replication", 70], 2),
+                                                (["--replication", 70, "--multi-thread"], 1)])
+    def test_forward_workers_recorded(self, pipeline, blas_env, tmp_path, capsys, flags, workers):
+        # 70 copies of 60 profiles are 5 blocks: two workers on 2 CPUs where
+        # bench pins the BLAS to one thread, one where the BLAS is not pinned
+        blas_env.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        report, _ = self.report(pipeline, capsys, tmp_path / "bench.json", *flags)
+        assert report["threads"]["forward_workers"] == workers
 
     def rejected(self, pipeline, capsys, tmp_path, *flags):
         code, _, err = run_bench(pipeline, capsys, tmp_path / "bench.json", *flags)

@@ -1095,9 +1095,29 @@ class TestModelFiles:
             r"schema\.include_humidity must be a boolean, got 'no'"),
     }
 
-    @pytest.mark.parametrize("case", list(WRONG_TYPES))
-    def test_wrong_json_type_rejected(self, tmp_path, small_grid, consts, case):
-        edit, message = self.WRONG_TYPES[case]
+    # one edit per case of a value of the right JSON type that does not fit
+    # the rest of the file; the small model's layers are 5 x 19 and 13 x 5
+    DISAGREEING = {
+        "rows_minus_one": (lambda o: o["layers"][0].update(rows=-1), r"layers\[0\]\.rows must be at least 1, got -1"),
+        "cols_minus_one": (lambda o: o["layers"][1].update(cols=-1), r"layers\[1\]\.cols must be at least 1, got -1"),
+        "rows_zero": (lambda o: o["layers"][1].update(rows=0), r"layers\[1\]\.rows must be at least 1, got 0"),
+        "cols_zero": (lambda o: o["layers"][0].update(cols=0), r"layers\[0\]\.cols must be at least 1, got 0"),
+        "rows_times_cols_above_length": (
+            lambda o: o["layers"][0].update(rows=6),
+            r"layers\[0\]\.rows \* layers\[0\]\.cols is 114, but layers\[0\]\.w_rowmajor holds 95 numbers"),
+        "rows_times_cols_below_length": (
+            lambda o: o["layers"][1].update(cols=4),
+            r"layers\[1\]\.rows \* layers\[1\]\.cols is 52, but layers\[1\]\.w_rowmajor holds 65 numbers"),
+        "component": (lambda o: o.update(component="sw"),
+                      r"component is 'sw', but the schema built from the file has 'lw'"),
+        "input_len": (lambda o: o["schema"].update(input_len=20),
+                      r"schema\.input_len is 20, but the schema built from the file has 19"),
+        "output_len": (lambda o: o["schema"].update(output_len=1),
+                       r"schema\.output_len is 1, but the schema built from the file has 13"),
+        "no_component": (lambda o: o.pop("component"), r"missing field 'component'"),
+    }
+
+    def _rejected(self, tmp_path, small_grid, consts, edit, message):
         path = tmp_path / "model.json"
         save_model(path, self._model(small_grid), consts)
         obj = json.loads(path.read_text())
@@ -1105,6 +1125,14 @@ class TestModelFiles:
         path.write_text(json.dumps(obj))
         with pytest.raises(DatasetError, match=rf"model\.json: bad model file: {message}$"):
             load_model(path)
+
+    @pytest.mark.parametrize("case", list(WRONG_TYPES))
+    def test_wrong_json_type_rejected(self, tmp_path, small_grid, consts, case):
+        self._rejected(tmp_path, small_grid, consts, *self.WRONG_TYPES[case])
+
+    @pytest.mark.parametrize("case", list(DISAGREEING))
+    def test_value_disagreeing_with_the_file_rejected(self, tmp_path, small_grid, consts, case):
+        self._rejected(tmp_path, small_grid, consts, *self.DISAGREEING[case])
 
     def test_constants_round_trip_non_default(self, tmp_path, small_grid):
         model = self._model(small_grid)

@@ -1,6 +1,9 @@
 import dataclasses
 import hashlib
 import math
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -306,6 +309,105 @@ class TestChunkedForward:
 
     def test_empty_batch(self):
         assert forward(kernel_model([40, 30, 45], seed=2), np.zeros((0, 40))).shape == (0, 45)
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Pins the BLAS to one thread through OPENBLAS_NUM_THREADS and returns a
+    function that sets how many CPUs the process may run on."""
+    for var in net.BLAS_THREAD_ENV:
+        monkeypatch.delenv(var, raising=False)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+
+    def use(count):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+    return use
+
+
+class TestParallelForward:
+    """forward runs its blocks on one thread per CPU where the BLAS is pinned
+    to one thread, with every bit of the one-worker pass."""
+
+    SIZES = [40, 30, 50, 30, 45]  # unequal widths: both buffers hold the largest
+
+    @pytest.mark.parametrize("rows", [1, ROW_CHUNK - 1, ROW_CHUNK, 4 * ROW_CHUNK + 5, 7 * ROW_CHUNK + 3])
+    def test_bits_do_not_depend_on_the_worker_count(self, cpus, started, rows):
+        model = kernel_model(self.SIZES, seed=rows)
+        x = kernel_batch(rows, self.SIZES[0], seed=rows)
+        expected = bits(feature_major_layers(model, x))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often: a block lost or run twice shows
+        try:
+            for count in (1, 2, 3):
+                cpus(count)
+                del started[:]
+                for given in (x, np.asfortranarray(x)):
+                    assert np.array_equal(bits(forward(model, given)), expected), (count, given.flags)
+                assert len(started) == 2 * (net.forward_workers(rows) - 1)
+                assert not any(t.is_alive() for t in started)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_each_worker_has_two_blocks(self, cpus):
+        cpus(3)
+        for rows, k in ((0, 1), (2 * ROW_CHUNK, 1), (2 * ROW_CHUNK + 1, 1), (4 * ROW_CHUNK, 2),
+                        (5 * ROW_CHUNK, 2), (5 * ROW_CHUNK + 1, 3), (100 * ROW_CHUNK, 3)):
+            assert net.forward_workers(rows) == k, rows
+
+    @pytest.mark.parametrize("where", ["started thread", "calling thread"])
+    def test_worker_error_reaches_the_caller_after_every_join(self, cpus, monkeypatch, where):
+        cpus(3)
+        model = kernel_model(self.SIZES, seed=0)
+        x = kernel_batch(7 * ROW_CHUNK, self.SIZES[0], seed=0)
+        main = threading.main_thread()
+
+        def failing(z, out=None):
+            if (threading.current_thread() is main) == (where == "calling thread"):
+                raise FloatingPointError(f"elu failed in the {where}")
+            return elu(z, out=out)
+        monkeypatch.setattr(net, "elu", failing)
+        before = threading.active_count()
+        with pytest.raises(FloatingPointError, match=f"elu failed in the {where}"):
+            forward(model, x)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("env", [{}, {"OPENBLAS_NUM_THREADS": "2"}, {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"},
+                                     {"GOTO_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}, {"OMP_NUM_THREADS": "2"}])
+    def test_no_thread_unless_the_blas_is_pinned_to_one(self, cpus, monkeypatch, env):
+        cpus(4)
+        model = kernel_model(self.SIZES, seed=1)
+        x = kernel_batch(8 * ROW_CHUNK, self.SIZES[0], seed=1)
+        expected = bits(forward(model, x))
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+
+        def no_thread(*args, **kwargs):
+            raise AssertionError("forward started a thread")
+        monkeypatch.setattr(threading, "Thread", no_thread)
+        assert net.forward_workers(len(x)) == 1
+        assert np.array_equal(bits(forward(model, x)), expected)
+
+    @pytest.mark.parametrize("env", [{"GOTO_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}, {"OMP_NUM_THREADS": "1"}])
+    def test_first_blas_variable_set_decides(self, cpus, monkeypatch, env):
+        cpus(2)
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        assert net.forward_workers(4 * ROW_CHUNK) == 2
+
+    def test_one_worker_while_other_threads_run(self, cpus):
+        cpus(2)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait, args=(10,))
+        other.start()
+        try:
+            assert net.forward_workers(8 * ROW_CHUNK) == 1
+        finally:
+            release.set()
+            other.join(10)
+        assert not other.is_alive()
+        assert net.forward_workers(8 * ROW_CHUNK) == 2
 
 
 class TestInputsNotMutated:
