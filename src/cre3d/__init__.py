@@ -2,8 +2,8 @@
 energy-consistent flux reconstruction.
 
 The names below are imported from their modules on first use (PEP 562),
-so `import cre3d.cli` does not load numpy: `cre3d bench` must set the
-BLAS thread variables before numpy starts.
+so `import cre3d.cli` sets the BLAS thread variables before it loads
+numpy: the BLAS reads them once, as numpy starts.
 """
 
 from importlib import import_module

@@ -1,8 +1,9 @@
 """Command-line surface for the 3D cloud-effect emulation pipeline.
 
 Subcommands: synth, augment, train, grid-search, predict, correct, eval,
-bench. Heavy imports are deferred so `bench` can pin BLAS thread counts
-before numpy is loaded.
+bench. Importing this module pins numpy's BLAS to one thread, where the
+environment sets no count of its own, before numpy loads: a command then
+runs one OS thread, so `net` and `io` may run one worker per CPU.
 """
 
 from __future__ import annotations
@@ -12,29 +13,36 @@ import dataclasses
 import inspect
 import os
 import platform
+import statistics
 import sys
+import time
 
-INPUT_VARIANTS = {6: (False, False), 7: (True, False), 8: (True, True)}
 _BLAS_ENV = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
              "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
+for var in _BLAS_ENV:
+    os.environ.setdefault(var, "1")
+del var
+
+import numpy as np  # noqa: E402  (after the pin: the BLAS reads it as numpy loads)
+
+from . import augment, column, evalbench, features, io, net  # noqa: E402
+
+INPUT_VARIANTS = {6: (False, False), 7: (True, False), 8: (True, True)}
 
 
 def _split_indices(n: int, seed: int):
-    """Seeded, disjoint 60/20/20 split by profile index."""
-    import numpy as np
-
+    """Seeded, disjoint split by profile index: the train, validation and
+    test fractions, and the indices of each."""
+    fractions = (0.6, 0.2, 0.2)
     order = np.random.default_rng(seed).permutation(n)
-    n_train = int(round(0.6 * n))
-    n_val = int(round(0.2 * n))
-    return order[:n_train], order[n_train:n_train + n_val], order[n_train + n_val:]
+    n_train, n_val = (int(round(f * n)) for f in fractions[:2])
+    return fractions, (order[:n_train], order[n_train:n_train + n_val], order[n_train + n_val:])
 
 
 def _fluxes_for(path, ids, ids_path, n_hl: int, what: str = "record"):
     """One FluxSet of the rows of flux file `path` for `ids` (read from
     `ids_path`, whose grid has `n_hl` half levels), in that order; the file
     must be on that grid, and every id must be non-null and have a record."""
-    from . import column, io
-
     file_ids, flux = io.read_fluxes(path)
     if flux.up.shape[-1] != n_hl:
         raise io.DatasetError(path, None, f"records have {flux.up.shape[-1]} half levels, "
@@ -53,8 +61,6 @@ def _training_set(profiles, truth, component: str, split, variant: int, consts):
     """The schema, `norm_in` and a GridDataset (normalized train and validation
     rows, `norm_out`) of input `variant` for id-matched profiles and truth;
     the statistics come from the train rows of `split`."""
-    from . import features, net
-
     with_q, with_dz = INPUT_VARIANTS[variant]
     schema = features.schema_for_grid(component, profiles.grid, consts.p_trunc, with_q, with_dz)
     x = features.build_input_matrix(profiles, schema, consts)
@@ -73,8 +79,6 @@ def _training_set(profiles, truth, component: str, split, variant: int, consts):
 
 def _model_pair(path_lw: str, path_sw: str):
     """The LW and SW models and the physical constants both files must share."""
-    from . import io
-
     model_lw, consts = io.load_model(path_lw)
     model_sw, consts_sw = io.load_model(path_sw)
     if consts_sw != consts:
@@ -88,10 +92,6 @@ def _default(target, name: str):
 
 
 def cmd_synth(args) -> int:
-    import numpy as np
-
-    from . import augment, column, io
-
     if args.levels is not None and args.levels < 1:
         raise ValueError(f"--levels {args.levels} is below 1")
     params = augment.ToyTruthParams(amp_lw=args.amp_lw, amp_sw=args.amp_sw, decay=args.decay)
@@ -110,8 +110,6 @@ def cmd_synth(args) -> int:
 
 
 def cmd_augment(args) -> int:
-    from . import augment, io
-
     profiles = io.read_profiles(args.input)
     enlarged = augment.augment_scalars(profiles, args.copies, args.seed)
     io.write_profiles(args.out, enlarged)
@@ -120,23 +118,20 @@ def cmd_augment(args) -> int:
 
 
 def _train_config(args):
-    from .net import TrainConfig
-
-    patience = min(TrainConfig.patience, args.max_epochs - 1) if args.patience is None else args.patience
-    return TrainConfig(max_epochs=args.max_epochs, patience=patience,
-                       l1=args.l1, l2=args.l2, learning_rate=args.learning_rate,
-                       batch_size=args.batch_size, seed=args.seed)
+    patience = min(net.TrainConfig.patience, args.max_epochs - 1) if args.patience is None else args.patience
+    return net.TrainConfig(max_epochs=args.max_epochs, patience=patience,
+                           l1=args.l1, l2=args.l2, learning_rate=args.learning_rate,
+                           batch_size=args.batch_size, seed=args.seed)
 
 
 def cmd_train(args) -> int:
-    from . import column, io, net
-
     if args.hidden_layers < 0:
         raise ValueError(f"--hidden-layers {args.hidden_layers} is below 0")
     consts = column.PhysConsts()
     profiles = io.read_profiles(args.profiles)
     truth = _fluxes_for(args.truth, profiles.ids, args.profiles, profiles.grid.n_hl, "truth record")
-    idx_train, idx_val, idx_test = split = _split_indices(len(profiles), args.seed)
+    fractions, split = _split_indices(len(profiles), args.seed)
+    idx_train, idx_val, idx_test = split
     schema, norm_in, data = _training_set(profiles, truth, args.component, split, 6, consts)
 
     width = net.REFERENCE_HIDDEN_WIDTH[args.component] if args.hidden_width is None else args.hidden_width
@@ -148,7 +143,7 @@ def cmd_train(args) -> int:
     model, _ = net.train(model0, data.x_train, data.y_train, data.x_val, data.y_val, cfg)
     model.meta.update({
         "config": {name: value for name, value in dataclasses.asdict(cfg).items() if name != "seed"},
-        "split": {"seed": args.seed, "fractions": [0.6, 0.2, 0.2],
+        "split": {"seed": args.seed, "fractions": list(fractions),
                   "train_ids": [profiles.ids[i] for i in idx_train],
                   "val_ids": [profiles.ids[i] for i in idx_val],
                   "test_ids": [profiles.ids[i] for i in idx_test]},
@@ -160,12 +155,10 @@ def cmd_train(args) -> int:
 
 
 def cmd_grid_search(args) -> int:
-    from . import column, io, net
-
     consts = column.PhysConsts()
     profiles = io.read_profiles(args.profiles)
     truth = _fluxes_for(args.truth, profiles.ids, args.profiles, profiles.grid.n_hl, "truth record")
-    split = _split_indices(len(profiles), args.seed)
+    _, split = _split_indices(len(profiles), args.seed)
     datasets = {variant: _training_set(profiles, truth, args.component, split, variant, consts)[2]
                 for variant in args.variants}
     spec = net.GridSearchSpec(
@@ -192,8 +185,6 @@ def cmd_grid_search(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    from . import column, io, net
-
     model_lw, model_sw, consts = _model_pair(args.model_lw, args.model_sw)
     profiles = io.read_profiles(args.profiles)
     fluxes = {}
@@ -210,8 +201,6 @@ def cmd_predict(args) -> int:
 
 
 def cmd_correct(args) -> int:
-    from . import column, io
-
     profiles = io.read_profiles(args.profiles)
     consts = column.PhysConsts()
     baseline = _fluxes_for(args.baseline, profiles.ids, args.profiles, profiles.grid.n_hl)
@@ -223,9 +212,6 @@ def cmd_correct(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    from . import evalbench, io
-    from .column import SECONDS_PER_DAY
-
     ids, truth = io.read_fluxes(args.truth)
     pred = _fluxes_for(args.pred, ids, args.truth, truth.up.shape[-1], "prediction")
     report = {"note": "bulk statistics pool all levels of the full extended profiles",
@@ -236,7 +222,7 @@ def cmd_eval(args) -> int:
     report["fluxes"]["up_toa"] = evalbench.bulk_stats(truth.up[:, 0], pred.up[:, 0])
     report["fluxes"]["down_boa"] = evalbench.bulk_stats(truth.down[:, -1], pred.down[:, -1])
     report["heating"]["heat_K_per_day"] = evalbench.bulk_stats(
-        truth.heat * SECONDS_PER_DAY, pred.heat * SECONDS_PER_DAY)
+        truth.heat * column.SECONDS_PER_DAY, pred.heat * column.SECONDS_PER_DAY)
 
     io.write_json(args.out, report)
     if args.per_level:
@@ -252,13 +238,6 @@ def cmd_eval(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    import statistics
-    import time
-
-    import numpy as np
-
-    from . import features, io, net
-
     if args.replication < 1:
         raise ValueError("--replication must be >= 1")
     if args.repeats < 3:
@@ -269,6 +248,7 @@ def cmd_bench(args) -> int:
     x_lw, x_sw = features.build_input_matrix(profiles, (model_lw.schema, model_sw.schema), consts)
     batch = [np.concatenate([a] * args.replication) for a in (x_lw, x_sw, profiles.alpha, profiles.mu0)]
     n = len(batch[0])
+    workers = net.forward_workers(n)  # before the repeats, whose workers may still be exiting
     total_s, stage_s = [], []
     for _ in range(args.repeats):
         t0 = time.perf_counter()
@@ -289,9 +269,8 @@ def cmd_bench(args) -> int:
         "repeats": args.repeats,
         "hardware": {"platform": platform.platform(), "machine": platform.machine(),
                      "cpu_count": os.cpu_count()},
-        "threads": {"multi_thread": args.multi_thread,
-                    "env": {var: os.environ.get(var) for var in _BLAS_ENV},
-                    "forward_workers": net.forward_workers(n)},
+        "threads": {"env": {var: os.environ.get(var) for var in _BLAS_ENV},
+                    "forward_workers": workers},
     }
     io.write_json(args.out, report)
     print(text)
@@ -299,9 +278,6 @@ def cmd_bench(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    # Most flag defaults are the library's; this loads numpy, so `main` pins threads first.
-    from . import augment, net
-
     parser = argparse.ArgumentParser(prog="cre3d",
                                      description="3D cloud radiative effect emulation pipeline")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -396,28 +372,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--replication", type=int, default=10,
                    help="copies of the profile set in the timed batch (default: 10)")
     p.add_argument("--repeats", type=int, default=3, help="timed repeats, at least 3 (default: 3)")
-    p.add_argument("--multi-thread", action="store_true",
-                   help="allow multi-threaded BLAS (default: single-threaded)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_bench)
 
     return parser
 
 
-def _pin_threads(argv) -> None:
-    # Must precede numpy's first import; only the subcommand (first non-option) counts.
-    # With --multi-thread the environment's own BLAS variables decide.
-    if next((a for a in argv if not a.startswith("-")), None) != "bench" or "--multi-thread" in argv:
-        return
-    for var in _BLAS_ENV:
-        os.environ.setdefault(var, "1")
-
-
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    _pin_threads(argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except Exception as exc:  # noqa: BLE001 - single-line machine-parsable errors

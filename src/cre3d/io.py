@@ -109,8 +109,8 @@ def write_json(path, obj, indent: Optional[int] = 2) -> None:
 
 def _n_parts(n_records: int) -> int:
     """How many parts to split `n_records` records into: one per usable CPU
-    (`net.usable_cpus`, which is one while other threads run), with at least
-    PART_RECORDS records each."""
+    (`net.usable_cpus`, which is one while the process runs another OS
+    thread), with at least PART_RECORDS records each."""
     return max(1, min(usable_cpus(), n_records // PART_RECORDS))
 
 
@@ -141,7 +141,12 @@ def _in_parts(path, work: Callable, parts: Sequence) -> list:
     try:
         for part in parts[1:]:
             read_fd, write_fd = os.pipe()
-            pid = os.fork()
+            try:
+                pid = os.fork()
+            except BaseException:  # e.g. EAGAIN: this pipe is not in `children` yet
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
             if pid == 0:
                 os.close(read_fd)
                 _child(work, part, write_fd)

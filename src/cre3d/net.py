@@ -2,8 +2,8 @@
 
 Batched forward pass with ELU hidden activations and a linear output
 (feature-major over blocks of ROW_CHUNK rows at inference, the blocks on one
-thread per CPU where the BLAS runs on one; sample-major in training),
-reverse-mode gradients for MSE + L1/L2 weight regularization, Adam,
+thread per CPU while the process runs no other thread; sample-major in
+training), reverse-mode gradients for MSE + L1/L2 weight regularization, Adam,
 early-stopped training, a hyperparameter grid search, and the inference
 pipeline that turns profiles into extended 3D-effect targets.
 """
@@ -183,29 +183,26 @@ def _forward(weights, biases, x: np.ndarray):
 
 def usable_cpus() -> int:
     """How many workers this process may run at once: one per CPU in its
-    affinity mask. One where the mask is unknown (outside Linux), or while
-    the process runs other threads: they need CPU time of their own, and a
-    fork copies only the calling thread, so a lock another thread holds
-    would stay held in the child."""
-    if not hasattr(os, "sched_getaffinity") or threading.active_count() > 1:
+    affinity mask while it runs one OS thread (`/proc/self/task`). One
+    where either is unknown (outside Linux), or while other OS threads run,
+    whoever started them (a BLAS thread pool, a host model, a worker that
+    is still exiting): they need CPU time of their own, and a fork copies
+    only the calling thread, so a lock another thread holds would stay held
+    in the child."""
+    try:
+        alone = len(os.listdir("/proc/self/task")) == 1
+    except OSError:  # no /proc/self/task: not Linux
         return 1
-    return len(os.sched_getaffinity(0))
-
-
-# numpy's OpenBLAS takes its thread count from the first of these that is set.
-BLAS_THREAD_ENV = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+    return len(os.sched_getaffinity(0)) if alone else 1
 
 
 def forward_workers(n_rows: int) -> int:
-    """How many threads `forward` runs `n_rows` rows on: one per usable CPU,
-    each with at least two ROW_CHUNK blocks. One unless the environment pins
-    the BLAS to one thread (the first of BLAS_THREAD_ENV that is set says
-    "1"): row workers beside a threaded BLAS were slower than one caller."""
+    """How many threads `forward` runs `n_rows` rows on: one per usable CPU
+    (`usable_cpus`), each with at least two ROW_CHUNK blocks."""
     most = -(-n_rows // ROW_CHUNK) // 2
-    if most < 2:  # the cheapest test first: a host model's small blocks end here
+    if most < 2:  # the cheapest test first: a host model's small blocks never read /proc
         return 1
-    first = next((os.environ[var] for var in BLAS_THREAD_ENV if var in os.environ), None)
-    return min(usable_cpus(), most) if first == "1" else 1
+    return min(usable_cpus(), most)
 
 
 def _forward_blocks(model: MlpModel, x: np.ndarray, out: np.ndarray, starts: collections.deque,

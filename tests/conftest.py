@@ -1,4 +1,13 @@
+# Importing the CLI pins the BLAS to one thread before numpy first loads,
+# as the `cre3d` command runs: the session then runs one OS thread, so io
+# forks its parts and net starts its row workers here too.
+import cre3d.cli  # noqa: F401, I001  (first: numpy must not load before it)
+
+import os
+import subprocess
+import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -28,6 +37,39 @@ def started(monkeypatch):
             super().start()
     monkeypatch.setattr(threading, "Thread", Counted)
     return threads
+
+
+def os_threads() -> int:
+    """How many OS threads this process lists."""
+    return len(os.listdir("/proc/self/task"))
+
+
+def settle(timeout: float = 2.0) -> int:
+    """Wait until this process lists one OS thread, or `timeout` seconds: a
+    joined thread's OS thread can stay listed for a few ms. The count."""
+    end = time.monotonic() + timeout
+    while os_threads() > 1 and time.monotonic() < end:
+        time.sleep(0.001)
+    return os_threads()
+
+
+def run_python(code: str, env=None, *args) -> None:
+    """Run `code` with `args` in a new Python that imports cre3d from this
+    checkout and sets the BLAS thread variables of `env` and no others;
+    fails on its error."""
+    full = {var: value for var, value in os.environ.items() if not var.endswith("_THREADS")}
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cre3d.cli.__file__)))
+    full.update(env or {}, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code, *map(str, args)], env=full,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+
+
+@pytest.fixture(autouse=True)
+def _one_os_thread():
+    """Each test starts once the threads of the one before have left
+    `/proc/self/task`, so its forks and row workers do not depend on them."""
+    settle(0.1)
 
 
 @pytest.fixture

@@ -69,7 +69,7 @@ def random_consistent_effects(seed: int, component: str = "lw", alpha: float = 0
 def trained():
     t0 = time.monotonic()
     profiles = generate_profiles(2000, GRID, seed=42)
-    idx_train, idx_val, idx_test = _split_indices(2000, seed=42)
+    _, (idx_train, idx_val, idx_test) = _split_indices(2000, seed=42)
     truth = toy_truth(profiles, CONSTS)
 
     models = {}

@@ -1,16 +1,15 @@
 import json
 import os
 import statistics
-import subprocess
-import sys
 import threading
 
 import numpy as np
 import pytest
 
-import cre3d
 from cre3d import cli, features, io, net
 from cre3d.column import FluxSet
+
+from conftest import os_threads, run_python, settle
 
 
 def run(argv, capsys):
@@ -210,17 +209,6 @@ class TestErrorReporting:
         assert err.startswith("error: FileNotFoundError:")
 
 
-@pytest.fixture
-def blas_env(monkeypatch):
-    """The BLAS thread variables unset, and restored after the test: `bench`
-    run in this process sets them. setenv first, so that the undo also
-    removes a variable that was unset before."""
-    for var in cli._BLAS_ENV:
-        monkeypatch.setenv(var, "")
-        monkeypatch.delenv(var)
-    return monkeypatch
-
-
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
     """One small synth -> train (both components) -> predict run, shared
@@ -335,7 +323,7 @@ class TestEndToEnd:
         assert len(levels["up"]["error"]["mean"]) == n_hl
         assert len(levels["up"]["signal"]["q90"]) == 2
 
-    def test_bench_report(self, pipeline, blas_env, capsys):
+    def test_bench_report(self, pipeline, capsys):
         out = pipeline / "bench.json"
         code, stdout, err = run(["bench", "--profiles", pipeline / "profiles.jsonl",
                                  "--model-lw", pipeline / "model_lw.json",
@@ -352,7 +340,7 @@ class TestEndToEnd:
         assert "ms per profile" in stdout
 
     @pytest.mark.parametrize("command", ["predict", "bench"])
-    def test_model_pair_with_other_constants_rejected(self, pipeline, blas_env, tmp_path,
+    def test_model_pair_with_other_constants_rejected(self, pipeline, tmp_path,
                                                       capsys, command):
         model = json.loads((pipeline / "model_sw.json").read_text())
         model["constants"]["g"] = 9.7
@@ -384,36 +372,36 @@ class TestEndToEnd:
 
 
 class TestForkAfterParallelForward:
-    def test_predict_joins_forward_workers_before_the_writer_forks(self, pipeline, blas_env, started, tmp_path,
+    def test_predict_joins_forward_workers_before_the_writer_forks(self, pipeline, monkeypatch, started, tmp_path,
                                                                     capsys):
-        # 60 profiles in blocks of 8 rows: forward runs 8 blocks on 2 workers per
-        # component, then each writer forks a second part. Under -W
-        # "error:This process:DeprecationWarning" (Python 3.12+), a fork while
-        # a worker thread runs fails the command.
-        blas_env.setattr(net, "ROW_CHUNK", 8)
-        blas_env.setattr(io, "PART_RECORDS", 10)
-        blas_env.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        # 60 profiles in blocks of 8 rows: forward runs 8 blocks on up to 2
+        # workers per component, and each file is read or written in parts of
+        # at least 10 records. A joined worker's OS thread can stay listed for a
+        # few ms, so SW's forward or a writer may find it and run alone; no
+        # fork may happen beside it. Under -W "error:This process:DeprecationWarning"
+        # (Python 3.12+), such a fork fails the command.
+        monkeypatch.setattr(net, "ROW_CHUNK", 8)
+        monkeypatch.setattr(io, "PART_RECORDS", 10)
         threads_at_fork, fork = [], os.fork
 
         def counted_fork():
-            threads_at_fork.append(threading.active_count())
+            threads_at_fork.append(os_threads())
             return fork()
-        blas_env.setattr(os, "fork", counted_fork)
-        written = {}
-        for pinned in (False, True):
-            if pinned:
-                for var in cli._BLAS_ENV:
-                    blas_env.setenv(var, "1")
-            out = {comp: tmp_path / f"{comp}_{pinned}.jsonl" for comp in ("lw", "sw")}
+        monkeypatch.setattr(os, "fork", counted_fork)
+        written = []
+        for run_no, cpus in enumerate([1] + [2] * 5):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)), raising=False)
+            settle()
+            out = {comp: tmp_path / f"{comp}_{run_no}.jsonl" for comp in ("lw", "sw")}
             code, _, err = run(["predict", "--profiles", pipeline / "profiles.jsonl",
                                 "--model-lw", pipeline / "model_lw.json", "--model-sw", pipeline / "model_sw.json",
                                 "--out-lw", out["lw"], "--out-sw", out["sw"]], capsys)
             assert code == 0, err
-            written[pinned] = [out[comp].read_bytes() for comp in ("lw", "sw")]
-            assert len(started) == (2 if pinned else 0)
-        assert written[True] == written[False]
-        # each run: one fork to read the profiles and one per written file
-        assert threads_at_fork == [1] * 6
+            written.append([out[comp].read_bytes() for comp in ("lw", "sw")])
+        assert written[1:] == written[:1] * 5
+        # on 2 CPUs, each run reads the profiles in 2 parts and LW's forward starts a worker
+        assert len(threads_at_fork) >= 5 and len(started) >= 5
+        assert threads_at_fork == [1] * len(threads_at_fork)
         assert not any(t.is_alive() for t in started)
 
 
@@ -432,14 +420,14 @@ class TestBench:
         assert code == 0, err
         return json.loads(out.read_text()), stdout
 
-    def test_replication_and_timing(self, pipeline, blas_env, tmp_path, capsys):
+    def test_replication_and_timing(self, pipeline, tmp_path, capsys):
         report, _ = self.report(pipeline, capsys, tmp_path / "bench.json", "--replication", 4)
         assert report["n_profiles"] == 4 * len(io.read_profiles(pipeline / "profiles.jsonl"))
         assert report["replication"] == 4
         assert report["repeats"] == 3 == len(report["ms_per_profile_repeats"])
         assert report["ms_per_profile_mean"] > 0.0
 
-    def test_stage_dict_recorded(self, pipeline, blas_env, tmp_path, capsys):
+    def test_stage_dict_recorded(self, pipeline, tmp_path, capsys):
         report, _ = self.report(pipeline, capsys, tmp_path / "bench.json", "--replication", 2)
         stages = report["stage_ms_per_profile"]
         assert tuple(stages) == net.STAGES
@@ -447,20 +435,20 @@ class TestBench:
         # the stages run inside each timed repeat
         assert sum(stages.values()) <= report["ms_per_profile_mean"]
 
-    def test_format_string(self, pipeline, blas_env, tmp_path, capsys):
+    def test_format_string(self, pipeline, tmp_path, capsys):
         report, stdout = self.report(pipeline, capsys, tmp_path / "bench.json", "--replication", 2)
         mean, std = report["ms_per_profile_mean"], report["ms_per_profile_std"]
         assert stdout == f"{mean:.6g} ± {std:.3g} ms per profile\n"
         assert report["normalized_runtime"] == stdout.rstrip("\n")
 
-    def test_std_is_population(self, pipeline, blas_env, tmp_path, capsys):
+    def test_std_is_population(self, pipeline, tmp_path, capsys):
         report, _ = self.report(pipeline, capsys, tmp_path / "bench.json", "--repeats", 4)
         ms = report["ms_per_profile_repeats"]
         assert len(ms) == 4
         assert report["ms_per_profile_mean"] == statistics.fmean(ms)
         assert report["ms_per_profile_std"] == statistics.pstdev(ms)
 
-    def test_tuple_of_arrays_replicated(self, pipeline, blas_env, tmp_path, capsys, monkeypatch):
+    def test_tuple_of_arrays_replicated(self, pipeline, tmp_path, capsys, monkeypatch):
         calls = []
         stage_seconds = net.stage_seconds
 
@@ -479,14 +467,24 @@ class TestBench:
         for got, want in zip(calls[0][2:6], rows):
             np.testing.assert_array_equal(got, np.concatenate([want] * 3))
 
-    @pytest.mark.parametrize("flags, workers", [(["--replication", 1], 1), (["--replication", 70], 2),
-                                                (["--replication", 70, "--multi-thread"], 1)])
-    def test_forward_workers_recorded(self, pipeline, blas_env, tmp_path, capsys, flags, workers):
-        # 70 copies of 60 profiles are 5 blocks: two workers on 2 CPUs where
-        # bench pins the BLAS to one thread, one where the BLAS is not pinned
-        blas_env.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    @pytest.mark.parametrize("flags, workers", [(["--replication", 1], 1), (["--replication", 70], 2)])
+    def test_forward_workers_recorded(self, pipeline, monkeypatch, tmp_path, capsys, flags, workers):
+        # 70 copies of 60 profiles are 5 blocks: two workers on 2 CPUs
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         report, _ = self.report(pipeline, capsys, tmp_path / "bench.json", *flags)
         assert report["threads"]["forward_workers"] == workers
+
+    def test_one_forward_worker_beside_a_host_thread(self, pipeline, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        release = threading.Event()
+        host = threading.Thread(target=release.wait, args=(10,))
+        host.start()
+        try:
+            report, _ = self.report(pipeline, capsys, tmp_path / "bench.json", "--replication", 70)
+        finally:
+            release.set()
+            host.join(10)
+        assert report["threads"]["forward_workers"] == 1
 
     def rejected(self, pipeline, capsys, tmp_path, *flags):
         code, _, err = run_bench(pipeline, capsys, tmp_path / "bench.json", *flags)
@@ -495,10 +493,10 @@ class TestBench:
         assert list(tmp_path.iterdir()) == []
         return err
 
-    def test_too_few_repeats_rejected(self, pipeline, blas_env, tmp_path, capsys):
+    def test_too_few_repeats_rejected(self, pipeline, tmp_path, capsys):
         assert "need at least 3 repeats" in self.rejected(pipeline, capsys, tmp_path, "--repeats", 2)
 
-    def test_replication_below_one_rejected(self, pipeline, blas_env, tmp_path, capsys):
+    def test_replication_below_one_rejected(self, pipeline, tmp_path, capsys):
         assert "--replication must be >= 1" in self.rejected(pipeline, capsys, tmp_path, "--replication", 0)
 
 
@@ -663,39 +661,81 @@ class TestEvalReport:
 
 
 class TestThreadPinning:
-    def test_importing_the_cli_leaves_numpy_unloaded(self):
-        # OpenBLAS reads its thread variables when numpy loads, so `bench`
-        # can pin them only if importing the CLI has not loaded numpy yet.
-        code = ("import sys, cre3d.cli\n"
-                "assert 'numpy' not in sys.modules, 'import cre3d.cli loaded numpy'\n"
-                "import cre3d\n"
-                "missing = [n for n in cre3d.__all__ if getattr(cre3d, n, None) is None]\n"
-                "assert not missing, missing\n"
-                "names = {}\n"
-                "exec('from cre3d import *', names)\n"
-                "assert set(cre3d.__all__) <= set(names)\n"
-                "assert cre3d.postprocess.__module__ == 'cre3d.postproc'\n")
-        src = os.path.dirname(os.path.dirname(os.path.abspath(cre3d.__file__)))
-        env = dict(os.environ, PYTHONPATH=src)
-        done = subprocess.run([sys.executable, "-c", code], env=env,
-                              capture_output=True, text=True)
-        assert done.returncode == 0, done.stderr
+    """Every command pins the BLAS to one thread before numpy loads, unless
+    the environment sets a count."""
 
-    def test_only_the_bench_subcommand_pins(self, blas_env):
-        cli._pin_threads(["predict", "--profiles", "bench", "--out-lw", "bench"])
-        assert not any(var in os.environ for var in cli._BLAS_ENV)
-        cli._pin_threads(["bench", "--profiles", "p.jsonl"])
-        assert all(os.environ[var] == "1" for var in cli._BLAS_ENV)
+    def test_importing_the_cli_pins_the_blas_before_numpy_loads(self):
+        # OpenBLAS reads its thread variables when numpy loads, so the CLI can
+        # pin them only if nothing before it (the package) has loaded numpy.
+        run_python("""
+import os, sys
+import cre3d
+assert 'numpy' not in sys.modules, 'import cre3d loaded numpy'
+seen = []
+class Watch:
+    def find_spec(self, name, path=None, target=None):
+        if name == 'numpy':
+            seen.append({var: os.environ.get(var) for var in ('OMP_NUM_THREADS', 'OPENBLAS_NUM_THREADS')})
+sys.meta_path.insert(0, Watch())
+import cre3d.cli
+assert seen == [{'OMP_NUM_THREADS': '1', 'OPENBLAS_NUM_THREADS': '1'}], seen
+assert all(os.environ[var] == '1' for var in cre3d.cli._BLAS_ENV)
+assert len(os.listdir('/proc/self/task')) == 1
+missing = [n for n in cre3d.__all__ if getattr(cre3d, n, None) is None]
+assert not missing, missing
+names = {}
+exec('from cre3d import *', names)
+assert set(cre3d.__all__) <= set(names)
+assert cre3d.postprocess.__module__ == 'cre3d.postproc'
+""")
 
-    def test_multi_thread_leaves_the_environment_to_decide(self, blas_env):
-        blas_env.setenv("OMP_NUM_THREADS", "3")
-        blas_env.setenv("CRE3D_NUM_THREADS", "4")
-        cli._pin_threads(["bench", "--multi-thread", "--profiles", "p.jsonl"])
-        assert {var: os.environ.get(var) for var in cli._BLAS_ENV} == {
-            var: "3" if var == "OMP_NUM_THREADS" else None for var in cli._BLAS_ENV}
+    def test_every_subcommand_runs_pinned(self, pipeline, tmp_path):
+        # synth writes and predict reads and writes in parts, predict's
+        # forward on row workers: every fork sees one OS thread
+        run_python("""
+import os, sys
+import threading
+forks, fork = [], os.fork
+def counted():
+    forks.append(len(os.listdir('/proc/self/task')))
+    return fork()
+os.fork = counted
+os.sched_getaffinity = lambda pid: {0, 1}
+from cre3d import cli, io, net
+io.PART_RECORDS, net.ROW_CHUNK = 10, 8
+started = []
+class Counted(threading.Thread):
+    def start(self):
+        started.append(self)
+        super().start()
+threading.Thread = Counted
+src, out = sys.argv[1:]
+assert cli.main(['synth', '--profiles', '30', '--levels', '10', '--out-profiles', out + '/p.jsonl',
+                 '--out-truth-lw', out + '/lw.jsonl', '--out-truth-sw', out + '/sw.jsonl']) == 0
+assert cli.main(['predict', '--profiles', src + '/profiles.jsonl', '--model-lw', src + '/model_lw.json',
+                 '--model-sw', src + '/model_sw.json', '--out-lw', out + '/pl.jsonl',
+                 '--out-sw', out + '/ps.jsonl']) == 0
+assert len(forks) >= 4 and forks == [1] * len(forks), forks
+assert started
+""", {}, pipeline, tmp_path)
 
-    def test_bench_report_records_the_effective_env(self, pipeline, blas_env, capsys):
-        blas_env.setenv("OPENBLAS_NUM_THREADS", "4")
+    def test_multi_thread_leaves_the_environment_to_decide(self):
+        # an explicit OPENBLAS_NUM_THREADS is the BLAS's count; the other
+        # variables are pinned, and forward then runs on the calling thread
+        run_python("""
+import os
+import cre3d.cli
+from cre3d import net
+assert {var: os.environ[var] for var in cre3d.cli._BLAS_ENV} == {
+    var: '3' if var == 'OPENBLAS_NUM_THREADS' else '1' for var in cre3d.cli._BLAS_ENV}
+assert net.forward_workers(8 * net.ROW_CHUNK) == 1
+""", {"OPENBLAS_NUM_THREADS": "3"})
+
+    def test_bench_report_records_the_effective_env(self, pipeline, monkeypatch, capsys):
+        for var in cli._BLAS_ENV:
+            monkeypatch.setenv(var, "1")
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")
+        monkeypatch.delenv("MKL_NUM_THREADS")
         out = pipeline / "bench_env.json"
         code, _, err = run(["bench", "--profiles", pipeline / "profiles.jsonl",
                             "--model-lw", pipeline / "model_lw.json",
@@ -703,6 +743,10 @@ class TestThreadPinning:
                             "--replication", 1, "--repeats", 3, "--out", out], capsys)
         assert code == 0, err
         threads = json.loads(out.read_text())["threads"]
-        assert threads["multi_thread"] is False
-        assert threads["env"] == {var: "4" if var == "OPENBLAS_NUM_THREADS" else "1"
+        assert threads["env"] == {var: {"OPENBLAS_NUM_THREADS": "4", "MKL_NUM_THREADS": None}.get(var, "1")
                                   for var in cli._BLAS_ENV}
+
+    def test_the_test_session_runs_one_os_thread(self):
+        # conftest pins the BLAS, so fork tests fork a single-threaded process
+        assert settle() == 1
+        assert net.usable_cpus() == len(os.sched_getaffinity(0))

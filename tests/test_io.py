@@ -1,4 +1,5 @@
 import dataclasses
+import errno
 import json
 import os
 import re
@@ -26,9 +27,10 @@ from cre3d.io import (
     write_jsonl,
     write_profiles,
 )
+from cre3d import net
 from cre3d.net import init_model
 
-from conftest import make_profile
+from conftest import make_profile, os_threads, run_python, settle
 
 
 # Values whose text is easy to get wrong: a subnormal, the least normal,
@@ -773,8 +775,79 @@ class TestPartBoundaries:
             other.join(10)
         assert not other.is_alive()
         assert forks == []
+        assert settle() == 1
         write_fluxes(path, [f"p{i}" for i in range(5)], flux)
         assert len(forks) == 4
+
+    def test_no_fork_while_a_joined_forward_worker_is_listed(self, tmp_path, monkeypatch, forks):
+        # forward's started worker is joined before forward returns, but its
+        # OS thread can stay listed in /proc/self/task for a few ms: a write
+        # right after it runs in one part then, and never forks beside it
+        monkeypatch.setattr(net, "ROW_CHUNK", 4)
+        threads_at_fork, fork = [], os.fork
+
+        def counted():
+            threads_at_fork.append(os_threads())
+            return fork()
+        monkeypatch.setattr(os, "fork", counted)
+        model = init_model([3, 4, 3], 0)
+        x = np.random.default_rng(0).normal(size=(16, 3))
+        flux = FluxSet(up=np.zeros((5, 3)), down=np.zeros((5, 3)), heat=np.zeros((5, 2)))
+        path = tmp_path / "flux.jsonl"
+        whole = None
+        for _ in range(30):
+            assert settle() == 1
+            net.forward(model, x)  # 4 blocks of 4 rows: a started worker beside the caller
+            write_fluxes(path, [f"p{i}" for i in range(5)], flux)
+            whole = whole or path.read_bytes()
+            assert path.read_bytes() == whole
+        assert threads_at_fork == [1] * len(forks)
+
+    @pytest.mark.parametrize("op", ["write", "read"])
+    def test_fork_that_fails_leaks_nothing(self, tmp_path, monkeypatch, op):
+        # a part's pipe is open before its fork: an EAGAIN from the second
+        # fork must close it, kill and reap the first child and remove
+        # every temp and part file
+        ids = [f"p{i}" for i in range(5)]
+        flux = FluxSet(up=np.zeros((5, 3)), down=np.zeros((5, 3)), heat=np.zeros((5, 2)))
+        path = tmp_path / "flux.jsonl"
+        if op == "read":
+            write_fluxes(path, ids, flux)
+        pids, fork = [], os.fork
+
+        def second_fails():
+            if len(pids) == 1:
+                raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+            pid = fork()
+            if pid:
+                pids.append(pid)
+            return pid
+        monkeypatch.setattr(os, "fork", second_fails)
+        files, fds = sorted(os.listdir(tmp_path)), len(os.listdir("/proc/self/fd"))
+        with pytest.raises(BlockingIOError):
+            write_fluxes(path, ids, flux) if op == "write" else read_fluxes(path)
+        assert len(pids) == 1
+        assert len(os.listdir("/proc/self/fd")) == fds
+        assert sorted(os.listdir(tmp_path)) == files
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pids[0], os.WNOHANG)
+
+    def test_unpinned_numpy_reads_and_writes_in_one_part(self, tmp_path):
+        # numpy's OpenBLAS, not pinned, starts a thread pool as numpy loads
+        code = ("import os, sys\n"
+                "import numpy as np\n"
+                "from cre3d import io, net\n"
+                "from cre3d.column import FluxSet\n"
+                "assert net.usable_cpus() == 1\n"
+                "def no_fork():\n"
+                "    raise AssertionError('forked beside the BLAS threads')\n"
+                "os.fork = no_fork\n"
+                "ids = [f'p{i}' for i in range(300)]\n"
+                "io.write_fluxes(sys.argv[1], ids, FluxSet(up=np.zeros((300, 3)), down=np.zeros((300, 3)),\n"
+                "                                          heat=np.zeros((300, 2))))\n"
+                "assert io.read_fluxes(sys.argv[1])[0] == ids\n")
+        run_python(code, {}, tmp_path / "flux.jsonl")
+        assert len((tmp_path / "flux.jsonl").read_text().splitlines()) == 300
 
     def test_file_smaller_than_one_part_is_not_split(self, tmp_path, monkeypatch, forks):
         monkeypatch.setattr(cre3d_io, "PART_RECORDS", 10)

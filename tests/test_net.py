@@ -1,3 +1,4 @@
+import _thread
 import dataclasses
 import hashlib
 import math
@@ -40,6 +41,8 @@ from cre3d.net import (
     run_seed,
     train,
 )
+
+from conftest import os_threads, run_python, settle
 
 
 def identity_model(n):
@@ -313,20 +316,17 @@ class TestChunkedForward:
 
 @pytest.fixture
 def cpus(monkeypatch):
-    """Pins the BLAS to one thread through OPENBLAS_NUM_THREADS and returns a
-    function that sets how many CPUs the process may run on."""
-    for var in net.BLAS_THREAD_ENV:
-        monkeypatch.delenv(var, raising=False)
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-
+    """A function that sets how many CPUs the process may run on, once the
+    process lists one OS thread (the session's BLAS is pinned: conftest)."""
     def use(count):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+        assert settle() == 1
     return use
 
 
 class TestParallelForward:
-    """forward runs its blocks on one thread per CPU where the BLAS is pinned
-    to one thread, with every bit of the one-worker pass."""
+    """forward runs its blocks on one thread per CPU while the process runs
+    no other OS thread, with every bit of the one-worker pass."""
 
     SIZES = [40, 30, 50, 30, 45]  # unequal widths: both buffers hold the largest
 
@@ -339,12 +339,13 @@ class TestParallelForward:
         sys.setswitchinterval(1e-6)  # switch threads often: a block lost or run twice shows
         try:
             for count in (1, 2, 3):
-                cpus(count)
-                del started[:]
                 for given in (x, np.asfortranarray(x)):
+                    cpus(count)
+                    workers = net.forward_workers(rows)
+                    del started[:]
                     assert np.array_equal(bits(forward(model, given)), expected), (count, given.flags)
-                assert len(started) == 2 * (net.forward_workers(rows) - 1)
-                assert not any(t.is_alive() for t in started)
+                    assert len(started) == workers - 1
+                    assert not any(t.is_alive() for t in started)
         finally:
             sys.setswitchinterval(interval)
 
@@ -373,28 +374,33 @@ class TestParallelForward:
 
     @pytest.mark.parametrize("env", [{}, {"OPENBLAS_NUM_THREADS": "2"}, {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"},
                                      {"GOTO_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}, {"OMP_NUM_THREADS": "2"}])
-    def test_no_thread_unless_the_blas_is_pinned_to_one(self, cpus, monkeypatch, env):
-        cpus(4)
-        model = kernel_model(self.SIZES, seed=1)
-        x = kernel_batch(8 * ROW_CHUNK, self.SIZES[0], seed=1)
-        expected = bits(forward(model, x))
-        monkeypatch.delenv("OPENBLAS_NUM_THREADS")
-        for var, value in env.items():
-            monkeypatch.setenv(var, value)
-
-        def no_thread(*args, **kwargs):
-            raise AssertionError("forward started a thread")
-        monkeypatch.setattr(threading, "Thread", no_thread)
-        assert net.forward_workers(len(x)) == 1
-        assert np.array_equal(bits(forward(model, x)), expected)
+    def test_no_thread_unless_the_blas_is_pinned_to_one(self, env):
+        # numpy's OpenBLAS, not pinned to one thread, starts a thread per CPU
+        # as numpy loads (OPENBLAS_, GOTO_ and OMP_NUM_THREADS, first set first):
+        # forward then runs on the calling thread alone
+        run_python(f"""
+import threading
+import numpy as np
+from cre3d import net
+model = net.init_model({self.SIZES}, 1)
+x = np.random.default_rng(1).normal(size=(8 * net.ROW_CHUNK, {self.SIZES[0]}))
+expected = net.forward(model, x)
+def no_thread(*args, **kwargs):
+    raise AssertionError("forward started a thread")
+threading.Thread = no_thread
+assert net.forward_workers(len(x)) == 1
+assert np.array_equal(net.forward(model, x), expected)
+""", env)
 
     @pytest.mark.parametrize("env", [{"GOTO_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}, {"OMP_NUM_THREADS": "1"}])
-    def test_first_blas_variable_set_decides(self, cpus, monkeypatch, env):
-        cpus(2)
-        monkeypatch.delenv("OPENBLAS_NUM_THREADS")
-        for var, value in env.items():
-            monkeypatch.setenv(var, value)
-        assert net.forward_workers(4 * ROW_CHUNK) == 2
+    def test_first_blas_variable_set_decides(self, env):
+        run_python("""
+import os
+import numpy as np
+from cre3d import net
+assert len(os.listdir("/proc/self/task")) == 1
+assert net.forward_workers(4 * net.ROW_CHUNK) == min(2, len(os.sched_getaffinity(0)))
+""", env)
 
     def test_one_worker_while_other_threads_run(self, cpus):
         cpus(2)
@@ -407,6 +413,23 @@ class TestParallelForward:
             release.set()
             other.join(10)
         assert not other.is_alive()
+        cpus(2)
+        assert net.forward_workers(8 * ROW_CHUNK) == 2
+
+    def test_one_worker_beside_a_thread_threading_does_not_list(self, cpus):
+        # a host model's thread, or a BLAS pool, that Python's threading
+        # module has no record of
+        cpus(2)
+        release = threading.Event()
+        _thread.start_new_thread(release.wait, (10,))
+        try:
+            assert threading.active_count() == 1
+            assert os_threads() == 2
+            assert net.usable_cpus() == 1
+            assert net.forward_workers(8 * ROW_CHUNK) == 1
+        finally:
+            release.set()
+        cpus(2)
         assert net.forward_workers(8 * ROW_CHUNK) == 2
 
 
