@@ -25,7 +25,7 @@ del var
 
 import numpy as np  # noqa: E402  (after the pin: the BLAS reads it as numpy loads)
 
-from . import augment, column, evalbench, features, io, net  # noqa: E402
+from . import augment, column, evalbench, features, io, net, rowblocks  # noqa: E402
 
 INPUT_VARIANTS = {6: (False, False), 7: (True, False), 8: (True, True)}
 
@@ -248,7 +248,7 @@ def cmd_bench(args) -> int:
     x_lw, x_sw = features.build_input_matrix(profiles, (model_lw.schema, model_sw.schema), consts)
     batch = [np.concatenate([a] * args.replication) for a in (x_lw, x_sw, profiles.alpha, profiles.mu0)]
     n = len(batch[0])
-    workers = net.forward_workers(n)  # before the repeats, whose workers may still be exiting
+    workers = rowblocks.forward_workers(n)  # before the repeats, whose workers may still be exiting
     total_s, stage_s = [], []
     for _ in range(args.repeats):
         t0 = time.perf_counter()

@@ -11,6 +11,7 @@ tropospheric window only.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -31,6 +32,7 @@ from .column import (
     truncate_to_window,
 )
 from .postproc import LW, SW, EffectTargets
+from .rowblocks import forward_workers, run_blocks
 
 SCALE_FLOOR = 1e-8  # std-dev floor for near-constant features
 
@@ -198,12 +200,34 @@ class Normalization:
         object.__setattr__(self, "scale", scale)
 
     def apply(self, x) -> np.ndarray:
-        out = np.subtract(x, self.mean, dtype=float)
-        return np.divide(out, self.scale, out=out)
+        """(x - mean) / scale, row blocks on `run_blocks`'s workers."""
+        return _affine(x, np.subtract, self.mean, np.divide, self.scale)
 
     def invert(self, x) -> np.ndarray:
-        out = np.multiply(x, self.scale, dtype=float)
-        return np.add(out, self.mean, out=out)
+        """x * scale + mean, row blocks on `run_blocks`'s workers."""
+        return _affine(x, np.multiply, self.scale, np.add, self.mean)
+
+
+def _affine_rows(x: np.ndarray, first, a: np.ndarray, second, b: np.ndarray, out: np.ndarray,
+                 rows: slice) -> None:
+    """`_affine`'s block: second(first(x, a), b) on `rows`, into `out`."""
+    o = out[rows]
+    first(x[rows], a, out=o, dtype=float)
+    second(o, b, out=o)
+
+
+def _affine(x, first, a: np.ndarray, second, b: np.ndarray) -> np.ndarray:
+    """second(first(x, a), b) in float, as one array: over row blocks for a
+    batch of rows of a's width that has more than one worker, as one
+    whole-array expression otherwise (where numpy broadcasts any other
+    shape, or names it in its error)."""
+    x = np.asarray(x)
+    if x.ndim != 2 or x.shape[1] != a.size or forward_workers(len(x)) == 1:
+        out = first(x, a, dtype=float)
+        return second(out, b, out=out)
+    out = np.empty_like(x, dtype=float)
+    run_blocks(len(x), functools.partial(_affine_rows, x, first, a, second, b, out))
+    return out
 
 
 def fit_normalization(samples) -> Normalization:

@@ -47,7 +47,8 @@ from .column import (
     _as_level_array,
 )
 from .features import FeatureSchema, Normalization
-from .net import MlpModel, usable_cpus
+from .net import MlpModel
+from .rowblocks import usable_cpus
 
 MODEL_FORMAT_VERSION = 1
 # Fewest records per part of a JSON-Lines file: a fork, a pipe and a join
@@ -109,7 +110,7 @@ def write_json(path, obj, indent: Optional[int] = 2) -> None:
 
 def _n_parts(n_records: int) -> int:
     """How many parts to split `n_records` records into: one per usable CPU
-    (`net.usable_cpus`, which is one while the process runs another OS
+    (`rowblocks.usable_cpus`, which is one while the process runs another OS
     thread), with at least PART_RECORDS records each."""
     return max(1, min(usable_cpus(), n_records // PART_RECORDS))
 

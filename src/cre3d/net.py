@@ -10,17 +10,16 @@ pipeline that turns profiles into extended 3D-effect targets.
 
 from __future__ import annotations
 
-import collections
+import functools
 import itertools
 import math
-import os
-import threading
 import time
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from . import rowblocks
 from .column import (
     AtmosphericProfile,
     PhysConsts,
@@ -34,7 +33,6 @@ from .postproc import LW, SW, postprocess_batch
 REFERENCE_HIDDEN_LAYERS = 3
 REFERENCE_HIDDEN_WIDTH = {LW: 217, SW: 182}
 ELU_BLOCK = 32768  # elements per in-place pass of ELU and of the L1/L2 gradient
-ROW_CHUNK = 1024  # samples per feature-major block of the inference forward pass
 
 
 @dataclass(eq=False)
@@ -181,49 +179,20 @@ def _forward(weights, biases, x: np.ndarray):
         inputs.append(h)
 
 
-def usable_cpus() -> int:
-    """How many workers this process may run at once: one per CPU in its
-    affinity mask while it runs one OS thread (`/proc/self/task`). One
-    where either is unknown (outside Linux), or while other OS threads run,
-    whoever started them (a BLAS thread pool, a host model, a worker that
-    is still exiting): they need CPU time of their own, and a fork copies
-    only the calling thread, so a lock another thread holds would stay held
-    in the child."""
-    try:
-        alone = len(os.listdir("/proc/self/task")) == 1
-    except OSError:  # no /proc/self/task: not Linux
-        return 1
-    return len(os.sched_getaffinity(0)) if alone else 1
-
-
-def forward_workers(n_rows: int) -> int:
-    """How many threads `forward` runs `n_rows` rows on: one per usable CPU
-    (`usable_cpus`), each with at least two ROW_CHUNK blocks."""
-    most = -(-n_rows // ROW_CHUNK) // 2
-    if most < 2:  # the cheapest test first: a host model's small blocks never read /proc
-        return 1
-    return min(usable_cpus(), most)
-
-
-def _forward_blocks(model: MlpModel, x: np.ndarray, out: np.ndarray, starts: collections.deque,
-                    buffers: Tuple[np.ndarray, np.ndarray], errors: list) -> None:
-    """One worker of `forward`: pop block starts from `starts` (shared by the
-    workers; a deque pops atomically) until it pops None, run each block
-    through `buffers` and write its rows of `out`. An exception is appended
-    to `errors` and ends this worker."""
-    last = len(model.weights) - 1
-    try:
-        for s in iter(starts.popleft, None):
-            h = x[s:s + ROW_CHUNK].T
-            for k, (w, b) in enumerate(zip(model.weights, model.biases)):
-                # the first width * c elements, so a short last block stays C-contiguous
-                z = buffers[k % 2][:w.shape[0] * h.shape[1]].reshape(w.shape[0], h.shape[1])
-                np.matmul(w, h, out=z)
-                z += b[:, None]
-                h = z if k == last else elu(z, out=z)
-            out[s:s + ROW_CHUNK] = h.T
-    except BaseException as exc:  # noqa: BLE001 - `forward` re-raises it after joining every worker
-        errors.append(exc)
+def _forward_rows(model: MlpModel, x: np.ndarray, out: np.ndarray, rows: slice,
+                  z0: np.ndarray, z1: np.ndarray) -> None:
+    """`forward`'s block: run the ROW_CHUNK blocks of `rows` through the
+    buffers z0 and z1 in turn and write their rows of `out`."""
+    last, c = len(model.weights) - 1, rowblocks.ROW_CHUNK
+    for s in range(rows.start, rows.stop, c):
+        h = x[s:s + c].T
+        for k, (w, b) in enumerate(zip(model.weights, model.biases)):
+            # the first width * c elements, so a short last block stays C-contiguous
+            z = (z0, z1)[k % 2][:w.shape[0] * h.shape[1]].reshape(w.shape[0], h.shape[1])
+            np.matmul(w, h, out=z)
+            z += b[:, None]
+            h = z if k == last else elu(z, out=z)
+        out[s:s + c] = h.T
 
 
 def forward(model: MlpModel, batch) -> np.ndarray:
@@ -236,18 +205,20 @@ def forward(model: MlpModel, batch) -> np.ndarray:
     one C-contiguous (n, out) matrix. A batch in another layout is read
     through a C-ordered copy, so its bits do not depend on the layout.
 
-    The blocks run on `forward_workers(n)` workers: the calling thread and
-    one started thread per further worker, each with its own two buffers,
-    taking whole blocks in turn. Every worker is joined before this returns
-    or raises the first exception a worker raised. A block's operations do
-    not depend on the worker that runs it, so the bits do not depend on the
-    worker count.
+    The blocks run on `rowblocks.run_blocks`'s workers, each with its own
+    two buffers, taking whole blocks in turn; every worker is joined before
+    this returns or raises the first exception a worker raised. A block's
+    operations do not depend on the worker that runs it, so the bits do not
+    depend on the worker count.
 
-    The same rows in the same block sizes give the same bits, but a row's
-    bits may depend on the size of its block: the BLAS GEMM can take the
-    last columns of a block through another kernel (OpenBLAS: the last
-    c mod 8). Across block sizes a row agrees to rounding: tests bound the
-    difference by 1e-13 of the row's largest output.
+    With the BLAS on one thread, as every `cre3d` command runs it, a row's
+    bits depend only on its block: the same rows in the same block sizes
+    give the same bits. They may depend on the size of its block, as the
+    BLAS GEMM can take the last columns of a block through another kernel
+    (OpenBLAS: the last c mod 8); across block sizes a row agrees to
+    rounding, and tests bound the difference by 1e-13 of the row's largest
+    output. A library caller whose BLAS runs several threads gets bits that
+    may also depend on that thread count.
     """
     x = np.asarray(batch, dtype=float, order="C")
     if x.ndim != 2:
@@ -258,24 +229,9 @@ def forward(model: MlpModel, batch) -> np.ndarray:
         raise ValueError("batch contains non-finite values")
     n = x.shape[0]
     out = np.empty((n, model.output_len))
-    k = forward_workers(n)
-    size = max(w.shape[0] for w in model.weights) * min(ROW_CHUNK, n)
-    buffers = [(np.empty(size), np.empty(size)) for _ in range(k)]
-    # each worker stops at the first None it pops, after every block is taken
-    starts = collections.deque([*range(0, n, ROW_CHUNK), *[None] * k])
-    errors: list = []
-    started = []
-    try:
-        for pair in buffers[1:]:
-            t = threading.Thread(target=_forward_blocks, args=(model, x, out, starts, pair, errors))
-            t.start()
-            started.append(t)
-        _forward_blocks(model, x, out, starts, buffers[0], errors)
-    finally:
-        for t in started:
-            t.join()
-    if errors:
-        raise errors[0]
+    size = max(w.shape[0] for w in model.weights) * min(rowblocks.ROW_CHUNK, n)
+    rowblocks.run_blocks(n, functools.partial(_forward_rows, model, x, out),
+                         lambda: (np.empty(size), np.empty(size)))
     return out
 
 

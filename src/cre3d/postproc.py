@@ -18,12 +18,14 @@ downwelling flux effects:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .column import FluxSet, PhysConsts, VerticalGrid, _frozen, _level_rows
+from .rowblocks import run_blocks
 
 LW = "lw"
 SW = "sw"
@@ -82,31 +84,49 @@ def postprocess_batch(component: str, scalar: np.ndarray, heat: np.ndarray,
     `scalar` is (n, n_hl_window), `heat` is (n, n_fl_window); for the
     shortwave `alpha` is (n,). The window is the trailing m layers of
     `grid`. Returns (up, down, heat) matrices; each row depends on its
-    own column only.
+    own column only, so the rows run in blocks on `run_blocks`'s workers
+    with the bits of one whole-batch pass.
     """
     scalar = np.asarray(scalar, dtype=float)
     heat = np.asarray(heat, dtype=float)
     if scalar.ndim != 2 or heat.ndim != 2 or scalar.shape != (heat.shape[0], heat.shape[1] + 1):
-        raise ValueError("batch shapes inconsistent: scalar (n, m+1) and heat (n, m) expected")
+        raise ValueError(f"batch shapes inconsistent: scalar (n, m+1) and heat (n, m) expected, "
+                         f"got {scalar.shape} and {heat.shape}")
     n, m = heat.shape
     if not 0 < m <= grid.n_fl:
         raise ValueError(f"window of {m} layers does not fit grid with n_fl={grid.n_fl}")
+    if component == LW:
+        a = None
+    elif component == SW:
+        a = None if alpha is None else np.asarray(alpha, dtype=float)
+        if a is None or a.shape != (n,) or not np.all((a >= 0.0) & (a <= 1.0)):
+            raise ValueError(f"shortwave batch needs per-column alpha, shape ({n},) in [0, 1]")
+    else:
+        raise ValueError(f"component must be 'lw' or 'sw', got {component!r}")
     dp = grid.dp[grid.n_fl - m:]
+    up, down, heat_r = np.empty((n, m + 1)), np.empty((n, m + 1)), np.empty((n, m))
+    run_blocks(n, functools.partial(_postprocess_rows, scalar, heat, a, dp, consts, up, down, heat_r))
+    return up, down, heat_r
 
+
+def _postprocess_rows(scalar: np.ndarray, heat: np.ndarray, a: Optional[np.ndarray], dp: np.ndarray,
+                      consts: PhysConsts, up: np.ndarray, down: np.ndarray, heat_r: np.ndarray,
+                      rows: slice) -> None:
+    """`postprocess_batch`'s block: steps i-iv on `rows` of the checked
+    batch (`a` is the shortwave albedo, None for the longwave), into their
+    rows of up, down and heat_r."""
+    scalar, heat, up, net, heat_r = scalar[rows], heat[rows], up[rows], down[rows], heat_r[rows]
+    n, m = heat.shape
     delta_net = np.multiply(heat, -(consts.c_p / consts.g))
     delta_net *= dp
     d_heat = delta_net.sum(axis=1)
     # D_s from the scalar endpoints: no 3D effect on downwelling at TOA, nor on
     # LW surface emission; SW surface upwelling is alpha times downwelling.
-    if component == LW:
+    if a is None:
         d_scalar = scalar[:, -1] + scalar[:, 0]
-    elif component == SW:
-        a = None if alpha is None else np.asarray(alpha, dtype=float)
-        if a is None or a.shape != (n,) or not np.all((a >= 0.0) & (a <= 1.0)):
-            raise ValueError(f"shortwave batch needs per-column alpha, shape ({n},) in [0, 1]")
-        d_scalar = scalar[:, -1] * (1.0 - a) / (1.0 + a) + scalar[:, 0]
     else:
-        raise ValueError(f"component must be 'lw' or 'sw', got {component!r}")
+        a = a[rows]
+        d_scalar = scalar[:, -1] * (1.0 - a) / (1.0 + a) + scalar[:, 0]
 
     # Every fix-up below is a masked ufunc into a preset output: a row outside
     # its mask is not evaluated, so it raises no floating-point error.
@@ -115,7 +135,7 @@ def postprocess_batch(component: str, scalar: np.ndarray, heat: np.ndarray,
     # c_raw, and so c, is 1 on degenerate rows: none of them counts as capped
     c = np.minimum(np.maximum(c_raw, CAP_LO), CAP_HI)
 
-    heat_r = c[:, None] * heat
+    np.multiply(c[:, None], heat, out=heat_r)
     delta_net *= c[:, None]  # rescaled in place; c is 1 on degenerate rows
     scalar_r = scalar.copy()
 
@@ -130,17 +150,16 @@ def postprocess_batch(component: str, scalar: np.ndarray, heat: np.ndarray,
         # TOA value instead (D_s has unit weight on it in both bands).
         np.add(scalar_r[:, 0], target, out=scalar_r[:, 0], where=zero_ds)
     if degenerate.any():  # c is ill-posed: spread the divergence gap evenly
-        rows = degenerate[:, None]
+        mask = degenerate[:, None]
         inc = (d_scalar - d_heat) / m
-        np.add(delta_net, inc[:, None], out=delta_net, where=rows)
-        np.multiply(delta_net, -(consts.g / consts.c_p), out=heat_r, where=rows)
-        np.divide(heat_r, dp, out=heat_r, where=rows)
+        np.add(delta_net, inc[:, None], out=delta_net, where=mask)
+        np.multiply(delta_net, -(consts.g / consts.c_p), out=heat_r, where=mask)
+        np.divide(heat_r, dp, out=heat_r, where=mask)
 
-    net = np.empty_like(scalar_r)
     net[:, 0] = -scalar_r[:, 0]
     np.cumsum(delta_net, axis=1, out=net[:, 1:])
     net[:, 1:] += net[:, :1]
-    up = 0.5 * (scalar_r - net)
+    np.subtract(scalar_r, net, out=up)
+    up *= 0.5
     net += scalar_r  # net's storage becomes down
     net *= 0.5
-    return up, net, heat_r

@@ -39,6 +39,16 @@ def started(monkeypatch):
     return threads
 
 
+@pytest.fixture
+def cpus(monkeypatch):
+    """A function that sets how many CPUs the process may run on, once the
+    process lists one OS thread (the session's BLAS is pinned: see above)."""
+    def use(count):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+        assert settle() == 1
+    return use
+
+
 def os_threads() -> int:
     """How many OS threads this process lists."""
     return len(os.listdir("/proc/self/task"))

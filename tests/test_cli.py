@@ -6,7 +6,7 @@ import threading
 import numpy as np
 import pytest
 
-from cre3d import cli, features, io, net
+from cre3d import cli, features, io, net, rowblocks
 from cre3d.column import FluxSet
 
 from conftest import os_threads, run_python, settle
@@ -380,7 +380,7 @@ class TestForkAfterParallelForward:
         # few ms, so SW's forward or a writer may find it and run alone; no
         # fork may happen beside it. Under -W "error:This process:DeprecationWarning"
         # (Python 3.12+), such a fork fails the command.
-        monkeypatch.setattr(net, "ROW_CHUNK", 8)
+        monkeypatch.setattr(rowblocks, "ROW_CHUNK", 8)
         monkeypatch.setattr(io, "PART_RECORDS", 10)
         threads_at_fork, fork = [], os.fork
 
@@ -403,6 +403,48 @@ class TestForkAfterParallelForward:
         assert len(threads_at_fork) >= 5 and len(started) >= 5
         assert threads_at_fork == [1] * len(threads_at_fork)
         assert not any(t.is_alive() for t in started)
+
+    def test_predict_writes_in_parts_after_threaded_postprocess(self, pipeline, monkeypatch, started, tmp_path,
+                                                                 capsys):
+        # 60 profiles in blocks of 8 rows: every stage of each component runs
+        # 8 blocks on 2 workers, SW's postprocess last, right before the LW
+        # and SW files are written. Each stage returns once its started thread
+        # has left /proc/self/task (the bound is raised so that a loaded
+        # machine cannot end that wait early), so the writer finds one OS
+        # thread and writes each file in 2 parts of 30 records.
+        monkeypatch.setattr(rowblocks, "ROW_CHUNK", 8)
+        monkeypatch.setattr(rowblocks, "LISTED_BOUND", 1.0)
+        monkeypatch.setattr(io, "PART_RECORDS", 10)
+        threads_at_fork, fork = [], os.fork
+        parts, in_parts = {}, io._in_parts
+
+        def counted_fork():
+            threads_at_fork.append(os_threads())
+            return fork()
+
+        def counted_parts(path, work, chunks):
+            parts[os.path.basename(path)] = len(chunks)
+            return in_parts(path, work, chunks)
+        monkeypatch.setattr(os, "fork", counted_fork)
+        monkeypatch.setattr(io, "_in_parts", counted_parts)
+        written = []
+        for run_no, cpus in enumerate([1, 2, 2, 2]):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)), raising=False)
+            settle()
+            del started[:]
+            parts.clear()
+            out = {comp: tmp_path / f"{comp}_{run_no}.jsonl" for comp in ("lw", "sw")}
+            code, _, err = run(["predict", "--profiles", pipeline / "profiles.jsonl",
+                                "--model-lw", pipeline / "model_lw.json", "--model-sw", pipeline / "model_sw.json",
+                                "--out-lw", out["lw"], "--out-sw", out["sw"]], capsys)
+            assert code == 0, err
+            written.append([out[comp].read_bytes() for comp in ("lw", "sw")])
+            if cpus == 2:
+                # normalize, forward, denormalize and postprocess of LW and SW
+                assert len(started) == 8
+                assert parts[out["lw"].name] == parts[out["sw"].name] == 2
+        assert written[1:] == written[:1] * 3
+        assert threads_at_fork == [1] * len(threads_at_fork) and len(threads_at_fork) == 9
 
 
 def run_bench(pipeline, capsys, out, *flags):
@@ -701,8 +743,8 @@ def counted():
     return fork()
 os.fork = counted
 os.sched_getaffinity = lambda pid: {0, 1}
-from cre3d import cli, io, net
-io.PART_RECORDS, net.ROW_CHUNK = 10, 8
+from cre3d import cli, io, rowblocks
+io.PART_RECORDS, rowblocks.ROW_CHUNK = 10, 8
 started = []
 class Counted(threading.Thread):
     def start(self):
@@ -725,10 +767,10 @@ assert started
         run_python("""
 import os
 import cre3d.cli
-from cre3d import net
+from cre3d import rowblocks
 assert {var: os.environ[var] for var in cre3d.cli._BLAS_ENV} == {
     var: '3' if var == 'OPENBLAS_NUM_THREADS' else '1' for var in cre3d.cli._BLAS_ENV}
-assert net.forward_workers(8 * net.ROW_CHUNK) == 1
+assert rowblocks.forward_workers(8 * rowblocks.ROW_CHUNK) == 1
 """, {"OPENBLAS_NUM_THREADS": "3"})
 
     def test_bench_report_records_the_effective_env(self, pipeline, monkeypatch, capsys):
@@ -749,4 +791,4 @@ assert net.forward_workers(8 * net.ROW_CHUNK) == 1
     def test_the_test_session_runs_one_os_thread(self):
         # conftest pins the BLAS, so fork tests fork a single-threaded process
         assert settle() == 1
-        assert net.usable_cpus() == len(os.sched_getaffinity(0))
+        assert rowblocks.usable_cpus() == len(os.sched_getaffinity(0))

@@ -27,7 +27,7 @@ from cre3d.io import (
     write_jsonl,
     write_profiles,
 )
-from cre3d import net
+from cre3d import net, rowblocks
 from cre3d.net import init_model
 
 from conftest import make_profile, os_threads, run_python, settle
@@ -783,7 +783,7 @@ class TestPartBoundaries:
         # forward's started worker is joined before forward returns, but its
         # OS thread can stay listed in /proc/self/task for a few ms: a write
         # right after it runs in one part then, and never forks beside it
-        monkeypatch.setattr(net, "ROW_CHUNK", 4)
+        monkeypatch.setattr(rowblocks, "ROW_CHUNK", 4)
         threads_at_fork, fork = [], os.fork
 
         def counted():
@@ -836,9 +836,9 @@ class TestPartBoundaries:
         # numpy's OpenBLAS, not pinned, starts a thread pool as numpy loads
         code = ("import os, sys\n"
                 "import numpy as np\n"
-                "from cre3d import io, net\n"
+                "from cre3d import io, rowblocks\n"
                 "from cre3d.column import FluxSet\n"
-                "assert net.usable_cpus() == 1\n"
+                "assert rowblocks.usable_cpus() == 1\n"
                 "def no_fork():\n"
                 "    raise AssertionError('forked beside the BLAS threads')\n"
                 "os.fork = no_fork\n"

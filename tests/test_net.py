@@ -2,14 +2,13 @@ import _thread
 import dataclasses
 import hashlib
 import math
-import os
 import sys
 import threading
 
 import numpy as np
 import pytest
 
-from cre3d import features, net
+from cre3d import features, net, rowblocks
 from cre3d.augment import generate_profiles, make_reference_grid, toy_truth
 from cre3d.column import PhysConsts, ProfileBatch, VerticalGrid, extend_to_full
 from cre3d.features import (
@@ -21,7 +20,6 @@ from cre3d.features import (
 )
 from cre3d.net import (
     ELU_BLOCK,
-    ROW_CHUNK,
     AdamState,
     GridDataset,
     GridSearchSpec,
@@ -41,8 +39,9 @@ from cre3d.net import (
     run_seed,
     train,
 )
+from cre3d.rowblocks import ROW_CHUNK
 
-from conftest import os_threads, run_python, settle
+from conftest import os_threads, run_python
 
 
 def identity_model(n):
@@ -314,16 +313,6 @@ class TestChunkedForward:
         assert forward(kernel_model([40, 30, 45], seed=2), np.zeros((0, 40))).shape == (0, 45)
 
 
-@pytest.fixture
-def cpus(monkeypatch):
-    """A function that sets how many CPUs the process may run on, once the
-    process lists one OS thread (the session's BLAS is pinned: conftest)."""
-    def use(count):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
-        assert settle() == 1
-    return use
-
-
 class TestParallelForward:
     """forward runs its blocks on one thread per CPU while the process runs
     no other OS thread, with every bit of the one-worker pass."""
@@ -341,7 +330,7 @@ class TestParallelForward:
             for count in (1, 2, 3):
                 for given in (x, np.asfortranarray(x)):
                     cpus(count)
-                    workers = net.forward_workers(rows)
+                    workers = rowblocks.forward_workers(rows)
                     del started[:]
                     assert np.array_equal(bits(forward(model, given)), expected), (count, given.flags)
                     assert len(started) == workers - 1
@@ -353,7 +342,7 @@ class TestParallelForward:
         cpus(3)
         for rows, k in ((0, 1), (2 * ROW_CHUNK, 1), (2 * ROW_CHUNK + 1, 1), (4 * ROW_CHUNK, 2),
                         (5 * ROW_CHUNK, 2), (5 * ROW_CHUNK + 1, 3), (100 * ROW_CHUNK, 3)):
-            assert net.forward_workers(rows) == k, rows
+            assert rowblocks.forward_workers(rows) == k, rows
 
     @pytest.mark.parametrize("where", ["started thread", "calling thread"])
     def test_worker_error_reaches_the_caller_after_every_join(self, cpus, monkeypatch, where):
@@ -381,14 +370,14 @@ class TestParallelForward:
         run_python(f"""
 import threading
 import numpy as np
-from cre3d import net
+from cre3d import net, rowblocks
 model = net.init_model({self.SIZES}, 1)
-x = np.random.default_rng(1).normal(size=(8 * net.ROW_CHUNK, {self.SIZES[0]}))
+x = np.random.default_rng(1).normal(size=(8 * rowblocks.ROW_CHUNK, {self.SIZES[0]}))
 expected = net.forward(model, x)
 def no_thread(*args, **kwargs):
     raise AssertionError("forward started a thread")
 threading.Thread = no_thread
-assert net.forward_workers(len(x)) == 1
+assert rowblocks.forward_workers(len(x)) == 1
 assert np.array_equal(net.forward(model, x), expected)
 """, env)
 
@@ -397,9 +386,9 @@ assert np.array_equal(net.forward(model, x), expected)
         run_python("""
 import os
 import numpy as np
-from cre3d import net
+from cre3d import rowblocks
 assert len(os.listdir("/proc/self/task")) == 1
-assert net.forward_workers(4 * net.ROW_CHUNK) == min(2, len(os.sched_getaffinity(0)))
+assert rowblocks.forward_workers(4 * rowblocks.ROW_CHUNK) == min(2, len(os.sched_getaffinity(0)))
 """, env)
 
     def test_one_worker_while_other_threads_run(self, cpus):
@@ -408,13 +397,13 @@ assert net.forward_workers(4 * net.ROW_CHUNK) == min(2, len(os.sched_getaffinity
         other = threading.Thread(target=release.wait, args=(10,))
         other.start()
         try:
-            assert net.forward_workers(8 * ROW_CHUNK) == 1
+            assert rowblocks.forward_workers(8 * ROW_CHUNK) == 1
         finally:
             release.set()
             other.join(10)
         assert not other.is_alive()
         cpus(2)
-        assert net.forward_workers(8 * ROW_CHUNK) == 2
+        assert rowblocks.forward_workers(8 * ROW_CHUNK) == 2
 
     def test_one_worker_beside_a_thread_threading_does_not_list(self, cpus):
         # a host model's thread, or a BLAS pool, that Python's threading
@@ -425,12 +414,47 @@ assert net.forward_workers(4 * net.ROW_CHUNK) == min(2, len(os.sched_getaffinity
         try:
             assert threading.active_count() == 1
             assert os_threads() == 2
-            assert net.usable_cpus() == 1
-            assert net.forward_workers(8 * ROW_CHUNK) == 1
+            assert rowblocks.usable_cpus() == 1
+            assert rowblocks.forward_workers(8 * ROW_CHUNK) == 1
         finally:
             release.set()
         cpus(2)
-        assert net.forward_workers(8 * ROW_CHUNK) == 2
+        assert rowblocks.forward_workers(8 * ROW_CHUNK) == 2
+
+
+class TestThreadsAcrossThePipeline:
+    """Inference starts row workers only for batches of four blocks or more:
+    a host model's blocks, `predict`'s 2000 rows and training start none."""
+
+    @pytest.mark.parametrize("rows", [1, 32, 2000])
+    def test_no_thread_at_host_and_file_sizes(self, small_grid, consts, cpus, started, rows):
+        lw, sw = TestPredictEffects._models(small_grid, consts)
+        cpus(2)
+        predict_flux_effects(lw, sw, generate_profiles(rows, small_grid, seed=rows), consts)
+        assert started == []
+
+    def test_no_thread_in_training(self, cpus, started):
+        cpus(2)
+        rng = np.random.default_rng(0)
+        x, y = rng.normal(size=(480, 6)), rng.normal(size=(480, 3))
+        train(init_model([6, 8, 3], 0), x[:360], y[:360], x[360:], y[360:], TrainConfig(max_epochs=3, patience=1))
+        assert started == []
+
+    def test_large_batch_keeps_the_one_worker_bits(self, small_grid, consts, cpus, started, monkeypatch):
+        # each stage waits for the threads of the one before to leave; the
+        # bound is raised so that a loaded machine cannot end the wait early
+        monkeypatch.setattr(rowblocks, "LISTED_BOUND", 1.0)
+        lw, sw = TestPredictEffects._models(small_grid, consts)
+        profiles = generate_profiles(4 * ROW_CHUNK + 5, small_grid, seed=4)
+        results = []
+        for count in (1, 2):
+            cpus(count)
+            results.append(predict_flux_effects(lw, sw, profiles, consts))
+        # normalize, forward, denormalize and postprocess, LW and SW: one started thread each
+        assert len(started) == 8
+        for component, effects in results[0].items():
+            for name, a in effects.items():
+                assert np.array_equal(bits(a), bits(results[1][component][name])), (component, name)
 
 
 class TestInputsNotMutated:
