@@ -3,7 +3,8 @@
 Subcommands: synth, augment, train, grid-search, predict, correct, eval,
 bench. Importing this module pins numpy's BLAS to one thread, where the
 environment sets no count of its own, before numpy loads: a command then
-runs one OS thread, so `net` and `io` may run one worker per CPU.
+runs one OS thread, so the row-wise inference stages (`rowblocks`) and
+`io`'s readers and writers may run one worker per CPU.
 """
 
 from __future__ import annotations

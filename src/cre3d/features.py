@@ -32,7 +32,7 @@ from .column import (
     truncate_to_window,
 )
 from .postproc import LW, SW, EffectTargets
-from .rowblocks import forward_workers, run_blocks
+from .rowblocks import run_blocks
 
 SCALE_FLOOR = 1e-8  # std-dev floor for near-constant features
 
@@ -200,11 +200,11 @@ class Normalization:
         object.__setattr__(self, "scale", scale)
 
     def apply(self, x) -> np.ndarray:
-        """(x - mean) / scale, row blocks on `run_blocks`'s workers."""
+        """(x - mean) / scale on (n, width) rows, in row blocks on `run_blocks`'s workers."""
         return _affine(x, np.subtract, self.mean, np.divide, self.scale)
 
     def invert(self, x) -> np.ndarray:
-        """x * scale + mean, row blocks on `run_blocks`'s workers."""
+        """x * scale + mean on (n, width) rows, in row blocks on `run_blocks`'s workers."""
         return _affine(x, np.multiply, self.scale, np.add, self.mean)
 
 
@@ -217,14 +217,11 @@ def _affine_rows(x: np.ndarray, first, a: np.ndarray, second, b: np.ndarray, out
 
 
 def _affine(x, first, a: np.ndarray, second, b: np.ndarray) -> np.ndarray:
-    """second(first(x, a), b) in float, as one array: over row blocks for a
-    batch of rows of a's width that has more than one worker, as one
-    whole-array expression otherwise (where numpy broadcasts any other
-    shape, or names it in its error)."""
+    """second(first(x, a), b) in float over (n, width) rows, width that of
+    `a`, as one array in the layout of x, in row blocks on `run_blocks`."""
     x = np.asarray(x)
-    if x.ndim != 2 or x.shape[1] != a.size or forward_workers(len(x)) == 1:
-        out = first(x, a, dtype=float)
-        return second(out, b, out=out)
+    if x.ndim != 2 or x.shape[1] != a.size:
+        raise ValueError(f"expected (n, {a.size}) rows, got shape {x.shape}")
     out = np.empty_like(x, dtype=float)
     run_blocks(len(x), functools.partial(_affine_rows, x, first, a, second, b, out))
     return out

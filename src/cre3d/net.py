@@ -181,18 +181,16 @@ def _forward(weights, biases, x: np.ndarray):
 
 def _forward_rows(model: MlpModel, x: np.ndarray, out: np.ndarray, rows: slice,
                   z0: np.ndarray, z1: np.ndarray) -> None:
-    """`forward`'s block: run the ROW_CHUNK blocks of `rows` through the
-    buffers z0 and z1 in turn and write their rows of `out`."""
-    last, c = len(model.weights) - 1, rowblocks.ROW_CHUNK
-    for s in range(rows.start, rows.stop, c):
-        h = x[s:s + c].T
-        for k, (w, b) in enumerate(zip(model.weights, model.biases)):
-            # the first width * c elements, so a short last block stays C-contiguous
-            z = (z0, z1)[k % 2][:w.shape[0] * h.shape[1]].reshape(w.shape[0], h.shape[1])
-            np.matmul(w, h, out=z)
-            z += b[:, None]
-            h = z if k == last else elu(z, out=z)
-        out[s:s + c] = h.T
+    """`forward`'s block: run the rows of one block through the buffers z0
+    and z1 in turn and write them into their rows of `out`."""
+    last, h = len(model.weights) - 1, x[rows].T
+    for k, (w, b) in enumerate(zip(model.weights, model.biases)):
+        # the first width * rows elements, so a short last block stays C-contiguous
+        z = (z0, z1)[k % 2][:w.shape[0] * h.shape[1]].reshape(w.shape[0], h.shape[1])
+        np.matmul(w, h, out=z)
+        z += b[:, None]
+        h = z if k == last else elu(z, out=z)
+    out[rows] = h.T
 
 
 def forward(model: MlpModel, batch) -> np.ndarray:
@@ -205,11 +203,11 @@ def forward(model: MlpModel, batch) -> np.ndarray:
     one C-contiguous (n, out) matrix. A batch in another layout is read
     through a C-ordered copy, so its bits do not depend on the layout.
 
-    The blocks run on `rowblocks.run_blocks`'s workers, each with its own
-    two buffers, taking whole blocks in turn; every worker is joined before
-    this returns or raises the first exception a worker raised. A block's
-    operations do not depend on the worker that runs it, so the bits do not
-    depend on the worker count.
+    `rowblocks.run_blocks` cuts the rows into these blocks, the same at
+    every worker count, and runs them on its workers, each with its own two
+    buffers; every worker is joined before this returns or raises the first
+    exception a worker raised. A block's operations do not depend on the
+    worker that runs it, so the bits do not depend on the worker count.
 
     With the BLAS on one thread, as every `cre3d` command runs it, a row's
     bits depend only on its block: the same rows in the same block sizes

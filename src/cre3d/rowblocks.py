@@ -1,11 +1,11 @@
 """Row blocks on one thread per CPU.
 
 Every row-wise stage of inference (normalize, the forward pass, denormalize,
-postprocess) runs its rows through `run_blocks`: in blocks of ROW_CHUNK rows
-on `forward_workers(n)` workers, the calling thread and one started thread
-per further worker, or as one call over every row where one worker is all
-`forward_workers` allows. This is the one place in cre3d that starts a
-thread. It imports nothing from cre3d, so every module may import it.
+postprocess) runs its rows through `run_blocks`, in blocks of ROW_CHUNK rows
+on `forward_workers(n)` workers: the calling thread, and one started thread
+per further worker. This is the one place in cre3d that cuts rows into
+blocks and the one place that starts a thread. It imports nothing from
+cre3d, so every module may import it.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-ROW_CHUNK = 1024  # rows per block of a threaded stage, and of the inference forward pass
+ROW_CHUNK = 1024  # rows per block of every inference stage, at any worker count
 LISTED_BOUND = 0.005  # seconds `run_blocks` waits for a joined thread to leave /proc/self/task
 
 
@@ -58,22 +58,26 @@ def _wait_until_gone(threads) -> None:
 
 
 def run_blocks(n_rows: int, block: Callable[..., None], scratch: Callable[[], tuple] = tuple) -> None:
-    """Run `block(rows, *scratch())` over the rows 0..n_rows-1, where `rows`
-    is a slice and `block` writes only the outputs of its rows.
+    """Run `block(rows, *scratch())` once per ROW_CHUNK block of the rows
+    0..n_rows-1, where `rows` is the slice of one block (the last may be
+    shorter) and `block` writes only the outputs of its rows.
 
-    With one worker (`forward_workers(n_rows)`), this is one call over every
-    row, `block(slice(0, n_rows), ...)`, and starts no thread. Otherwise
-    each worker calls `scratch()` once and then `block` on whole ROW_CHUNK
-    blocks that it takes in turn from a shared queue, so a row's block, and
-    with it its bits, does not depend on the worker count. Each started
-    thread runs under the caller's numpy error state (`np.geterr`), which
-    numpy keeps per thread. Every started thread is joined, and waited for
-    until it has left /proc/self/task (at most LISTED_BOUND seconds), before
-    this returns or raises the first exception a worker raised.
+    `block` gets the same slices at every worker count, so a row's block,
+    and with it its bits, does not depend on the worker count. With one
+    worker (`forward_workers(n_rows)`), the calling thread runs the blocks in
+    order with one `scratch()` and starts no thread. Otherwise each worker
+    calls `scratch()` once and then takes blocks in turn from a shared
+    queue. Each started thread runs under the caller's numpy error state
+    (`np.geterr`), which numpy keeps per thread. Every started thread is
+    joined, and waited for until it has left /proc/self/task (at most
+    LISTED_BOUND seconds), before this returns or raises the first
+    exception a worker raised.
     """
     k = forward_workers(n_rows)
     if k == 1:
-        block(slice(0, n_rows), *scratch())
+        state = scratch()
+        for s in range(0, n_rows, ROW_CHUNK):
+            block(slice(s, min(s + ROW_CHUNK, n_rows)), *state)
         return
     # each worker stops at the first None it pops, after every block is taken
     starts = collections.deque([*range(0, n_rows, ROW_CHUNK), *[None] * k])
@@ -85,7 +89,7 @@ def run_blocks(n_rows: int, block: Callable[..., None], scratch: Callable[[], tu
             with np.errstate(**errstate):
                 state = scratch()
                 for s in iter(starts.popleft, None):  # a deque pops atomically
-                    block(slice(s, s + ROW_CHUNK), *state)
+                    block(slice(s, min(s + ROW_CHUNK, n_rows)), *state)
         except BaseException as exc:  # noqa: BLE001 - re-raised below, after every join
             errors.append(exc)
 

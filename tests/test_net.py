@@ -4,6 +4,7 @@ import hashlib
 import math
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -354,6 +355,7 @@ class TestParallelForward:
         def failing(z, out=None):
             if (threading.current_thread() is main) == (where == "calling thread"):
                 raise FloatingPointError(f"elu failed in the {where}")
+            time.sleep(0.01)  # so that the other kind of thread takes a block too
             return elu(z, out=out)
         monkeypatch.setattr(net, "elu", failing)
         before = threading.active_count()

@@ -1,6 +1,8 @@
 """The row-block runner (`rowblocks.run_blocks`) and the inference stages
-that run on it: normalize, forward, denormalize and postprocess give the
-bits of one worker on any worker count."""
+that run on it: the runner cuts the same ROW_CHUNK blocks at any worker
+count; normalize, forward, denormalize and postprocess give the bits of one
+worker on any worker count, and normalize, denormalize and postprocess
+those of one whole-batch pass."""
 
 import pathlib
 import sys
@@ -50,13 +52,15 @@ def normalization(width, seed):
     return Normalization(mean=rng.normal(size=width), scale=rng.uniform(0.1, 3.0, width))
 
 
+NORM = normalization(7, 1)
+
+
+def norm_rows(n):
+    return np.random.default_rng(n).normal(size=(n, 7))
+
+
 def stages(wgrid, consts):
     """name -> (call on n rows, the function that runs one block of it)."""
-    norm = normalization(7, 1)
-
-    def rows(n):
-        return np.random.default_rng(n).normal(size=(n, 7))
-
     def post(component):
         def call(n):
             scalar, heat, alpha = stage_batch(wgrid, consts, component, n)
@@ -64,8 +68,8 @@ def stages(wgrid, consts):
                                      alpha=alpha if component == "sw" else None)
         return call
     return {
-        "apply": (lambda n: norm.apply(rows(n)), (features, "_affine_rows")),
-        "invert": (lambda n: norm.invert(rows(n)), (features, "_affine_rows")),
+        "apply": (lambda n: NORM.apply(norm_rows(n)), (features, "_affine_rows")),
+        "invert": (lambda n: NORM.invert(norm_rows(n)), (features, "_affine_rows")),
         "postprocess lw": (post("lw"), (postproc, "_postprocess_rows")),
         "postprocess sw": (post("sw"), (postproc, "_postprocess_rows")),
     }
@@ -97,6 +101,29 @@ class TestThreadedStages:
         finally:
             sys.setswitchinterval(interval)
 
+    @pytest.mark.parametrize("stage", STAGES)
+    def test_one_worker_gives_the_bits_of_one_whole_batch_pass(self, wgrid, consts, cpus, started, stage):
+        # every worker count runs a stage in blocks: its bits must still be
+        # those of one call of its block function over every row
+        n = 3 * ROW_CHUNK + 5
+        cpus(1)
+        got = stages(wgrid, consts)[stage][0](n)
+        assert started == []
+        if stage in ("apply", "invert"):
+            affine = {"apply": (np.subtract, NORM.mean, np.divide, NORM.scale),
+                      "invert": (np.multiply, NORM.scale, np.add, NORM.mean)}[stage]
+            got, expected = [got], [np.empty((n, 7))]
+            features._affine_rows(norm_rows(n), *affine, *expected, slice(0, n))
+        else:
+            component = stage.split()[1]
+            scalar, heat, alpha = stage_batch(wgrid, consts, component, n)
+            m = heat.shape[1]
+            expected = np.empty((n, m + 1)), np.empty((n, m + 1)), np.empty((n, m))
+            postproc._postprocess_rows(scalar, heat, alpha if component == "sw" else None,
+                                       wgrid.dp[wgrid.n_fl - m:], consts, *expected, slice(0, n))
+        for g, e in zip(got, expected):
+            assert np.array_equal(bits(g), bits(e)), stage
+
     def test_normalization_keeps_its_expression_and_layout(self, cpus):
         cpus(2)
         norm = normalization(7, 2)
@@ -118,8 +145,10 @@ class TestThreadedStages:
     def test_width_mismatch_names_the_whole_batch(self, cpus, started, method):
         cpus(2)
         n = ROWS[0]
-        with pytest.raises(ValueError, match=rf"\({n},8\)"):
+        with pytest.raises(ValueError, match=rf"\({n}, 8\)"):
             getattr(normalization(7, 0), method)(np.zeros((n, 8)))
+        with pytest.raises(ValueError, match=r"\(7,\)"):  # one row is not a batch of rows
+            getattr(normalization(7, 0), method)(np.zeros(7))
         assert started == []
 
     @pytest.mark.parametrize("scalar_width, alpha, message", [
@@ -204,12 +233,31 @@ class TestRunner:
             assert os_threads() == 1
         assert len(started) == 20 and seen == [8] * 160
 
-    def test_one_call_over_every_row_with_one_worker(self, monkeypatch, cpus, started):
+    def test_one_worker_runs_every_block_in_order(self, cpus, started):
         cpus(1)
-        calls = []
-        rowblocks.run_blocks(10 * ROW_CHUNK + 1, lambda rows, *scratch: calls.append((rows, scratch)),
-                             lambda: ("buffer",))
-        assert calls == [(slice(0, 10 * ROW_CHUNK + 1), ("buffer",))] and started == []
+        calls, made = [], []
+
+        def scratch():
+            made.append("buffer")
+            return ("buffer",)
+        rowblocks.run_blocks(10 * ROW_CHUNK + 1, lambda rows, *state: calls.append((rows, state)), scratch)
+        assert calls == [(slice(s, min(s + ROW_CHUNK, 10 * ROW_CHUNK + 1)), ("buffer",))
+                         for s in range(0, 10 * ROW_CHUNK + 1, ROW_CHUNK)]
+        assert len(calls) == 11 and made == ["buffer"] and started == []
+
+    def test_same_slices_at_every_worker_count(self, monkeypatch, cpus, started):
+        monkeypatch.setattr(rowblocks, "ROW_CHUNK", 8)
+        n = 67  # eight blocks of 8 rows and one of 3
+        expected = [slice(s, min(s + 8, n)) for s in range(0, n, 8)]
+        for count in (1, 2, 3):
+            cpus(count)
+            del started[:]
+            seen = []
+            rowblocks.run_blocks(n, seen.append)
+            assert len(started) == count - 1
+            assert sorted(seen, key=lambda rows: rows.start) == expected, count
+            if count == 1:
+                assert seen == expected  # the calling thread alone runs them in order
 
     def test_each_worker_builds_its_scratch_once(self, small_blocks, started):
         made, used = [], []
