@@ -10,6 +10,7 @@ runs one OS thread, so the row-wise inference stages (`rowblocks`) and
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import inspect
 import os
@@ -83,8 +84,20 @@ def _model_pair(path_lw: str, path_sw: str):
     model_lw, consts = io.load_model(path_lw)
     model_sw, consts_sw = io.load_model(path_sw)
     if consts_sw != consts:
-        raise ValueError("LW and SW model files disagree on physical constants")
+        raise io.DatasetError(path_sw, None, f"physical constants differ from those of LW model file {path_lw}")
     return model_lw, model_sw, consts
+
+
+@contextlib.contextmanager
+def _naming_model_files(args):
+    """Re-raise a model that does not fit (`features.ModelMismatch`) as an
+    error naming its file, and the profiles file where it does not fit
+    their window."""
+    try:
+        yield
+    except features.ModelMismatch as exc:
+        message = f"{exc} (profiles: {args.profiles})" if exc.profiles else str(exc)
+        raise io.DatasetError({"lw": args.model_lw, "sw": args.model_sw}[exc.component], None, message) from None
 
 
 def _default(target, name: str):
@@ -189,7 +202,9 @@ def cmd_predict(args) -> int:
     model_lw, model_sw, consts = _model_pair(args.model_lw, args.model_sw)
     profiles = io.read_profiles(args.profiles)
     fluxes = {}
-    for component, e in net.predict_flux_effects(model_lw, model_sw, profiles, consts).items():
+    with _naming_model_files(args):
+        effects = net.predict_flux_effects(model_lw, model_sw, profiles, consts)
+    for component, e in effects.items():
         try:
             fluxes[component] = column.FluxSet(**e)
         except column.RowError as exc:
@@ -246,15 +261,16 @@ def cmd_bench(args) -> int:
     model_lw, model_sw, consts = _model_pair(args.model_lw, args.model_sw)
     profiles = io.read_profiles(args.profiles)
 
-    x_lw, x_sw = features.build_input_matrix(profiles, (model_lw.schema, model_sw.schema), consts)
-    batch = [np.concatenate([a] * args.replication) for a in (x_lw, x_sw, profiles.alpha, profiles.mu0)]
-    n = len(batch[0])
-    workers = rowblocks.forward_workers(n)  # before the repeats, whose workers may still be exiting
-    total_s, stage_s = [], []
-    for _ in range(args.repeats):
-        t0 = time.perf_counter()
-        stage_s.append(net.stage_seconds(model_lw, model_sw, *batch, profiles.grid, consts))
-        total_s.append(time.perf_counter() - t0)
+    with _naming_model_files(args):
+        x_lw, x_sw = features.build_input_matrix(profiles, (model_lw.schema, model_sw.schema), consts)
+        batch = [np.concatenate([a] * args.replication) for a in (x_lw, x_sw, profiles.alpha, profiles.mu0)]
+        n = len(batch[0])
+        workers = rowblocks.forward_workers(n)  # before the repeats, whose workers may still be exiting
+        total_s, stage_s = [], []
+        for _ in range(args.repeats):
+            t0 = time.perf_counter()
+            stage_s.append(net.stage_seconds(model_lw, model_sw, *batch, profiles.grid, consts))
+            total_s.append(time.perf_counter() - t0)
     ms = [1000.0 * t / n for t in total_s]
     mean_ms, std_ms = statistics.fmean(ms), statistics.pstdev(ms)
     text = f"{mean_ms:.6g} ± {std_ms:.3g} ms per profile"

@@ -165,12 +165,6 @@ class VerticalGrid:
         """First full-level index inside the tropospheric window (p_fl >= p_trunc)."""
         return self._window(p_trunc)[0]
 
-    def n_fl_window(self, p_trunc: float = DEFAULT_P_TRUNC) -> int:
-        return self.n_fl - self.window_start(p_trunc)
-
-    def n_hl_window(self, p_trunc: float = DEFAULT_P_TRUNC) -> int:
-        return self.n_fl_window(p_trunc) + 1
-
     def window(self, p_trunc: float = DEFAULT_P_TRUNC) -> "VerticalGrid":
         """Grid restricted to the half levels bounding the window full levels."""
         return self._window(p_trunc)[1]

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from .column import (
     AtmosphericProfile,
     PhysConsts,
     ProfileBatch,
+    VerticalGrid,
     _as_float_array,
     _level_rows,
     compute_cloud_optical_depth,
@@ -37,32 +38,43 @@ from .rowblocks import run_blocks
 SCALE_FLOOR = 1e-8  # std-dev floor for near-constant features
 
 
+class ModelMismatch(ValueError):
+    """A model that does not fit where it is used. `component` names the
+    model; `profiles` is true where it does not fit the profiles' window."""
+
+    def __init__(self, component: str, message: str, profiles: bool = False):
+        super().__init__(message)
+        self.component = component
+        self.profiles = profiles
+
+
 @dataclass(frozen=True)
 class FeatureSchema:
-    """Shapes and block layout of one emulator's input/output vectors."""
+    """Block layout of one emulator's input/output vectors on the window it
+    was trained on. `p_hl_window` holds that window's half-level pressures
+    (Pa, checked by `VerticalGrid`'s rules, kept as the grid `window_grid`);
+    `n_fl_window` and `n_hl_window` are its level counts. Equality compares
+    the layout (component, level counts, optional blocks), not the pressures.
+    """
 
     component: str  # "lw" | "sw"
-    n_fl_window: int
-    n_hl_window: int
+    p_hl_window: np.ndarray = field(compare=False)
     include_humidity: bool = False
     include_thickness: bool = False
-    # The window's half-level pressures on the grid the schema was made for,
-    # if known; they are not part of the layout, so equality ignores them.
-    p_hl_window: Optional[np.ndarray] = field(default=None, compare=False)
+    n_fl_window: int = field(init=False)
+    n_hl_window: int = field(init=False)
+    window_grid: VerticalGrid = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.component not in (LW, SW):
             raise ValueError(f"component must be 'lw' or 'sw', got {self.component!r}")
-        if self.n_hl_window != self.n_fl_window + 1:
-            raise ValueError("n_hl_window must equal n_fl_window + 1")
-        if self.n_fl_window < 1:
-            raise ValueError("window must contain at least one full level")
-        if self.p_hl_window is not None:
-            p = np.array(self.p_hl_window, dtype=float)
-            if p.shape != (self.n_hl_window,):
-                raise ValueError(f"p_hl_window must have shape ({self.n_hl_window},), got {p.shape}")
-            p.setflags(write=False)
-            object.__setattr__(self, "p_hl_window", p)
+        try:
+            grid = VerticalGrid(self.p_hl_window)
+        except ValueError as exc:
+            raise ValueError(f"p_hl_window is no window grid: {exc}") from None
+        for name, value in (("p_hl_window", grid.p_hl), ("n_fl_window", grid.n_fl),
+                            ("n_hl_window", grid.n_hl), ("window_grid", grid)):
+            object.__setattr__(self, name, value)
 
     @property
     def input_blocks(self) -> List[Tuple[str, int]]:
@@ -108,14 +120,8 @@ class FeatureSchema:
 def schema_for_grid(component: str, grid, p_trunc: float = DEFAULT_P_TRUNC,
                     include_humidity: bool = False,
                     include_thickness: bool = False) -> FeatureSchema:
-    return FeatureSchema(
-        component=component,
-        n_fl_window=grid.n_fl_window(p_trunc),
-        n_hl_window=grid.n_hl_window(p_trunc),
-        include_humidity=include_humidity,
-        include_thickness=include_thickness,
-        p_hl_window=grid.p_hl[grid.window_start(p_trunc):],
-    )
+    """The schema of `component` on the window of `grid` at `p_trunc`."""
+    return FeatureSchema(component, grid.window(p_trunc).p_hl, include_humidity, include_thickness)
 
 
 def layer_thickness(grid, T) -> np.ndarray:
@@ -154,15 +160,15 @@ def build_input_matrix(profiles: Union[ProfileBatch, Sequence[AtmosphericProfile
                        consts: PhysConsts) -> Union[np.ndarray, List[np.ndarray]]:
     """Input rows of full-grid profiles on one grid: a matrix for one schema,
     a list of matrices for a sequence of schemas. Before any is assembled,
-    the window must have every schema's size and, where a schema records
-    them, its half-level pressures."""
+    the profiles' window must be every schema's `window_grid`: a
+    ModelMismatch names the component of the first schema it is not."""
     schemas = [schema] if isinstance(schema, FeatureSchema) else list(schema)
     window = truncate_profile(ProfileBatch.from_profiles(profiles), consts.p_trunc)
     for s in schemas:
-        if window.grid.n_fl != s.n_fl_window:
-            raise ValueError(f"profiles have {window.grid.n_fl} window levels, schema expects {s.n_fl_window}")
-        if s.p_hl_window is not None and not np.array_equal(window.grid.p_hl, s.p_hl_window):
-            raise ValueError("the profile grid's window pressures differ from those the model was trained on")
+        if not window.grid.same_as(s.window_grid):
+            raise ModelMismatch(s.component, f"the profiles' window ({window.grid.n_fl} full levels) is not "
+                                             f"the one the {s.component} model was trained on ({s.n_fl_window} "
+                                             "full levels): their half-level pressures differ", profiles=True)
     tau = compute_cloud_optical_depth(window, consts)
     matrices = [_assemble(window, tau, s) for s in schemas]
     return matrices[0] if isinstance(schema, FeatureSchema) else matrices

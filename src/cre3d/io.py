@@ -602,9 +602,8 @@ def model_to_json(model: MlpModel, consts: PhysConsts) -> dict:
     return {
         "format_version": MODEL_FORMAT_VERSION,
         "component": schema.component,
-        "schema": {**{name: getattr(schema, name) for name in ("component", "n_fl_window", "n_hl_window",
-                      "include_humidity", "include_thickness", "input_len", "output_len")},
-                   **({} if schema.p_hl_window is None else {"p_hl_window": schema.p_hl_window})},
+        "schema": {name: getattr(schema, name) for name in ("component", "n_fl_window", "n_hl_window",
+                   "include_humidity", "include_thickness", "input_len", "output_len", "p_hl_window")},
         "normalization": {side: {"mean": norm.mean, "scale": norm.scale}
                           for side, norm in (("in", model.norm_in), ("out", model.norm_out))},
         "layers": [{"rows": int(w.shape[0]), "cols": int(w.shape[1]), "w_rowmajor": w.ravel(), "b": b}
@@ -624,19 +623,19 @@ def model_from_json(obj: dict, path="<model>") -> Tuple[MlpModel, PhysConsts]:
         if type(version) is not int or version != MODEL_FORMAT_VERSION:
             raise ValueError(f"unsupported format_version {version!r}")
         s = _field(obj, "schema", "an object")
-        schema = FeatureSchema(
-            component=_field(s, "component", "a string", "schema."),
-            n_fl_window=_field(s, "n_fl_window", "an integer", "schema."),
-            n_hl_window=_field(s, "n_hl_window", "an integer", "schema."),
-            include_humidity=_field(s, "include_humidity", "a boolean", "schema.", False),
-            include_thickness=_field(s, "include_thickness", "a boolean", "schema.", False),
-            p_hl_window=_field(s, "p_hl_window", "a list of numbers", "schema.", None),
-        )
-        # fields the schema does not need, written for the file's readers: each must agree with it
+        fields = dict(component=_field(s, "component", "a string", "schema."),
+                      p_hl_window=_field(s, "p_hl_window", "a list of numbers", "schema."),
+                      include_humidity=_field(s, "include_humidity", "a boolean", "schema.", False),
+                      include_thickness=_field(s, "include_thickness", "a boolean", "schema.", False))
+        try:
+            schema = FeatureSchema(**fields)
+        except ValueError as exc:  # its messages begin with the field they are about
+            raise ValueError(f"schema.{exc}") from None
+        # fields the schema repeats or derives, written for the file's readers: each must agree with it
         for container, where, name, kind, want in (
                 (obj, "", "component", "a string", schema.component),
-                (s, "schema.", "input_len", "an integer", schema.input_len),
-                (s, "schema.", "output_len", "an integer", schema.output_len)):
+                *((s, "schema.", name, "an integer", getattr(schema, name))
+                  for name in ("n_fl_window", "n_hl_window", "input_len", "output_len"))):
             got = _field(container, name, kind, where)
             if got != want:
                 raise ValueError(f"{where}{name} is {got!r}, but the schema built from the file has {want!r}")

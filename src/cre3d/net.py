@@ -27,7 +27,7 @@ from .column import (
     VerticalGrid,
     _extend,
 )
-from .features import FeatureSchema, Normalization, build_input_matrix
+from .features import FeatureSchema, ModelMismatch, Normalization, build_input_matrix
 from .postproc import LW, SW, postprocess_batch
 
 REFERENCE_HIDDEN_LAYERS = 3
@@ -536,10 +536,11 @@ def grid_search(spec: GridSearchSpec, datasets: Dict[int, GridDataset],
 
 
 def _check_model(model: MlpModel, component: str) -> None:
+    """`model` must be a fitted `component` model; a ModelMismatch names `component`."""
     if model.schema is None or model.norm_in is None or model.norm_out is None:
-        raise ValueError("model lacks schema or normalization statistics")
+        raise ModelMismatch(component, "model lacks schema or normalization statistics")
     if model.schema.component != component:
-        raise ValueError(f"expected a {component!r} model, got {model.schema.component!r}")
+        raise ModelMismatch(component, f"expected a {component!r} model, got {model.schema.component!r}")
 
 
 STAGES = ("normalize", "inference", "denormalize", "postprocess")

@@ -104,8 +104,8 @@ class TestAugmentScalars:
 class TestReferenceGrid:
     def test_level_counts(self, ref_grid, consts):
         assert ref_grid.n_fl == 137
-        assert ref_grid.n_fl_window(consts.p_trunc) == 90
-        assert ref_grid.n_hl_window(consts.p_trunc) == 91
+        assert ref_grid.window(consts.p_trunc).n_fl == 90
+        assert ref_grid.window(consts.p_trunc).n_hl == 91
 
     def test_monotone_and_surface(self, ref_grid):
         assert np.all(np.diff(ref_grid.p_hl) > 0)
@@ -178,8 +178,8 @@ class TestToyTruth:
     def test_window_sizing(self, small_grid, consts):
         p = make_profile(small_grid, seed=6)
         truth = toy_truth(p, consts)
-        assert truth.lw.scalar.size == small_grid.n_hl_window(consts.p_trunc)
-        assert truth.lw.heat.size == small_grid.n_fl_window(consts.p_trunc)
+        assert truth.lw.scalar.size == small_grid.window(consts.p_trunc).n_hl
+        assert truth.lw.heat.size == small_grid.window(consts.p_trunc).n_fl
 
     @pytest.mark.parametrize("grid_name", ["small_grid", "ref_grid"])
     def test_batch_equals_stacked_one_profile_calls(self, request, consts, grid_name):

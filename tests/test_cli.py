@@ -352,7 +352,8 @@ class TestEndToEnd:
                             "--model-lw", pipeline / "model_lw.json",
                             "--model-sw", other_sw] + out, capsys)
         assert code == 1
-        assert err == "error: ValueError: LW and SW model files disagree on physical constants\n"
+        assert err == (f"error: DatasetError: {other_sw}: physical constants differ from those of "
+                       f"LW model file {pipeline / 'model_lw.json'}\n")
         assert list(tmp_path.iterdir()) == [other_sw]
 
     def test_train_is_deterministic(self, pipeline, tmp_path, capsys):
@@ -369,6 +370,76 @@ class TestEndToEnd:
         m2, _ = io.load_model(out)
         for w1, w2 in zip(m1.weights, m2.weights):
             np.testing.assert_array_equal(w1, w2)
+
+
+class TestModelMismatch:
+    """A model that does not fit fails `predict` and `bench` before anything
+    is written, naming its file, and the profiles file where it does not
+    fit their window."""
+
+    @staticmethod
+    def run_with(command, pipeline, tmp_path, capsys, profiles=None, model_lw=None, model_sw=None):
+        out = {"predict": ["--out-lw", tmp_path / "lw.jsonl", "--out-sw", tmp_path / "sw.jsonl"],
+               "bench": ["--replication", 1, "--out", tmp_path / "bench.json"]}[command]
+        before = set(tmp_path.iterdir())
+        code, _, err = run([command, "--profiles", profiles or pipeline / "profiles.jsonl",
+                            "--model-lw", model_lw or pipeline / "model_lw.json",
+                            "--model-sw", model_sw or pipeline / "model_sw.json"] + out, capsys)
+        assert code == 1
+        assert set(tmp_path.iterdir()) == before
+        return err
+
+    @pytest.mark.parametrize("command", ["predict", "bench"])
+    def test_swapped_models_name_the_file_in_the_lw_place(self, pipeline, tmp_path, capsys, command):
+        err = self.run_with(command, pipeline, tmp_path, capsys,
+                            model_lw=pipeline / "model_sw.json", model_sw=pipeline / "model_lw.json")
+        assert err == f"error: DatasetError: {pipeline / 'model_sw.json'}: expected a 'lw' model, got 'sw'\n"
+
+    @pytest.mark.parametrize("command", ["predict", "bench"])
+    def test_profiles_on_another_grid_name_the_model_and_the_profiles(self, pipeline, tmp_path, capsys,
+                                                                      command):
+        other = synth(tmp_path, capsys, levels=16, tag="_16")["profiles"]
+        err = self.run_with(command, pipeline, tmp_path, capsys, profiles=other)
+        assert err == (f"error: DatasetError: {pipeline / 'model_lw.json'}: the profiles' window "
+                       f"(4 full levels) is not the one the lw model was trained on (3 full levels): "
+                       f"their half-level pressures differ (profiles: {other})\n")
+
+    @pytest.mark.parametrize("command", ["predict", "bench"])
+    def test_sw_model_on_a_shifted_window_names_its_file(self, pipeline, tmp_path, capsys, command):
+        model = json.loads((pipeline / "model_sw.json").read_text())
+        model["schema"]["p_hl_window"][-2] *= 1.001  # same size, one pressure moved
+        shifted = tmp_path / "model_sw_shifted.json"
+        shifted.write_text(json.dumps(model))
+        err = self.run_with(command, pipeline, tmp_path, capsys, model_sw=shifted)
+        assert err == (f"error: DatasetError: {shifted}: the profiles' window (3 full levels) is not the one "
+                       f"the sw model was trained on (3 full levels): their half-level pressures differ "
+                       f"(profiles: {pipeline / 'profiles.jsonl'})\n")
+
+    def test_reversed_training_window_fails_as_the_model_loads(self, pipeline, tmp_path, capsys):
+        model = json.loads((pipeline / "model_lw.json").read_text())
+        model["schema"]["p_hl_window"].reverse()
+        reversed_lw = tmp_path / "model_lw_reversed.json"
+        reversed_lw.write_text(json.dumps(model))
+        err = self.run_with("predict", pipeline, tmp_path, capsys, model_lw=reversed_lw)
+        assert err == (f"error: DatasetError: {reversed_lw}: bad model file: schema.p_hl_window is no window "
+                       f"grid: half-level pressures must increase strictly; violated at index 0\n")
+
+
+class TestTrainedWindow:
+    @pytest.mark.parametrize("component", ["lw", "sw"])
+    def test_train_records_the_profiles_window(self, tmp_path, capsys, component):
+        # what `synth` writes and `train` reads: the model file holds the window's half-level pressures
+        paths = {key: tmp_path / f"{key}.jsonl" for key in ("profiles", "truth_lw", "truth_sw")}
+        code, _, err = run(["synth", "--profiles", 300, "--seed", 0, "--out-profiles", paths["profiles"],
+                            "--out-truth-lw", paths["truth_lw"], "--out-truth-sw", paths["truth_sw"]], capsys)
+        assert code == 0, err
+        out = tmp_path / "model.json"
+        code, _, err = run(["train", "--profiles", paths["profiles"], "--truth", paths[f"truth_{component}"],
+                            "--component", component, "--max-epochs", 2, "--out", out], capsys)
+        assert code == 0, err
+        window = io.read_profiles(paths["profiles"]).grid.window()
+        assert window.n_fl == 90
+        assert json.loads(out.read_text())["schema"]["p_hl_window"] == window.p_hl.tolist()
 
 
 class TestForkAfterParallelForward:

@@ -188,15 +188,15 @@ class TestHeatingRates:
 class TestWindow:
     def test_reference_grid_counts(self, ref_grid):
         assert ref_grid.n_fl == 137
-        assert ref_grid.n_fl_window() == 90
-        assert ref_grid.n_hl_window() == 91
+        assert ref_grid.window().n_fl == 90
+        assert ref_grid.window().n_hl == 91
         fl = truncate_to_window(np.arange(ref_grid.n_fl, dtype=float), ref_grid)
         hl = truncate_to_window(np.arange(ref_grid.n_hl, dtype=float), ref_grid)
         assert fl.size == 90 and hl.size == 91
 
     def test_small_grid_counts(self, small_grid):
         # 4 full levels above 50 hPa, 6 retained.
-        assert small_grid.n_fl_window() == 6
+        assert small_grid.window().n_fl == 6
         assert truncate_to_window(np.zeros(small_grid.n_fl), small_grid).size == 6
 
     def test_grid_entirely_below_window_is_identity(self):
@@ -217,14 +217,14 @@ class TestWindow:
 
 class TestExtend:
     def test_zero_in_zero_out(self, small_grid):
-        m = small_grid.n_hl_window()
+        m = small_grid.window().n_hl
         flux = extend_to_full(np.zeros(m), np.zeros(m), np.zeros(m),
                               np.zeros(m - 1), small_grid)
         assert np.all(flux.up == 0) and np.all(flux.down == 0)
         assert np.all(flux.direct_down == 0) and np.all(flux.heat == 0)
 
     def test_up_extended_constant(self, small_grid):
-        m = small_grid.n_hl_window()
+        m = small_grid.window().n_hl
         up = np.full(m, 0.3)
         up[0] = 0.7
         flux = extend_to_full(up, np.zeros(m), None, np.zeros(m - 1), small_grid)
@@ -245,7 +245,7 @@ class TestExtend:
         np.testing.assert_array_equal(truncate_to_window(flux.heat, small_grid), heat_w)
 
     def test_length_mismatch_rejected(self, small_grid):
-        m = small_grid.n_hl_window()
+        m = small_grid.window().n_hl
         with pytest.raises(ValueError, match="length"):
             extend_to_full(np.zeros(m + 1), np.zeros(m), None, np.zeros(m - 1), small_grid)
 
@@ -307,7 +307,7 @@ class TestFluxSet:
     def test_truncate_profile_keeps_scalars(self, small_grid):
         p = make_profile(small_grid, seed=18)
         w = truncate_profile(p)
-        assert w.grid.n_fl == small_grid.n_fl_window()
+        assert w.grid.n_fl == small_grid.window().n_fl
         assert w.T_s == p.T_s and w.alpha == p.alpha and w.mu0 == p.mu0
         np.testing.assert_array_equal(w.f_c, p.f_c[small_grid.window_start():])
 
@@ -338,7 +338,7 @@ class TestFluxRows:
     @pytest.mark.parametrize("component", ["lw", "sw"])
     def test_extend_to_full(self, small_grid, component):
         rng = np.random.default_rng(32)
-        m = small_grid.n_hl_window()
+        m = small_grid.window().n_hl
         up, down = rng.normal(size=(self.N, m)), rng.normal(size=(self.N, m))
         heat = rng.normal(size=(self.N, m - 1))
         direct = rng.normal(size=(self.N, m)) if component == "sw" else None
@@ -426,7 +426,7 @@ class TestProfileBatch:
         assert np.shares_memory(part.T, batch.T)
         w = batch.window()
         i0 = small_grid.window_start()
-        assert w.grid.n_fl == small_grid.n_fl_window()
+        assert w.grid.n_fl == small_grid.window().n_fl
         assert np.shares_memory(w.q, batch.q)
         np.testing.assert_array_equal(w.f_c, batch.f_c[:, i0:])
         np.testing.assert_array_equal(w.mu0, batch.mu0)

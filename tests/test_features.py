@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -28,26 +30,52 @@ class TestSchema:
         assert lw.output_len == 181  # 91 + 90
         assert sw.output_len == 272  # 91 + 91 + 90
 
+    P_HL = np.linspace(6000.0, 101325.0, 7)  # a window of 6 full levels
+
     def test_block_arithmetic(self):
-        lw = FeatureSchema(component="lw", n_fl_window=6, n_hl_window=7)
-        sw = FeatureSchema(component="sw", n_fl_window=6, n_hl_window=7)
+        lw = FeatureSchema(component="lw", p_hl_window=self.P_HL)
+        sw = FeatureSchema(component="sw", p_hl_window=self.P_HL)
         assert lw.input_len == 3 * 6 + 1
         assert sw.input_len == 2 * 6 + 2
         assert lw.output_len == 7 + 6
         assert sw.output_len == 2 * 7 + 6
 
     def test_optional_blocks_extend_inputs(self):
-        base = FeatureSchema(component="sw", n_fl_window=6, n_hl_window=7)
-        with_q = FeatureSchema(component="sw", n_fl_window=6, n_hl_window=7,
-                               include_humidity=True)
-        both = FeatureSchema(component="sw", n_fl_window=6, n_hl_window=7,
+        base = FeatureSchema(component="sw", p_hl_window=self.P_HL)
+        with_q = FeatureSchema(component="sw", p_hl_window=self.P_HL, include_humidity=True)
+        both = FeatureSchema(component="sw", p_hl_window=self.P_HL,
                              include_humidity=True, include_thickness=True)
         assert with_q.input_len == base.input_len + 6
         assert both.input_len == base.input_len + 12
 
     def test_bad_component_rejected(self):
         with pytest.raises(ValueError, match="component"):
-            FeatureSchema(component="uv", n_fl_window=6, n_hl_window=7)
+            FeatureSchema(component="uv", p_hl_window=self.P_HL)
+
+    def test_window_sizes_are_derived_from_the_window(self, small_grid):
+        schema = FeatureSchema("lw", small_grid.p_hl[4:], include_thickness=True)
+        assert [f.name for f in dataclasses.fields(FeatureSchema) if f.init] == [
+            "component", "p_hl_window", "include_humidity", "include_thickness"]
+        assert (schema.n_fl_window, schema.n_hl_window) == (6, 7)
+        assert schema.window_grid.same_as(small_grid.window())
+        assert not schema.p_hl_window.flags.writeable
+        assert schema == schema_for_grid("lw", small_grid, include_thickness=True)
+
+    def test_equality_compares_sizes_not_pressures(self):
+        schema = FeatureSchema("sw", self.P_HL)
+        assert schema == FeatureSchema("sw", self.P_HL * 0.999)
+        assert hash(schema) == hash(FeatureSchema("sw", self.P_HL * 0.999))
+        assert schema != FeatureSchema("sw", self.P_HL[1:])
+
+    @pytest.mark.parametrize("p_hl, message", [
+        ([101325.0], "p_hl needs at least two half levels"),
+        ([101325.0, 5000.0], "half-level pressures must increase strictly; violated at index 0"),
+        ([5000.0, np.nan, 101325.0], "non-finite value at level 1"),
+        ([[5000.0, 101325.0]], "1-D array"),
+    ], ids=["one_value", "reversed", "nan", "two_dimensional"])
+    def test_window_that_is_no_grid_rejected(self, p_hl, message):
+        with pytest.raises(ValueError, match=rf"^p_hl_window is no window grid: .*{message}"):
+            FeatureSchema("lw", p_hl)
 
 
 class TestInputVectors:
@@ -139,10 +167,10 @@ class TestSchemaSequence:
 
     def test_every_schema_checked_before_any_assembly(self, small_grid, consts, monkeypatch):
         lw = schema_for_grid("lw", small_grid)
-        n = lw.n_fl_window + 1
-        sw = FeatureSchema(component="sw", n_fl_window=n, n_hl_window=n + 1)
+        sw = schema_for_grid("sw", small_grid, p_trunc=2000.0)  # one full level more
         calls = self.count_calls(monkeypatch, ("_assemble", "compute_cloud_optical_depth"))
-        with pytest.raises(ValueError, match=f"schema expects {n}"):
+        with pytest.raises(ValueError, match=r"window \(6 full levels\) is not the one the sw model was "
+                                             r"trained on \(7 full levels\)"):
             build_input_matrix([make_profile(small_grid, seed=1)], [lw, sw], consts)
         assert calls == []
 
@@ -180,7 +208,7 @@ class TestTargetVectors:
 
     def test_length_mismatch_rejected(self, small_grid):
         schema = schema_for_grid("lw", small_grid)
-        wider = FeatureSchema("lw", schema.n_fl_window + 1, schema.n_hl_window + 1)
+        wider = schema_for_grid("lw", small_grid, p_trunc=2000.0)
         with pytest.raises(ValueError, match="length"):
             build_target_vector(self._targets(wider, 7), schema)
 
@@ -191,7 +219,7 @@ class TestTargetVectors:
         t = targets_from_flux_effects("lw", up, down, small_grid, consts)
         i0 = small_grid.window_start()
         np.testing.assert_allclose(t.scalar, (up + down)[i0:], rtol=1e-13)
-        assert t.heat.size == small_grid.n_fl_window()
+        assert t.heat.size == small_grid.window().n_fl
 
     def test_targets_window_follows_consts(self, small_grid):
         # 10000 Pa moves the first window full level of small_grid from index 4 to 6
@@ -204,7 +232,7 @@ class TestTargetVectors:
         i0 = small_grid.window_start(consts.p_trunc)
         np.testing.assert_array_equal(t.scalar, (up + down)[i0:])
         np.testing.assert_array_equal(t.direct_down, direct[i0:])
-        assert t.heat.size == small_grid.n_fl_window(consts.p_trunc)
+        assert t.heat.size == small_grid.window(consts.p_trunc).n_fl
 
 
 class TestTargetRows:

@@ -1103,15 +1103,16 @@ class TestModelFiles:
         back, _ = load_model(path)
         np.testing.assert_array_equal(back.schema.p_hl_window, small_grid.p_hl[4:])
 
-    def test_model_file_without_training_window_loads(self, tmp_path, small_grid, consts):
+    def test_model_file_without_training_window_rejected(self, tmp_path, small_grid, consts):
+        # a model is valid on its training window alone, so a file must say which it is
         path = tmp_path / "model.json"
         save_model(path, self._model(small_grid), consts)
         obj = json.loads(path.read_text())
         del obj["schema"]["p_hl_window"]
         path.write_text(json.dumps(obj))
-        back, _ = load_model(path)
-        assert back.schema.p_hl_window is None
-        assert back.schema == self._model(small_grid).schema
+        with pytest.raises(DatasetError) as caught:
+            load_model(path)
+        assert str(caught.value) == f"{path}: bad model file: missing field 'schema.p_hl_window'"
 
     def test_file_is_json_dumps_of_the_model_and_loads_bit_equal(self, tmp_path, small_grid, consts):
         model = self._model(small_grid)
@@ -1188,6 +1189,17 @@ class TestModelFiles:
         "output_len": (lambda o: o["schema"].update(output_len=1),
                        r"schema\.output_len is 1, but the schema built from the file has 13"),
         "no_component": (lambda o: o.pop("component"), r"missing field 'component'"),
+        "p_hl_window_reversed": (
+            lambda o: o["schema"]["p_hl_window"].reverse(),
+            r"schema\.p_hl_window is no window grid: half-level pressures must increase strictly; "
+            r"violated at index 0"),
+        "p_hl_window_one_value": (
+            lambda o: o["schema"].update(p_hl_window=o["schema"]["p_hl_window"][:1]),
+            r"schema\.p_hl_window is no window grid: p_hl needs at least two half levels"),
+        "n_fl_window": (lambda o: o["schema"].update(n_fl_window=5),
+                        r"schema\.n_fl_window is 5, but the schema built from the file has 6"),
+        "n_hl_window": (lambda o: o["schema"].update(n_hl_window=6),
+                        r"schema\.n_hl_window is 6, but the schema built from the file has 7"),
     }
 
     def _rejected(self, tmp_path, small_grid, consts, edit, message):

@@ -1094,8 +1094,9 @@ class TestPredictEffects:
     def test_component_mismatch_rejected(self, small_grid, consts):
         lw, sw = self._models(small_grid, consts)
         profiles = generate_profiles(1, small_grid, seed=5)
-        with pytest.raises(ValueError, match="model"):
+        with pytest.raises(features.ModelMismatch, match="expected a 'lw' model, got 'sw'") as caught:
             predict_flux_effects(sw, lw, profiles, consts)
+        assert (caught.value.component, caught.value.profiles) == ("lw", False)
 
     def test_grid_with_other_window_pressures_rejected(self, small_grid, consts):
         # same window size, one window pressure moved
@@ -1103,12 +1104,14 @@ class TestPredictEffects:
         p_hl = small_grid.p_hl.copy()
         p_hl[-2] = 70000.0
         other = VerticalGrid(p_hl)
-        assert other.n_fl_window(consts.p_trunc) == small_grid.n_fl_window(consts.p_trunc)
+        assert other.window(consts.p_trunc).n_fl == small_grid.window(consts.p_trunc).n_fl
         profiles = generate_profiles(2, other, seed=6)
-        with pytest.raises(ValueError, match="window pressures differ from those the model was trained on"):
+        with pytest.raises(ValueError, match=r"^the profiles' window \(6 full levels\) is not the one the lw "
+                                             r"model was trained on \(6 full levels\): their half-level "
+                                             r"pressures differ$"):
             predict_flux_effects(lw, sw, profiles, consts)
         for model in (lw, sw):
-            with pytest.raises(ValueError, match="window pressures differ"):
+            with pytest.raises(ValueError, match=f"the one the {model.schema.component} model was trained on"):
                 build_input_matrix(profiles, model.schema, consts)
         predict_flux_effects(lw, sw, generate_profiles(2, small_grid, seed=6), consts)
 
@@ -1118,17 +1121,18 @@ class TestPredictEffects:
         sw.schema = dataclasses.replace(sw.schema, p_hl_window=sw.schema.p_hl_window * 1.001)
         calls = []
         monkeypatch.setattr(net, "forward", lambda *args: calls.append(args) or forward(*args))
-        with pytest.raises(ValueError, match="window pressures differ from those the model was trained on"):
+        with pytest.raises(features.ModelMismatch, match="is not the one the sw model was trained on") as caught:
             predict_flux_effects(lw, sw, generate_profiles(2, small_grid, seed=6), consts)
+        assert (caught.value.component, caught.value.profiles) == ("sw", True)
         assert calls == []
 
-    def test_model_without_training_window_checks_its_size_only(self, small_grid, consts):
-        lw, sw = self._models(small_grid, consts)
-        for model in (lw, sw):
-            model.schema = dataclasses.replace(model.schema, p_hl_window=None)
-        p_hl = small_grid.p_hl.copy()
-        p_hl[-2] = 70000.0
-        predict_flux_effects(lw, sw, generate_profiles(2, VerticalGrid(p_hl), seed=6), consts)
+    def test_model_without_training_window_cannot_be_made(self, small_grid, consts):
+        # so no model checks the profiles' window by its size only
+        lw, _ = self._models(small_grid, consts)
+        with pytest.raises(ValueError, match="^p_hl_window is no window grid"):
+            dataclasses.replace(lw.schema, p_hl_window=None)
+        with pytest.raises(TypeError, match="p_hl_window"):
+            features.FeatureSchema("lw")
 
     def test_mixed_grids_rejected(self, small_grid, consts):
         lw, sw = self._models(small_grid, consts)
