@@ -200,19 +200,21 @@ def cmd_grid_search(args) -> int:
 
 def cmd_predict(args) -> int:
     model_lw, model_sw, consts = _model_pair(args.model_lw, args.model_sw)
-    profiles = io.read_profiles(args.profiles)
-    fluxes = {}
+
+    def fluxes(profiles):
+        """The LW and SW effects of a block of profiles, each checked as a FluxSet."""
+        checked = []
+        for component, e in net.predict_flux_effects(model_lw, model_sw, profiles, consts).items():
+            try:
+                checked.append(column.FluxSet(**e))
+            except column.RowError as exc:
+                raise ValueError(f"predicted {component} effects of profile {profiles.ids[exc.row]!r}: "
+                                 f"{exc.message}") from None
+        return checked
+
     with _naming_model_files(args):
-        effects = net.predict_flux_effects(model_lw, model_sw, profiles, consts)
-    for component, e in effects.items():
-        try:
-            fluxes[component] = column.FluxSet(**e)
-        except column.RowError as exc:
-            raise ValueError(f"predicted {component} effects of profile {profiles.ids[exc.row]!r}: "
-                             f"{exc.message}") from None
-    io.write_fluxes(args.out_lw, profiles.ids, fluxes["lw"])
-    io.write_fluxes(args.out_sw, profiles.ids, fluxes["sw"])
-    print(f"wrote {len(profiles)} effect records to {args.out_lw} and {args.out_sw}")
+        n = io.map_profiles(args.profiles, [args.out_lw, args.out_sw], fluxes)
+    print(f"wrote {n} effect records to {args.out_lw} and {args.out_sw}")
     return 0
 
 

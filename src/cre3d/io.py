@@ -13,16 +13,24 @@ ASCII whitespace are blank.
 JSON-Lines records are encoded and decoded in contiguous parts at the same
 time: this process handles part 0 and forked children the others (see
 `_n_parts`). Both dataset writers end in `_write_records`, where each part
-makes its records' text once, in order (see `write_jsonl`). The bytes
-written and the errors raised do not depend on how the records are split.
+makes its records' text once, in order (see `write_jsonl`). Every file
+written in parts is joined by `_written_in_parts`. The bytes written and
+the errors raised do not depend on how the records are split.
 The readers take every field through `_field`'s JSON type rule. Every
 profile record repeats the grid, so `read_profiles` matches record 1's grid
 text in the others instead of parsing it again.
+
+`map_profiles` (what `cre3d predict` runs) turns a profile file into flux
+files in one pass: each part reads, checks, maps and writes its records a
+block of ROW_CHUNK at a time, into its own part of each output, and sends
+back only its ids, its record count and its first error. No process holds
+more than one block of records, whatever the size of the file.
 """
 
 from __future__ import annotations
 
 import contextlib
+import itertools
 import json
 import math
 import os
@@ -48,6 +56,7 @@ from .column import (
 )
 from .features import FeatureSchema, Normalization
 from .net import MlpModel
+from . import rowblocks
 from .rowblocks import usable_cpus
 
 MODEL_FORMAT_VERSION = 1
@@ -189,31 +198,54 @@ def _in_parts(path, work: Callable, parts: Sequence) -> list:
 # JSON Lines
 
 
+@contextlib.contextmanager
+def _written_in_parts(paths: Sequence, k: int):
+    """Write each file of `paths` in `k` parts: yields `part(i)`, a context
+    manager giving part i's text handles, one per path, to be entered in
+    the process that writes part i; its text is in the files once it exits.
+    Part 0 goes straight into each file's temp file (see `_atomic_open`);
+    each other part into a file beside it, appended in order once the body
+    is done. The files are renamed over `paths` only if the body and every
+    append succeed, and no part file is left behind."""
+    part_paths = [[_temp_path(path) for path in paths] for _ in range(1, k)]
+    with contextlib.ExitStack() as outputs:
+        handles = [outputs.enter_context(_atomic_open(path)) for path in paths]
+
+        @contextlib.contextmanager
+        def part(i: int):
+            if i == 0:
+                yield handles
+                for fh in handles:  # a child forked after this holds none of its text
+                    fh.flush()
+                return
+            with contextlib.ExitStack() as files:
+                yield [files.enter_context(open(name, "x")) for name in part_paths[i - 1]]
+
+        try:
+            yield part
+            for fh, names in zip(handles, zip(*part_paths)):
+                for name in names:
+                    with open(name, "rb") as src:
+                        shutil.copyfileobj(src, fh.buffer)
+        finally:
+            for name in itertools.chain.from_iterable(part_paths):
+                with contextlib.suppress(FileNotFoundError):
+                    os.unlink(name)
+
+
 def write_jsonl(path, n: int, lines: Callable[[range], Iterable[str]]) -> None:
     """Write `n` records, line i + 1 holding record i's JSON text:
     `lines(rows)` yields the text (without its newline) of the records in
-    `rows`, in order, and is called once for each part. Part 0 goes
-    straight into the temp file; each other part is written by a child into
-    a file beside it, appended in order once all parts are done."""
-    with _atomic_open(path) as fh:
-        k = _n_parts(n)
-        rows = [range(n * i // k, n * (i + 1) // k) for i in range(k)]
-        part_paths = [None] + [_temp_path(path) for _ in rows[1:]]
-
+    `rows`, in order, and is called once for each part, in the process that
+    writes it (see `_written_in_parts`)."""
+    k = _n_parts(n)
+    rows = [range(n * i // k, n * (i + 1) // k) for i in range(k)]
+    with _written_in_parts([path], k) as part:
         def encode(i: int) -> None:
-            with contextlib.nullcontext(fh) if i == 0 else open(part_paths[i], "x") as out:
+            with part(i) as (out,):
                 out.writelines(line + "\n" for line in lines(rows[i]))
 
-        try:
-            _in_parts(path, encode, range(k))
-            fh.flush()
-            for part in part_paths[1:]:
-                with open(part, "rb") as src:
-                    shutil.copyfileobj(src, fh.buffer)
-        finally:
-            for part in part_paths[1:]:
-                with contextlib.suppress(FileNotFoundError):
-                    os.unlink(part)
+        _in_parts(path, encode, range(k))
 
 
 def _records(ids: Sequence, fields: Sequence[Tuple[str, object]]) -> Callable[[range], Iterable[str]]:
@@ -295,7 +327,8 @@ class _Rows(NamedTuple):
     count: int  # records read, a bad one included
     ids: list  # the ids of the records before the first bad one
     columns: dict  # each field's rows before the first bad record, stacked
-    error: Optional[Tuple[int, str]]  # (record, message) of the first bad record
+    # (record, message) of the first bad record, or (record, a consumer's ValueError)
+    error: Optional[Tuple[int, object]]
 
 
 def _parse_rows(lines, parse: Callable[[dict], dict], decode: Callable[[bytes], object] = json.loads) -> _Rows:
@@ -372,9 +405,48 @@ def _field(obj, name: str, kind: Optional[str], where: str = "", default=_MISSIN
     return value
 
 
+class _Consumer(NamedTuple):
+    """Where `_read_rows` hands a file's records instead of returning them:
+    `write(result, handles)` takes one block's built result and writes its
+    text into that block's part of each file of `paths`, one text handle
+    per path, in order."""
+
+    paths: Sequence
+    write: Callable[[object, list], None]
+
+
+def _consumed_rows(lines, parse: Callable[[dict], dict], decode: Callable[[bytes], object],
+                   build: Callable[[dict, list], object], write: Callable[[object], None]) -> _Rows:
+    """Decode, parse and build `lines`, records 1, 2, ... of a part, a block
+    of ROW_CHUNK records at a time, and `write` each block's result, up to
+    the first bad record. A RowError of `build` is the error of its row's
+    record; a ValueError of `write` (kept as it is) that of the block's
+    first record. The columns are not kept."""
+    count, ids = 0, []
+    while True:
+        block = _parse_rows(itertools.islice(lines, rowblocks.ROW_CHUNK), parse, decode)
+        n, error = len(block.ids), block.error and (count + block.error[0], block.error[1])
+        if n:
+            try:
+                result = build(block.columns, block.ids)
+            except RowError as exc:
+                n, error = exc.row, (count + exc.row + 1, exc.message)
+            else:
+                try:
+                    write(result)
+                except ValueError as exc:
+                    n, error = 0, (count + 1, exc)
+        ids += block.ids[:n]
+        count += block.count
+        if error or block.count < rowblocks.ROW_CHUNK:
+            return _Rows(count, ids, {}, error)
+
+
 def _read_rows(path, parse: Callable[[dict], dict], build: Callable[[dict, list], object], what: str,
-               decoder: Optional[Callable[[bytes], Callable[[bytes], object]]] = None):
-    """Read a JSON-Lines file and return its records' rows, built into one result.
+               decoder: Optional[Callable[[bytes], Callable[[bytes], object]]] = None,
+               consume: Optional[_Consumer] = None):
+    """Read a JSON-Lines file and return its records' rows, built into one
+    result, or, with `consume`, write them and return their count.
 
     `parse(record)` checks one decoded record and returns its fields by
     name; `build(columns, ids)` makes the result from each field's stacked
@@ -385,10 +457,20 @@ def _read_rows(path, parse: Callable[[dict], dict], build: Callable[[dict, list]
     `_in_parts`), each line decoded by `decoder(line 1)` if given, which
     must give what `json.loads` gives and raise what it raises.
     Every record must carry an id (or null) that no earlier record has.
-    Errors name the file and the first bad record, counted as records: a
-    record that fails to decode, to parse or the id rule is reported after
-    the records before it are built, so a value rule broken by an earlier
-    record is named first.
+
+    Without `consume`, each part sends its rows to this process, which
+    builds them at once. With it, each part builds and consumes its rows
+    itself, in blocks (see `_consumed_rows`), writing its own part of
+    `consume.paths` (see `_written_in_parts`), and sends back only its ids,
+    its record count and its first error; record 1 is built and consumed
+    here before any part starts, so a consumer that cannot take the file
+    fails before a fork.
+
+    Errors name the file and the first bad record, counted as records over
+    the whole file: a record that fails to decode, to parse or the id rule
+    is reported after the records before it are built, so a value rule
+    broken by an earlier record is named first. A consumer's ValueError is
+    raised as it is, in the same order.
     """
     with open(path, "rb", buffering=READ_BUFFER) as fh:
         first = next(_lines(fh), None)  # fh is left right after it
@@ -397,46 +479,81 @@ def _read_rows(path, parse: Callable[[dict], dict], build: Callable[[dict, list]
         head = _parse_rows([first], parse)
         if head.error:
             raise DatasetError(path, 1, head.error[1])
+        seen = {}
+        _check_new_id(seen, head.ids[0], path, 1)
         decode = json.loads if decoder is None else decoder(first)
         parts = _split(fh, len(first))
 
-        def read(part) -> _Rows:
-            start, end = part
+        @contextlib.contextmanager
+        def part_lines(i: int):
+            start, end = parts[i]
             if start is None:
-                return _parse_rows(_lines(fh, end), parse, decode)
+                yield _lines(fh, end)
+                return
             with open(path, "rb", buffering=READ_BUFFER) as part_fh:
                 part_fh.seek(start)
-                return _parse_rows(_lines(part_fh, end), parse, decode)
+                yield _lines(part_fh, end)
 
-        results = [head] + _in_parts(path, read, parts)
+        if consume is None:
+            def read(i: int) -> _Rows:
+                with part_lines(i) as lines:
+                    return _parse_rows(lines, parse, decode)
 
-    ids, taken, failure, before, seen = [], [], None, 0, {}
+            results = _in_parts(path, read, range(len(parts)))
+            ids, taken, failure = _first_failure(path, results, seen)
+            taken.insert(0, (head.columns, 1))
+            columns = {name: np.concatenate([cols.pop(name)[:n] for cols, n in taken if n])
+                       for name in list(head.columns)}
+            try:
+                result = build(columns, head.ids + ids)
+            except RowError as exc:
+                raise DatasetError(path, exc.row + 1, exc.message) from exc
+            if failure:
+                raise failure
+            return result
+
+        with _written_in_parts(consume.paths, len(parts)) as part:
+            try:
+                result = build(head.columns, head.ids)
+            except RowError as exc:
+                raise DatasetError(path, 1, exc.message) from exc
+            with part(0) as out:
+                consume.write(result, out)
+
+            def read(i: int) -> _Rows:
+                with part_lines(i) as lines, part(i) as out:
+                    return _consumed_rows(lines, parse, decode, build,
+                                          lambda result: consume.write(result, out))
+
+            results = _in_parts(path, read, range(len(parts)))
+            _, _, failure = _first_failure(path, results, seen)
+            if failure:
+                raise failure
+        return 1 + sum(part.count for part in results)
+
+
+def _first_failure(path, results: Sequence[_Rows], seen: dict):
+    """The parts' records after record 1, in order, up to the first that
+    breaks the id rule or has its part's error: their ids, each part's
+    columns with how many of its rows come before that record, and the
+    error (None if there is none)."""
+    ids, taken, before = [], [], 1
     for part in results:
         n = len(part.ids)
         for j, pid in enumerate(part.ids):
             try:
                 _check_new_id(seen, pid, path, before + j + 1)
             except DatasetError as exc:
-                failure, n = exc, j
-                break
-        else:
-            if part.error:
-                failure = DatasetError(path, before + part.error[0], part.error[1])
-        ids += part.ids[:n]
+                ids += part.ids[:j]
+                taken.append((part.columns, j))
+                return ids, taken, exc
+        ids += part.ids
         taken.append((part.columns, n))
-        if failure:
-            break
+        if part.error:
+            record, error = part.error
+            return ids, taken, DatasetError(path, before + record, error) if isinstance(error, str) else error
         before += part.count
-    if ids:
-        columns = {name: np.concatenate([cols.pop(name)[:n] for cols, n in taken if n])
-                   for name in list(head.columns)}
-        try:
-            result = build(columns, ids)
-        except RowError as exc:
-            raise DatasetError(path, exc.row + 1, exc.message) from exc
-    if failure:
-        raise failure
-    return result
+    return ids, taken, None
 
 
 # ---------------------------------------------------------------------------
@@ -506,18 +623,9 @@ def _grid_decoder(first: bytes, p_hl: list) -> Callable[[bytes], object]:
     return decode
 
 
-def read_profiles(path) -> ProfileBatch:
-    """Read a profile file into one validated ProfileBatch.
-
-    Records are decoded one at a time and only their arrays are kept.
-    Record 1's grid text is matched in the later records, not parsed again
-    (see `_grid_decoder`). Every record must have record 1's `p_hl`, give
-    `q` if and only if record 1 does, and carry an id (or null) that no
-    earlier record has.
-    Errors name the file and the first bad record: the value rules are
-    checked on the stacked batch, and on the records read so far when a
-    record fails one of the checks above.
-    """
+def _read_profiles(path, consume: Optional[_Consumer] = None):
+    """`_read_rows` on a profile file, its records built into ProfileBatches
+    (see `read_profiles`)."""
     grid = first_p_hl = with_q = None
 
     def parse(record: dict) -> dict:
@@ -538,7 +646,46 @@ def read_profiles(path) -> ProfileBatch:
         return row
 
     return _read_rows(path, parse, lambda columns, ids: ProfileBatch(grid=grid, ids=ids, **columns), "profiles",
-                      lambda first: _grid_decoder(first, first_p_hl))
+                      lambda first: _grid_decoder(first, first_p_hl), consume)
+
+
+def read_profiles(path) -> ProfileBatch:
+    """Read a profile file into one validated ProfileBatch.
+
+    Records are decoded one at a time and only their arrays are kept.
+    Record 1's grid text is matched in the later records, not parsed again
+    (see `_grid_decoder`). Every record must have record 1's `p_hl`, give
+    `q` if and only if record 1 does, and carry an id (or null) that no
+    earlier record has.
+    Errors name the file and the first bad record: the value rules are
+    checked on the stacked batch, and on the records read so far when a
+    record fails one of the checks above.
+    """
+    return _read_profiles(path)
+
+
+def map_profiles(path, out_paths: Sequence, fluxes: Callable[[ProfileBatch], Sequence[FluxSet]]) -> int:
+    """Write one flux file per path of `out_paths` from the profile file
+    `path` and return the record count: record i of each file holds
+    profile i's row of `fluxes(batch)`'s FluxSet for that file, under
+    profile i's id, where `batch` is the ProfileBatch of the block of
+    profiles that holds profile i.
+
+    One pass: each part of the profile file (see `_read_rows`) reads,
+    checks (as `read_profiles` does), maps and writes its records a block
+    of at most ROW_CHUNK profiles at a time, so no process holds more than
+    one block, whatever the file's size; record 1 is mapped alone, before
+    the file is split. The bytes are those `write_fluxes` writes for the
+    same rows. Errors are `read_profiles`'s, a ValueError of `fluxes` is
+    raised as it is, and nothing is written unless every record is read
+    and mapped.
+    """
+    def write(batch: ProfileBatch, handles: list) -> None:
+        for fh, flux in zip(handles, fluxes(batch)):
+            lines = _records(batch.ids, _flux_fields(flux))(range(len(batch.ids)))
+            fh.writelines(line + "\n" for line in lines)
+
+    return _read_profiles(path, _Consumer(out_paths, write))
 
 
 # ---------------------------------------------------------------------------
@@ -551,11 +698,15 @@ def write_fluxes(path, ids: Sequence[Optional[str]], flux: FluxSet) -> None:
     """Write one record per row of `flux`, with id `ids[i]` for row i,
     converting a block of rows at a time. Repeated non-null ids fail before
     the file is created."""
-    fields = [(name, getattr(flux, name)) for name in _FLUX_FIELDS if getattr(flux, name) is not None]
     if flux.up.ndim != 2 or len(ids) != len(flux.up):
         raise ValueError(f"{path}: need (n, levels) flux rows and one id per row, got "
                          f"{len(ids)} ids for rows of shape {flux.up.shape}")
-    _write_records(path, ids, fields)
+    _write_records(path, ids, _flux_fields(flux))
+
+
+def _flux_fields(flux: FluxSet) -> list:
+    """The record fields (see `_records`) of a FluxSet's rows."""
+    return [(name, getattr(flux, name)) for name in _FLUX_FIELDS if getattr(flux, name) is not None]
 
 
 def read_fluxes(path) -> Tuple[List[Optional[str]], FluxSet]:

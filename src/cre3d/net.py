@@ -33,6 +33,7 @@ from .postproc import LW, SW, postprocess_batch
 REFERENCE_HIDDEN_LAYERS = 3
 REFERENCE_HIDDEN_WIDTH = {LW: 217, SW: 182}
 ELU_BLOCK = 32768  # elements per in-place pass of ELU and of the L1/L2 gradient
+TILE = 16  # inference GEMMs run on a multiple of this many columns (see `forward`)
 
 
 @dataclass(eq=False)
@@ -182,26 +183,35 @@ def _forward(weights, biases, x: np.ndarray):
 def _forward_rows(model: MlpModel, x: np.ndarray, out: np.ndarray, rows: slice,
                   z0: np.ndarray, z1: np.ndarray) -> None:
     """`forward`'s block: run the rows of one block through the buffers z0
-    and z1 in turn and write them into their rows of `out`."""
-    last, h = len(model.weights) - 1, x[rows].T
+    and z1 in turn, as the first of `TILE`-rounded columns, and write them
+    into their rows of `out`."""
+    c = rows.stop - rows.start
+    cols = -(-c // TILE) * TILE
+    h = x[rows]
+    if cols != c:  # zero rows after the block's, in the layout of x's rows
+        h = np.concatenate([h, np.zeros((cols - c, h.shape[1]))])
+    h = h.T
+    last = len(model.weights) - 1
     for k, (w, b) in enumerate(zip(model.weights, model.biases)):
-        # the first width * rows elements, so a short last block stays C-contiguous
-        z = (z0, z1)[k % 2][:w.shape[0] * h.shape[1]].reshape(w.shape[0], h.shape[1])
+        # the first width * cols elements, so a short last block stays C-contiguous
+        z = (z0, z1)[k % 2][:w.shape[0] * cols].reshape(w.shape[0], cols)
         np.matmul(w, h, out=z)
         z += b[:, None]
         h = z if k == last else elu(z, out=z)
-    out[rows] = h.T
+    out[rows] = h[:, :c].T
 
 
 def forward(model: MlpModel, batch) -> np.ndarray:
     """Deterministic batched forward pass.
 
     Feature-major over blocks of ROW_CHUNK rows: for h = x[s:s+c].T, each
-    layer is `w @ h` into a (width, c) buffer, then `+= b[:, None]` and ELU
+    layer is `w @ h` into a (width, c') buffer, then `+= b[:, None]` and ELU
     in place, the layers alternating between two buffers of the largest
-    width. Each block's output is copied back, transposed, into its rows of
-    one C-contiguous (n, out) matrix. A batch in another layout is read
-    through a C-ordered copy, so its bits do not depend on the layout.
+    width. c' is c rounded up to a multiple of TILE: a block of another size
+    runs with zero columns after its rows, and only its own c columns are
+    copied back, transposed, into their rows of one C-contiguous (n, out)
+    matrix. A batch in another layout is read through a C-ordered copy, so
+    its bits do not depend on the layout.
 
     `rowblocks.run_blocks` cuts the rows into these blocks, the same at
     every worker count, and runs them on its workers, each with its own two
@@ -210,13 +220,14 @@ def forward(model: MlpModel, batch) -> np.ndarray:
     worker that runs it, so the bits do not depend on the worker count.
 
     With the BLAS on one thread, as every `cre3d` command runs it, a row's
-    bits depend only on its block: the same rows in the same block sizes
-    give the same bits. They may depend on the size of its block, as the
-    BLAS GEMM can take the last columns of a block through another kernel
-    (OpenBLAS: the last c mod 8); across block sizes a row agrees to
-    rounding, and tests bound the difference by 1e-13 of the row's largest
-    output. A library caller whose BLAS runs several threads gets bits that
-    may also depend on that thread count.
+    bits depend on that row alone: not on its block's size, its place in
+    the block or the other rows. The GEMM takes the columns of a block in
+    tiles, and OpenBLAS runs a partial last tile through another kernel
+    (the last c mod 8 columns), or a lone column through GEMV; with every
+    block a whole number of TILE columns, each real column goes through the
+    same kernel at any call size. Tests check this bit for bit for calls of
+    1 to 32 rows and permuted batches. A library caller whose BLAS runs
+    several threads gets bits that may also depend on that thread count.
     """
     x = np.asarray(batch, dtype=float, order="C")
     if x.ndim != 2:
@@ -227,7 +238,7 @@ def forward(model: MlpModel, batch) -> np.ndarray:
         raise ValueError("batch contains non-finite values")
     n = x.shape[0]
     out = np.empty((n, model.output_len))
-    size = max(w.shape[0] for w in model.weights) * min(rowblocks.ROW_CHUNK, n)
+    size = max(w.shape[0] for w in model.weights) * -(-min(rowblocks.ROW_CHUNK, n) // TILE) * TILE
     rowblocks.run_blocks(n, functools.partial(_forward_rows, model, x, out),
                          lambda: (np.empty(size), np.empty(size)))
     return out

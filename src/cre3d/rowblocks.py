@@ -5,7 +5,9 @@ postprocess) runs its rows through `run_blocks`, in blocks of ROW_CHUNK rows
 on `forward_workers(n)` workers: the calling thread, and one started thread
 per further worker. This is the one place in cre3d that cuts rows into
 blocks and the one place that starts a thread. It imports nothing from
-cre3d, so every module may import it.
+cre3d, so every module may import it. `io.map_profiles` (`cre3d predict`)
+maps its records in blocks of ROW_CHUNK, so each of its inference calls is
+one block, which runs on the calling thread.
 """
 
 from __future__ import annotations

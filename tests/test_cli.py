@@ -1,6 +1,8 @@
 import json
 import os
 import statistics
+import subprocess
+import sys
 import threading
 
 import numpy as np
@@ -281,14 +283,16 @@ class TestEndToEnd:
 
     def test_predict_rejects_non_finite_effects(self, pipeline, capsys, monkeypatch):
         predict = net.predict_flux_effects
+        ids = io.read_profiles(pipeline / "profiles.jsonl").ids
 
-        def with_nan(*args):
-            effects = predict(*args)
-            effects["sw"]["heat"][2, 7] = np.nan
+        def with_nan(model_lw, model_sw, profiles, consts):
+            # predict maps the profiles a block at a time: the block that holds profile 2
+            effects = predict(model_lw, model_sw, profiles, consts)
+            if ids[2] in profiles.ids:
+                effects["sw"]["heat"][profiles.ids.index(ids[2]), 7] = np.nan
             return effects
 
         monkeypatch.setattr(net, "predict_flux_effects", with_nan)
-        ids = io.read_profiles(pipeline / "profiles.jsonl").ids
         code, _, err = run(["predict", "--profiles", pipeline / "profiles.jsonl",
                             "--model-lw", pipeline / "model_lw.json",
                             "--model-sw", pipeline / "model_sw.json",
@@ -442,80 +446,169 @@ class TestTrainedWindow:
         assert json.loads(out.read_text())["schema"]["p_hl_window"] == window.p_hl.tolist()
 
 
-class TestForkAfterParallelForward:
-    def test_predict_joins_forward_workers_before_the_writer_forks(self, pipeline, monkeypatch, started, tmp_path,
-                                                                    capsys):
-        # 60 profiles in blocks of 8 rows: forward runs 8 blocks on up to 2
-        # workers per component, and each file is read or written in parts of
-        # at least 10 records. A joined worker's OS thread can stay listed for a
-        # few ms, so SW's forward or a writer may find it and run alone; no
-        # fork may happen beside it. Under -W "error:This process:DeprecationWarning"
-        # (Python 3.12+), such a fork fails the command.
+class TestPredictInParts:
+    """`predict` reads, maps and writes the profile file one part at a time,
+    each part in blocks of ROW_CHUNK records: here 60 profiles in blocks of
+    8, in 2 parts of about 30 records on 2 CPUs."""
+
+    @pytest.fixture
+    def seen(self, monkeypatch):
+        """How many parts each `_in_parts` call ran, and the OS threads listed at each fork."""
         monkeypatch.setattr(rowblocks, "ROW_CHUNK", 8)
         monkeypatch.setattr(io, "PART_RECORDS", 10)
-        threads_at_fork, fork = [], os.fork
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        seen = {"parts": [], "threads_at_fork": []}
+        fork, in_parts = os.fork, io._in_parts
 
         def counted_fork():
-            threads_at_fork.append(os_threads())
-            return fork()
-        monkeypatch.setattr(os, "fork", counted_fork)
-        written = []
-        for run_no, cpus in enumerate([1] + [2] * 5):
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)), raising=False)
-            settle()
-            out = {comp: tmp_path / f"{comp}_{run_no}.jsonl" for comp in ("lw", "sw")}
-            code, _, err = run(["predict", "--profiles", pipeline / "profiles.jsonl",
-                                "--model-lw", pipeline / "model_lw.json", "--model-sw", pipeline / "model_sw.json",
-                                "--out-lw", out["lw"], "--out-sw", out["sw"]], capsys)
-            assert code == 0, err
-            written.append([out[comp].read_bytes() for comp in ("lw", "sw")])
-        assert written[1:] == written[:1] * 5
-        # on 2 CPUs, each run reads the profiles in 2 parts and LW's forward starts a worker
-        assert len(threads_at_fork) >= 5 and len(started) >= 5
-        assert threads_at_fork == [1] * len(threads_at_fork)
-        assert not any(t.is_alive() for t in started)
-
-    def test_predict_writes_in_parts_after_threaded_postprocess(self, pipeline, monkeypatch, started, tmp_path,
-                                                                 capsys):
-        # 60 profiles in blocks of 8 rows: every stage of each component runs
-        # 8 blocks on 2 workers, SW's postprocess last, right before the LW
-        # and SW files are written. Each stage returns once its started thread
-        # has left /proc/self/task (the bound is raised so that a loaded
-        # machine cannot end that wait early), so the writer finds one OS
-        # thread and writes each file in 2 parts of 30 records.
-        monkeypatch.setattr(rowblocks, "ROW_CHUNK", 8)
-        monkeypatch.setattr(rowblocks, "LISTED_BOUND", 1.0)
-        monkeypatch.setattr(io, "PART_RECORDS", 10)
-        threads_at_fork, fork = [], os.fork
-        parts, in_parts = {}, io._in_parts
-
-        def counted_fork():
-            threads_at_fork.append(os_threads())
+            seen["threads_at_fork"].append(os_threads())
             return fork()
 
         def counted_parts(path, work, chunks):
-            parts[os.path.basename(path)] = len(chunks)
+            seen["parts"].append(len(chunks))
             return in_parts(path, work, chunks)
         monkeypatch.setattr(os, "fork", counted_fork)
         monkeypatch.setattr(io, "_in_parts", counted_parts)
+        return seen
+
+    @staticmethod
+    def predict(pipeline, out_dir, capsys, profiles=None):
+        """Run `predict` into out_dir: its exit code, its stderr and the bytes it wrote."""
+        out = {comp: out_dir / f"pred_{comp}.jsonl" for comp in ("lw", "sw")}
+        code, _, err = run(["predict", "--profiles", profiles or pipeline / "profiles.jsonl",
+                            "--model-lw", pipeline / "model_lw.json",
+                            "--model-sw", pipeline / "model_sw.json",
+                            "--out-lw", out["lw"], "--out-sw", out["sw"]], capsys)
+        return code, err, [out[comp].read_bytes() for comp in ("lw", "sw")] if code == 0 else None
+
+    @staticmethod
+    def edited(pipeline, tmp_path, edits):
+        """A copy of the pipeline's profiles in a directory of its own, record
+        n replaced by `edits[n](record)`: a new record, or a line of text."""
+        lines = (pipeline / "profiles.jsonl").read_text().splitlines()
+        for n, edit in edits.items():
+            new = edit(json.loads(lines[n - 1]))
+            lines[n - 1] = new if isinstance(new, str) else json.dumps(new)
+        path = tmp_path / "in" / "profiles.jsonl"
+        path.parent.mkdir()
+        path.write_text("".join(line + "\n" for line in lines))
+        return path
+
+    def fails_cleanly(self, pipeline, tmp_path, capsys, profiles=None):
+        """The stderr of a `predict` into tmp_path that fails and leaves no
+        new file there: no output and no part file."""
+        before = sorted(p.name for p in tmp_path.iterdir())
+        code, err, _ = self.predict(pipeline, tmp_path, capsys, profiles)
+        assert code == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+        return err
+
+    @staticmethod
+    def bad_f_c(record):
+        return {**record, "f_c": [7.0] + record["f_c"][1:]}
+
+    def test_forks_once_per_further_part_on_one_thread(self, pipeline, monkeypatch, started, tmp_path, capsys,
+                                                       seen):
+        # Every block holds at most ROW_CHUNK rows, so no row worker starts
+        # and each fork finds one OS thread. Under
+        # -W "error:This process:DeprecationWarning" (Python 3.12+), a fork
+        # beside another thread fails the command.
         written = []
-        for run_no, cpus in enumerate([1, 2, 2, 2]):
+        for run_no, cpus in enumerate([1, 2, 2, 2, 2, 1]):
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)), raising=False)
             settle()
-            del started[:]
-            parts.clear()
-            out = {comp: tmp_path / f"{comp}_{run_no}.jsonl" for comp in ("lw", "sw")}
-            code, _, err = run(["predict", "--profiles", pipeline / "profiles.jsonl",
-                                "--model-lw", pipeline / "model_lw.json", "--model-sw", pipeline / "model_sw.json",
-                                "--out-lw", out["lw"], "--out-sw", out["sw"]], capsys)
+            seen["parts"].clear()
+            seen["threads_at_fork"].clear()
+            (tmp_path / str(run_no)).mkdir()
+            code, err, out = self.predict(pipeline, tmp_path / str(run_no), capsys)
             assert code == 0, err
-            written.append([out[comp].read_bytes() for comp in ("lw", "sw")])
-            if cpus == 2:
-                # normalize, forward, denormalize and postprocess of LW and SW
-                assert len(started) == 8
-                assert parts[out["lw"].name] == parts[out["sw"].name] == 2
-        assert written[1:] == written[:1] * 3
-        assert threads_at_fork == [1] * len(threads_at_fork) and len(threads_at_fork) == 9
+            written.append(out)
+            assert seen["parts"] == [cpus]
+            assert seen["threads_at_fork"] == [1] * (cpus - 1)
+        assert started == []
+        assert written[1:] == written[:1] * 5
+
+    def test_bad_value_in_part_2_is_named_by_its_record_in_the_file(self, pipeline, tmp_path, capsys, seen):
+        bad = self.edited(pipeline, tmp_path, {50: self.bad_f_c})
+        err = self.fails_cleanly(pipeline, tmp_path, capsys, profiles=bad)
+        assert seen["parts"] == [2]
+        with pytest.raises(io.DatasetError) as read:
+            io.read_profiles(bad)
+        assert err == f"error: DatasetError: {read.value}\n"
+        assert err.startswith(f"error: DatasetError: {bad}:record 50: f_c must lie in [0, 1]")
+
+    def test_duplicate_of_an_id_in_part_1(self, pipeline, tmp_path, capsys, seen):
+        ids = io.read_profiles(pipeline / "profiles.jsonl").ids
+        seen["parts"].clear()
+        bad = self.edited(pipeline, tmp_path, {50: lambda record: {**record, "id": ids[2]}})
+        err = self.fails_cleanly(pipeline, tmp_path, capsys, profiles=bad)
+        assert seen["parts"] == [2]
+        assert err == f"error: DatasetError: {bad}:record 50: duplicate id {ids[2]!r} (first in record 3)\n"
+
+    def test_value_rule_in_part_1_named_before_invalid_json_in_part_2(self, pipeline, tmp_path, capsys, seen):
+        bad = self.edited(pipeline, tmp_path, {5: self.bad_f_c, 50: lambda record: "{not json"})
+        err = self.fails_cleanly(pipeline, tmp_path, capsys, profiles=bad)
+        assert seen["parts"] == [2]
+        assert err.startswith(f"error: DatasetError: {bad}:record 5: f_c must lie in [0, 1]")
+
+    def test_model_that_does_not_fit_fails_before_any_fork(self, pipeline, tmp_path, capsys, seen):
+        other = synth(tmp_path, capsys, n=60, levels=16, tag="_16")["profiles"]
+        seen["parts"].clear()
+        seen["threads_at_fork"].clear()
+        err = self.fails_cleanly(pipeline, tmp_path, capsys, profiles=other)
+        assert seen == {"parts": [], "threads_at_fork": []}
+        assert err == (f"error: DatasetError: {pipeline / 'model_lw.json'}: the profiles' window "
+                       f"(4 full levels) is not the one the lw model was trained on (3 full levels): "
+                       f"their half-level pressures differ (profiles: {other})\n")
+
+    def test_non_finite_effect_in_part_2_keeps_its_message(self, pipeline, tmp_path, capsys, monkeypatch, seen):
+        predict, ids = net.predict_flux_effects, io.read_profiles(pipeline / "profiles.jsonl").ids
+
+        def with_nan(model_lw, model_sw, profiles, consts):
+            effects = predict(model_lw, model_sw, profiles, consts)
+            if ids[50] in profiles.ids:
+                effects["sw"]["heat"][profiles.ids.index(ids[50]), 7] = np.nan
+            return effects
+
+        monkeypatch.setattr(net, "predict_flux_effects", with_nan)
+        seen["parts"].clear()
+        err = self.fails_cleanly(pipeline, tmp_path, capsys)
+        assert seen["parts"] == [2]
+        assert err == (f"error: ValueError: predicted sw effects of profile {ids[50]!r}: "
+                       f"heat contains a non-finite value at level 7\n")
+
+    def test_fifo_is_read_in_one_part_in_blocks(self, pipeline, tmp_path, capsys, monkeypatch, seen):
+        rows, predict = [], net.predict_flux_effects
+
+        def counted(model_lw, model_sw, profiles, consts):
+            rows.append(len(profiles))
+            return predict(model_lw, model_sw, profiles, consts)
+
+        monkeypatch.setattr(net, "predict_flux_effects", counted)
+        (tmp_path / "file").mkdir()
+        code, err, from_file = self.predict(pipeline, tmp_path / "file", capsys)
+        assert code == 0, err
+        assert seen["parts"] == [2]
+        fifo = tmp_path / "profiles.fifo"
+        os.mkfifo(fifo)
+        feed = ("import shutil, sys\n"
+                "with open(sys.argv[1], 'rb') as src, open(sys.argv[2], 'wb') as dst:\n"
+                "    shutil.copyfileobj(src, dst)\n")
+        seen["parts"].clear()
+        seen["threads_at_fork"].clear()
+        del rows[:]
+        (tmp_path / "fifo").mkdir()
+        with subprocess.Popen([sys.executable, "-c", feed, str(pipeline / "profiles.jsonl"), str(fifo)]) as feeder:
+            try:
+                code, err, from_fifo = self.predict(pipeline, tmp_path / "fifo", capsys, profiles=fifo)
+            except BaseException:
+                feeder.kill()
+                raise
+        assert feeder.returncode == 0
+        assert code == 0, err
+        assert seen == {"parts": [1], "threads_at_fork": []}
+        assert rows == [1] + [8] * 7 + [3]  # record 1 alone, then blocks of ROW_CHUNK
+        assert from_fifo == from_file
 
 
 def run_bench(pipeline, capsys, out, *flags):
@@ -803,8 +896,8 @@ assert cre3d.postprocess.__module__ == 'cre3d.postproc'
 """)
 
     def test_every_subcommand_runs_pinned(self, pipeline, tmp_path):
-        # synth writes and predict reads and writes in parts, predict's
-        # forward on row workers: every fork sees one OS thread
+        # synth writes and predict reads and writes in parts, on no row
+        # worker: every fork sees one OS thread
         run_python("""
 import os, sys
 import threading
@@ -829,7 +922,7 @@ assert cli.main(['predict', '--profiles', src + '/profiles.jsonl', '--model-lw',
                  '--model-sw', src + '/model_sw.json', '--out-lw', out + '/pl.jsonl',
                  '--out-sw', out + '/ps.jsonl']) == 0
 assert len(forks) >= 4 and forks == [1] * len(forks), forks
-assert started
+assert not started
 """, {}, pipeline, tmp_path)
 
     def test_multi_thread_leaves_the_environment_to_decide(self):

@@ -21,6 +21,7 @@ from cre3d.features import (
 )
 from cre3d.net import (
     ELU_BLOCK,
+    TILE,
     AdamState,
     GridDataset,
     GridSearchSpec,
@@ -77,14 +78,16 @@ def textbook_layers(model, x):
 
 def feature_major_layers(model, x):
     """w @ h + b[:, None] and where-ELU on h = x[s:s+c].T for each block of
-    ROW_CHUNK rows, out of place, with the blocks' outputs stacked as rows."""
+    ROW_CHUNK rows, zero rows appended to x[s:s+c] up to a multiple of TILE,
+    out of place, with the blocks' real columns stacked as rows."""
     blocks = []
     for s in range(0, len(x), ROW_CHUNK):
-        h = x[s:s + ROW_CHUNK].T
+        c = min(ROW_CHUNK, len(x) - s)
+        h = np.concatenate([x[s:s + c], np.zeros((-c % TILE, x.shape[1]))]).T
         for k, (w, b) in enumerate(zip(model.weights, model.biases)):
             z = w @ h + b[:, None]
             h = z if k == len(model.weights) - 1 else where_elu(z)
-        blocks.append(h.T)
+        blocks.append(h[:, :c].T)
     return np.concatenate(blocks)
 
 
@@ -279,19 +282,17 @@ class TestChunkedForward:
 
     @pytest.mark.parametrize("component", ["lw", "sw"])
     def test_rows_agree_across_block_sizes(self, component):
-        # A row's bits may depend on the size of its block (the GEMM's tail
-        # kernel); its value may not, beyond rounding: reference-width
+        # A row's bits do not depend on the size of its block: reference-width
         # models on 512 rows in calls of 1 to 32 rows against one call.
         grid, consts = make_reference_grid(), PhysConsts()
         schema = schema_for_grid(component, grid, consts.p_trunc)
         model = reference_model(schema, 3)
         x = build_input_matrix(generate_profiles(512, grid, seed=5), schema, consts)
         x = fit_normalization(x).apply(x)
-        whole = forward(model, x)
-        row_max = np.abs(whole).max(axis=1, keepdims=True)
+        whole = bits(forward(model, x))
         for c in range(1, 33):
             blocks = np.concatenate([forward(model, x[s:s + c]) for s in range(0, len(x), c)])
-            assert np.all(np.abs(blocks - whole) <= 1e-13 * row_max), c
+            assert np.array_equal(bits(blocks), whole), c
 
     def test_output_layout(self):
         model = kernel_model([40, 30, 30, 45], seed=0)
@@ -958,10 +959,11 @@ class TestPredictDigests:
     """The bits of `predict_flux_effects` at host-model block sizes: the
     first 64 of 2000 generated profiles in calls of 1, 8 and 32 rows, and
     all 2000 in one call. The rows hit both caps, and the shortwave's night
-    rows the degenerate branch."""
+    rows the degenerate branch. A one-row call runs a TILE-column GEMM,
+    not a GEMV, so its rows have the bits they have in larger calls."""
 
     DIGESTS = {
-        1: "537c09121a4f98127618a10cb412ca2407162b5d7d73a495b7e1bcf9c1b6f049",
+        1: "8c6ef05f73041e00d03ba5f4323ab36dad08a073a752b9d0b053c87e042143d0",
         8: "737aa6261a27b659fc13fae21528922bed30ee75a4a52eb58b3f5031c0a5c103",
         32: "f8e18448467dc74b8f0a585f647eb876b1a93f1c7855dc57fd08bc442d33a9bc",
         2000: "ca3ef78618a331bc989fed39773e241aaf1e4afaad6940b5dd00420ffef383cb",
@@ -995,6 +997,26 @@ class TestPredictDigests:
                 for name in sorted(effects[component]):
                     h.update(np.ascontiguousarray(effects[component][name], dtype="<f8").tobytes())
         assert h.hexdigest() == self.DIGESTS[block]
+
+    @pytest.mark.parametrize("calls", [1, 5, 17, 32, "permuted"])
+    def test_a_rows_bits_are_its_own(self, setup, calls):
+        # Every delivered LW and SW row of 160 profiles, in calls of a few
+        # rows or in another order, has the bits of one whole-batch call.
+        (lw, sw), profiles, consts = setup
+        profiles = profiles[:160]
+        whole = predict_flux_effects(lw, sw, profiles, consts)
+        if calls == "permuted":
+            order = np.random.default_rng(0).permutation(len(profiles))
+            effects = predict_flux_effects(lw, sw, [profiles[int(i)] for i in order], consts)
+            whole = {c: {name: m[order] for name, m in e.items()} for c, e in whole.items()}
+        else:
+            parts = [predict_flux_effects(lw, sw, profiles[s:s + calls], consts)
+                     for s in range(0, len(profiles), calls)]
+            effects = {c: {name: np.concatenate([p[c][name] for p in parts]) for name in whole[c]}
+                       for c in whole}
+        for c in ("lw", "sw"):
+            for name, m in whole[c].items():
+                assert np.array_equal(bits(effects[c][name]), bits(m)), (c, name)
 
 
 class TestPredictEffects:
