@@ -446,6 +446,86 @@ class TestTrainedWindow:
         assert json.loads(out.read_text())["schema"]["p_hl_window"] == window.p_hl.tolist()
 
 
+def predict_whole_file(pipeline, out):
+    """The library's read-all path: read every profile, predict them in one
+    `net.predict_flux_effects` call and write each component with
+    `io.write_fluxes`; `out` maps "lw" and "sw" to the files to write."""
+    model_lw, model_sw, consts = cli._model_pair(pipeline / "model_lw.json", pipeline / "model_sw.json")
+    profiles = io.read_profiles(pipeline / "profiles.jsonl")
+    effects = net.predict_flux_effects(model_lw, model_sw, profiles, consts)
+    for comp in ("lw", "sw"):
+        io.write_fluxes(out[comp], profiles.ids, FluxSet(**effects[comp]))
+
+
+class TestForkAfterParallelForward:
+    def test_predict_joins_forward_workers_before_the_writer_forks(self, pipeline, monkeypatch, started, tmp_path):
+        # 60 profiles in blocks of 8 rows: forward runs 8 blocks on up to 2
+        # workers per component, and each file is read or written in parts of
+        # at least 10 records. A joined worker's OS thread can stay listed for a
+        # few ms, so SW's forward or a writer may find it and run alone; no
+        # fork may happen beside it. Under -W "error:This process:DeprecationWarning"
+        # (Python 3.12+), such a fork fails the write.
+        monkeypatch.setattr(rowblocks, "ROW_CHUNK", 8)
+        monkeypatch.setattr(io, "PART_RECORDS", 10)
+        threads_at_fork, fork = [], os.fork
+
+        def counted_fork():
+            threads_at_fork.append(os_threads())
+            return fork()
+        monkeypatch.setattr(os, "fork", counted_fork)
+        written = []
+        for run_no, cpus in enumerate([1] + [2] * 5):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)), raising=False)
+            settle()
+            out = {comp: tmp_path / f"{comp}_{run_no}.jsonl" for comp in ("lw", "sw")}
+            predict_whole_file(pipeline, out)
+            written.append([out[comp].read_bytes() for comp in ("lw", "sw")])
+        assert written[1:] == written[:1] * 5
+        # on 2 CPUs, each run reads the profiles in 2 parts and LW's forward starts a worker
+        assert len(threads_at_fork) >= 5 and len(started) >= 5
+        assert threads_at_fork == [1] * len(threads_at_fork)
+        assert not any(t.is_alive() for t in started)
+
+    def test_predict_writes_in_parts_after_threaded_postprocess(self, pipeline, monkeypatch, started, tmp_path):
+        # 60 profiles in blocks of 8 rows: every stage of each component runs
+        # 8 blocks on 2 workers, SW's postprocess last, right before the LW
+        # and SW files are written. Each stage returns once its started thread
+        # has left /proc/self/task (the bound is raised so that a loaded
+        # machine cannot end that wait early), so the writer finds one OS
+        # thread and writes each file in 2 parts of 30 records.
+        monkeypatch.setattr(rowblocks, "ROW_CHUNK", 8)
+        monkeypatch.setattr(rowblocks, "LISTED_BOUND", 1.0)
+        monkeypatch.setattr(io, "PART_RECORDS", 10)
+        threads_at_fork, fork = [], os.fork
+        parts, in_parts = {}, io._in_parts
+
+        def counted_fork():
+            threads_at_fork.append(os_threads())
+            return fork()
+
+        def counted_parts(path, work, chunks):
+            parts[os.path.basename(path)] = len(chunks)
+            return in_parts(path, work, chunks)
+        monkeypatch.setattr(os, "fork", counted_fork)
+        monkeypatch.setattr(io, "_in_parts", counted_parts)
+        written = []
+        for run_no, cpus in enumerate([1, 2, 2, 2]):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)), raising=False)
+            settle()
+            del started[:]
+            parts.clear()
+            out = {comp: tmp_path / f"{comp}_{run_no}.jsonl" for comp in ("lw", "sw")}
+            predict_whole_file(pipeline, out)
+            written.append([out[comp].read_bytes() for comp in ("lw", "sw")])
+            if cpus == 2:
+                # normalize, forward, denormalize and postprocess of LW and SW
+                assert len(started) == 8
+                assert parts[out["lw"].name] == parts[out["sw"].name] == 2
+        assert written[1:] == written[:1] * 3
+        # on each 2-CPU run: one fork to read the profiles, one to write each file
+        assert threads_at_fork == [1] * len(threads_at_fork) and len(threads_at_fork) == 9
+
+
 class TestPredictInParts:
     """`predict` reads, maps and writes the profile file one part at a time,
     each part in blocks of ROW_CHUNK records: here 60 profiles in blocks of
