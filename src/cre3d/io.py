@@ -20,11 +20,15 @@ The readers take every field through `_field`'s JSON type rule. Every
 profile record repeats the grid, so `read_profiles` matches record 1's grid
 text in the others instead of parsing it again.
 
-`map_profiles` (what `cre3d predict` runs) turns a profile file into flux
-files in one pass: each part reads, checks, maps and writes its records a
-block of ROW_CHUNK at a time, into its own part of each output, and sends
-back only its ids, its record count and its first error. No process holds
-more than one block of records, whatever the size of the file.
+`read_profiles`, `read_fluxes` and `map_profiles` (what `cre3d predict`
+runs) are one pipeline per part (`_read_rows`): record 1 is checked and
+mapped alone, then each part reads, checks and maps its records a block
+of ROW_CHUNK at a time, and sends back its ids, its record count, its
+mapped blocks and its first error. The readers' map keeps each checked
+block, and the parent joins them without checking them again;
+`map_profiles`' map writes the block's flux records into the part's own
+part of each output, so no process holds more than one block of records,
+whatever the size of the file.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ import math
 import os
 import pickle
 import shutil
+import signal
 import stat
 from collections.abc import Sequence
 from typing import Callable, Iterable, List, NamedTuple, Optional, Tuple
@@ -53,6 +58,8 @@ from .column import (
     _LEVEL_FIELDS,
     _SCALAR_FIELDS,
     _as_level_array,
+    _frozen,
+    _unchecked,
 )
 from .features import FeatureSchema, Normalization
 from .net import MlpModel
@@ -188,8 +195,6 @@ def _in_parts(path, work: Callable, parts: Sequence) -> list:
         for pid, pipe in children:
             pipe.close()
             if pid is not None:  # the call failed before this child's result was read
-                import signal
-
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
 
@@ -279,7 +284,9 @@ def _records(ids: Sequence, fields: Sequence[Tuple[str, object]]) -> Callable[[r
 
 def _write_records(path, ids: Sequence, fields: Sequence[Tuple[str, object]]) -> None:
     """Write record i as line i + 1 (see `_records`), failing before the
-    file is created on ids its reader would reject."""
+    file is created on no records or on ids its reader would reject."""
+    if not len(ids):
+        raise ValueError(f"{path}: no records to write; a file without any would not read back")
     seen = {}
     for index, pid in enumerate(ids, start=1):
         _check_new_id(seen, pid, path, index)
@@ -325,29 +332,52 @@ class _Rows(NamedTuple):
     """What a part of a JSON-Lines file holds, up to its first bad record."""
 
     count: int  # records read, a bad one included
-    ids: list  # the ids of the records before the first bad one
-    columns: dict  # each field's rows before the first bad record, stacked
-    # (record, message) of the first bad record, or (record, a consumer's ValueError)
+    # the ids of the records before the first bad one, and its own if it broke only a value
+    # rule (the id rule is checked first)
+    ids: list
+    mapped: list  # what `map_block` returned for each block of them, in order
+    # (record, message) of the first bad record, or (record, a map_block ValueError)
     error: Optional[Tuple[int, object]]
 
 
-def _parse_rows(lines, parse: Callable[[dict], dict], decode: Callable[[bytes], object] = json.loads) -> _Rows:
-    """Decode and parse `lines`, records 1, 2, ... of a part, up to the first bad one."""
-    columns, ids, count, error = {}, [], 0, None
-    for count, line in enumerate(lines, start=1):
-        try:
+def _parse_rows(lines, parse: Callable[[dict], dict], decode: Callable[[bytes], object],
+                build: Callable[[dict, list], object], map_block: Callable[[object], object]) -> _Rows:
+    """Decode, parse, build and map `lines`, records 1, 2, ... of a part, a
+    block of ROW_CHUNK records at a time, up to the first bad record. A
+    block's records are decoded and parsed up to its first bad one, the
+    rows before that built together, and the result passed to `map_block`.
+    A RowError of `build` is the error of its row's record; a ValueError
+    of `map_block` (kept as it is) that of the block's first record."""
+    count, ids, mapped = 0, [], []
+    while True:
+        start, columns, block_ids, error = count, {}, [], None
+        for line in itertools.islice(lines, rowblocks.ROW_CHUNK):
+            count += 1
             try:
-                record = decode(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"invalid JSON ({exc})") from exc
-            row = parse(record)
-        except (TypeError, ValueError) as exc:
-            error = (count, str(exc))
-            break
-        for name, value in row.items():
-            columns.setdefault(name, []).append(value)
-        ids.append(record.get("id"))
-    return _Rows(count, ids, {name: np.array(columns.pop(name)) for name in list(columns)}, error)
+                try:
+                    record = decode(line)
+                except json.JSONDecodeError as exc:
+                    raise ValueError(f"invalid JSON ({exc})") from exc
+                row = parse(record)
+            except (TypeError, ValueError) as exc:
+                error = (count, str(exc))
+                break
+            for name, value in row.items():
+                columns.setdefault(name, []).append(value)
+            block_ids.append(record.get("id"))
+        if block_ids:
+            try:
+                result = build({name: np.array(columns.pop(name)) for name in list(columns)}, block_ids)
+            except RowError as exc:
+                block_ids, error = block_ids[:exc.row + 1], (start + exc.row + 1, exc.message)
+            else:
+                try:
+                    mapped.append(map_block(result))
+                except ValueError as exc:
+                    block_ids, error = [], (start + 1, exc)
+        ids += block_ids
+        if error or count - start < rowblocks.ROW_CHUNK:
+            return _Rows(count, ids, mapped, error)
 
 
 def _check_new_id(seen: dict, pid, path, index: int) -> None:
@@ -405,83 +435,39 @@ def _field(obj, name: str, kind: Optional[str], where: str = "", default=_MISSIN
     return value
 
 
-class _Consumer(NamedTuple):
-    """Where `_read_rows` hands a file's records instead of returning them:
-    `write(result, handles)` takes one block's built result and writes its
-    text into that block's part of each file of `paths`, one text handle
-    per path, in order."""
-
-    paths: Sequence
-    write: Callable[[object, list], None]
-
-
-def _consumed_rows(lines, parse: Callable[[dict], dict], decode: Callable[[bytes], object],
-                   build: Callable[[dict, list], object], write: Callable[[object], None]) -> _Rows:
-    """Decode, parse and build `lines`, records 1, 2, ... of a part, a block
-    of ROW_CHUNK records at a time, and `write` each block's result, up to
-    the first bad record. A RowError of `build` is the error of its row's
-    record; a ValueError of `write` (kept as it is) that of the block's
-    first record. The columns are not kept."""
-    count, ids = 0, []
-    while True:
-        block = _parse_rows(itertools.islice(lines, rowblocks.ROW_CHUNK), parse, decode)
-        n, error = len(block.ids), block.error and (count + block.error[0], block.error[1])
-        if n:
-            try:
-                result = build(block.columns, block.ids)
-            except RowError as exc:
-                n, error = exc.row, (count + exc.row + 1, exc.message)
-            else:
-                try:
-                    write(result)
-                except ValueError as exc:
-                    n, error = 0, (count + 1, exc)
-        ids += block.ids[:n]
-        count += block.count
-        if error or block.count < rowblocks.ROW_CHUNK:
-            return _Rows(count, ids, {}, error)
-
-
 def _read_rows(path, parse: Callable[[dict], dict], build: Callable[[dict, list], object], what: str,
-               decoder: Optional[Callable[[bytes], Callable[[bytes], object]]] = None,
-               consume: Optional[_Consumer] = None):
-    """Read a JSON-Lines file and return its records' rows, built into one
-    result, or, with `consume`, write them and return their count.
+               decoder: Optional[Callable[[bytes], Callable[[bytes], object]]] = None, out_paths: Sequence = (),
+               map_block: Callable[[object, list], object] = lambda result, handles: result) -> Tuple[list, list]:
+    """Read a JSON-Lines file a block of records at a time: its records'
+    ids, in order, and what `map_block` returned for each block.
 
     `parse(record)` checks one decoded record and returns its fields by
-    name; `build(columns, ids)` makes the result from each field's stacked
-    rows and the records' ids, and raises a RowError for a row that breaks
-    a value rule. Records are the non-blank lines (see `_lines`). Record 1
-    is decoded with `json.loads` and parsed first, so `parse` can check the
-    others against it; the rest of the file is read in parts (see
-    `_in_parts`), each line decoded by `decoder(line 1)` if given, which
-    must give what `json.loads` gives and raise what it raises.
-    Every record must carry an id (or null) that no earlier record has.
+    name; `build(columns, ids)` makes a block's result from each field's
+    stacked rows and the records' ids, and raises a RowError for a row
+    that breaks a value rule; `map_block(result, handles)` takes it, with
+    one text handle per path of `out_paths`, into which it may write that
+    block's text (see `_written_in_parts`). Records are the non-blank lines
+    (see `_lines`). Record 1 is decoded with `json.loads`, parsed, built
+    and mapped alone, before the file is split, so `parse` can check the
+    others against it and a `map_block` that cannot take the file fails
+    before a fork. The rest of the file is read in parts (see `_in_parts`),
+    each in blocks (see `_parse_rows`), each line decoded by
+    `decoder(line 1)` if given, which must give what `json.loads` gives and
+    raise what it raises. A part sends back only its ids, its record count,
+    its mapped blocks and its first error. Every record must carry an id
+    (or null) that no earlier record has. Nothing is written to
+    `out_paths` unless every record is read and mapped.
 
-    Without `consume`, each part sends its rows to this process, which
-    builds them at once. With it, each part builds and consumes its rows
-    itself, in blocks (see `_consumed_rows`), writing its own part of
-    `consume.paths` (see `_written_in_parts`), and sends back only its ids,
-    its record count and its first error; record 1 is built and consumed
-    here before any part starts, so a consumer that cannot take the file
-    fails before a fork.
-
-    Errors name the file and the first bad record, counted as records over
-    the whole file: a record that fails to decode, to parse or the id rule
-    is reported after the records before it are built, so a value rule
-    broken by an earlier record is named first. A consumer's ValueError is
-    raised as it is, in the same order.
+    Errors name the file and the first bad record, counted over the whole
+    file. Value rules name the lowest bad row of a block, so that record
+    does not depend on the block size; a record that breaks one is named
+    for the id rule first if it breaks that too. A ValueError of
+    `map_block` is raised as it is, in the same order.
     """
     with open(path, "rb", buffering=READ_BUFFER) as fh:
         first = next(_lines(fh), None)  # fh is left right after it
         if first is None:
             raise DatasetError(path, None, f"no {what}")
-        head = _parse_rows([first], parse)
-        if head.error:
-            raise DatasetError(path, 1, head.error[1])
-        seen = {}
-        _check_new_id(seen, head.ids[0], path, 1)
-        decode = json.loads if decoder is None else decoder(first)
         parts = _split(fh, len(first))
 
         @contextlib.contextmanager
@@ -494,66 +480,53 @@ def _read_rows(path, parse: Callable[[dict], dict], build: Callable[[dict, list]
                 part_fh.seek(start)
                 yield _lines(part_fh, end)
 
-        if consume is None:
-            def read(i: int) -> _Rows:
-                with part_lines(i) as lines:
-                    return _parse_rows(lines, parse, decode)
-
-            results = _in_parts(path, read, range(len(parts)))
-            ids, taken, failure = _first_failure(path, results, seen)
-            taken.insert(0, (head.columns, 1))
-            columns = {name: np.concatenate([cols.pop(name)[:n] for cols, n in taken if n])
-                       for name in list(head.columns)}
-            try:
-                result = build(columns, head.ids + ids)
-            except RowError as exc:
-                raise DatasetError(path, exc.row + 1, exc.message) from exc
+        with _written_in_parts(out_paths, len(parts)) as part:
+            with part(0) as out:
+                head = _parse_rows(iter([first]), parse, json.loads, build, lambda result: map_block(result, out))
+            failure = _first_failure(path, [head])
             if failure:
                 raise failure
-            return result
-
-        with _written_in_parts(consume.paths, len(parts)) as part:
-            try:
-                result = build(head.columns, head.ids)
-            except RowError as exc:
-                raise DatasetError(path, 1, exc.message) from exc
-            with part(0) as out:
-                consume.write(result, out)
+            decode = json.loads if decoder is None else decoder(first)
 
             def read(i: int) -> _Rows:
                 with part_lines(i) as lines, part(i) as out:
-                    return _consumed_rows(lines, parse, decode, build,
-                                          lambda result: consume.write(result, out))
+                    return _parse_rows(lines, parse, decode, build, lambda result: map_block(result, out))
 
-            results = _in_parts(path, read, range(len(parts)))
-            _, _, failure = _first_failure(path, results, seen)
+            results = [head] + _in_parts(path, read, range(len(parts)))
+            failure = _first_failure(path, results)
             if failure:
                 raise failure
-        return 1 + sum(part.count for part in results)
+    return ([pid for rows in results for pid in rows.ids],
+            [block for rows in results for block in rows.mapped])
 
 
-def _first_failure(path, results: Sequence[_Rows], seen: dict):
-    """The parts' records after record 1, in order, up to the first that
-    breaks the id rule or has its part's error: their ids, each part's
-    columns with how many of its rows come before that record, and the
-    error (None if there is none)."""
-    ids, taken, before = [], [], 1
-    for part in results:
-        n = len(part.ids)
-        for j, pid in enumerate(part.ids):
+def _first_failure(path, results: Sequence[_Rows]) -> Optional[Exception]:
+    """The error of the first record of the parts `results`, in order, that
+    breaks the id rule or has its part's error (None if there is none)."""
+    seen, before = {}, 0
+    for rows in results:
+        for j, pid in enumerate(rows.ids):
             try:
                 _check_new_id(seen, pid, path, before + j + 1)
             except DatasetError as exc:
-                ids += part.ids[:j]
-                taken.append((part.columns, j))
-                return ids, taken, exc
-        ids += part.ids
-        taken.append((part.columns, n))
-        if part.error:
-            record, error = part.error
-            return ids, taken, DatasetError(path, before + record, error) if isinstance(error, str) else error
-        before += part.count
-    return ids, taken, None
+                return exc
+        if rows.error:
+            record, error = rows.error
+            return DatasetError(path, before + record, error) if isinstance(error, str) else error
+        before += rows.count
+    return None
+
+
+def _joined(blocks: list, **fields):
+    """The built blocks `blocks` (ProfileBatches or FluxSets) as one of
+    their class, not checked again: each array field stacked, each block's
+    array freed as it is, the other fields block 1's unless in `fields`."""
+    joined = {}
+    for name, value in list(vars(blocks[0]).items()):
+        if isinstance(value, np.ndarray):
+            value = _frozen(np.concatenate([vars(block).pop(name) for block in blocks]))
+        joined[name] = value
+    return _unchecked(type(blocks[0]), **{**joined, **fields})
 
 
 # ---------------------------------------------------------------------------
@@ -623,9 +596,9 @@ def _grid_decoder(first: bytes, p_hl: list) -> Callable[[bytes], object]:
     return decode
 
 
-def _read_profiles(path, consume: Optional[_Consumer] = None):
-    """`_read_rows` on a profile file, its records built into ProfileBatches
-    (see `read_profiles`)."""
+def _read_profiles(path, **mapping) -> Tuple[list, list]:
+    """`_read_rows` on a profile file, its blocks built into ProfileBatches
+    (see `read_profiles`) and mapped as `mapping` says."""
     grid = first_p_hl = with_q = None
 
     def parse(record: dict) -> dict:
@@ -646,7 +619,7 @@ def _read_profiles(path, consume: Optional[_Consumer] = None):
         return row
 
     return _read_rows(path, parse, lambda columns, ids: ProfileBatch(grid=grid, ids=ids, **columns), "profiles",
-                      lambda first: _grid_decoder(first, first_p_hl), consume)
+                      lambda first: _grid_decoder(first, first_p_hl), **mapping)
 
 
 def read_profiles(path) -> ProfileBatch:
@@ -658,10 +631,11 @@ def read_profiles(path) -> ProfileBatch:
     `q` if and only if record 1 does, and carry an id (or null) that no
     earlier record has.
     Errors name the file and the first bad record: the value rules are
-    checked on the stacked batch, and on the records read so far when a
-    record fails one of the checks above.
+    checked on each block of ROW_CHUNK records as it is read (see
+    `_read_rows`), and the blocks are joined without checking them again.
     """
-    return _read_profiles(path)
+    ids, blocks = _read_profiles(path)
+    return _joined(blocks, ids=tuple(ids))
 
 
 def map_profiles(path, out_paths: Sequence, fluxes: Callable[[ProfileBatch], Sequence[FluxSet]]) -> int:
@@ -685,7 +659,7 @@ def map_profiles(path, out_paths: Sequence, fluxes: Callable[[ProfileBatch], Seq
             lines = _records(batch.ids, _flux_fields(flux))(range(len(batch.ids)))
             fh.writelines(line + "\n" for line in lines)
 
-    return _read_profiles(path, _Consumer(out_paths, write))
+    return len(_read_profiles(path, out_paths=out_paths, map_block=write)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -732,7 +706,8 @@ def read_fluxes(path) -> Tuple[List[Optional[str]], FluxSet]:
                              "file holds one grid, and direct_down in every record or in none")
         return row
 
-    return _read_rows(path, parse, lambda columns, ids: (ids, FluxSet(**columns)), "flux records")
+    ids, blocks = _read_rows(path, parse, lambda columns, ids: FluxSet(**columns), "flux records")
+    return ids, _joined(blocks)
 
 
 # ---------------------------------------------------------------------------

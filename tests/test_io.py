@@ -209,6 +209,17 @@ class TestProfiles:
         with pytest.raises(DatasetError, match=r"profiles.jsonl:record 3: duplicate id 't0'"):
             read_profiles(path)
 
+    @pytest.mark.parametrize("index, pid, message", [(2, "t0", r"duplicate id 't0' \(first in record 1\)"),
+                                                     (0, True, "id must be a string, a number or null")])
+    def test_id_rule_named_before_a_value_rule_of_the_same_record(self, tmp_path, small_grid, index, pid, message):
+        path = self._records(tmp_path, small_grid, 4)
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        records[index].update(id=pid, mu0=2.0)
+        records[3]["mu0"] = 2.0
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        with pytest.raises(DatasetError, match=rf"profiles.jsonl:record {index + 1}: {message}"):
+            read_profiles(path)
+
     def test_list_id_rejected(self, tmp_path, small_grid):
         path = self._records(tmp_path, small_grid, 3)
         records = [json.loads(line) for line in path.read_text().splitlines()]
@@ -291,6 +302,12 @@ class TestProfiles:
         profiles = [make_profile(small_grid, seed=s) for s in (0, 1, 0)]
         with pytest.raises(DatasetError, match=r"profiles.jsonl:record 3: duplicate id 't0' \(first in record 1\)"):
             write_profiles(path, profiles)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_write_rejects_no_profiles_before_creating_the_file(self, tmp_path, small_grid):
+        batch = ProfileBatch.from_profiles([make_profile(small_grid, seed=0)])
+        with pytest.raises(ValueError, match=r"profiles.jsonl: no records to write"):
+            write_profiles(tmp_path / "profiles.jsonl", batch[0:0])
         assert list(tmp_path.iterdir()) == []
 
     def test_write_rejects_a_second_grid(self, tmp_path, small_grid):
@@ -529,6 +546,12 @@ class TestFluxes:
         with pytest.raises(ValueError, match="rows"):
             write_fluxes(tmp_path / "flux.jsonl", ["a"], flux)
 
+    def test_write_rejects_no_rows_before_creating_the_file(self, tmp_path):
+        flux = FluxSet(up=np.zeros((0, 3)), down=np.zeros((0, 3)), heat=np.zeros((0, 2)))
+        with pytest.raises(ValueError, match=r"flux.jsonl: no records to write"):
+            write_fluxes(tmp_path / "flux.jsonl", [], flux)
+        assert list(tmp_path.iterdir()) == []
+
 
 def _read_outcome(path):
     """read_profiles(path), or the text of the error it raises."""
@@ -654,6 +677,24 @@ class TestProfilesInParts(InParts, TestProfiles):
 
 
 class TestFluxesInParts(InParts, TestFluxes):
+    pass
+
+
+class InBlocks(InParts):
+    """Runs the tests of the class it is mixed into in parts (see InParts),
+    each read in blocks of 1 and of 2 records (rowblocks.ROW_CHUNK), so
+    records fall on both sides of every block boundary."""
+
+    @pytest.fixture(autouse=True, params=[1, 2], ids=["1-record blocks", "2-record blocks"])
+    def _row_chunk(self, request, monkeypatch):
+        monkeypatch.setattr(rowblocks, "ROW_CHUNK", request.param)
+
+
+class TestProfilesInBlocks(InBlocks, TestProfiles):
+    pass
+
+
+class TestFluxesInBlocks(InBlocks, TestFluxes):
     pass
 
 

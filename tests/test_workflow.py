@@ -1,7 +1,7 @@
 """The CI workflow parses as YAML and keeps its time limit, its test steps
-(the row workers' and predict's part tests run five times among them) and
-a benchmark check of every workload; pytest makes a RuntimeWarning an
-error in every test file."""
+(the row workers' tests and the part tests of predict and both readers
+run five times among them) and a benchmark check of every workload;
+pytest makes a RuntimeWarning an error in every test file."""
 
 import json
 import pathlib
@@ -22,10 +22,13 @@ def test_workflow_keeps_its_time_limit_and_steps(request):
     tier1 = "python -m pytest -q --continue-on-collection-errors"
     assert any(run.endswith(tier1) and "-X dev" not in run for run in runs)
     assert any("python -X dev -W error::ResourceWarning" in run and "-m pytest" in run for run in runs)
-    # the row workers' and predict's part tests, five times or more in one loop that stops at the first failure
+    # the row workers' tests and the part tests of predict and both readers, five times or more in one
+    # loop that stops at the first failure
     loops = [re.search(r"for \w+ in ([^;\n]*); do\n(.*)\bdone", run, re.S) for run in runs]
     assert any(loop and len(loop.group(1).split()) >= 5 and "tests/test_rowblocks.py" in loop.group(2)
                and "tests/test_cli.py::TestPredictInParts" in loop.group(2)
+               and "tests/test_io.py::TestProfilesInBlocks" in loop.group(2)
+               and "tests/test_io.py::TestFluxesInBlocks" in loop.group(2)
                and "|| exit 1" in loop.group(2) for loop in loops)
     assert request.config.inipath == ROOT / "pyproject.toml"
     assert "error::RuntimeWarning" in request.config.getini("filterwarnings")
