@@ -13,10 +13,10 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "column": ("AtmosphericProfile", "FluxSet", "PhysConsts", "ProfileBatch",
                "VerticalGrid", "apply_correction", "compute_cloud_optical_depth",
-               "compute_heating_rates", "extend_to_full", "truncate_to_window"),
+               "compute_heating_rates", "extend_to_full"),
     "features": ("FeatureSchema", "Normalization", "fit_normalization", "schema_for_grid"),
     "net": ("GridSearchSpec", "MlpModel", "TrainConfig", "forward", "grid_search", "train"),
-    "postproc": ("EffectTargets", "postprocess"),
+    "postproc": ("EffectTargets",),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -100,12 +100,27 @@ def _naming_model_files(args):
         raise io.DatasetError({"lw": args.model_lw, "sw": args.model_sw}[exc.component], None, message) from None
 
 
+def _distinct_outputs(args, *names) -> None:
+    """Refuse two output flags (`args` attribute names; unset ones are
+    skipped) that name one file: the file would keep only one output."""
+    flag_of = {}
+    for name in names:
+        path = getattr(args, name)
+        if path is None:
+            continue
+        flag = "--" + name.replace("_", "-")
+        other = flag_of.setdefault(os.path.realpath(path), flag)
+        if other != flag:
+            raise ValueError(f"{other} and {flag} name the same file: {path}")
+
+
 def _default(target, name: str):
     """The library's default for parameter `name` of a function or dataclass."""
     return inspect.signature(target).parameters[name].default
 
 
 def cmd_synth(args) -> int:
+    _distinct_outputs(args, "out_profiles", "out_truth_lw", "out_truth_sw")
     if args.levels is not None and args.levels < 1:
         raise ValueError(f"--levels {args.levels} is below 1")
     params = augment.ToyTruthParams(amp_lw=args.amp_lw, amp_sw=args.amp_sw, decay=args.decay)
@@ -199,6 +214,7 @@ def cmd_grid_search(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    _distinct_outputs(args, "out_lw", "out_sw")
     model_lw, model_sw, consts = _model_pair(args.model_lw, args.model_sw)
 
     def fluxes(profiles):
@@ -230,6 +246,7 @@ def cmd_correct(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    _distinct_outputs(args, "out", "per_level")
     ids, truth = io.read_fluxes(args.truth)
     pred = _fluxes_for(args.pred, ids, args.truth, truth.up.shape[-1], "prediction")
     report = {"note": "bulk statistics pool all levels of the full extended profiles",

@@ -162,7 +162,9 @@ class VerticalGrid:
         return known
 
     def window_start(self, p_trunc: float = DEFAULT_P_TRUNC) -> int:
-        """First full-level index inside the tropospheric window (p_fl >= p_trunc)."""
+        """First full-level index inside the tropospheric window (p_fl >= p_trunc).
+        The window is contiguous and ends at the surface, so a full- or
+        half-level array's window is `x[..., window_start(p_trunc):]`."""
         return self._window(p_trunc)[0]
 
     def window(self, p_trunc: float = DEFAULT_P_TRUNC) -> "VerticalGrid":
@@ -246,7 +248,7 @@ class ProfileBatch(Sequence):
     and `ids` holds one id (or None) per row. The rules are those of
     AtmosphericProfile; a RowError names the first bad row, counted from 0.
     Indexing and iterating give AtmosphericProfile one-row views, slicing
-    and `window` give batches; none of them is validated again.
+    gives batches; none of them is validated again.
     """
 
     grid: VerticalGrid
@@ -292,10 +294,6 @@ class ProfileBatch(Sequence):
                   for name in _LEVEL_FIELDS + _SCALAR_FIELDS + (() if first.q is None else ("q",))}
         return _unchecked(cls, **{"q": None, **fields}, grid=first.grid, ids=tuple(p.pid for p in profiles))
 
-    def window(self, p_trunc: float = DEFAULT_P_TRUNC) -> "ProfileBatch":
-        """The batch restricted to the tropospheric window grid."""
-        return truncate_profile(self, p_trunc)
-
     def __len__(self) -> int:
         return len(self.ids)
 
@@ -325,14 +323,6 @@ class FluxSet:
         fields = _level_rows({"up": self.up, "down": self.down, "direct_down": self.direct_down},
                              {"heat": self.heat})
         self.__dict__.update((name, _frozen(arr)) for name, arr in fields.items())
-
-    @property
-    def net(self) -> np.ndarray:
-        return self.down - self.up
-
-    @property
-    def scalar(self) -> np.ndarray:
-        return self.down + self.up
 
 
 def compute_cloud_optical_depth(profile, consts: PhysConsts) -> np.ndarray:
@@ -365,20 +355,6 @@ def compute_heating_rates(net_flux, grid: VerticalGrid, consts: PhysConsts) -> n
     return -(consts.g / consts.c_p) * np.diff(f, axis=-1) / grid.dp
 
 
-def truncate_to_window(x, grid: VerticalGrid, p_trunc: float = DEFAULT_P_TRUNC) -> np.ndarray:
-    """Restrict a full- or half-level array (or rows of them) to the
-    tropospheric window.
-
-    Full levels with p_fl >= p_trunc are kept, together with the half
-    levels bounding them; the window is contiguous and ends at the surface.
-    """
-    arr = _level_rows({"x": x}, {})["x"]
-    i0 = grid.window_start(p_trunc)
-    if arr.shape[-1] in (grid.n_fl, grid.n_hl):
-        return arr[..., i0:].copy()
-    raise ValueError(f"array length {arr.shape[-1]} matches neither n_fl={grid.n_fl} nor n_hl={grid.n_hl}")
-
-
 def _extend(window: dict, i0: int) -> dict:
     """Window flux fields (vectors or rows) with `i0` levels added on top:
     zero there, except `up`, held at its window-top value."""
@@ -407,15 +383,6 @@ def extend_to_full(up_trunc, down_trunc, direct_trunc, heat_trunc,
     return FluxSet(**_extend(window, i0))
 
 
-def flux_set_from_components(up, down, grid: VerticalGrid, consts: PhysConsts,
-                             direct_down=None) -> FluxSet:
-    """Build a FluxSet (one column or rows) whose heating rates are derived from up/down."""
-    fields = _level_rows({"up": up, "down": down, "direct_down": direct_down}, {})
-    if fields["up"].shape[-1] != grid.n_hl:
-        raise ValueError(f"flux arrays must have length n_hl={grid.n_hl}")
-    return FluxSet(heat=compute_heating_rates(fields["down"] - fields["up"], grid, consts), **fields)
-
-
 def apply_correction(baseline: FluxSet, effect: FluxSet,
                      grid: VerticalGrid, consts: PhysConsts) -> FluxSet:
     """Add an effect FluxSet to a baseline one of the same shape (one column
@@ -429,8 +396,8 @@ def apply_correction(baseline: FluxSet, effect: FluxSet,
         b = baseline.direct_down if baseline.direct_down is not None else 0.0
         e = effect.direct_down if effect.direct_down is not None else 0.0
         direct = b + e
-    return flux_set_from_components(baseline.up + effect.up, baseline.down + effect.down,
-                                    grid, consts, direct_down=direct)
+    up, down = baseline.up + effect.up, baseline.down + effect.down
+    return FluxSet(up=up, down=down, heat=compute_heating_rates(down - up, grid, consts), direct_down=direct)
 
 
 def truncate_profile(profile, p_trunc: float = DEFAULT_P_TRUNC):

@@ -30,7 +30,6 @@ from .column import (
     compute_cloud_optical_depth,
     compute_heating_rates,
     truncate_profile,
-    truncate_to_window,
 )
 from .postproc import LW, SW, EffectTargets
 from .rowblocks import run_blocks
@@ -248,14 +247,15 @@ def targets_from_flux_effects(component: str, up, down, grid, consts: PhysConsts
     """Derive training targets (scalar flux + heating effect) on the window of
     `consts.p_trunc` from full-grid up/down flux-effect profiles: one
     column's vectors with a float `alpha`, or (n, n_hl) rows with an (n,)
-    `alpha`."""
+    `alpha`. The window fields are copies: the targets never alias the
+    caller's rows."""
     fields = _level_rows({"up": up, "down": down, "direct_down": direct_down}, {})
     if fields["up"].shape[-1] != grid.n_hl:
         raise ValueError(f"flux effects must have length n_hl={grid.n_hl}")
-    heat_full = compute_heating_rates(fields["down"] - fields["up"], grid, consts)
-    p_trunc = consts.p_trunc
-    direct_w = None if direct_down is None else truncate_to_window(fields["direct_down"], grid, p_trunc)
-    return EffectTargets(component=component,
-                         scalar=truncate_to_window(fields["up"] + fields["down"], grid, p_trunc),
-                         heat=truncate_to_window(heat_full, grid, p_trunc), direct_down=direct_w,
+    heat = compute_heating_rates(fields["down"] - fields["up"], grid, consts)
+    i0 = grid.window_start(consts.p_trunc)
+    direct = fields.get("direct_down")
+    return EffectTargets(component=component, scalar=fields["up"][..., i0:] + fields["down"][..., i0:],
+                         heat=heat[..., i0:].copy(),
+                         direct_down=None if direct is None else direct[..., i0:].copy(),
                          alpha=alpha if component == SW else None)

@@ -211,7 +211,12 @@ def _written_in_parts(paths: Sequence, k: int):
     Part 0 goes straight into each file's temp file (see `_atomic_open`);
     each other part into a file beside it, appended in order once the body
     is done. The files are renamed over `paths` only if the body and every
-    append succeed, and no part file is left behind."""
+    append succeed, and no part file is left behind. Two paths that name
+    one file fail before any file is made."""
+    real = [os.path.realpath(path) for path in paths]
+    for i, path in enumerate(paths):
+        if real[i] in real[:i]:
+            raise ValueError(f"{paths[real.index(real[i])]} and {path} name the same file")
     part_paths = [[_temp_path(path) for path in paths] for _ in range(1, k)]
     with contextlib.ExitStack() as outputs:
         handles = [outputs.enter_context(_atomic_open(path)) for path in paths]

@@ -12,8 +12,8 @@ downwelling flux effects:
        factor to [0.5, 2] and rescaling the scalar fluxes if capped,
   iv.  integrate the net flux down from TOA and split into up/down.
 
-`postprocess_batch` is the one implementation, over (n, m) batches;
-`postprocess` is a one-row view of it for a single `EffectTargets`.
+`postprocess_batch` is the one implementation, over (n, m) batches of
+window columns; one column is a one-row batch.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .column import FluxSet, PhysConsts, VerticalGrid, _frozen, _level_rows
+from .column import PhysConsts, VerticalGrid, _frozen, _level_rows
 from .rowblocks import run_blocks
 
 LW = "lw"
@@ -60,20 +60,6 @@ class EffectTargets:
                 raise ValueError(f"shortwave targets need alpha in [0, 1] of shape {shape}, "
                                  f"got {self.alpha!r}")
             self.__dict__["alpha"] = float(alpha) if not shape else _frozen(alpha)
-
-    @property
-    def n_hl(self) -> int:
-        return self.scalar.shape[-1]
-
-
-def postprocess(targets: EffectTargets, grid: VerticalGrid, consts: PhysConsts) -> FluxSet:
-    """Run steps i-iv on one column of predicted effects (window arrays):
-    a one-row view of `postprocess_batch`."""
-    alpha = None if targets.component == LW else np.array([targets.alpha])
-    up, down, heat = postprocess_batch(targets.component, targets.scalar[None],
-                                       targets.heat[None], grid, consts, alpha=alpha)
-    direct = None if targets.direct_down is None else targets.direct_down.copy()
-    return FluxSet(up=up[0], down=down[0], heat=heat[0], direct_down=direct)
 
 
 def postprocess_batch(component: str, scalar: np.ndarray, heat: np.ndarray,

@@ -12,7 +12,7 @@ from cre3d.augment import (
     toy_truth,
 )
 from cre3d.column import ProfileBatch, compute_heating_rates, truncate_profile
-from cre3d.postproc import postprocess
+from cre3d.postproc import postprocess_batch
 
 from conftest import make_profile
 
@@ -150,9 +150,11 @@ class TestToyTruth:
             targets = truth.lw if component == "lw" else truth.sw
             up_true = truth.up_lw if component == "lw" else truth.up_sw
             down_true = truth.down_lw if component == "lw" else truth.down_sw
-            flux = postprocess(targets, wgrid, consts)
-            np.testing.assert_allclose(flux.up, up_true, atol=1e-10)
-            np.testing.assert_allclose(flux.down, down_true, atol=1e-10)
+            alpha = None if targets.alpha is None else np.array([targets.alpha])
+            up, down, _ = postprocess_batch(component, targets.scalar[None], targets.heat[None],
+                                            wgrid, consts, alpha=alpha)
+            np.testing.assert_allclose(up[0], up_true, atol=1e-10)
+            np.testing.assert_allclose(down[0], down_true, atol=1e-10)
 
     def test_heat_consistent_with_fluxes(self, small_grid, consts):
         p = make_profile(small_grid, seed=3, mu0=0.5)

@@ -69,6 +69,17 @@ class TestSynth:
         assert err == f"error: ValueError: {message}\n"
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("same", [("--out-profiles", "--out-truth-lw"), ("--out-truth-lw", "--out-truth-sw"),
+                                      ("--out-profiles", "--out-truth-sw")])
+    def test_outputs_naming_one_file_rejected_before_writing(self, tmp_path, capsys, same):
+        outs = {flag: tmp_path / f"{flag[2:]}.jsonl" for flag in ("--out-profiles", "--out-truth-lw", "--out-truth-sw")}
+        outs[same[1]] = os.path.join(tmp_path, ".", f"{same[0][2:]}.jsonl")
+        code, _, err = run(["synth", "--profiles", 5, "--levels", 12] + [a for item in outs.items() for a in item],
+                           capsys)
+        assert code == 1
+        assert err == f"error: ValueError: {same[0]} and {same[1]} name the same file: {outs[same[1]]}\n"
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestAugment:
     def test_counts_and_marginals(self, tmp_path, capsys):
@@ -374,6 +385,29 @@ class TestEndToEnd:
         m2, _ = io.load_model(out)
         for w1, w2 in zip(m1.weights, m2.weights):
             np.testing.assert_array_equal(w1, w2)
+
+
+class TestOutputPaths:
+    @pytest.mark.parametrize("command", ["predict", "eval"])
+    def test_outputs_naming_one_file_rejected_before_reading(self, pipeline, tmp_path, capsys, monkeypatch,
+                                                             command):
+        def no_reading(*args, **kwargs):
+            raise AssertionError("an input was read")
+
+        for name in ("load_model", "read_profiles", "read_fluxes", "map_profiles"):
+            monkeypatch.setattr(io, name, no_reading)
+        (tmp_path / "link.json").symlink_to(tmp_path / "out.json")
+        if command == "predict":
+            flags = ("--out-lw", "--out-sw")
+            argv = ["predict", "--profiles", pipeline / "profiles.jsonl", "--model-lw", pipeline / "model_lw.json",
+                    "--model-sw", pipeline / "model_sw.json"]
+        else:
+            flags = ("--out", "--per-level")
+            argv = ["eval", "--truth", pipeline / "truth_lw.jsonl", "--pred", pipeline / "pred_lw.jsonl"]
+        code, out, err = run(argv + [flags[0], tmp_path / "out.json", flags[1], tmp_path / "link.json"], capsys)
+        assert code == 1 and out == ""
+        assert err == f"error: ValueError: {flags[0]} and {flags[1]} name the same file: {tmp_path / 'link.json'}\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["link.json"]
 
 
 class TestModelMismatch:
@@ -972,7 +1006,7 @@ assert not missing, missing
 names = {}
 exec('from cre3d import *', names)
 assert set(cre3d.__all__) <= set(names)
-assert cre3d.postprocess.__module__ == 'cre3d.postproc'
+assert cre3d.EffectTargets.__module__ == 'cre3d.postproc'
 """)
 
     def test_every_subcommand_runs_pinned(self, pipeline, tmp_path):

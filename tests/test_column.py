@@ -14,13 +14,17 @@ from cre3d.column import (
     compute_cloud_optical_depth,
     compute_heating_rates,
     extend_to_full,
-    flux_set_from_components,
     truncate_profile,
-    truncate_to_window,
 )
 from cre3d.postproc import postprocess_batch
 
 from conftest import make_profile
+
+
+def flux_from(up, down, grid, consts, direct_down=None):
+    """A FluxSet (one column or rows) whose heating rates are derived from up/down."""
+    return FluxSet(up=up, down=down, heat=compute_heating_rates(np.subtract(down, up), grid, consts),
+                   direct_down=direct_down)
 
 
 class TestVerticalGrid:
@@ -190,29 +194,26 @@ class TestWindow:
         assert ref_grid.n_fl == 137
         assert ref_grid.window().n_fl == 90
         assert ref_grid.window().n_hl == 91
-        fl = truncate_to_window(np.arange(ref_grid.n_fl, dtype=float), ref_grid)
-        hl = truncate_to_window(np.arange(ref_grid.n_hl, dtype=float), ref_grid)
-        assert fl.size == 90 and hl.size == 91
+        assert ref_grid.n_fl - ref_grid.window_start() == 90
 
     def test_small_grid_counts(self, small_grid):
         # 4 full levels above 50 hPa, 6 retained.
         assert small_grid.window().n_fl == 6
-        assert truncate_to_window(np.zeros(small_grid.n_fl), small_grid).size == 6
+        assert small_grid.n_fl - small_grid.window_start() == 6
 
     def test_grid_entirely_below_window_is_identity(self):
         grid = VerticalGrid(np.array([20000.0, 50000.0, 101325.0]))
-        x = np.array([1.0, 2.0])
-        np.testing.assert_array_equal(truncate_to_window(x, grid), x)
+        assert grid.window_start() == 0
+        assert grid.window().same_as(grid)
 
     def test_empty_window_rejected(self):
         grid = VerticalGrid(np.array([10.0, 100.0, 1000.0]))
         with pytest.raises(ValueError, match="window"):
-            truncate_to_window(np.zeros(2), grid)
+            grid.window_start()
 
     def test_window_values_are_verbatim(self, small_grid):
-        x = np.arange(small_grid.n_hl, dtype=float)
         i0 = small_grid.window_start()
-        np.testing.assert_array_equal(truncate_to_window(x, small_grid), x[i0:])
+        np.testing.assert_array_equal(small_grid.window().p_hl, small_grid.p_hl[i0:])
 
 
 class TestExtend:
@@ -240,9 +241,9 @@ class TestExtend:
         down_w = rng.uniform(-3.0, 3.0, m)
         heat_w = rng.uniform(-1e-5, 1e-5, m - 1)
         flux = extend_to_full(up_w, down_w, None, heat_w, small_grid)
-        np.testing.assert_array_equal(truncate_to_window(flux.up, small_grid), up_w)
-        np.testing.assert_array_equal(truncate_to_window(flux.down, small_grid), down_w)
-        np.testing.assert_array_equal(truncate_to_window(flux.heat, small_grid), heat_w)
+        np.testing.assert_array_equal(flux.up[i0:], up_w)
+        np.testing.assert_array_equal(flux.down[i0:], down_w)
+        np.testing.assert_array_equal(flux.heat[i0:], heat_w)
 
     def test_length_mismatch_rejected(self, small_grid):
         m = small_grid.window().n_hl
@@ -254,8 +255,7 @@ class TestApplyCorrection:
     @staticmethod
     def _random_flux(grid, consts, seed):
         rng = np.random.default_rng(seed)
-        return flux_set_from_components(rng.uniform(0, 400, grid.n_hl),
-                                        rng.uniform(0, 400, grid.n_hl), grid, consts)
+        return flux_from(rng.uniform(0, 400, grid.n_hl), rng.uniform(0, 400, grid.n_hl), grid, consts)
 
     def test_zero_effect_is_identity(self, small_grid, consts):
         base = self._random_flux(small_grid, consts, 8)
@@ -300,7 +300,11 @@ class TestFluxSet:
         rng = np.random.default_rng(17)
         up = rng.uniform(0, 300, small_grid.n_hl)
         down = rng.uniform(0, 300, small_grid.n_hl)
-        flux = flux_set_from_components(up, down, small_grid, consts)
+        zero = FluxSet(up=np.zeros(small_grid.n_hl), down=np.zeros(small_grid.n_hl),
+                       heat=np.zeros(small_grid.n_fl))
+        # the effect's own heating rates are ignored: the corrected ones come from up/down
+        flux = apply_correction(zero, FluxSet(up=up, down=down, heat=np.ones(small_grid.n_fl)),
+                                small_grid, consts)
         np.testing.assert_allclose(
             flux.heat, compute_heating_rates(down - up, small_grid, consts), rtol=1e-12)
 
@@ -328,13 +332,6 @@ class TestFluxRows:
         stacked = [compute_heating_rates(row, small_grid, consts) for row in net]
         assert same_bits(compute_heating_rates(net, small_grid, consts), stacked)
 
-    def test_truncate_to_window(self, small_grid):
-        rng = np.random.default_rng(31)
-        for n in (small_grid.n_fl, small_grid.n_hl):
-            x = rng.normal(size=(self.N, n))
-            assert same_bits(truncate_to_window(x, small_grid),
-                             [truncate_to_window(row, small_grid) for row in x])
-
     @pytest.mark.parametrize("component", ["lw", "sw"])
     def test_extend_to_full(self, small_grid, component):
         rng = np.random.default_rng(32)
@@ -352,14 +349,12 @@ class TestFluxRows:
     def test_components_and_correction(self, small_grid, consts):
         rng = np.random.default_rng(33)
         shape = (self.N, small_grid.n_hl)
-        base = flux_set_from_components(rng.uniform(0, 400, shape), rng.uniform(0, 400, shape),
-                                        small_grid, consts, direct_down=rng.uniform(0, 400, shape))
-        effect = flux_set_from_components(rng.normal(size=shape), rng.normal(size=shape),
-                                          small_grid, consts)
+        base = flux_from(rng.uniform(0, 400, shape), rng.uniform(0, 400, shape),
+                         small_grid, consts, direct_down=rng.uniform(0, 400, shape))
+        effect = flux_from(rng.normal(size=shape), rng.normal(size=shape), small_grid, consts)
         rows = apply_correction(base, effect, small_grid, consts)
         for i in range(self.N):
-            b = flux_set_from_components(base.up[i], base.down[i], small_grid, consts,
-                                         direct_down=base.direct_down[i])
+            b = flux_from(base.up[i], base.down[i], small_grid, consts, direct_down=base.direct_down[i])
             e = FluxSet(up=effect.up[i], down=effect.down[i], heat=effect.heat[i])
             assert same_bits(b.heat, base.heat[i])
             column = apply_correction(b, e, small_grid, consts)
@@ -424,7 +419,7 @@ class TestProfileBatch:
         part = batch[1:4]
         assert isinstance(part, ProfileBatch) and part.ids == batch.ids[1:4]
         assert np.shares_memory(part.T, batch.T)
-        w = batch.window()
+        w = truncate_profile(batch)
         i0 = small_grid.window_start()
         assert w.grid.n_fl == small_grid.window().n_fl
         assert np.shares_memory(w.q, batch.q)

@@ -234,6 +234,18 @@ class TestTargetVectors:
         np.testing.assert_array_equal(t.direct_down, direct[i0:])
         assert t.heat.size == small_grid.window(consts.p_trunc).n_fl
 
+    @pytest.mark.parametrize("rows", [None, 4], ids=["column", "rows"])
+    def test_targets_do_not_alias_the_callers_rows(self, small_grid, consts, rows):
+        shape = (small_grid.n_hl,) if rows is None else (rows, small_grid.n_hl)
+        up, down, direct = (np.random.default_rng(seed).normal(size=shape) for seed in (1, 2, 3))
+        alpha = 0.3 if rows is None else np.full(rows, 0.3)
+        t = targets_from_flux_effects("sw", up, down, small_grid, consts, alpha=alpha, direct_down=direct)
+        before = {name: getattr(t, name).copy() for name in ("scalar", "heat", "direct_down")}
+        for arr in (up, down, direct):
+            arr[...] = 1e3
+        for name, value in before.items():
+            assert np.array_equal(getattr(t, name), value), name
+
 
 class TestTargetRows:
     """Targets and target vectors of (n, n_hl) flux rows are, bit for bit,

@@ -1381,3 +1381,21 @@ class TestIdRule:
 
         assert [json.loads(line, parse_constant=constant)["id"] for line in path.read_text().splitlines()] == ids
         assert read_fluxes(path)[0] == ids
+
+
+class TestOutputPaths:
+    """Outputs written together must be distinct files: two paths that name
+    one file would leave only one output in it."""
+
+    @pytest.mark.parametrize("spelling", ["same", "dot", "symlink"])
+    def test_map_profiles_refuses_one_file_twice(self, tmp_path, small_grid, spelling):
+        profiles = tmp_path / "profiles.jsonl"
+        write_profiles(profiles, [make_profile(small_grid, seed=s) for s in range(3)])
+        (tmp_path / "link.jsonl").symlink_to(tmp_path / "out.jsonl")  # dangling until out.jsonl exists
+        second = {"same": tmp_path / "out.jsonl", "dot": os.path.join(tmp_path, ".", "out.jsonl"),
+                  "symlink": tmp_path / "link.jsonl"}[spelling]
+        mapped = []
+        with pytest.raises(ValueError, match="name the same file$"):
+            cre3d_io.map_profiles(profiles, [tmp_path / "out.jsonl", second], mapped.append)
+        assert mapped == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.jsonl", "profiles.jsonl"]

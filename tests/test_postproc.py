@@ -12,7 +12,6 @@ from cre3d.postproc import (
     CAP_LO,
     DEGENERATE_DIVERGENCE,
     EffectTargets,
-    postprocess,
     postprocess_batch,
 )
 
@@ -277,12 +276,18 @@ class TestSplitFluxes:
             postprocess_batch("lw", np.zeros((1, 5)), np.zeros((1, 5)), wgrid, consts)
 
 
+def targets_row(targets, grid, consts):
+    """One column's EffectTargets through `postprocess_batch` as a one-row
+    batch: (up, down, heat) of its row."""
+    return batch_row(targets.component, targets.scalar, targets.heat, grid, consts, alpha=targets.alpha)
+
+
 class TestPostprocess:
     def test_zero_targets_zero_fluxes(self, wgrid, consts):
         t = EffectTargets(component="lw", scalar=np.zeros(wgrid.n_hl),
                           heat=np.zeros(wgrid.n_fl))
-        flux = postprocess(t, wgrid, consts)
-        assert np.all(flux.up == 0) and np.all(flux.down == 0)
+        up, down, _ = targets_row(t, wgrid, consts)
+        assert np.all(up == 0) and np.all(down == 0)
 
     @pytest.mark.parametrize("component", ["lw", "sw"])
     def test_round_trip_many_profiles(self, wgrid, consts, component):
@@ -290,44 +295,39 @@ class TestPostprocess:
             alpha = (seed % 10) / 10.0
             targets, up, down = consistent_truth(wgrid, consts, seed,
                                                  component=component, alpha=alpha)
-            flux = postprocess(targets, wgrid, consts)
-            np.testing.assert_allclose(flux.up, up, atol=1e-10)
-            np.testing.assert_allclose(flux.down, down, atol=1e-10)
+            up_r, down_r, _ = targets_row(targets, wgrid, consts)
+            np.testing.assert_allclose(up_r, up, atol=1e-10)
+            np.testing.assert_allclose(down_r, down, atol=1e-10)
 
     def test_reconstructed_heating_matches_rescaled(self, wgrid, consts):
         targets, _, _ = consistent_truth(wgrid, consts, 11)
         # force the capping path
         capped = EffectTargets(component="lw", scalar=4.0 * targets.scalar,
                                heat=targets.heat)
-        flux = postprocess(capped, wgrid, consts)
-        recomputed = compute_heating_rates(flux.down - flux.up, wgrid, consts)
-        np.testing.assert_allclose(recomputed, flux.heat, rtol=1e-12, atol=1e-20)
+        up, down, heat = targets_row(capped, wgrid, consts)
+        recomputed = compute_heating_rates(down - up, wgrid, consts)
+        np.testing.assert_allclose(recomputed, heat, rtol=1e-12, atol=1e-20)
 
     def test_energy_consistency_after_capping(self, wgrid, consts):
         targets, _, _ = consistent_truth(wgrid, consts, 12)
         capped = EffectTargets(component="lw", scalar=4.0 * targets.scalar,
                                heat=targets.heat)
-        flux = postprocess(capped, wgrid, consts)
-        d_net = net_divergence(flux.up, flux.down)
-        d_scalar = scalar_divergence_lw(flux.up, flux.down)
-        d_heat = math.fsum((-(consts.c_p / consts.g) * flux.heat * wgrid.dp).tolist())
+        up, down, heat = targets_row(capped, wgrid, consts)
+        d_net = net_divergence(up, down)
+        d_scalar = scalar_divergence_lw(up, down)
+        d_heat = math.fsum((-(consts.c_p / consts.g) * heat * wgrid.dp).tolist())
         assert d_scalar == pytest.approx(d_net, rel=1e-10)
         assert d_heat == pytest.approx(d_net, rel=1e-10)
-
-    def test_sw_direct_passes_through(self, wgrid, consts):
-        targets, _, _ = consistent_truth(wgrid, consts, 13, component="sw")
-        flux = postprocess(targets, wgrid, consts)
-        np.testing.assert_array_equal(flux.direct_down, targets.direct_down)
 
     def test_scale_equivariance(self, wgrid, consts):
         targets, _, _ = consistent_truth(wgrid, consts, 14)
         lam = 3.0
         scaled = EffectTargets(component="lw", scalar=lam * targets.scalar,
                                heat=lam * targets.heat)
-        f1 = postprocess(targets, wgrid, consts)
-        f2 = postprocess(scaled, wgrid, consts)
-        np.testing.assert_allclose(f2.up, lam * f1.up, rtol=1e-11, atol=1e-12)
-        np.testing.assert_allclose(f2.down, lam * f1.down, rtol=1e-11, atol=1e-12)
+        up1, down1, _ = targets_row(targets, wgrid, consts)
+        up2, down2, _ = targets_row(scaled, wgrid, consts)
+        np.testing.assert_allclose(up2, lam * up1, rtol=1e-11, atol=1e-12)
+        np.testing.assert_allclose(down2, lam * down1, rtol=1e-11, atol=1e-12)
 
 
 def chained_postprocess_batch(component, scalar, heat, grid, consts, alpha=None):
@@ -446,8 +446,7 @@ class TestPostprocessBatch:
             component, scalar, heat, wgrid, consts,
             alpha=alphas if component == "sw" else None)
         for i, t in enumerate(targets):
-            flux = postprocess(t, wgrid, consts)
-            for got, row in ((flux.up, up[i]), (flux.down, down[i]), (flux.heat, heat_r[i])):
+            for got, row in zip(targets_row(t, wgrid, consts), (up[i], down[i], heat_r[i])):
                 assert np.array_equal(got.view(np.int64), row.view(np.int64))
 
     def test_sw_requires_alpha(self, wgrid, consts):
@@ -488,7 +487,6 @@ class TestEffectTargets:
         t = EffectTargets(component="sw", scalar=np.zeros((3, 5)), heat=np.zeros((3, 4)),
                           direct_down=np.zeros((3, 5)), alpha=[0.0, 0.5, 1.0])
         np.testing.assert_array_equal(t.alpha, [0.0, 0.5, 1.0])
-        assert t.n_hl == 5
 
     @pytest.mark.parametrize("alpha", [0.3, [0.3, 0.3], [[0.3, 0.3, 0.3]], [0.3, 1.5, 0.3],
                                        [0.3, -0.1, 0.3], [0.3, np.nan, 0.3], None])

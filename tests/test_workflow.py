@@ -1,6 +1,7 @@
 """The CI workflow parses as YAML and keeps its time limit, its test steps
-(the row workers' tests and the part tests of predict and both readers
-run five times among them) and a benchmark check of every workload;
+(the I/O and CLI test files under `-X dev`; the row workers' tests and the
+part tests of predict and both readers run five times among them) and a
+benchmark check of every workload;
 pytest makes a RuntimeWarning an error in every test file."""
 
 import json
@@ -21,7 +22,9 @@ def test_workflow_keeps_its_time_limit_and_steps(request):
     runs = [step.get("run", "") for step in job["steps"]]
     tier1 = "python -m pytest -q --continue-on-collection-errors"
     assert any(run.endswith(tier1) and "-X dev" not in run for run in runs)
-    assert any("python -X dev -W error::ResourceWarning" in run and "-m pytest" in run for run in runs)
+    dev = [run.split() for run in runs if "python -X dev -W error::ResourceWarning" in run and "-m pytest" in run]
+    # the file readers and writers, and the commands' output-path checks, run under -X dev
+    assert any({"tests/test_io.py", "tests/test_cli.py"} <= set(words) for words in dev)
     # the row workers' tests and the part tests of predict and both readers, five times or more in one
     # loop that stops at the first failure
     loops = [re.search(r"for \w+ in ([^;\n]*); do\n(.*)\bdone", run, re.S) for run in runs]
