@@ -59,24 +59,40 @@ def _fluxes_for(path, ids, ids_path, n_hl: int, what: str = "record"):
     return column.FluxSet(**{name: arr if arr is None else arr[rows] for name, arr in vars(flux).items()})
 
 
-def _training_set(profiles, truth, component: str, split, variant: int, consts):
-    """The schema, `norm_in` and a GridDataset (normalized train and validation
-    rows, `norm_out`) of input `variant` for id-matched profiles and truth;
-    the statistics come from the train rows of `split`."""
-    with_q, with_dz = INPUT_VARIANTS[variant]
-    schema = features.schema_for_grid(component, profiles.grid, consts.p_trunc, with_q, with_dz)
-    x = features.build_input_matrix(profiles, schema, consts)
-    targets = features.targets_from_flux_effects(
-        component, truth.up, truth.down, profiles.grid, consts,
-        alpha=profiles.alpha, direct_down=truth.direct_down)
-    y = features.build_target_vector(targets, schema)
+def _training_sets(args, variants, consts):
+    """Read `--profiles`, match `--truth` to them by id and split them; build
+    the `--component` targets and `norm_out` once, then the inputs and
+    `norm_in` of each of `variants`, fitted on the train rows. Returns the
+    profiles, the split (fractions, indices) and {variant: (schema, norm_in,
+    GridDataset)}; inputs that cannot build the set fail first, named."""
+    profiles = io.read_profiles(args.profiles)
+    truth = _fluxes_for(args.truth, profiles.ids, args.profiles, profiles.grid.n_hl, "truth record")
+    if args.component == "sw" and truth.direct_down is None:
+        raise io.DatasetError(args.truth, None, "shortwave targets need direct_down, but the records have none")
+    for variant in variants:
+        if INPUT_VARIANTS[variant][0] and profiles.q is None:
+            raise io.DatasetError(args.profiles, None, f"input variant {variant} needs specific humidity (q), "
+                                                       "but the records have none")
+    fractions, split = _split_indices(len(profiles), args.seed)
     idx_train, idx_val, _ = split
-    norm_in = features.fit_normalization(x[idx_train])
+    targets = features.targets_from_flux_effects(
+        args.component, truth.up, truth.down, profiles.grid, consts,
+        alpha=profiles.alpha, direct_down=truth.direct_down)
+    # the variants differ in their inputs only: one output layout serves them all
+    y = features.build_target_vector(targets,
+                                     features.schema_for_grid(args.component, profiles.grid, consts.p_trunc))
     norm_out = features.fit_normalization(y[idx_train])
-    xn, yn = norm_in.apply(x), norm_out.apply(y)
-    return schema, norm_in, net.GridDataset(
-        x_train=xn[idx_train], y_train=yn[idx_train],
-        x_val=xn[idx_val], y_val=yn[idx_val], norm_out=norm_out)
+    yn = norm_out.apply(y)
+    sets = {}
+    for variant in variants:
+        schema = features.schema_for_grid(args.component, profiles.grid, consts.p_trunc, *INPUT_VARIANTS[variant])
+        x = features.build_input_matrix(profiles, schema, consts)
+        norm_in = features.fit_normalization(x[idx_train])
+        xn = norm_in.apply(x)
+        sets[variant] = schema, norm_in, net.GridDataset(
+            x_train=xn[idx_train], y_train=yn[idx_train],
+            x_val=xn[idx_val], y_val=yn[idx_val], norm_out=norm_out)
+    return profiles, (fractions, split), sets
 
 
 def _model_pair(path_lw: str, path_sw: str):
@@ -92,7 +108,7 @@ def _model_pair(path_lw: str, path_sw: str):
 def _naming_model_files(args):
     """Re-raise a model that does not fit (`features.ModelMismatch`) as an
     error naming its file, and the profiles file where it does not fit
-    their window."""
+    them."""
     try:
         yield
     except features.ModelMismatch as exc:
@@ -157,11 +173,8 @@ def cmd_train(args) -> int:
     if args.hidden_layers < 0:
         raise ValueError(f"--hidden-layers {args.hidden_layers} is below 0")
     consts = column.PhysConsts()
-    profiles = io.read_profiles(args.profiles)
-    truth = _fluxes_for(args.truth, profiles.ids, args.profiles, profiles.grid.n_hl, "truth record")
-    fractions, split = _split_indices(len(profiles), args.seed)
-    idx_train, idx_val, idx_test = split
-    schema, norm_in, data = _training_set(profiles, truth, args.component, split, 6, consts)
+    profiles, (fractions, (idx_train, idx_val, idx_test)), sets = _training_sets(args, (6,), consts)
+    schema, norm_in, data = sets[6]
 
     width = net.REFERENCE_HIDDEN_WIDTH[args.component] if args.hidden_width is None else args.hidden_width
     model0 = net.init_model([schema.input_len] + [width] * args.hidden_layers + [schema.output_len],
@@ -184,29 +197,17 @@ def cmd_train(args) -> int:
 
 
 def cmd_grid_search(args) -> int:
-    consts = column.PhysConsts()
-    profiles = io.read_profiles(args.profiles)
-    truth = _fluxes_for(args.truth, profiles.ids, args.profiles, profiles.grid.n_hl, "truth record")
-    _, split = _split_indices(len(profiles), args.seed)
-    datasets = {variant: _training_set(profiles, truth, args.component, split, variant, consts)[2]
-                for variant in args.variants}
     spec = net.GridSearchSpec(
         input_variants=tuple(args.variants),
         hidden_layer_counts=tuple(args.layers),
         width_multipliers=tuple(args.multipliers),
         reg_factors=tuple(args.regs),
         repeats=args.repeats)
-    report = net.grid_search(spec, datasets, _train_config(args),
+    cfg = _train_config(args)
+    _, _, sets = _training_sets(args, spec.input_variants, column.PhysConsts())
+    report = net.grid_search(spec, {variant: data for variant, (_, _, data) in sets.items()}, cfg,
                              simplicity_tolerance=args.simplicity_tolerance)
-    payload = {
-        "selected": report.selected,
-        "rows": [{"input_variant": r.input_variant, "n_inputs": r.n_inputs,
-                  "n_layers": r.n_layers, "multiplier": r.multiplier, "width": r.width,
-                  "reg": r.reg, "val_maes": r.val_maes, "mean_mae": r.mean_mae,
-                  "errors": r.errors}
-                 for r in report.rows],
-    }
-    io.write_json(args.out, payload)
+    io.write_json(args.out, dataclasses.asdict(report))
     best = report.rows[report.selected]
     print(f"selected config: variant={best.input_variant} layers={best.n_layers} "
           f"width={best.width} reg={best.reg:g} mean_mae={best.mean_mae:.6g}; wrote {args.out}")
@@ -338,6 +339,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_augment)
 
+    def add_training_inputs(q):
+        q.add_argument("--profiles", required=True)
+        q.add_argument("--truth", required=True, help="flux-effect truth records")
+        q.add_argument("--component", choices=("lw", "sw"), required=True)
+
     def add_train_flags(q):
         q.add_argument("--seed", type=int, default=0)
         for name, kind in (("max_epochs", int), ("l1", float), ("l2", float),
@@ -349,9 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
                             f"{_default(net.TrainConfig, 'patience')}, or --max-epochs - 1 if smaller)")
 
     p = sub.add_parser("train", help="train one emulator component")
-    p.add_argument("--profiles", required=True)
-    p.add_argument("--truth", required=True, help="flux-effect truth records")
-    p.add_argument("--component", choices=("lw", "sw"), required=True)
+    add_training_inputs(p)
     p.add_argument("--hidden-layers", type=int, default=net.REFERENCE_HIDDEN_LAYERS)
     widths = " / ".join(f"{w} {c.upper()}" for c, w in net.REFERENCE_HIDDEN_WIDTH.items())
     p.add_argument("--hidden-width", type=int, default=None,
@@ -361,9 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("grid-search", help="hyperparameter grid search")
-    p.add_argument("--profiles", required=True)
-    p.add_argument("--truth", required=True)
-    p.add_argument("--component", choices=("lw", "sw"), required=True)
+    add_training_inputs(p)
     p.add_argument("--variants", type=int, nargs="+", choices=sorted(INPUT_VARIANTS),
                    default=_default(net.GridSearchSpec, "input_variants"))
     p.add_argument("--layers", type=int, nargs="+",

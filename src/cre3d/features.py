@@ -147,8 +147,6 @@ def _assemble(window, tau: np.ndarray, schema: FeatureSchema) -> np.ndarray:
             parts.append(layer_thickness(window.grid, window.T))
         elif name in ("T_s", "alpha", "mu0"):
             parts.append(np.asarray(getattr(window, name), dtype=float)[..., None])
-        elif name == "q" and window.q is None:
-            raise ValueError("schema requires specific humidity but the profile has none")
         else:
             parts.append(getattr(window, name))
     return np.concatenate(parts, axis=-1)
@@ -159,8 +157,9 @@ def build_input_matrix(profiles: Union[ProfileBatch, Sequence[AtmosphericProfile
                        consts: PhysConsts) -> Union[np.ndarray, List[np.ndarray]]:
     """Input rows of full-grid profiles on one grid: a matrix for one schema,
     a list of matrices for a sequence of schemas. Before any is assembled,
-    the profiles' window must be every schema's `window_grid`: a
-    ModelMismatch names the component of the first schema it is not."""
+    the profiles' window must be every schema's `window_grid`, and they must
+    carry `q` where a schema has the humidity block: a ModelMismatch names
+    the component of the first schema they do not fit."""
     schemas = [schema] if isinstance(schema, FeatureSchema) else list(schema)
     window = truncate_profile(ProfileBatch.from_profiles(profiles), consts.p_trunc)
     for s in schemas:
@@ -168,6 +167,9 @@ def build_input_matrix(profiles: Union[ProfileBatch, Sequence[AtmosphericProfile
             raise ModelMismatch(s.component, f"the profiles' window ({window.grid.n_fl} full levels) is not "
                                              f"the one the {s.component} model was trained on ({s.n_fl_window} "
                                              "full levels): their half-level pressures differ", profiles=True)
+        if s.include_humidity and window.q is None:
+            raise ModelMismatch(s.component, f"the {s.component} model needs specific humidity (q), "
+                                             "but the profiles have none", profiles=True)
     tau = compute_cloud_optical_depth(window, consts)
     matrices = [_assemble(window, tau, s) for s in schemas]
     return matrices[0] if isinstance(schema, FeatureSchema) else matrices

@@ -439,8 +439,12 @@ class GridSearchSpec:
 
     def __post_init__(self) -> None:
         for name in ("input_variants", "hidden_layer_counts", "width_multipliers", "reg_factors"):
-            if not getattr(self, name):
+            values = getattr(self, name)
+            if not values:
                 raise ValueError(f"grid axis {name} must be non-empty")
+            repeated = [v for i, v in enumerate(values) if v in values[:i]]
+            if repeated:  # the configuration would run twice, under two seeds
+                raise ValueError(f"grid axis {name} repeats the value {repeated[0]}")
         if self.repeats < 1:
             raise ValueError("repeats must be >= 1")
         # `not ok(v)`, so that NaN fails too
@@ -478,17 +482,14 @@ class GridSearchRow:
     width: int
     reg: float
     val_maes: List[float]
+    mean_mae: float  # of val_maes; inf where every run failed
     errors: List[str]
-
-    @property
-    def mean_mae(self) -> float:
-        return float(np.mean(self.val_maes)) if self.val_maes else math.inf
 
 
 @dataclass
-class GridSearchReport:
-    rows: List[GridSearchRow]
+class GridSearchReport:  # fields in the order of the report file (`dataclasses.asdict`)
     selected: int  # index into rows
+    rows: List[GridSearchRow]
 
 
 def run_seed(base_seed: int, config_index: int, repeat: int) -> int:
@@ -516,8 +517,7 @@ def grid_search(spec: GridSearchSpec, datasets: Dict[int, GridDataset],
         n_in = data.x_train.shape[1]
         n_out = data.y_train.shape[1]
         width = max(1, int(round(mult * n_in)))
-        row = GridSearchRow(input_variant=variant, n_inputs=n_in, n_layers=n_layers,
-                            multiplier=mult, width=width, reg=reg, val_maes=[], errors=[])
+        val_maes, errors = [], []
         for rep in range(spec.repeats):
             seed = run_seed(base_cfg.seed, cfg_idx, rep)
             cfg = replace(base_cfg, l1=reg, l2=reg, seed=seed)
@@ -527,10 +527,13 @@ def grid_search(spec: GridSearchSpec, datasets: Dict[int, GridDataset],
                                  data.x_val, data.y_val, cfg)
                 pred = data.norm_out.invert(forward(model, data.x_val))
                 truth = data.norm_out.invert(data.y_val)
-                row.val_maes.append(float(np.mean(np.abs(pred - truth))))
+                val_maes.append(float(np.mean(np.abs(pred - truth))))
             except (FloatingPointError, ValueError) as exc:
-                row.errors.append(str(exc))
-        rows.append(row)
+                errors.append(str(exc))
+        rows.append(GridSearchRow(input_variant=variant, n_inputs=n_in, n_layers=n_layers,
+                                  multiplier=mult, width=width, reg=reg, val_maes=val_maes,
+                                  mean_mae=float(np.mean(val_maes)) if val_maes else math.inf,
+                                  errors=errors))
 
     best_mae = min(row.mean_mae for row in rows)
     if not math.isfinite(best_mae):
@@ -539,7 +542,7 @@ def grid_search(spec: GridSearchSpec, datasets: Dict[int, GridDataset],
                   if row.mean_mae <= best_mae * (1.0 + simplicity_tolerance)]
     selected = min(candidates, key=lambda i: (rows[i].n_inputs, rows[i].n_layers,
                                               rows[i].width, rows[i].mean_mae))
-    return GridSearchReport(rows=rows, selected=selected)
+    return GridSearchReport(selected=selected, rows=rows)
 
 
 # ---------------------------------------------------------------------------

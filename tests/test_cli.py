@@ -146,6 +146,12 @@ class TestCorrect:
         assert err.startswith("error: DatasetError:")
 
 
+def without_q(path, out):
+    """Write the profile records of `path` to `out` without their `q`."""
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    out.write_text("".join(json.dumps({k: v for k, v in r.items() if k != "q"}) + "\n" for r in records))
+
+
 def null_ids(path):
     """Rewrite a JSON-Lines file with every id set to null."""
     records = [json.loads(line) for line in path.read_text().splitlines()]
@@ -452,6 +458,21 @@ class TestModelMismatch:
         assert err == (f"error: DatasetError: {shifted}: the profiles' window (3 full levels) is not the one "
                        f"the sw model was trained on (3 full levels): their half-level pressures differ "
                        f"(profiles: {pipeline / 'profiles.jsonl'})\n")
+
+    @pytest.mark.parametrize("command", ["predict", "bench"])
+    def test_model_with_q_on_profiles_without_q_names_the_model_and_the_profiles(self, pipeline, tmp_path,
+                                                                               capsys, command):
+        model_lw, consts = io.load_model(pipeline / "model_lw.json")
+        schema = features.schema_for_grid("lw", model_lw.schema.window_grid, include_humidity=True)
+        with_q = net.init_model([schema.input_len, 4, schema.output_len], 0, schema=schema)
+        with_q.norm_in = features.Normalization(np.zeros(schema.input_len), np.ones(schema.input_len))
+        with_q.norm_out = model_lw.norm_out
+        io.save_model(tmp_path / "model_lw_q.json", with_q, consts)
+        dry = tmp_path / "dry.jsonl"
+        without_q(pipeline / "profiles.jsonl", dry)
+        err = self.run_with(command, pipeline, tmp_path, capsys, profiles=dry, model_lw=tmp_path / "model_lw_q.json")
+        assert err == (f"error: DatasetError: {tmp_path / 'model_lw_q.json'}: the lw model needs specific "
+                       f"humidity (q), but the profiles have none (profiles: {dry})\n")
 
     def test_reversed_training_window_fails_as_the_model_loads(self, pipeline, tmp_path, capsys):
         model = json.loads((pipeline / "model_lw.json").read_text())
@@ -908,7 +929,97 @@ class TestTrainArchitecture:
         assert not out.exists()
 
 
+class TestTrainingInputs:
+    """`train` and `grid-search` read their inputs through one front end,
+    which names the file that cannot build the requested set before any
+    training."""
+
+    SMALL = {"train": ["--hidden-layers", 1, "--hidden-width", 8],
+             "grid-search": ["--layers", 1, "--multipliers", 1, "--regs", 1e-5, "--repeats", 1]}
+
+    def run_with(self, command, tmp_path, capsys, monkeypatch, profiles, truth, component, *flags):
+        trained = []
+        train = net.train
+        monkeypatch.setattr(net, "train", lambda *args: trained.append(args) or train(*args))
+        out = tmp_path / "out.json"
+        code, _, err = run([command, "--profiles", profiles, "--truth", truth, "--component", component,
+                            "--max-epochs", 2, "--patience", 1] + self.SMALL[command] + list(flags)
+                           + ["--out", out], capsys)
+        return code, err, trained, out
+
+    @pytest.mark.parametrize("command", ["train", "grid-search"])
+    def test_shortwave_truth_without_direct_down_names_the_truth(self, tmp_path, capsys, monkeypatch, command):
+        paths = synth(tmp_path, capsys, n=3, seed=2)
+        code, err, trained, out = self.run_with(command, tmp_path, capsys, monkeypatch,
+                                                paths["profiles"], paths["truth_lw"], "sw")
+        assert code == 1
+        assert err == (f"error: DatasetError: {paths['truth_lw']}: shortwave targets need direct_down, "
+                       f"but the records have none\n")
+        assert trained == [] and not out.exists()
+
+    @pytest.mark.parametrize("variants", [[7], [6, 8]])
+    def test_variant_with_q_on_profiles_without_q_names_the_profiles(self, tmp_path, capsys, monkeypatch,
+                                                                     variants):
+        paths = synth(tmp_path, capsys, n=20)
+        dry = tmp_path / "dry.jsonl"
+        without_q(paths["profiles"], dry)
+        code, err, trained, out = self.run_with("grid-search", tmp_path, capsys, monkeypatch, dry,
+                                                paths["truth_lw"], "lw", "--variants", *variants)
+        assert code == 1
+        assert err == (f"error: DatasetError: {dry}: input variant {variants[-1]} needs specific humidity (q), "
+                       f"but the records have none\n")
+        assert trained == [] and not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "grid-search"])
+    def test_inputs_without_q_train_on_variant_6(self, tmp_path, capsys, monkeypatch, command):
+        paths = synth(tmp_path, capsys, n=20)
+        dry = tmp_path / "dry.jsonl"
+        without_q(paths["profiles"], dry)
+        code, err, trained, out = self.run_with(command, tmp_path, capsys, monkeypatch, dry,
+                                                paths["truth_sw"], "sw")
+        assert code == 0, err
+        assert len(trained) == 1 and out.exists()
+
+
 class TestGridSearchCommand:
+    def test_report_keys_follow_the_dataclass_fields(self, pipeline, tmp_path, capsys):
+        out = tmp_path / "grid.json"
+        code, _, err = run(
+            ["grid-search", "--profiles", pipeline / "profiles.jsonl",
+             "--truth", pipeline / "truth_sw.jsonl", "--component", "sw",
+             "--variants", 6, 8, "--layers", 0, "--multipliers", 0.5, "--regs", 1e-5,
+             "--repeats", 1, "--max-epochs", 2, "--patience", 1, "--out", out], capsys)
+        assert code == 0, err
+        report = json.loads(out.read_text())
+        assert list(report) == ["selected", "rows"]
+        assert len(report["rows"]) == 2
+        for row in report["rows"]:
+            assert list(row) == ["input_variant", "n_inputs", "n_layers", "multiplier", "width", "reg",
+                                 "val_maes", "mean_mae", "errors"]
+
+    @pytest.mark.parametrize("flags, axis, value", [
+        (["--variants", 6, 6], "input_variants", "6"),
+        (["--layers", 1, 1], "hidden_layer_counts", "1"),
+        (["--multipliers", 0.5, 1, 0.5], "width_multipliers", "0.5"),
+        (["--regs", 1e-5, "0.00001"], "reg_factors", "1e-05"),
+    ])
+    def test_repeated_axis_value_rejected_before_reading_or_training(self, tmp_path, capsys, monkeypatch,
+                                                                     flags, axis, value):
+        paths = synth(tmp_path, capsys, n=5, seed=2, levels=1)
+        read, trained = [], []
+        read_profiles, train = io.read_profiles, net.train
+        monkeypatch.setattr(io, "read_profiles", lambda *args: read.append(args) or read_profiles(*args))
+        monkeypatch.setattr(net, "train", lambda *args: trained.append(args) or train(*args))
+        out = tmp_path / "grid.json"
+        argv = {"--variants": [6], "--layers": [1], "--multipliers": [0.5], "--regs": [1e-5]}
+        argv[flags[0]] = flags[1:]
+        code, _, err = run(["grid-search", "--profiles", paths["profiles"], "--truth", paths["truth_lw"],
+                            "--component", "lw", "--repeats", 1, "--max-epochs", 2]
+                           + [a for flag, values in argv.items() for a in [flag, *values]] + ["--out", out], capsys)
+        assert code == 1
+        assert err == f"error: ValueError: grid axis {axis} repeats the value {value}\n"
+        assert read == [] and trained == [] and not out.exists()
+
     def test_small_search_writes_report(self, pipeline, tmp_path, capsys):
         out = tmp_path / "grid.json"
         code, stdout, err = run(

@@ -174,6 +174,17 @@ class TestSchemaSequence:
             build_input_matrix([make_profile(small_grid, seed=1)], [lw, sw], consts)
         assert calls == []
 
+    def test_schema_with_q_on_profiles_without_q_fails_before_any_assembly(self, small_grid, consts,
+                                                                           monkeypatch):
+        lw = schema_for_grid("lw", small_grid)
+        sw = schema_for_grid("sw", small_grid, include_humidity=True)
+        calls = self.count_calls(monkeypatch, ("_assemble", "compute_cloud_optical_depth"))
+        with pytest.raises(features.ModelMismatch) as caught:
+            build_input_matrix(generate_profiles(3, small_grid, seed=2, with_humidity=False), [lw, sw], consts)
+        assert str(caught.value) == "the sw model needs specific humidity (q), but the profiles have none"
+        assert (caught.value.component, caught.value.profiles) == ("sw", True)
+        assert calls == []
+
 
 class TestTargetVectors:
     @staticmethod

@@ -940,6 +940,16 @@ class TestGridSearch:
         with pytest.raises(ValueError, match=message):
             GridSearchSpec(**axes)
 
+    @pytest.mark.parametrize("axes, message", [
+        ({"input_variants": (6, 7, 6)}, "grid axis input_variants repeats the value 6"),
+        ({"hidden_layer_counts": (1, 1)}, "grid axis hidden_layer_counts repeats the value 1"),
+        ({"width_multipliers": (0.5, 1.0, 1)}, "grid axis width_multipliers repeats the value 1"),
+        ({"reg_factors": (0.0, -0.0)}, "grid axis reg_factors repeats the value -0.0")])
+    def test_repeated_axis_value_rejected(self, axes, message):
+        # each configuration runs once: a repeated value would run it again under another seed
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            GridSearchSpec(**axes)
+
     @pytest.mark.parametrize("tolerance, variants, message", [
         (-1.0, (6,), "simplicity tolerance -1.0 is not >= 0"),
         (math.nan, (6,), "simplicity tolerance nan is not >= 0"),

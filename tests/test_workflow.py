@@ -1,6 +1,7 @@
 """The CI workflow parses as YAML and keeps its time limit, its test steps
-(the I/O and CLI test files under `-X dev`; the row workers' tests and the
-part tests of predict and both readers run five times among them) and a
+(the I/O and CLI test files under `-X dev`; the row workers' tests, the
+part tests of predict and both readers, and the forks right after threaded
+stages run five times among them) and a
 benchmark check of every workload;
 pytest makes a RuntimeWarning an error in every test file."""
 
@@ -25,11 +26,12 @@ def test_workflow_keeps_its_time_limit_and_steps(request):
     dev = [run.split() for run in runs if "python -X dev -W error::ResourceWarning" in run and "-m pytest" in run]
     # the file readers and writers, and the commands' output-path checks, run under -X dev
     assert any({"tests/test_io.py", "tests/test_cli.py"} <= set(words) for words in dev)
-    # the row workers' tests and the part tests of predict and both readers, five times or more in one
-    # loop that stops at the first failure
+    # the row workers' tests, the part tests of predict and both readers, and the forks right after
+    # threaded stages, five times or more in one loop that stops at the first failure
     loops = [re.search(r"for \w+ in ([^;\n]*); do\n(.*)\bdone", run, re.S) for run in runs]
     assert any(loop and len(loop.group(1).split()) >= 5 and "tests/test_rowblocks.py" in loop.group(2)
                and "tests/test_cli.py::TestPredictInParts" in loop.group(2)
+               and "tests/test_cli.py::TestForkAfterParallelForward" in loop.group(2)
                and "tests/test_io.py::TestProfilesInBlocks" in loop.group(2)
                and "tests/test_io.py::TestFluxesInBlocks" in loop.group(2)
                and "|| exit 1" in loop.group(2) for loop in loops)
