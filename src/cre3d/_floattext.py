@@ -13,7 +13,10 @@ All integer work is on uint64 (or int64) arrays, whose products wrap
 modulo 2**64 without a warning; a uint64 array is never mixed with an
 int64 one, which numpy would promote to float64. The tables are built on
 first use. A call works through its values CHUNK at a time, so its
-scratch stays near 1 MB whatever the shape of `a`.
+scratch stays near 2 MB whatever the shape of `a`. Within a pass, only the
+first value of each run of bit-equal values is converted and laid out;
+its text row is repeated over the run, which is exact, as equal bits give
+equal text (0.0 and -0.0 differ in bits, so they never share a run).
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-CHUNK = 4096  # values per pass; a pass holds about 260 bytes of scratch per value
+CHUNK = 8192  # values per pass; a pass holds about 260 bytes of scratch per value, about 2 MB in all
 
 _U = np.uint64
 _M32 = _U(0xFFFFFFFF)
@@ -179,11 +182,16 @@ def _decimal(bits):
 
 def _format(values: np.ndarray) -> Tuple[bytes, np.ndarray]:
     """The text of `values` (1-D float64), each value's repr after ", ",
-    and the length of each value's part of it."""
+    and the length of each value's part of it; each run of bit-equal
+    values is laid out once, at its first value."""
     tables = _tables()
     if not np.isfinite(values).all():
         raise ValueError(f"cannot write the non-finite value {values[~np.isfinite(values)][0]!r} as JSON")
     bits = values.view(_U)
+    heads = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))  # the first value of each run
+    runs = len(heads) < len(bits)
+    if runs:
+        bits = bits.take(heads)
     zero = (bits << _U(1)) == 0
     f, k = _decimal(np.where(zero, _U(1), bits))
     f[zero] = 0
@@ -202,12 +210,16 @@ def _format(values: np.ndarray) -> Tuple[bytes, np.ndarray]:
     decpt = ndigits + k + _DECPT
     key = tables.keys.take((nsig * 2 + (bits >> _U(63)).astype(np.intp)) * (2 * _DECPT) + decpt)
 
-    text = np.empty((len(values), len(_ROW)), dtype=np.uint8)
+    text = np.empty((len(bits), len(_ROW)), dtype=np.uint8)
     text[:] = _ROW
     digits = tables.quads.take(groups.T).view(np.uint8)[:, 2:2 + _DIGITS]
     text[:, _BEFORE:_BEFORE + _DIGITS] = digits
     text[:, _AFTER:_AFTER + _DIGITS] = digits
     text.view("<u4")[:, -1] = tables.exponents.take(decpt)
+    if runs:
+        counts = np.diff(heads, append=len(values))
+        text = text.repeat(counts, axis=0)
+        key = key.repeat(counts)
     keep = tables.keep.take(key, axis=0)
     # 1024 rows at a time, as the index of the bytes kept takes 8 bytes per byte
     return b"".join(text[s:s + 1024].ravel().take(np.flatnonzero(keep[s:s + 1024])).tobytes()

@@ -96,9 +96,16 @@ def _training_sets(args, variants, consts):
 
 
 def _model_pair(path_lw: str, path_sw: str):
-    """The LW and SW models and the physical constants both files must share."""
-    model_lw, consts = io.load_model(path_lw)
-    model_sw, consts_sw = io.load_model(path_sw)
+    """The LW and SW models and the physical constants both files must share.
+
+    With more than one usable CPU, LW loads here while SW loads in a forked
+    part (`io._in_parts`). If either fails, both load again here, LW first,
+    so the models and the errors are those of two one-process loads."""
+    pair = None
+    if rowblocks.usable_cpus() > 1:
+        with contextlib.suppress(Exception):
+            pair = io._in_parts(path_sw, io.load_model, [path_lw, path_sw])
+    (model_lw, consts), (model_sw, consts_sw) = pair or (io.load_model(path_lw), io.load_model(path_sw))
     if consts_sw != consts:
         raise io.DatasetError(path_sw, None, f"physical constants differ from those of LW model file {path_lw}")
     return model_lw, model_sw, consts

@@ -12,10 +12,12 @@ ASCII whitespace are blank.
 
 JSON-Lines records are encoded and decoded in contiguous parts at the same
 time: this process handles part 0 and forked children the others (see
-`_n_parts`). Both dataset writers end in `_write_records`, where each part
-makes its records' text once, in order (see `write_jsonl`). Every file
-written in parts is joined by `_written_in_parts`. The bytes written and
-the errors raised do not depend on how the records are split.
+`_n_parts` and `_in_parts`). Both dataset writers end in `_write_records`,
+where each part makes its records' text once, in order (see
+`write_jsonl`). Every file written in parts is joined by
+`_written_in_parts`. The bytes written and the errors raised do not depend
+on how the records are split. `_in_parts` also loads the two model files
+of `cre3d predict` and `cre3d bench` at once (`cli._model_pair`).
 The readers take every field through `_field`'s JSON type rule. Every
 profile record repeats the grid, so `read_profiles` matches record 1's grid
 text in the others instead of parsing it again.

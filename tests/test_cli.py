@@ -1,5 +1,6 @@
 import json
 import os
+import signal
 import statistics
 import subprocess
 import sys
@@ -577,8 +578,8 @@ class TestForkAfterParallelForward:
                 assert len(started) == 8
                 assert parts[out["lw"].name] == parts[out["sw"].name] == 2
         assert written[1:] == written[:1] * 3
-        # on each 2-CPU run: one fork to read the profiles, one to write each file
-        assert threads_at_fork == [1] * len(threads_at_fork) and len(threads_at_fork) == 9
+        # on each 2-CPU run: one fork to load the SW model, one to read the profiles, one to write each file
+        assert threads_at_fork == [1] * len(threads_at_fork) and len(threads_at_fork) == 12
 
 
 class TestPredictInParts:
@@ -658,15 +659,16 @@ class TestPredictInParts:
             code, err, out = self.predict(pipeline, tmp_path / str(run_no), capsys)
             assert code == 0, err
             written.append(out)
-            assert seen["parts"] == [cpus]
-            assert seen["threads_at_fork"] == [1] * (cpus - 1)
+            # on 2 CPUs the model pair loads in 2 parts first (see TestModelPair)
+            assert seen["parts"] == [2] * (cpus > 1) + [cpus]
+            assert seen["threads_at_fork"] == [1] * ((cpus > 1) + cpus - 1)
         assert started == []
         assert written[1:] == written[:1] * 5
 
     def test_bad_value_in_part_2_is_named_by_its_record_in_the_file(self, pipeline, tmp_path, capsys, seen):
         bad = self.edited(pipeline, tmp_path, {50: self.bad_f_c})
         err = self.fails_cleanly(pipeline, tmp_path, capsys, profiles=bad)
-        assert seen["parts"] == [2]
+        assert seen["parts"] == [2, 2]
         with pytest.raises(io.DatasetError) as read:
             io.read_profiles(bad)
         assert err == f"error: DatasetError: {read.value}\n"
@@ -677,13 +679,13 @@ class TestPredictInParts:
         seen["parts"].clear()
         bad = self.edited(pipeline, tmp_path, {50: lambda record: {**record, "id": ids[2]}})
         err = self.fails_cleanly(pipeline, tmp_path, capsys, profiles=bad)
-        assert seen["parts"] == [2]
+        assert seen["parts"] == [2, 2]
         assert err == f"error: DatasetError: {bad}:record 50: duplicate id {ids[2]!r} (first in record 3)\n"
 
     def test_value_rule_in_part_1_named_before_invalid_json_in_part_2(self, pipeline, tmp_path, capsys, seen):
         bad = self.edited(pipeline, tmp_path, {5: self.bad_f_c, 50: lambda record: "{not json"})
         err = self.fails_cleanly(pipeline, tmp_path, capsys, profiles=bad)
-        assert seen["parts"] == [2]
+        assert seen["parts"] == [2, 2]
         assert err.startswith(f"error: DatasetError: {bad}:record 5: f_c must lie in [0, 1]")
 
     def test_model_that_does_not_fit_fails_before_any_fork(self, pipeline, tmp_path, capsys, seen):
@@ -691,7 +693,8 @@ class TestPredictInParts:
         seen["parts"].clear()
         seen["threads_at_fork"].clear()
         err = self.fails_cleanly(pipeline, tmp_path, capsys, profiles=other)
-        assert seen == {"parts": [], "threads_at_fork": []}
+        # the one part call and fork are the model pair's; the profile file is never split
+        assert seen == {"parts": [2], "threads_at_fork": [1]}
         assert err == (f"error: DatasetError: {pipeline / 'model_lw.json'}: the profiles' window "
                        f"(4 full levels) is not the one the lw model was trained on (3 full levels): "
                        f"their half-level pressures differ (profiles: {other})\n")
@@ -708,7 +711,7 @@ class TestPredictInParts:
         monkeypatch.setattr(net, "predict_flux_effects", with_nan)
         seen["parts"].clear()
         err = self.fails_cleanly(pipeline, tmp_path, capsys)
-        assert seen["parts"] == [2]
+        assert seen["parts"] == [2, 2]
         assert err == (f"error: ValueError: predicted sw effects of profile {ids[50]!r}: "
                        f"heat contains a non-finite value at level 7\n")
 
@@ -723,7 +726,7 @@ class TestPredictInParts:
         (tmp_path / "file").mkdir()
         code, err, from_file = self.predict(pipeline, tmp_path / "file", capsys)
         assert code == 0, err
-        assert seen["parts"] == [2]
+        assert seen["parts"] == [2, 2]
         fifo = tmp_path / "profiles.fifo"
         os.mkfifo(fifo)
         feed = ("import shutil, sys\n"
@@ -741,9 +744,145 @@ class TestPredictInParts:
                 raise
         assert feeder.returncode == 0
         assert code == 0, err
-        assert seen == {"parts": [1], "threads_at_fork": []}
+        assert seen == {"parts": [2, 1], "threads_at_fork": [1]}  # the model pair's, then the FIFO in one part
         assert rows == [1] + [8] * 7 + [3]  # record 1 alone, then blocks of ROW_CHUNK
         assert from_fifo == from_file
+
+
+def assert_same(a, b, where="pair"):
+    """`a` and `b` are equal values of the same types, their arrays of the
+    same dtype, shape, bits, writeable flag and layout."""
+    assert type(a) is type(b), where
+    if isinstance(a, np.ndarray):
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), where
+        assert (a.flags.writeable, a.flags.c_contiguous) == (b.flags.writeable, b.flags.c_contiguous), where
+    elif isinstance(a, dict):
+        assert list(a) == list(b), where
+        for key in a:
+            assert_same(a[key], b[key], f"{where}[{key!r}]")
+    elif isinstance(a, (list, tuple)):
+        assert len(a) == len(b), where
+        for i, (x, y) in enumerate(zip(a, b)):
+            assert_same(x, y, f"{where}[{i}]")
+    elif hasattr(a, "__dict__"):
+        assert_same(vars(a), vars(b), where)
+    else:
+        assert a == b, where
+
+
+class TestModelPair:
+    """`cli._model_pair` (`predict` and `bench`) loads LW here and SW in a
+    forked part on more than one usable CPU, and gives what two one-process
+    `io.load_model` calls give: the same models, constants and errors."""
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """The pid of each child forked while the test runs."""
+        pids, fork = [], os.fork
+
+        def counted_fork():
+            pid = fork()
+            if pid:
+                pids.append(pid)
+            return pid
+        monkeypatch.setattr(os, "fork", counted_fork)
+        return pids
+
+    @staticmethod
+    def assert_reaped(pids):
+        for pid in pids:
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)
+
+    @staticmethod
+    def alone(pipeline, lw=None, sw=None):
+        """What `_model_pair` must give: two one-process loads, LW first."""
+        model_lw, consts = io.load_model(lw or pipeline / "model_lw.json")
+        return model_lw, io.load_model(sw or pipeline / "model_sw.json")[0], consts
+
+    @staticmethod
+    def bad_file(pipeline, directory, kind):
+        """A model file in a new `directory` that fails to load: one with a
+        bad field, one that is no JSON, or one that is missing."""
+        directory.mkdir()
+        path = directory / f"{kind}.json"
+        if kind == "field":
+            model = json.loads((pipeline / "model_sw.json").read_text())
+            model["layers"][0]["rows"] = 0
+            path.write_text(json.dumps(model))
+        elif kind == "json":
+            path.write_text("{not json")
+        return path
+
+    @pytest.mark.parametrize("count", [2, 1])
+    def test_same_models_constants_and_flags_as_one_process_loads(self, pipeline, cpus, forks, count):
+        cpus(count)
+        pair = cli._model_pair(pipeline / "model_lw.json", pipeline / "model_sw.json")
+        assert len(forks) == count - 1
+        self.assert_reaped(forks)
+        assert_same(pair, self.alone(pipeline))
+        # both flags occur, so the comparison above tells them apart
+        assert pair[1].weights[0].flags.writeable and not pair[1].schema.window_grid.p_hl.flags.writeable
+
+    @pytest.mark.parametrize("count", [2, 1])
+    @pytest.mark.parametrize("bad", ["lw", "sw", "both"])
+    @pytest.mark.parametrize("kind", ["field", "json", "missing"])
+    def test_bad_file_fails_as_it_fails_alone(self, pipeline, tmp_path, cpus, forks, count, bad, kind):
+        lw, sw = (self.bad_file(pipeline, tmp_path / which, kind) if bad in (which, "both")
+                  else pipeline / f"model_{which}.json" for which in ("lw", "sw"))
+        with pytest.raises(Exception) as alone:
+            self.alone(pipeline, lw, sw)
+        assert str(lw if bad != "sw" else sw) in str(alone.value)  # LW's error first
+        cpus(count)
+        with pytest.raises(type(alone.value)) as pair:
+            cli._model_pair(lw, sw)
+        assert type(pair.value) is type(alone.value) and str(pair.value) == str(alone.value)
+        assert len(forks) == count - 1
+        self.assert_reaped(forks)
+
+    @pytest.mark.parametrize("count", [2, 1])
+    def test_other_constants_keep_their_message(self, pipeline, tmp_path, cpus, count):
+        model = json.loads((pipeline / "model_sw.json").read_text())
+        model["constants"]["g"] = 9.7
+        other_sw = tmp_path / "model_sw_g97.json"
+        other_sw.write_text(json.dumps(model))
+        cpus(count)
+        with pytest.raises(io.DatasetError) as pair:
+            cli._model_pair(pipeline / "model_lw.json", other_sw)
+        assert str(pair.value) == (f"{other_sw}: physical constants differ from those of LW model file "
+                                   f"{pipeline / 'model_lw.json'}")
+
+    def test_one_usable_cpu_forks_nothing(self, pipeline, monkeypatch, cpus, forks):
+        cpus(2)
+        monkeypatch.setattr(rowblocks, "usable_cpus", lambda: 1)
+        calls, in_parts = [], io._in_parts
+        monkeypatch.setattr(io, "_in_parts", lambda *args: calls.append(args) or in_parts(*args))
+        pair = cli._model_pair(pipeline / "model_lw.json", pipeline / "model_sw.json")
+        assert forks == [] and calls == []
+        assert_same(pair, self.alone(pipeline))
+
+    @pytest.mark.parametrize("fails", ["lw", "sw", "sw killed"])
+    def test_no_child_is_left_after_a_failed_part(self, pipeline, tmp_path, monkeypatch, cpus, forks, fails):
+        # LW fails here while SW's part may still run; SW fails in its part;
+        # or SW's part dies of a signal, and SW then loads here
+        bad = self.bad_file(pipeline, tmp_path / "bad", "json")
+        lw, sw = pipeline / "model_lw.json", pipeline / "model_sw.json"
+        parent, load = os.getpid(), io.load_model
+
+        def killed_in_a_child(path):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return load(path)
+        if fails == "sw killed":
+            monkeypatch.setattr(io, "load_model", killed_in_a_child)
+        cpus(2)
+        if fails == "sw killed":
+            assert_same(cli._model_pair(lw, sw), self.alone(pipeline))
+        else:
+            with pytest.raises(io.DatasetError, match="invalid JSON"):
+                cli._model_pair(*((bad, sw) if fails == "lw" else (lw, bad)))
+        assert len(forks) == 1
+        self.assert_reaped(forks)
 
 
 def run_bench(pipeline, capsys, out, *flags):

@@ -60,6 +60,57 @@ def test_rows_longer_than_a_chunk_and_chunks_across_rows(monkeypatch):
     assert format_rows(values[:, :2]) == _expected(values[:, :2])
 
 
+def _drawn_in_runs(seed: int, shape, pool) -> np.ndarray:
+    """An array of `shape` whose values come from `pool` in runs of 1 to 12 equal values."""
+    rng = np.random.default_rng(seed)
+    heads = np.asarray(pool, dtype=float)[rng.integers(len(pool), size=200)]
+    return np.resize(np.repeat(heads, rng.integers(1, 13, size=200)), shape)
+
+
+_POOL = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 0.1, -0.1, 1e16, 123.456, 1e-5]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_runs_of_equal_values_across_chunks_rows_and_cuts(monkeypatch, seed):
+    values = _drawn_in_runs(seed, (9, 40), _POOL)
+    assert (values.ravel()[1:] == values.ravel()[:-1]).mean() > 0.5  # runs form, and cross rows
+    for chunk in (7, 40, 64, _floattext.CHUNK):
+        monkeypatch.setattr(_floattext, "CHUNK", chunk)
+        assert format_rows(values) == _expected(values)
+        cuts = [values[i, a:b] for i in range(9) for a, b in ((0, 3), (3, 33), (33, 40))]
+        assert format_rows(values, [3, 30, 7]) == [json.dumps(cut.tolist())[1:-1] for cut in cuts]
+
+
+def test_zero_beside_negative_zero_and_subnormals():
+    values = np.array([[0.0, -0.0, -0.0, 0.0, 0.0, 5e-324, 5e-324, -5e-324, -0.0, 1e-310, 1e-310, 0.0]])
+    assert format_rows(values) == _expected(values)
+    assert format_rows(values)[0].startswith("0.0, -0.0, -0.0, 0.0, 0.0, 5e-324, 5e-324, -5e-324, -0.0")
+
+
+def test_a_pass_of_one_run_and_a_pass_without_repeats(monkeypatch):
+    monkeypatch.setattr(_floattext, "CHUNK", 8)
+    for values in (np.full((3, 8), 0.1), np.full((2, 13), -2.5e-7), np.full((1, 1), -0.0),
+                   np.arange(1, 50).reshape(7, 7) * 0.1, np.resize([0.1, 0.2], (3, 11))):
+        assert format_rows(values) == _expected(values)
+
+
+def test_only_the_first_value_of_each_run_is_converted(monkeypatch):
+    converted, decimal = [], _floattext._decimal
+    monkeypatch.setattr(_floattext, "_decimal", lambda bits: converted.append(len(bits)) or decimal(bits))
+    values = np.repeat([[0.5, -0.0, 0.5, 3e-320, 0.0]], [4, 3, 1, 2, 5], axis=1).reshape(3, 5)
+    assert format_rows(values) == _expected(values)
+    assert converted == [5]
+
+
+@pytest.mark.parametrize("where", [slice(0, 20), slice(3, 6), slice(19, 20)])
+def test_nan_inside_a_run_raises(where):
+    values = np.full((2, 10), 1.5)
+    values.ravel()[where] = np.nan
+    with pytest.raises(ValueError) as exc:
+        format_rows(values)
+    assert str(exc.value) == f"cannot write the non-finite value {np.float64('nan')!r} as JSON"
+
+
 def test_runs_of_each_row():
     values = np.random.default_rng(2).normal(size=(3, 6))
     runs = [values[i, a:b] for i in range(3) for a, b in ((0, 1), (1, 3), (3, 6))]
